@@ -17,10 +17,10 @@ import (
 	"testing"
 
 	"serd"
-	"serd/internal/core"
 	"serd/internal/datagen"
 	"serd/internal/experiments"
 	"serd/internal/gan"
+	"serd/internal/generator"
 	"serd/internal/gmm"
 	"serd/internal/simfn"
 	"serd/internal/textsynth"
@@ -314,10 +314,10 @@ func BenchmarkAblation_DPNoise(b *testing.B) {
 
 // BenchmarkCore_SynthesizeEntityRate measures raw synthesis throughput at
 // several worker counts (outputs are bit-identical across them; see
-// TestSynthesizeWorkerCountInvariant).
+// the worker rows of TestByteInvariance).
 func BenchmarkCore_SynthesizeEntityRate(b *testing.B) {
 	gen, synths := ablationFixture(b)
-	j, err := core.LearnDistributions(context.Background(), gen.ER, core.LearnOptions{Rand: rand.New(rand.NewSource(10))})
+	j, err := generator.FitGMM(context.Background(), gen.ER, generator.FitOptions{Rand: rand.New(rand.NewSource(10))})
 	if err != nil {
 		b.Fatal(err)
 	}

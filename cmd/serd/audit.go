@@ -18,7 +18,7 @@ Inspect the event journal a serd run writes next to its output dataset.
 
 commands:
   show   <run>          pretty-print a run's journal: config, lineage,
-                        phases, GMM fits, privacy ledger, terminal status
+                        phases, S1 fits, privacy ledger, terminal status
   verify <run>          re-verify the journal hash chain, recompute every
                         DP expenditure's ε and the composed total, and
                         re-hash the output dataset against its lineage
@@ -110,9 +110,9 @@ func auditShow(path string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "  %-16s %s\n", k, sum.Config[k])
 		}
 	}
-	// The core.generator config event exists only when an explicit S1
-	// backend was requested; its absence means the paper's default GMM
-	// stack ran (the byte-noop path journals nothing extra).
+	// The core.generator config event names the S1 backend that fitted
+	// O_real. Journals from older builds lack it on their default path
+	// (they carry gmm fit lines instead), as do -load-dist runs.
 	if gen := sum.Configs["core.generator"]; gen != nil {
 		fmt.Fprintf(stdout, "s1 generator: %s", gen["backend"])
 		if d := gen["describe"]; d != "" {

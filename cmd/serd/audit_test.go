@@ -89,8 +89,8 @@ func TestAuditVerifyRoundTrip(t *testing.T) {
 			t.Errorf("journal missing phase %s (have %v)", want, phases)
 		}
 	}
-	if len(sum.Fits) != 2 {
-		t.Errorf("journal has %d gmm_fit events, want 2", len(sum.Fits))
+	if len(sum.GenFits) != 2 {
+		t.Errorf("journal has %d generator_fit events, want 2", len(sum.GenFits))
 	}
 	if sum.Synthesis == nil || sum.Synthesis.Entities == 0 {
 		t.Errorf("journal synthesis summary = %+v", sum.Synthesis)
@@ -161,7 +161,7 @@ func TestAuditShowAndDiff(t *testing.T) {
 	if err := run([]string{"audit", "show", outA}, &show); err != nil {
 		t.Fatalf("audit show: %v", err)
 	}
-	for _, want := range []string{"status: done", "lineage output", "phase core.s2", "gmm fit s1.match", "synthesis:"} {
+	for _, want := range []string{"status: done", "lineage output", "phase core.s2", "generator fit s1.match", "synthesis:"} {
 		if !strings.Contains(show.String(), want) {
 			t.Errorf("audit show missing %q:\n%s", want, show.String())
 		}
@@ -181,9 +181,9 @@ func TestAuditShowAndDiff(t *testing.T) {
 }
 
 // TestAuditShowSurfacesGenerator pins the backend-visibility contract:
-// an explicit -s1-generator run renders its backend name, backend-tagged
-// fit lines, and the per-backend ε group in `audit show`, while a
-// default run keeps the legacy gmm-fit shape with no generator block.
+// `audit show` renders the S1 backend name and backend-tagged fit lines
+// for every run — the no-flag default (gmm) as well as an explicit
+// privbayes run, which also shows its per-backend ε group.
 func TestAuditShowSurfacesGenerator(t *testing.T) {
 	dir := t.TempDir()
 	inDir := filepath.Join(dir, "in")
@@ -210,11 +210,44 @@ func TestAuditShowSurfacesGenerator(t *testing.T) {
 	if err := run([]string{"audit", "show", outDefault}, &show); err != nil {
 		t.Fatalf("audit show (default): %v", err)
 	}
-	if strings.Contains(show.String(), "s1 generator:") {
-		t.Errorf("default run leaked a generator block:\n%s", show.String())
+	for _, want := range []string{"s1 generator: gmm", "generator fit s1.match", "backend=gmm"} {
+		if !strings.Contains(show.String(), want) {
+			t.Errorf("audit show (default) missing %q:\n%s", want, show.String())
+		}
 	}
-	if !strings.Contains(show.String(), "gmm fit s1.match") {
-		t.Errorf("default run lost its gmm fit lines:\n%s", show.String())
+}
+
+// TestAuditReadsLegacyDefaultJournal pins read-side compatibility with
+// journals from builds whose default S1 path wrote gmm_fit events and no
+// core.generator config. testdata/legacy-default.journal.jsonl and its
+// output dataset testdata/legacy-default/ were written by such a build
+// (serd -in in -out legacy-default -journal legacy-default.journal.jsonl
+// -seed 7 -size-a 20 -size-b 20 on a 30×30 Restaurant sample).
+func TestAuditReadsLegacyDefaultJournal(t *testing.T) {
+	jPath := filepath.Join("testdata", "legacy-default.journal.jsonl")
+	var out bytes.Buffer
+	if err := run([]string{"audit", "verify", jPath}, &out); err != nil {
+		t.Fatalf("audit verify on a legacy journal: %v\n%s", err, out.String())
+	}
+	out.Reset()
+	if err := run([]string{"audit", "show", jPath}, &out); err != nil {
+		t.Fatalf("audit show on a legacy journal: %v", err)
+	}
+	for _, want := range []string{"gmm fit s1.match", "gmm fit s1.nonmatch"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("audit show missing %q:\n%s", want, out.String())
+		}
+	}
+	events, err := journal.Read(jPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, err := serd.RunEntryFromJournal(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entry.Generator != "gmm" {
+		t.Errorf("registry entry generator = %q, want gmm", entry.Generator)
 	}
 }
 

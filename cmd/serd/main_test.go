@@ -83,6 +83,65 @@ func TestRunMissingFlags(t *testing.T) {
 	}
 }
 
+// distRun runs serd on a fresh sample input with the given extra flags,
+// returning the run error and the (possibly never created) output dir.
+func distRun(t *testing.T, dir, name string, extra ...string) (string, error) {
+	t.Helper()
+	out := filepath.Join(dir, "out-"+name)
+	args := append([]string{
+		"-in", filepath.Join(dir, "in"), "-out", out,
+		"-schema", "name:text,address:text,city:cat,flavor:cat",
+		"-seed", "7", "-run-store", "off", "-no-report",
+	}, extra...)
+	return out, run(args, io.Discard)
+}
+
+// TestRunLoadDistRejectsNonGMMBackend pins that -load-dist, which skips
+// S1 with a saved GMM joint, refuses another backend before any work:
+// otherwise the run would journal a privbayes configuration no fit ever
+// ran (and die at the first checkpoint trying to snapshot the joint).
+func TestRunLoadDistRejectsNonGMMBackend(t *testing.T) {
+	dir := t.TempDir()
+	writeSampleInput(t, filepath.Join(dir, "in"))
+	dist := filepath.Join(dir, "dist.json")
+	if _, err := distRun(t, dir, "save", "-save-dist", dist); err != nil {
+		t.Fatalf("saving a distribution: %v", err)
+	}
+	if _, err := distRun(t, dir, "load", "-load-dist", dist); err != nil {
+		t.Fatalf("reusing a distribution on the default backend: %v", err)
+	}
+	for name, extra := range map[string][]string{
+		"plain":      {},
+		"checkpoint": {"-checkpoint-dir", filepath.Join(dir, "ckpt")},
+	} {
+		args := append([]string{"-load-dist", dist, "-s1-generator", "privbayes", "-gen-epsilon", "2"}, extra...)
+		out, err := distRun(t, dir, "pb-"+name, args...)
+		if err == nil || !strings.Contains(err.Error(), "-load-dist") {
+			t.Errorf("%s: err = %v, want a -load-dist refusal", name, err)
+		}
+		if _, statErr := os.Stat(out); !os.IsNotExist(statErr) {
+			t.Errorf("%s: refused run still created %s", name, out)
+		}
+	}
+}
+
+// TestRunSaveDistRejectsNonGMMBackend pins that -save-dist with a backend
+// that fits no GMM joint is refused up front, not after the synthesis.
+func TestRunSaveDistRejectsNonGMMBackend(t *testing.T) {
+	dir := t.TempDir()
+	writeSampleInput(t, filepath.Join(dir, "in"))
+	dist := filepath.Join(dir, "dist.json")
+	out, err := distRun(t, dir, "pb", "-save-dist", dist, "-s1-generator", "privbayes", "-gen-epsilon", "2")
+	if err == nil || !strings.Contains(err.Error(), "-save-dist") {
+		t.Fatalf("err = %v, want a -save-dist refusal", err)
+	}
+	for _, path := range []string{out, dist} {
+		if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
+			t.Errorf("refused run still created %s", path)
+		}
+	}
+}
+
 // writeSampleInput materializes a small Restaurant dataset plus its
 // background corpora in the cmd/serd on-disk layout.
 func writeSampleInput(t *testing.T, dir string) {

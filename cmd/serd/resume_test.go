@@ -318,9 +318,8 @@ func TestRunResumeRejectsMismatchedFlags(t *testing.T) {
 		{"no-dir", []string{"-in", "in", "-out", "out", "-schema", "name:text,address:text,city:cat,flavor:cat",
 			"-seed", "7", "-resume"}, "-checkpoint-dir"},
 		// The generator family is a run parameter like block_*: switching
-		// the backend ON for a resume of a default-stack run must refuse
-		// (the s1_generator/generator_* keys were never journaled, so only
-		// the reverse-direction guard can catch it).
+		// the backend to privbayes for a resume of a default (gmm) run
+		// must refuse.
 		{"generator-on", []string{"-in", "in", "-out", "out", "-schema", "name:text,address:text,city:cat,flavor:cat",
 			"-seed", "7", "-s1-generator", "privbayes", "-checkpoint-dir", "ckpt", "-resume"}, "flag mismatch"},
 	}
@@ -337,9 +336,10 @@ func TestRunResumeRejectsMismatchedFlags(t *testing.T) {
 	}
 }
 
-// TestRunResumeRejectsGeneratorMismatch pins the guard rails around a run
-// that DID use a pluggable backend: resuming it without the flag, or with
-// different backend parameters, must refuse to splice onto the checkpoint.
+// TestRunResumeRejectsGeneratorMismatch pins the guard rails around a
+// privbayes run: resuming it without the flag (the gmm default), with
+// -s1-generator gmm, or with different backend parameters must refuse to
+// splice onto the checkpoint.
 func TestRunResumeRejectsGeneratorMismatch(t *testing.T) {
 	root := t.TempDir()
 	chdir(t, root)

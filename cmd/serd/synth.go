@@ -201,9 +201,6 @@ func synth(ctx context.Context, cfg synthConfig, real *serd.ER, stdout io.Writer
 	if err != nil {
 		return rtStats, err
 	}
-	if gen != nil {
-		fmt.Fprintf(stdout, "S1 generator: %s\n", gen.Describe())
-	}
 
 	opts := serd.Options{
 		SizeA:            flags.SizeA,
@@ -212,8 +209,8 @@ func synth(ctx context.Context, cfg synthConfig, real *serd.ER, stdout io.Writer
 		DisableRejection: flags.NoReject,
 		S3Blocker:        blocker,
 		Generator:        gen,
-		// The ledger always rides along: the default GMM path never touches
-		// it, DP backends (privbayes) charge their fit through it.
+		// The ledger always rides along: the GMM backend never touches it,
+		// DP backends (privbayes) charge their fit through it.
 		Privacy:       cfg.ledger,
 		S3RecallFloor: flags.Blocking.RecallFloor,
 		Metrics:       rec,
@@ -258,6 +255,8 @@ func synth(ctx context.Context, cfg synthConfig, real *serd.ER, stdout io.Writer
 			return rtStats, err
 		}
 		fmt.Fprintf(stdout, "reusing O-distribution from %s\n", flags.LoadDist)
+	} else {
+		fmt.Fprintf(stdout, "S1 generator: %s\n", gen.Describe())
 	}
 	// The output streams during S2 instead of materializing a second copy
 	// at the end: rows accumulate in temp files under -out and an atomic
@@ -277,11 +276,11 @@ func synth(ctx context.Context, cfg synthConfig, real *serd.ER, stdout io.Writer
 		return rtStats, err
 	}
 	if flags.SaveDist != "" {
-		// The JSON distribution format is the GMM joint's; generator
-		// backends round-trip through checkpoints instead.
+		// The JSON distribution format is the GMM joint's; config
+		// validation refuses -save-dist with any other backend.
 		joint, ok := res.OReal.(*serd.Joint)
 		if !ok {
-			return rtStats, fmt.Errorf("-save-dist supports only the default gmm backend, not -s1-generator %s", flags.Generators.Name)
+			return rtStats, fmt.Errorf("-save-dist: O_real is a %T, not a GMM joint", res.OReal)
 		}
 		f, err := os.Create(flags.SaveDist)
 		if err != nil {

@@ -15,15 +15,12 @@ import (
 // S1State is the pipeline state right after S1: the learned O_real and the
 // main RNG stream position.
 type S1State struct {
-	// Joint is the default GMM stack's O_real (Backend empty) — the
-	// legacy payload shape, kept so old checkpoints restore unchanged.
-	Joint *gmm.JointState
-	// Backend tags a pluggable-generator payload ("gmm", "privbayes");
-	// empty means the default stack with Joint set. Resume refuses a
-	// backend mismatch against the configured run.
+	// Backend is the S1 generator that fitted O_real ("gmm", "privbayes").
+	// Resume refuses a backend mismatch against the configured run, and an
+	// empty tag (a checkpoint from an older build) outright.
 	Backend string
-	// Gen is the backend's gob-encoded fitted-distribution state
-	// (Backend != "" only); opaque to this package.
+	// Gen is the backend's gob-encoded fitted-distribution state; opaque
+	// to this package.
 	Gen []byte
 	// Draws is the core RNG stream position (detrand draw count).
 	Draws uint64
@@ -61,8 +58,7 @@ type DistSnap struct {
 // position. Sampled and the matched index sets are stored sorted so the
 // payload (and its SHA) is deterministic.
 type S2State struct {
-	// Joint / Backend / Gen carry O_real exactly as in S1State.
-	Joint   *gmm.JointState
+	// Backend / Gen carry O_real exactly as in S1State.
 	Backend string
 	Gen     []byte
 	A, B    []EntityState

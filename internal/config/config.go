@@ -212,7 +212,21 @@ func (c *Serd) Validate() error {
 	if err := c.Blocking.Validate(); err != nil {
 		return err
 	}
-	return c.Generators.Validate()
+	if err := c.Generators.Validate(); err != nil {
+		return err
+	}
+	// -load-dist and -save-dist speak the GMM joint's JSON format. A
+	// loaded joint skips S1, so another backend would never fit; a
+	// non-GMM backend has no joint to save.
+	if b := c.Generators.Backend(); b != "gmm" {
+		if c.LoadDist != "" {
+			return fmt.Errorf("-load-dist reuses a saved GMM O-distribution and skips S1, so -s1-generator %s would never run", b)
+		}
+		if c.SaveDist != "" {
+			return fmt.Errorf("-save-dist writes a GMM O-distribution; -s1-generator %s does not fit one", b)
+		}
+	}
+	return nil
 }
 
 // JournaledConfig is the run-parameter subset journaled at RunStart. The

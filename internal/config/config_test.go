@@ -3,6 +3,7 @@ package config
 import (
 	"flag"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -135,17 +136,38 @@ func TestCoreSharedFlagsPresent(t *testing.T) {
 }
 
 func TestSerdValidate(t *testing.T) {
-	ok := Serd{In: "a", Out: "b", SchemaSpec: "x:text"}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	base := func(edit func(*Serd)) Serd {
+		c := Serd{In: "a", Out: "b", SchemaSpec: "x:text"}
+		if edit != nil {
+			edit(&c)
+		}
+		return c
 	}
-	missing := Serd{In: "a", Out: "b"}
-	if err := missing.Validate(); err == nil {
-		t.Fatal("missing -schema accepted")
+	pb := Generators{Name: "privbayes", Epsilon: 2}
+	cases := []struct {
+		name    string
+		c       Serd
+		wantErr string
+	}{
+		{name: "valid", c: base(nil)},
+		{name: "missing schema", c: Serd{In: "a", Out: "b"}, wantErr: "-schema"},
+		{name: "resume without dir", c: base(func(c *Serd) { c.Resume = true }), wantErr: "-checkpoint-dir"},
+		{name: "load-dist default backend", c: base(func(c *Serd) { c.LoadDist = "d.json" })},
+		{name: "save-dist explicit gmm", c: base(func(c *Serd) { c.SaveDist = "d.json"; c.Generators.Name = "gmm" })},
+		{name: "load-dist with privbayes", c: base(func(c *Serd) { c.LoadDist = "d.json"; c.Generators = pb }), wantErr: "-load-dist"},
+		{name: "save-dist with privbayes", c: base(func(c *Serd) { c.SaveDist = "d.json"; c.Generators = pb }), wantErr: "-save-dist"},
 	}
-	resume := Serd{In: "a", Out: "b", SchemaSpec: "x:text", Resume: true}
-	if err := resume.Validate(); err == nil {
-		t.Fatal("-resume without -checkpoint-dir accepted")
+	for _, tc := range cases {
+		err := tc.c.Validate()
+		if tc.wantErr == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.wantErr)
+		}
 	}
 }
 
@@ -177,6 +199,8 @@ func TestSerdJournaledConfig(t *testing.T) {
 		"size_a": "5", "size_b": "0",
 		"no_reject": "false", "transformer": "false",
 		"epsilon_budget": "2.5", "budget_mode": "abort",
+		"s1_generator": "gmm", "generator_epsilon": "0",
+		"generator_delta": "0", "generator_bins": "0",
 	}
 	if len(cfg) != len(want) {
 		t.Fatalf("config = %v, want %v", cfg, want)

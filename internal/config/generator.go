@@ -17,7 +17,7 @@ import (
 // 0 mean "use the backend's own default" so the generator package stays
 // the single source of parameter defaults.
 var generatorSpecs = []Spec{
-	{Name: "s1-generator", Def: "", Usage: "S1 generative backend: gmm|privbayes (empty = the paper's built-in GMM stack, byte-identical to pre-backend builds; privbayes fits noisy pairwise marginals under the -gen-epsilon DP budget)"},
+	{Name: "s1-generator", Def: "", Usage: "S1 generative backend: gmm|privbayes (empty = gmm, the paper's Gaussian mixtures; privbayes fits noisy pairwise marginals under the -gen-epsilon DP budget)"},
 	{Name: "gen-epsilon", Def: float64(0), Usage: "privbayes backend: total (ε, δ)-DP budget of the S1 fit, charged to the privacy ledger (0 = backend default 1)"},
 	{Name: "gen-delta", Def: float64(0), Usage: "privbayes backend: δ at which the S1 fit's ε is accounted (0 = backend default 1e-5)"},
 	{Name: "gen-bins", Def: int(0), Usage: "privbayes backend: per-dimension discretization buckets (0 = backend default 8)"},
@@ -41,29 +41,32 @@ func (c *Generators) register(b binder) {
 	b.integer(&c.Bins, "gen-bins")
 }
 
-// Enabled reports whether a backend was requested.
+// Enabled reports whether -s1-generator was given at all.
 func (c *Generators) Enabled() bool { return c.Name != "" }
 
-// Validate checks the generator flags in isolation. Strictness over
-// silence, mirroring the -block-* family: -gen-* parameters without
-// -s1-generator are a mistake, and the gmm backend takes none of them
-// (it is the non-private reference fit, so a DP budget on it would be
-// silently ignored).
-func (c *Generators) Validate() error {
-	switch c.Name {
-	case "", "gmm", "privbayes":
-	default:
-		return fmt.Errorf("-s1-generator %q: want gmm or privbayes", c.Name)
+// Backend is the resolved backend name: an empty -s1-generator is gmm.
+func (c *Generators) Backend() string {
+	if c.Name == "" {
+		return "gmm"
 	}
-	hasParams := c.Epsilon != 0 || c.Delta != 0 || c.Bins != 0
-	if !c.Enabled() {
-		if hasParams {
-			return errors.New("-gen-* flags require -s1-generator")
+	return c.Name
+}
+
+// Validate checks the generator flags in isolation. Strictness over
+// silence, mirroring the -block-* family: the gmm backend (also the
+// default) takes no -gen-* parameter — it is the non-private reference
+// fit, so a DP budget on it would be silently ignored.
+func (c *Generators) Validate() error {
+	switch c.Backend() {
+	case "gmm":
+		if c.Epsilon != 0 || c.Delta != 0 || c.Bins != 0 {
+			return errors.New("-gen-* flags apply to the privbayes backend only (they require -s1-generator privbayes; the gmm backend spends no DP budget)")
 		}
 		return nil
-	}
-	if c.Name == "gmm" && hasParams {
-		return errors.New("-gen-* flags apply to the privbayes backend only (the gmm backend spends no DP budget)")
+	case "privbayes":
+		// Its parameters are checked below.
+	default:
+		return fmt.Errorf("-s1-generator %q: want gmm or privbayes", c.Name)
 	}
 	if c.Epsilon < 0 {
 		return fmt.Errorf("-gen-epsilon %g must be >= 0", c.Epsilon)
@@ -80,34 +83,24 @@ func (c *Generators) Validate() error {
 	return nil
 }
 
-// Build constructs the configured backend. A nil Generator with nil error
-// means the default GMM stack (no flag), which core runs without any
-// backend indirection — the byte-noop path.
+// Build constructs the configured backend; no flag builds generator.GMM.
 func (c *Generators) Build() (generator.Generator, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	switch c.Name {
-	case "":
-		return nil, nil
-	case "gmm":
-		return generator.GMM{}, nil
-	case "privbayes":
+	if c.Backend() == "privbayes" {
 		return generator.PrivBayes{Epsilon: c.Epsilon, Delta: c.Delta, Bins: c.Bins}, nil
 	}
-	return nil, fmt.Errorf("-s1-generator %q: want gmm or privbayes", c.Name)
+	return generator.GMM{}, nil
 }
 
-// JournaledConfig adds the generator keys to a RunStart config map. Off
-// is a byte-noop: a run without -s1-generator journals nothing
-// generator-related, so its journal is bit-identical to one from a build
-// without the feature. The keys are run parameters (they select what is
-// computed), so the resume flag-mismatch guard covers them.
+// JournaledConfig adds the generator keys to a RunStart config map. The
+// keys are always present and carry the resolved backend, so no flag and
+// -s1-generator gmm journal one identical configuration. They are run
+// parameters (they select what is computed), so the resume flag-mismatch
+// guard covers them.
 func (c *Generators) JournaledConfig(cfg map[string]string) {
-	if !c.Enabled() {
-		return
-	}
-	cfg["s1_generator"] = c.Name
+	cfg["s1_generator"] = c.Backend()
 	cfg["generator_epsilon"] = strconv.FormatFloat(c.Epsilon, 'g', -1, 64)
 	cfg["generator_delta"] = strconv.FormatFloat(c.Delta, 'g', -1, 64)
 	cfg["generator_bins"] = strconv.Itoa(c.Bins)

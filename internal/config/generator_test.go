@@ -1,6 +1,7 @@
 package config
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -40,10 +41,10 @@ func TestGeneratorsValidate(t *testing.T) {
 }
 
 func TestGeneratorsBuild(t *testing.T) {
-	// Off builds nothing: nil Generator selects the byte-noop default path.
+	// No flag builds the gmm backend, the same value -s1-generator gmm does.
 	off := Generators{}
-	if gen, err := off.Build(); err != nil || gen != nil {
-		t.Fatalf("Build with generators off = %v, %v; want nil, nil", gen, err)
+	if gen, err := off.Build(); err != nil || gen != (generator.GMM{}) {
+		t.Fatalf("Build with no -s1-generator = %v, %v; want generator.GMM{}", gen, err)
 	}
 
 	gmm := Generators{Name: "gmm"}
@@ -74,16 +75,19 @@ func TestGeneratorsBuild(t *testing.T) {
 	}
 }
 
-// TestGeneratorsJournaledConfigIsByteNoopWhenOff pins the off-is-absent
-// guarantee: a run without -s1-generator must journal a config
-// bit-identical to one from a build without pluggable backends, or
-// resume/journal byte-compatibility breaks.
-func TestGeneratorsJournaledConfigIsByteNoopWhenOff(t *testing.T) {
+// TestGeneratorsJournaledConfigOneSpelling pins that no -s1-generator
+// and -s1-generator gmm are one run: both journal the identical config,
+// so a resume accepts either spelling. A privbayes run journals its own
+// backend and parameters.
+func TestGeneratorsJournaledConfigOneSpelling(t *testing.T) {
 	c := &Serd{In: "in", Out: "out", SchemaSpec: "x:text"}
-	for k := range c.JournaledConfig() {
-		if strings.HasPrefix(k, "generator") || k == "s1_generator" {
-			t.Errorf("generator-off journaled config contains %q", k)
-		}
+	off := c.JournaledConfig()
+	c.Generators = Generators{Name: "gmm"}
+	if gmm := c.JournaledConfig(); !reflect.DeepEqual(off, gmm) {
+		t.Errorf("no-flag config %v differs from -s1-generator gmm config %v", off, gmm)
+	}
+	if off["s1_generator"] != "gmm" {
+		t.Errorf("no-flag s1_generator = %q, want gmm", off["s1_generator"])
 	}
 	c.Generators = Generators{Name: "privbayes", Epsilon: 2.5, Bins: 16}
 	cfg := c.JournaledConfig()
@@ -102,7 +106,8 @@ func TestGeneratorsJournaledConfigIsByteNoopWhenOff(t *testing.T) {
 
 // FuzzGeneratorsValidate throws arbitrary flag combinations at Validate
 // and Build: neither may panic, Build must refuse whatever Validate
-// refuses, and an accepted config must round-trip its backend name.
+// refuses, and an accepted config must build its resolved backend (gmm
+// for an empty name).
 func FuzzGeneratorsValidate(f *testing.F) {
 	f.Add("", 0.0, 0.0, 0)
 	f.Add("gmm", 0.0, 0.0, 0)
@@ -122,14 +127,8 @@ func FuzzGeneratorsValidate(f *testing.F) {
 		if berr != nil {
 			t.Fatalf("Validate accepted %+v but Build rejected: %v", c, berr)
 		}
-		if name == "" {
-			if gen != nil {
-				t.Fatalf("empty backend built %T", gen)
-			}
-			return
-		}
-		if gen == nil || gen.Name() != name {
-			t.Fatalf("Build(%+v) = %v, want backend %q", c, gen, name)
+		if gen == nil || gen.Name() != c.Backend() {
+			t.Fatalf("Build(%+v) = %v, want backend %q", c, gen, c.Backend())
 		}
 	})
 }

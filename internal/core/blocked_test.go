@@ -13,6 +13,7 @@ import (
 	"serd/internal/blocking"
 	"serd/internal/checkpoint"
 	"serd/internal/dataset"
+	"serd/internal/generator"
 	"serd/internal/journal"
 	"serd/internal/pipeline"
 	"serd/internal/telemetry"
@@ -25,7 +26,7 @@ import (
 // match — its entities are a true match — but the S2 label wins).
 func TestLabelAllPairsBlockedSampledOverlap(t *testing.T) {
 	gen, _ := fixture(t, 30, 30, 12)
-	j, err := LearnDistributions(context.Background(), gen.ER, LearnOptions{Rand: rand.New(rand.NewSource(16))})
+	j, err := generator.FitGMM(context.Background(), gen.ER, generator.FitOptions{Rand: rand.New(rand.NewSource(16))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,3 +1,15 @@
+// Package core implements SERD — Synthesize ER Datasets — the paper's
+// primary contribution (Algorithm overview in §III, Figure 3): S1 learns
+// the matching/non-matching similarity-vector distributions of the real
+// dataset; S2 iteratively samples a synthesized entity and a similarity
+// vector from O_real and synthesizes a counterpart entity per column type,
+// subject to the entity-rejection checks of §V; S3 labels all remaining
+// pairs by posterior probability.
+//
+// S1 runs through one seam, Options.Generator: the paper's Gaussian
+// mixtures (generator.GMM, the default) or any other generator.Generator
+// backend such as the PrivBayes-style DP synthesizer. The fit logic lives
+// in internal/generator.
 package core
 
 import (
@@ -31,20 +43,19 @@ type Options struct {
 	// real dataset's labeled-match volume.
 	MatchFraction float64
 	// Learn controls S1 (ignored when Learned is set).
-	Learn LearnOptions
+	Learn generator.FitOptions
 	// Learned supplies a precomputed O_real, skipping S1.
 	Learned *gmm.Joint
-	// Generator selects the S1 generative backend; nil runs the paper's
-	// built-in GMM stack (the default path, byte-identical to the
-	// pre-generator pipeline). With a backend set, S1 calls its Fit and
-	// checkpoints carry the backend-tagged gob state instead of the GMM
-	// joint; resuming with a different backend than the checkpoint's is
-	// refused. Ignored when Learned is set.
+	// Generator selects the S1 generative backend (nil = generator.GMM,
+	// the paper's Gaussian mixtures). S1 calls its Fit, checkpoints carry
+	// its backend-tagged gob state, and resuming with a different backend
+	// than the checkpoint's is refused. Learned skips the fit; the backend
+	// then only snapshots and restores the supplied joint.
 	Generator generator.Generator
 	// Privacy is the run's privacy ledger, handed to DP backends so their
 	// fit releases are charged (and `serd audit verify` can recompute
-	// their ε). Nil skips the accounting. The default GMM path never
-	// touches it.
+	// their ε). Nil skips the accounting. The GMM backend never touches
+	// it.
 	Privacy *journal.Ledger
 	// Synthesizers maps each textual column name to its string synthesizer
 	// (§VI). Required for every textual column.
@@ -113,7 +124,7 @@ type Options struct {
 	// uninstrumented runs with the same seed produce identical datasets.
 	Metrics telemetry.Recorder
 	// Journal, when set, receives durable provenance events: the resolved
-	// synthesis configuration, S1's GMM fit summaries and the final
+	// synthesis configuration, S1's generator fit summaries and the final
 	// synthesis summary. Phase boundaries and ε checkpoints arrive through
 	// the Metrics recorder when it is journal-instrumented
 	// (journal.Instrument). Journaling, like Metrics, never touches the
@@ -185,6 +196,7 @@ func (o Options) withDefaults(real *dataset.ER) Options {
 		o.MinFitVectors = 12
 	}
 	o.Metrics = telemetry.OrNop(o.Metrics)
+	o.Generator = generator.OrGMM(o.Generator)
 	if o.HeartbeatEvery == 0 {
 		o.HeartbeatEvery = 64
 	}
@@ -196,9 +208,9 @@ type Result struct {
 	// Syn is the synthesized dataset E_syn, with M_syn holding both the
 	// pairs sampled as matching in S2 and the pairs labeled matching in S3.
 	Syn *dataset.ER
-	// OReal is the learned O-distribution of the real dataset: a
-	// *gmm.Joint on the default path, the configured backend's fitted
-	// distribution under Options.Generator.
+	// OReal is the learned O-distribution of the real dataset: the
+	// configured backend's fitted distribution (a *gmm.Joint under the
+	// default GMM backend or Options.Learned).
 	OReal generator.Dist
 	// JSD is the final Monte-Carlo JSD between O_syn and O_real (0 when
 	// too few vectors accumulated to estimate O_syn).

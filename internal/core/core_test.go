@@ -9,6 +9,7 @@ import (
 	"serd/internal/blocking"
 	"serd/internal/datagen"
 	"serd/internal/dataset"
+	"serd/internal/generator"
 	"serd/internal/gmm"
 	"serd/internal/telemetry"
 	"serd/internal/textsynth"
@@ -44,9 +45,9 @@ func ruleSynths(t *testing.T, gen *datagen.Generated) map[string]textsynth.Synth
 	return out
 }
 
-func TestLearnDistributionsSeparatesMAndN(t *testing.T) {
+func TestFitGMMSeparatesMAndN(t *testing.T) {
 	gen, _ := fixture(t, 80, 80, 40)
-	j, err := LearnDistributions(context.Background(), gen.ER, LearnOptions{Rand: rand.New(rand.NewSource(2))})
+	j, err := generator.FitGMM(context.Background(), gen.ER, generator.FitOptions{Rand: rand.New(rand.NewSource(2))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,16 +70,16 @@ func TestLearnDistributionsSeparatesMAndN(t *testing.T) {
 	}
 }
 
-func TestLearnDistributionsValidation(t *testing.T) {
+func TestFitGMMValidation(t *testing.T) {
 	gen, _ := fixture(t, 20, 20, 5)
-	if _, err := LearnDistributions(context.Background(), nil, LearnOptions{}); err == nil {
+	if _, err := generator.FitGMM(context.Background(), nil, generator.FitOptions{}); err == nil {
 		t.Error("nil dataset accepted")
 	}
 	noMatch, err := dataset.NewER(gen.ER.A, gen.ER.B, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LearnDistributions(context.Background(), noMatch, LearnOptions{}); err == nil {
+	if _, err := generator.FitGMM(context.Background(), noMatch, generator.FitOptions{}); err == nil {
 		t.Error("dataset without matches accepted")
 	}
 }
@@ -271,7 +272,7 @@ func TestSynthesizeDeterministicForSeed(t *testing.T) {
 
 func TestSynthesizeWithPrecomputedJoint(t *testing.T) {
 	gen, synths := fixture(t, 30, 30, 12)
-	j, err := LearnDistributions(context.Background(), gen.ER, LearnOptions{Rand: rand.New(rand.NewSource(13))})
+	j, err := generator.FitGMM(context.Background(), gen.ER, generator.FitOptions{Rand: rand.New(rand.NewSource(13))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +304,7 @@ func TestRejectionReducesJSDVersusSERDMinus(t *testing.T) {
 
 func TestLabelAllPairsUsesPosterior(t *testing.T) {
 	gen, _ := fixture(t, 30, 30, 12)
-	j, err := LearnDistributions(context.Background(), gen.ER, LearnOptions{Rand: rand.New(rand.NewSource(16))})
+	j, err := generator.FitGMM(context.Background(), gen.ER, generator.FitOptions{Rand: rand.New(rand.NewSource(16))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"serd/internal/datagen"
 	"serd/internal/dataset"
+	"serd/internal/generator"
 	"serd/internal/parallel"
 )
 
@@ -66,7 +67,7 @@ func TestPartialPermDeterministicAndUniform(t *testing.T) {
 // count, including the nil pool.
 func TestDeltaVectorsWorkerInvariant(t *testing.T) {
 	gen, _ := fixture(t, 30, 30, 12)
-	j, err := LearnDistributions(context.Background(), gen.ER, LearnOptions{Rand: rand.New(rand.NewSource(6))})
+	j, err := generator.FitGMM(context.Background(), gen.ER, generator.FitOptions{Rand: rand.New(rand.NewSource(6))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func benchDistState(b *testing.B, pool *parallel.Pool) (*distState, *dataset.ER,
 	if err != nil {
 		b.Fatal(err)
 	}
-	j, err := LearnDistributions(context.Background(), gen.ER, LearnOptions{Rand: rand.New(rand.NewSource(6))})
+	j, err := generator.FitGMM(context.Background(), gen.ER, generator.FitOptions{Rand: rand.New(rand.NewSource(6))})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"serd/internal/checkpoint"
 	"serd/internal/dataset"
+	"serd/internal/telemetry"
 )
 
 func resumeFixtureOptions(t *testing.T) (Options, *dataset.ER) {
@@ -162,4 +164,78 @@ func TestSynthesizeInterruptWritesFinalCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameSynthesis(t, "interrupt", got, want)
+}
+
+// TestResumeRefusesUntaggedCheckpoint pins the old-artifact contract: a
+// checkpoint without an S1 backend tag (the payload shape older builds
+// wrote on their default path) is refused with a restart-fresh error
+// rather than restored.
+func TestResumeRefusesUntaggedCheckpoint(t *testing.T) {
+	opts, er := resumeFixtureOptions(t)
+	for name, resume := range map[string]*checkpoint.CoreState{
+		"s1": {S1: &checkpoint.S1State{Backend: ""}},
+		"s2": {S2: &checkpoint.S2State{Backend: ""}},
+	} {
+		ropts := opts
+		ropts.Resume = resume
+		_, err := Synthesize(context.Background(), er, ropts)
+		if err == nil || !strings.Contains(err.Error(), "restart fresh") {
+			t.Errorf("%s: untagged checkpoint: err = %v, want a restart-fresh refusal", name, err)
+		}
+	}
+}
+
+// TestResumedThroughputCountsOnlyNewEntities pins core.s2.entities_per_sec
+// on resume: the rate covers the entities this process accepted, not the
+// restored pools. Rate × S2 phase wall therefore lies between the entities
+// accepted after the resume (the loop runs inside the phase span) and the
+// full target, which a rate over every entity would reach.
+func TestResumedThroughputCountsOnlyNewEntities(t *testing.T) {
+	opts, er := resumeFixtureOptions(t)
+	dir := t.TempDir()
+	cp, err := checkpoint.New(checkpoint.Config{Dir: dir, Every: 10, Tool: "serd", Seed: opts.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Saves: #1 after S1, then S2 at 10, 20, 30, 40 entities.
+	cp.FaultHook = func(m checkpoint.Meta) error {
+		if m.Saved == 5 {
+			return checkpoint.ErrInterrupted
+		}
+		return nil
+	}
+	kopts := opts
+	kopts.Checkpoint = cp
+	if _, err := Synthesize(context.Background(), er, kopts); !errors.Is(err, checkpoint.ErrInterrupted) {
+		t.Fatalf("kill: err = %v, want ErrInterrupted", err)
+	}
+	snap, err := checkpoint.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.S2 == nil {
+		t.Fatal("no S2 checkpoint to resume from")
+	}
+	total := opts.SizeA + opts.SizeB
+	accepted := total - len(snap.S2.S2.A) - len(snap.S2.S2.B)
+	if accepted <= 0 || 2*accepted > total {
+		t.Fatalf("resume point leaves %d of %d entities; the check needs a late-S2 resume", accepted, total)
+	}
+
+	reg := telemetry.NewRegistry()
+	ropts := opts
+	ropts.Metrics = reg
+	ropts.Resume = &checkpoint.CoreState{S2: snap.S2.S2}
+	if _, err := Synthesize(context.Background(), er, ropts); err != nil {
+		t.Fatal(err)
+	}
+	rate, ok := reg.Gauge("core.s2.entities_per_sec")
+	if !ok {
+		t.Fatal("core.s2.entities_per_sec not recorded")
+	}
+	wall := reg.Snapshot().Phases["core.s2"].TotalSeconds
+	if n := rate * wall; n < float64(accepted)*(1-1e-9) || n >= float64(total) {
+		t.Errorf("rate %.1f/s over the %.4fs S2 phase implies %.1f entities; this process accepted %d of %d",
+			rate, wall, n, accepted, total)
+	}
 }

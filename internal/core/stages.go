@@ -12,7 +12,6 @@ import (
 	"serd/internal/dataset"
 	"serd/internal/detrand"
 	"serd/internal/generator"
-	"serd/internal/gmm"
 	"serd/internal/journal"
 	"serd/internal/parallel"
 	"serd/internal/pipeline"
@@ -102,10 +101,9 @@ func Synthesize(ctx context.Context, real *dataset.ER, opts Options) (*Result, e
 			"rejection":      fmt.Sprint(!opts.DisableRejection),
 			"seed":           fmt.Sprint(opts.Seed),
 		})
-		if opts.Generator != nil && opts.Learned == nil {
-			// Record which backend produced O_real. Absent on the default
-			// path, so no-flag journals stay byte-identical to pre-generator
-			// builds.
+		if opts.Learned == nil {
+			// Record which backend produced O_real (a supplied joint
+			// skips the fit, so no backend did).
 			opts.Journal.Config("core.generator", map[string]string{
 				"backend":  opts.Generator.Name(),
 				"describe": opts.Generator.Describe(),
@@ -141,7 +139,7 @@ func (st *synthRun) stages() []pipeline.Stage {
 		// journal prefix already holds the s1 phase events.
 		s1.Silent = true
 		s1.Run = func(context.Context, *pipeline.Env) error {
-			oReal, err := st.restoreDist(st.resS2.Joint, st.resS2.Backend, st.resS2.Gen)
+			oReal, err := st.restoreDist(st.resS2.Backend, st.resS2.Gen)
 			if err != nil {
 				return err
 			}
@@ -151,7 +149,7 @@ func (st *synthRun) stages() []pipeline.Stage {
 	case st.resS1 != nil:
 		s1.Silent = true
 		s1.Run = func(context.Context, *pipeline.Env) error {
-			oReal, err := st.restoreDist(st.resS1.Joint, st.resS1.Backend, st.resS1.Gen)
+			oReal, err := st.restoreDist(st.resS1.Backend, st.resS1.Gen)
 			if err != nil {
 				return err
 			}
@@ -169,8 +167,7 @@ func (st *synthRun) stages() []pipeline.Stage {
 			s1.Save = func() error {
 				s := &checkpoint.S1State{Draws: st.src.Draws()}
 				var err error
-				s.Joint, s.Backend, s.Gen, err = st.distSnapshot()
-				if err != nil {
+				if s.Backend, s.Gen, err = st.distSnapshot(); err != nil {
 					return err
 				}
 				return st.cp.SaveS1(s)
@@ -209,37 +206,24 @@ func (st *synthRun) stages() []pipeline.Stage {
 	}
 }
 
-// distSnapshot captures st.oReal for a checkpoint: the legacy JointState
-// on the default path (Backend empty, so old builds can still read the
-// file), the backend-tagged gob payload when a generator drives S1.
-func (st *synthRun) distSnapshot() (joint *gmm.JointState, backend string, gen []byte, err error) {
-	if st.opts.Generator == nil {
-		return st.oReal.(*gmm.Joint).State(), "", nil, nil
-	}
-	data, err := st.opts.Generator.State(st.oReal)
+// distSnapshot captures st.oReal for a checkpoint as the backend-tagged
+// gob payload.
+func (st *synthRun) distSnapshot() (backend string, gen []byte, err error) {
+	gen, err = st.opts.Generator.State(st.oReal)
 	if err != nil {
-		return nil, "", nil, fmt.Errorf("core: checkpoint: %w", err)
+		return "", nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
-	return nil, st.opts.Generator.Name(), data, nil
+	return st.opts.Generator.Name(), gen, nil
 }
 
-// restoreDist rebuilds O_real from a checkpoint's (possibly backend-
-// tagged) payload, refusing a mixed-backend resume: a checkpoint written
-// by one S1 backend cannot continue under another, because the restored
-// distribution would disagree with the journaled prefix.
-func (st *synthRun) restoreDist(joint *gmm.JointState, backend string, gen []byte) (generator.Dist, error) {
+// restoreDist rebuilds O_real from a checkpoint's backend-tagged payload,
+// refusing a mixed-backend resume: a checkpoint written by one S1 backend
+// cannot continue under another, because the restored distribution would
+// disagree with the journaled prefix. An untagged checkpoint comes from a
+// build whose default S1 path wrote a different payload shape.
+func (st *synthRun) restoreDist(backend string, gen []byte) (generator.Dist, error) {
 	if backend == "" {
-		if st.opts.Generator != nil {
-			return nil, fmt.Errorf("core: resume: checkpoint was written by the default gmm stack but the run is configured with -s1-generator %s; resume without the flag or restart fresh", st.opts.Generator.Name())
-		}
-		oReal, err := gmm.JointFromState(joint)
-		if err != nil {
-			return nil, fmt.Errorf("core: resume: %w", err)
-		}
-		return oReal, nil
-	}
-	if st.opts.Generator == nil {
-		return nil, fmt.Errorf("core: resume: checkpoint was written by generator backend %q but the run is configured with the default gmm stack; pass -s1-generator %s or restart fresh", backend, backend)
+		return nil, errors.New("core: resume: checkpoint has no S1 backend tag (written by an older build); restart fresh without -resume")
 	}
 	if name := st.opts.Generator.Name(); name != backend {
 		return nil, fmt.Errorf("core: resume: checkpoint was written by generator backend %q but the run is configured with -s1-generator %s; resume with the original backend or restart fresh", backend, name)
@@ -251,8 +235,8 @@ func (st *synthRun) restoreDist(joint *gmm.JointState, backend string, gen []byt
 	return oReal, nil
 }
 
-// runS1 learns O_real (paper §IV-A) on a fresh run, via the configured
-// generator backend when one is set.
+// runS1 learns O_real (paper §IV-A) on a fresh run with the configured
+// generator backend.
 func (st *synthRun) runS1(ctx context.Context, _ *pipeline.Env) error {
 	if st.opts.Learned != nil {
 		st.oReal = st.opts.Learned
@@ -271,18 +255,10 @@ func (st *synthRun) runS1(ctx context.Context, _ *pipeline.Env) error {
 	if learn.Pool == nil {
 		learn.Pool = st.pool
 	}
-	if gen := st.opts.Generator; gen != nil {
-		if learn.Privacy == nil {
-			learn.Privacy = st.opts.Privacy
-		}
-		oReal, err := gen.Fit(ctx, st.real, learn)
-		if err != nil {
-			return err
-		}
-		st.oReal = oReal
-		return nil
+	if learn.Privacy == nil {
+		learn.Privacy = st.opts.Privacy
 	}
-	oReal, err := LearnDistributions(ctx, st.real, learn)
+	oReal, err := st.opts.Generator.Fit(ctx, st.real, learn)
 	if err != nil {
 		return err
 	}
@@ -386,8 +362,7 @@ func (st *synthRun) saveS2() error {
 	}
 	s2 := captureS2(st.synA, st.synB, st.sampled, st.matched, st.res, st.rejections, st.dist, st.src.Draws())
 	var err error
-	s2.Joint, s2.Backend, s2.Gen, err = st.distSnapshot()
-	if err != nil {
+	if s2.Backend, s2.Gen, err = st.distSnapshot(); err != nil {
 		return err
 	}
 	return st.cp.SaveS2(s2)
@@ -408,6 +383,9 @@ func (st *synthRun) runS2(ctx context.Context, _ *pipeline.Env) error {
 
 	s2Start := time.Now()
 	totalTarget := opts.SizeA + opts.SizeB
+	// Throughput counts only the entities this process accepts: a resumed
+	// run enters S2 with the checkpointed pools already filled.
+	entryDone := synA.Len() + synB.Len()
 	rec.Set("core.s2.total", float64(totalTarget))
 	// Trace block spans: S2 is one long loop, so the tree gets a child
 	// span per s2BlockSpanEvery accepted entities carrying the block's
@@ -560,7 +538,7 @@ func (st *synthRun) runS2(ctx context.Context, _ *pipeline.Env) error {
 		}
 	}
 	if elapsed := time.Since(s2Start).Seconds(); elapsed > 0 {
-		rec.Set("core.s2.entities_per_sec", float64(totalTarget)/elapsed)
+		rec.Set("core.s2.entities_per_sec", float64(totalTarget-entryDone)/elapsed)
 	}
 	return nil
 }

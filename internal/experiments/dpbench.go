@@ -113,7 +113,7 @@ func DPBench(ctx context.Context, opts DPBenchOptions) ([]DPBenchRow, error) {
 			return nil, err
 		}
 		for _, eps := range opts.Epsilons {
-			for _, backend := range []generator.Generator{nil, generator.PrivBayes{Epsilon: eps}} {
+			for _, backend := range []generator.Generator{generator.GMM{}, generator.PrivBayes{Epsilon: eps}} {
 				row, err := dpBenchRun(ctx, g, synths, backend, eps, testX, testY, opts)
 				if err != nil {
 					return nil, err
@@ -141,8 +141,8 @@ func dpBenchTestSplit(er *dataset.ER, opts DPBenchOptions) ([][]float64, []bool,
 	return x, y, nil
 }
 
-// dpBenchRun is one cell: synthesize with the backend (nil = the default
-// gmm stack), train a matcher on the output, evaluate on the real split.
+// dpBenchRun is one cell: synthesize with the backend, train a matcher on
+// the output, evaluate on the real split.
 func dpBenchRun(ctx context.Context, g *datagen.Generated, synths map[string]textsynth.Synthesizer, backend generator.Generator, eps float64,
 	testX [][]float64, testY []bool, opts DPBenchOptions) (DPBenchRow, error) {
 	ledger := journal.NewLedger(nil)
@@ -154,10 +154,7 @@ func dpBenchRun(ctx context.Context, g *datagen.Generated, synths map[string]tex
 		Generator:    backend,
 		Privacy:      ledger,
 	})
-	name := "gmm"
-	if backend != nil {
-		name = backend.Name()
-	}
+	name := backend.Name()
 	if err != nil {
 		return DPBenchRow{}, fmt.Errorf("experiments: dp bench: %s/%s at eps=%g: %w", g.Name, name, eps, err)
 	}

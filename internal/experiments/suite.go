@@ -69,7 +69,7 @@ type Config struct {
 	// and discriminator rejection at β = 0.6 (§IV-B2, §V case 1).
 	UseGAN bool
 	// Generator selects the pluggable S1 backend for the SERD syntheses
-	// (nil = the paper's default GMM stack; see -s1-generator).
+	// (nil = generator.GMM, the paper's GMM stack; see -s1-generator).
 	Generator generator.Generator
 	// Workers sets the worker count for the parallel S2/S3 hot path
 	// (threaded into core.Options.Workers; 0 = GOMAXPROCS). Results are

@@ -4,13 +4,13 @@
 // drives everything downstream — S2's similarity-vector sampling, the
 // rejection check's JSD estimates and S3's posterior labeling.
 //
-// The paper's GMM stack (core/learn.go's EM + AIC fit) is the first
-// backend (GMM); PrivBayes is the second, a marginal-based DP synthesizer
-// in the style of Zhang et al.'s PrivBayes. A third backend plugs in by
-// implementing Generator and adding a case to config.Generators.Build —
-// nothing in core, checkpoint or the journal needs to change, because all
-// of them speak only these two interfaces plus the gob payload returned
-// by State.
+// The paper's GMM stack (EM + AIC fit, FitGMM) is the first backend (GMM)
+// and the one every run uses unless another is configured; PrivBayes is
+// the second, a marginal-based DP synthesizer in the style of Zhang et
+// al.'s PrivBayes. A third backend plugs in by implementing Generator and
+// adding a case to config.Generators.Build — nothing in core, checkpoint
+// or the journal needs to change, because all of them speak only these
+// two interfaces plus the gob payload returned by State.
 package generator
 
 import (
@@ -51,8 +51,7 @@ type Dist interface {
 	LogPDF(x []float64) float64
 }
 
-// FitOptions controls S1 — shared by every backend. core.LearnOptions is
-// an alias of this type, so the pre-generator API keeps working verbatim.
+// FitOptions controls S1 — shared by every backend (core.Options.Learn).
 type FitOptions struct {
 	// MaxComponents bounds the AIC search for the number of mixture
 	// components g (default 3). GMM backend only.
@@ -78,9 +77,8 @@ type FitOptions struct {
 	// Metrics receives S1 telemetry (EM iteration counts and log-likelihood
 	// trajectories, threaded into gmm.FitOptions). Nil disables recording.
 	Metrics telemetry.Recorder
-	// Journal, when set, receives one fit provenance event per fitted
-	// distribution: the legacy gmm_fit event on the default GMM path, a
-	// generator_fit event from every -s1-generator backend.
+	// Journal, when set, receives one generator_fit provenance event per
+	// fitted distribution.
 	Journal *journal.Journal
 	// Privacy is the run's ledger. DP backends register their releases
 	// here before adding noise, so `serd audit verify` can recompute the

@@ -27,12 +27,18 @@ func (GMM) Name() string { return "gmm" }
 // Describe implements Generator.
 func (GMM) Describe() string { return "gmm(em, aic)" }
 
-// Fit implements Generator: the exact fit of core.LearnDistributions, but
-// journaling generic generator_fit events instead of the legacy gmm_fit
-// pair (the default no-flag path keeps emitting gmm_fit via
-// core.LearnDistributions, preserving the byte-noop invariant).
-func (g GMM) Fit(ctx context.Context, real *dataset.ER, opts FitOptions) (Dist, error) {
-	return FitGMM(ctx, real, opts, false)
+// Fit implements Generator via FitGMM.
+func (GMM) Fit(ctx context.Context, real *dataset.ER, opts FitOptions) (Dist, error) {
+	return FitGMM(ctx, real, opts)
+}
+
+// OrGMM normalizes an optional Generator field: nil becomes GMM, the
+// backend every run uses unless another is configured.
+func OrGMM(g Generator) Generator {
+	if g == nil {
+		return GMM{}
+	}
+	return g
 }
 
 // State implements Generator: the gob-encoded gmm.JointState.
@@ -58,8 +64,8 @@ func (GMM) FromState(data []byte) (Dist, error) {
 }
 
 // WithDefaults resolves the fit-option defaults against the real match
-// count — exported so core's thin LearnDistributions delegate and the
-// backends share one resolution.
+// count — exported so every backend (and callers replaying S1's learning
+// vectors) share one resolution.
 func (o FitOptions) WithDefaults(matches int) FitOptions {
 	if o.MaxComponents == 0 {
 		// Real pair spaces carry several non-matching clusters (random
@@ -121,10 +127,9 @@ func LearningVectors(real *dataset.ER, opts FitOptions) (xp, xn [][]float64, err
 // M- and N-distributions with EM, selecting the component count by AIC.
 // π is |X+| / (|X+| + |X−|) over the full pair space. Cancellation
 // propagates into the EM fits (checked per iteration); no partial S1
-// state survives a canceled learn. legacyEvents selects the pre-generator
-// gmm_fit journal events (core.LearnDistributions, the default pipeline
-// path) over the generic generator_fit events (the -s1-generator path).
-func FitGMM(ctx context.Context, real *dataset.ER, opts FitOptions, legacyEvents bool) (*gmm.Joint, error) {
+// state survives a canceled learn. Each fitted mixture journals one
+// generator_fit event.
+func FitGMM(ctx context.Context, real *dataset.ER, opts FitOptions) (*gmm.Joint, error) {
 	if real != nil {
 		opts = opts.WithDefaults(len(real.Matches))
 	}
@@ -137,12 +142,12 @@ func FitGMM(ctx context.Context, real *dataset.ER, opts FitOptions, legacyEvents
 	if err != nil {
 		return nil, fmt.Errorf("core: fitting M-distribution: %w", err)
 	}
-	journalGMMFit(opts.Journal, "s1.match", mModel, xp, legacyEvents)
+	journalGMMFit(opts.Journal, "s1.match", mModel, xp)
 	nModel, err := gmm.FitAIC(ctx, xn, opts.MaxComponents, fit)
 	if err != nil {
 		return nil, fmt.Errorf("core: fitting N-distribution: %w", err)
 	}
-	journalGMMFit(opts.Journal, "s1.nonmatch", nModel, xn, legacyEvents)
+	journalGMMFit(opts.Journal, "s1.nonmatch", nModel, xn)
 	// π = |X+| / (|X+| + |X−|) over the learning sets (§II-B). Note that S2
 	// uses a separate sampling fraction (Options.MatchFraction) so that the
 	// synthesized dataset reproduces the real match count.
@@ -150,20 +155,9 @@ func FitGMM(ctx context.Context, real *dataset.ER, opts FitOptions, legacyEvents
 	return gmm.NewJoint(mModel, nModel, pi)
 }
 
-// journalGMMFit emits one fitted mixture's provenance event in the
-// requested dialect.
-func journalGMMFit(j *journal.Journal, name string, m *gmm.Model, xs [][]float64, legacy bool) {
+// journalGMMFit emits one fitted mixture's provenance event.
+func journalGMMFit(j *journal.Journal, name string, m *gmm.Model, xs [][]float64) {
 	if j == nil {
-		return
-	}
-	if legacy {
-		j.GMMFit(journal.GMMFitData{
-			Name:          name,
-			Dim:           m.Dim(),
-			Components:    len(m.Comps),
-			Samples:       len(xs),
-			LogLikelihood: m.LogLikelihood(xs),
-		})
 		return
 	}
 	j.GeneratorFit(journal.GeneratorFitData{

@@ -29,10 +29,11 @@ type RunSummary struct {
 	Configs map[string]map[string]string // named config events (e.g. core.options)
 	Lineage []LineageData
 	Phases  []PhaseSummary
-	Fits    []GMMFitData
-	// GenFits holds the generic generator_fit summaries of runs driven by
-	// an -s1-generator backend; legacy gmm_fit events land in Fits, and
-	// both decode side by side so old journals keep reading.
+	// Fits holds the gmm_fit summaries of journals from older builds,
+	// whose default S1 path wrote them; current runs never do.
+	Fits []GMMFitData
+	// GenFits holds the generator_fit summaries current builds write (one
+	// per fitted distribution).
 	GenFits     []GeneratorFitData
 	Charges     []Entry
 	LedgerEps   float64

@@ -51,8 +51,9 @@ type Event struct {
 	// one (phase_end, run_end). Volatile like TS.
 	DurS float64 `json:"dur_s,omitempty"`
 	// Type names the event (run_start, lineage, phase_start, phase_end,
-	// gmm_fit, ledger_charge, budget, epsilon_checkpoint, ledger_total,
-	// synthesis, log, run_end).
+	// generator_fit, ledger_charge, budget, epsilon_checkpoint,
+	// ledger_total, synthesis, log, run_end; older journals also carry
+	// gmm_fit).
 	Type string `json:"type"`
 	// Data is the type-specific payload.
 	Data json.RawMessage `json:"data,omitempty"`
@@ -76,7 +77,7 @@ func chainHash(prev string, seq int, typ string, data []byte) string {
 // durableTypes are the events fsynced to disk the moment they are written:
 // phase boundaries, ε checkpoints, budget decisions, lineage and terminal
 // statuses must survive a crash — they are what resume and audit reason
-// about. Bulk per-step events (ledger_charge, gmm_fit, log) ride along with
+// about. Bulk per-step events (ledger_charge, generator_fit, log) ride along with
 // the next durable event instead of paying a sync each.
 var durableTypes = map[string]bool{
 	"phase_start":        true,
@@ -368,7 +369,9 @@ func (j *Journal) PhaseEnd(name string, durS float64) {
 	j.emit("phase_end", PhaseData{Name: name}, durS)
 }
 
-// GMMFitData summarizes one fitted mixture of S1.
+// GMMFitData summarizes one fitted mixture of S1 as journaled by the
+// gmm_fit events of older builds; it is decoded (Summarize) so their
+// journals stay auditable, and no longer written.
 type GMMFitData struct {
 	// Name distinguishes the fit ("s1.match", "s1.nonmatch").
 	Name string `json:"name"`
@@ -382,16 +385,10 @@ type GMMFitData struct {
 	LogLikelihood float64 `json:"loglik"`
 }
 
-// GMMFit emits a gmm_fit event — the legacy fit-summary event of the
-// default GMM stack, kept (and still emitted on the default path) so
-// pre-generator journals and the byte-noop invariant both hold. Runs with
-// an -s1-generator backend emit generator_fit instead.
-func (j *Journal) GMMFit(d GMMFitData) { j.emit("gmm_fit", d, 0) }
-
-// GeneratorFitData summarizes one fitted distribution of a pluggable S1
-// backend — the generic successor of GMMFitData, carrying the backend
-// identifier plus a backend-specific detail string instead of the
-// GMM-only component count and log-likelihood.
+// GeneratorFitData summarizes one fitted distribution of an S1 backend —
+// the generic successor of GMMFitData, carrying the backend identifier
+// plus a backend-specific detail string instead of the GMM-only
+// component count and log-likelihood.
 type GeneratorFitData struct {
 	// Backend is the generator's stable identifier ("gmm", "privbayes").
 	Backend string `json:"backend"`

@@ -23,7 +23,7 @@ func fixedClock() func() time.Time {
 func sampleRun(j *Journal) {
 	j.RunStart("test", 42, map[string]string{"in": "x", "out": "y"})
 	j.PhaseStart("core.s1")
-	j.GMMFit(GMMFitData{Name: "s1.match", Dim: 3, Components: 2, Samples: 100, LogLikelihood: -12.5})
+	j.GeneratorFit(GeneratorFitData{Backend: "gmm", Name: "s1.match", Dim: 3, Samples: 100, Detail: "components=2 loglik=-12.5"})
 	j.PhaseEnd("core.s1", 1.25)
 	j.EpsilonCheckpoint("dp.sgd", 0.8, 1e-5)
 	j.Synthesis(SynthesisData{Entities: 40, Matches: 10, SampledMatches: 12, JSD: 0.03})
@@ -72,7 +72,7 @@ func TestVerifyChainDetectsTampering(t *testing.T) {
 
 	t.Run("payload edit", func(t *testing.T) {
 		events := append([]Event(nil), pristine...)
-		events[2].Data = json.RawMessage(strings.Replace(string(events[2].Data), `"components":2`, `"components":1`, 1))
+		events[2].Data = json.RawMessage(strings.Replace(string(events[2].Data), `"samples":100`, `"samples":99`, 1))
 		if i := VerifyChain(events); i != 2 {
 			t.Errorf("VerifyChain = %d, want 2", i)
 		}

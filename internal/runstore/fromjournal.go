@@ -32,8 +32,8 @@ func EntryFromJournal(events []journal.Event) (Entry, error) {
 	e.Error = sum.StatusError
 	e.Summary = sum.Summary
 	e.WallSeconds = sum.WallS
-	// Backend name: the explicit core.generator config event wins; a
-	// default-path run that journaled GMM fits ran the gmm stack.
+	// Backend name: the core.generator config event wins; a journal from
+	// an older build whose default path wrote gmm_fit events ran gmm.
 	if gen := sum.Configs["core.generator"]; gen != nil {
 		e.Generator = gen["backend"]
 	} else if len(sum.Fits) > 0 {

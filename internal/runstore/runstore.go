@@ -24,7 +24,7 @@
 //
 // Like the rest of the observability stack, an armed registry is a hard
 // byte-noop on the dataset and the stripped journal (the root
-// TestRunStoreIsByteNoop pins this): registration happens strictly
+// TestByteInvariance pins this): registration happens strictly
 // after the terminal journal event, reads only what the run already
 // recorded, and never touches an RNG stream.
 package runstore

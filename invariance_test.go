@@ -1,0 +1,322 @@
+package serd_test
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"serd"
+)
+
+// invarianceRun is the shared baseline pipeline a byte-invariance row
+// toggles one feature on: one sample, seed, ledger charge and journal
+// shape for every row.
+type invarianceRun struct {
+	ctx    context.Context
+	opts   serd.Options
+	schema *serd.Schema
+	// out is the dataset directory; scratch holds the feature's own
+	// artifacts (trace files, run store).
+	out, scratch string
+	// reg is the registry under the journal-instrumented recorder.
+	reg *serd.MetricsRegistry
+}
+
+// invarianceRow arms one optional feature. arm may change the context
+// and options; the check it returns, if any, inspects the feature's own
+// artifacts once the run's journal is closed.
+type invarianceRow struct {
+	name string
+	arm  func(t *testing.T, r *invarianceRun) (check func(journal []byte))
+}
+
+// synthesizeRow runs the baseline pipeline with row's feature armed (a
+// zero row is the baseline itself), writes the dataset to out and returns
+// the raw journal bytes. A run with Options.Stream armed writes its
+// dataset through the stream; every other run saves it at the end.
+func synthesizeRow(t *testing.T, out string, row invarianceRow) []byte {
+	t.Helper()
+	g, err := serd.Sample("Restaurant", serd.SampleConfig{Seed: 3, SizeA: 40, SizeB: 40, Matches: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	synths, err := serd.RuleSynthesizers(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	jr := serd.NewJournal(&buf)
+	jr.RunStart("test", 9, map[string]string{"dataset": "Restaurant"})
+	ledger := serd.NewPrivacyLedger(jr)
+	if err := ledger.ChargeSGD("bk0", "bank", 0.25, 1.1, 12, 1e-5); err != nil {
+		t.Fatal(err)
+	}
+	reg := serd.NewMetricsRegistry()
+	r := &invarianceRun{
+		ctx: context.Background(),
+		opts: serd.Options{
+			Synthesizers: synths,
+			Seed:         9,
+			Metrics:      serd.JournalRecorder(jr, reg),
+			Journal:      jr,
+		},
+		schema:  g.ER.Schema(),
+		out:     out,
+		scratch: t.TempDir(),
+		reg:     reg,
+	}
+	var check func([]byte)
+	if row.arm != nil {
+		check = row.arm(t, r)
+	}
+	res, err := serd.SynthesizeContext(r.ctx, g.ER, r.opts)
+	if sw := r.opts.Stream; sw != nil {
+		if err != nil {
+			sw.Abort()
+		} else if err = sw.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+	} else if err == nil {
+		err = serd.SaveDataset(out, res.Syn)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger.Finish()
+	jr.RunEnd("done", "", map[string]float64{"jsd": res.JSD}, 1)
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if check != nil {
+		check(buf.Bytes())
+	}
+	return buf.Bytes()
+}
+
+// stripVolatile removes the documented volatile fields (ts, dur_s) from
+// every journal line and re-marshals. The chain hashes stay, so equal
+// stripped journals chain identically line by line.
+func stripVolatile(t *testing.T, data []byte) string {
+	t.Helper()
+	var out strings.Builder
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var m map[string]any
+		if err := json.Unmarshal(line, &m); err != nil {
+			t.Fatalf("bad journal line %q: %v", line, err)
+		}
+		delete(m, "ts")
+		delete(m, "dur_s")
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(b)
+		out.WriteByte('\n')
+	}
+	return out.String()
+}
+
+// TestByteInvariance pins that every optional feature is a byte-noop:
+// each row arms one feature on the shared baseline run, and its dataset
+// bytes and stripped journal (every chain hash included) must equal the
+// baseline's. A new optional feature adds a row here.
+func TestByteInvariance(t *testing.T) {
+	base := t.TempDir()
+	baseDir := filepath.Join(base, "baseline")
+	baseline := stripVolatile(t, synthesizeRow(t, baseDir, invarianceRow{}))
+	want := readDataset(t, baseDir)
+
+	rows := []invarianceRow{
+		// Cancellation plumbing checks a never-triggered context at every
+		// chunk/minibatch/iteration boundary without moving a draw.
+		{name: "cancelable-context", arm: func(t *testing.T, r *invarianceRun) func([]byte) {
+			ctx, cancel := context.WithCancel(context.Background())
+			t.Cleanup(cancel)
+			r.ctx = ctx
+			return nil
+		}},
+		// Parallelism is an execution parameter, never a semantic one.
+		{name: "workers-1", arm: func(t *testing.T, r *invarianceRun) func([]byte) {
+			r.opts.Workers = 1
+			return nil
+		}},
+		{name: "workers-4", arm: func(t *testing.T, r *invarianceRun) func([]byte) {
+			r.opts.Workers = 4
+			return nil
+		}},
+		// A nil Generator resolves to the gmm backend: one configuration.
+		{name: "gmm-generator", arm: func(t *testing.T, r *invarianceRun) func([]byte) {
+			r.opts.Generator = serd.GMMGenerator{}
+			return nil
+		}},
+		// Streaming output with blocking off: the stream writes the bytes
+		// SaveDataset would, and exact S3 leaves no blocking trace.
+		{name: "stream-unblocked", arm: func(t *testing.T, r *invarianceRun) func([]byte) {
+			sw, err := serd.NewStreamWriter(r.out, r.schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.opts.Stream = sw
+			return nil
+		}},
+		{name: "run-store", arm: armRunStore},
+		{name: "tracing", arm: armTracing},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			dir := filepath.Join(base, row.name)
+			journal := synthesizeRow(t, dir, row)
+			got := readDataset(t, dir)
+			for name := range want {
+				if got[name] != want[name] {
+					t.Errorf("%s differs from the baseline: the feature perturbed the output", name)
+				}
+			}
+			if s := stripVolatile(t, journal); s != baseline {
+				t.Errorf("journal differs from the baseline beyond ts/dur_s:\n%s\n---- vs ----\n%s", s, baseline)
+			}
+		})
+	}
+}
+
+// armRunStore registers the finished journal into a store, exactly what
+// the run binaries do after the terminal journal event. The registry
+// reads the record; it never shapes it.
+func armRunStore(t *testing.T, r *invarianceRun) func([]byte) {
+	return func(journal []byte) {
+		jPath := filepath.Join(r.scratch, "run.journal.jsonl")
+		if err := os.WriteFile(jPath, journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		events, err := serd.ReadJournal(jPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry, err := serd.RunEntryFromJournal(events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry.Artifacts.OutDir = r.out
+		entry.Artifacts.Journal = jPath
+		store, err := serd.OpenRunStore(filepath.Join(r.scratch, "store"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(entry); err != nil {
+			t.Fatal(err)
+		}
+		// Content addressing: the registered id IS the journal's first
+		// chain hash, so identical configs collapse to one identity.
+		if entry.RunID == "" || entry.RunID != events[0].Chain {
+			t.Fatalf("run id %q != journal first chain %q", entry.RunID, events[0].Chain)
+		}
+		got, err := store.Get(entry.RunID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Status != "done" || len(got.Stages) == 0 || got.Privacy == nil || got.Generator != "gmm" {
+			t.Fatalf("registered entry lost fields: %+v", got)
+		}
+	}
+}
+
+// armTracing arms the entire observability stack: event bus, tracer
+// wrapped outermost over the journal-instrumented recorder, runtime
+// sampler, trace exporter, and the live inspector with one real SSE
+// client attached for the whole run. Its check requires the SSE client
+// to have seen events and the graceful shutdown, and the written trace to
+// account for ≥95% of the run in both its summary and critical path.
+func armTracing(t *testing.T, r *invarianceRun) func([]byte) {
+	bus := serd.NewEventBus(0)
+	tracer := serd.NewTracer(bus)
+	sampler := serd.StartRuntimeSampler(r.reg, bus, 5*time.Millisecond)
+	t.Cleanup(func() { sampler.Stop() })
+	srv, err := serd.ServeMetricsWith("127.0.0.1:0", r.reg, bus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	resp, err := http.Get("http://" + srv.Addr() + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	type sseResult struct {
+		events      int
+		gotShutdown bool
+	}
+	sseDone := make(chan sseResult, 1)
+	go func() {
+		var res sseResult
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if line := sc.Text(); strings.HasPrefix(line, "event: ") {
+				res.events++
+				if line == "event: shutdown" {
+					res.gotShutdown = true
+				}
+			}
+		}
+		sseDone <- res
+	}()
+
+	tracePath := filepath.Join(r.scratch, "run.json")
+	exp, err := serd.NewTraceExporter(bus, tracePath, serd.TraceHeader{
+		RunID: "trace-noop-test", Tool: "test", Dataset: "Restaurant",
+		Seed: 9, StartNS: time.Now().UnixNano(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.opts.Metrics = serd.TraceRecorder(tracer, r.opts.Metrics)
+
+	return func([]byte) {
+		sampler.Stop()
+		if err := exp.Close(); err != nil {
+			t.Fatalf("trace exporter: %v", err)
+		}
+		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(sctx); err != nil {
+			t.Fatalf("inspector shutdown: %v", err)
+		}
+		select {
+		case sse := <-sseDone:
+			if !sse.gotShutdown {
+				t.Errorf("SSE client saw no terminal shutdown event (%d events)", sse.events)
+			}
+			if sse.events < 1 {
+				t.Error("live SSE client received no events during the run")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("SSE client did not finish after server shutdown")
+		}
+
+		tr, err := serd.LoadTrace(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Dropped != 0 {
+			t.Errorf("trace dropped %d events", tr.Dropped)
+		}
+		sum := serd.SummarizeTrace(tr)
+		if sum.Coverage < 0.95 {
+			t.Errorf("stage tree covers %.1f%% of wall-clock, want >= 95%%; stages: %+v", 100*sum.Coverage, sum.Stages)
+		}
+		if len(sum.Stages) < 3 {
+			t.Errorf("summary has %d stages, want the full pipeline: %+v", len(sum.Stages), sum.Stages)
+		}
+		cp := serd.FindTraceCriticalPath(tr)
+		if len(cp.Steps) == 0 || cp.Coverage < 0.95 {
+			t.Errorf("critical path covers %.1f%% across %d steps, want >= 95%%", 100*cp.Coverage, len(cp.Steps))
+		}
+	}
+}

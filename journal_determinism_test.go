@@ -2,7 +2,6 @@ package serd_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -11,75 +10,6 @@ import (
 
 	"serd"
 )
-
-// synthesizeJournaled runs a full same-seed pipeline with a journal, a
-// journal-instrumented recorder and a ledgered DP release, saving the
-// dataset to dir and returning the raw journal bytes. ctx is threaded
-// through the synthesis (nil means context.Background()); workers sets
-// Options.Workers (0 = default).
-func synthesizeJournaled(t *testing.T, ctx context.Context, dir string, workers int) []byte {
-	t.Helper()
-	g, err := serd.Sample("Restaurant", serd.SampleConfig{Seed: 3, SizeA: 40, SizeB: 40, Matches: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	synths, err := serd.RuleSynthesizers(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	jr := serd.NewJournal(&buf)
-	jr.RunStart("test", 9, map[string]string{"dataset": "Restaurant"})
-	ledger := serd.NewPrivacyLedger(jr)
-	if err := ledger.ChargeSGD("bk0", "bank", 0.25, 1.1, 12, 1e-5); err != nil {
-		t.Fatal(err)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	reg := serd.NewMetricsRegistry()
-	res, err := serd.SynthesizeContext(ctx, g.ER, serd.Options{
-		Synthesizers: synths,
-		Seed:         9,
-		Metrics:      serd.JournalRecorder(jr, reg),
-		Journal:      jr,
-		Workers:      workers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := serd.SaveDataset(dir, res.Syn); err != nil {
-		t.Fatal(err)
-	}
-	ledger.Finish()
-	jr.RunEnd("done", "", map[string]float64{"jsd": res.JSD}, 1)
-	if err := jr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// stripVolatile removes the documented volatile fields (ts, dur_s) from
-// every journal line and re-marshals.
-func stripVolatile(t *testing.T, data []byte) string {
-	t.Helper()
-	var out strings.Builder
-	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
-		var m map[string]any
-		if err := json.Unmarshal(line, &m); err != nil {
-			t.Fatalf("bad journal line %q: %v", line, err)
-		}
-		delete(m, "ts")
-		delete(m, "dur_s")
-		b, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.Write(b)
-		out.WriteByte('\n')
-	}
-	return out.String()
-}
 
 // TestJournaledSynthesisDeterministic extends the determinism guarantee to
 // the provenance layer: two same-seed journaled runs must produce (a)
@@ -93,8 +23,8 @@ func TestJournaledSynthesisDeterministic(t *testing.T) {
 	dirJ2 := filepath.Join(base, "j2")
 
 	synthesizeTo(t, dirPlain, nil)
-	journal1 := synthesizeJournaled(t, nil, dirJ1, 0)
-	journal2 := synthesizeJournaled(t, nil, dirJ2, 0)
+	journal1 := synthesizeRow(t, dirJ1, invarianceRow{})
+	journal2 := synthesizeRow(t, dirJ2, invarianceRow{})
 
 	want := readDataset(t, dirPlain)
 	for _, dir := range []string{dirJ1, dirJ2} {
@@ -131,33 +61,6 @@ func TestJournaledSynthesisDeterministic(t *testing.T) {
 		if ev1[i].Chain != ev2[i].Chain {
 			t.Errorf("chain hash %d differs between same-seed runs", i)
 		}
-	}
-}
-
-// TestSynthesizeWorkerCountInvariant is the parallel layer's determinism
-// contract: the same seed at -workers=1 and -workers=4 must produce
-// byte-identical datasets AND identical journals (modulo the documented
-// volatile fields ts/dur_s) — parallelism is an execution parameter, never
-// a semantic one.
-func TestSynthesizeWorkerCountInvariant(t *testing.T) {
-	base := t.TempDir()
-	dir1 := filepath.Join(base, "w1")
-	dir4 := filepath.Join(base, "w4")
-
-	journal1 := synthesizeJournaled(t, nil, dir1, 1)
-	journal4 := synthesizeJournaled(t, nil, dir4, 4)
-
-	want := readDataset(t, dir1)
-	got := readDataset(t, dir4)
-	for name := range want {
-		if got[name] != want[name] {
-			t.Errorf("%s differs between -workers=1 and -workers=4: parallelism changed the output", name)
-		}
-	}
-
-	n1, n4 := stripVolatile(t, journal1), stripVolatile(t, journal4)
-	if n1 != n4 {
-		t.Errorf("journals differ between -workers=1 and -workers=4 beyond ts/dur_s:\n%s\n---- vs ----\n%s", n1, n4)
 	}
 }
 
@@ -227,7 +130,7 @@ func TestJournalFileRoundTripFromLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Synthesis == nil || len(sum.Fits) != 2 || len(sum.Lineage) != 1 {
-		t.Errorf("summary = synthesis %v, %d fits, %d lineage", sum.Synthesis, len(sum.Fits), len(sum.Lineage))
+	if sum.Synthesis == nil || len(sum.GenFits) != 2 || len(sum.Lineage) != 1 {
+		t.Errorf("summary = synthesis %v, %d generator fits, %d lineage", sum.Synthesis, len(sum.GenFits), len(sum.Lineage))
 	}
 }

@@ -112,15 +112,12 @@ type (
 	Options = core.Options
 	// Result is the synthesis output.
 	Result = core.Result
-	// LearnOptions configures LearnDistributions.
-	LearnOptions = core.LearnOptions
 	// Joint is the learned O-distribution (π, M, N).
 	Joint = gmm.Joint
 )
 
-// Pluggable S1 generative backends (see internal/generator). The default —
-// Options.Generator nil — is the paper's GMM stack, byte-identical to
-// pre-backend builds.
+// Pluggable S1 generative backends (see internal/generator). A nil
+// Options.Generator selects GMMGenerator, the paper's GMM stack.
 type (
 	// Generator fits an O-distribution under an optional DP budget.
 	Generator = generator.Generator
@@ -489,7 +486,7 @@ func AuditDiffRuns(a, b *AuditSummary) *AuditDiff { return journal.DiffRuns(a, b
 // registry every journaled run registers into at finalize, keyed by the
 // journal's first chain hash, and the history/compare/burn-down tooling
 // behind `serd runs`. An armed registry is a hard byte-noop on dataset
-// and stripped-journal bytes (pinned by the root TestRunStoreIsByteNoop).
+// and stripped-journal bytes (pinned by the root TestByteInvariance).
 type (
 	// RunStore is a run registry rooted at a directory.
 	RunStore = runstore.Store
@@ -576,18 +573,6 @@ func Synthesize(real *ER, opts Options) (*Result, error) {
 // dataset and journal.
 func SynthesizeContext(ctx context.Context, real *ER, opts Options) (*Result, error) {
 	return core.Synthesize(ctx, real, opts)
-}
-
-// LearnDistributions runs only S1: fit the M- and N-distributions of the
-// real dataset.
-func LearnDistributions(real *ER, opts LearnOptions) (*Joint, error) {
-	return core.LearnDistributions(context.Background(), real, opts)
-}
-
-// LearnDistributionsContext is LearnDistributions under a cancellation
-// context, checked at EM-iteration granularity.
-func LearnDistributionsContext(ctx context.Context, real *ER, opts LearnOptions) (*Joint, error) {
-	return core.LearnDistributions(ctx, real, opts)
 }
 
 // NewSchema validates and builds a schema.

@@ -1,7 +1,10 @@
 package serd_test
 
 import (
+	"context"
+	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"serd"
@@ -269,5 +272,85 @@ func TestAuditHelpersFacade(t *testing.T) {
 	}
 	if f1 <= 0.3 {
 		t.Errorf("cross-validated F1 = %v", f1)
+	}
+}
+
+// TestPrivBayesLedgerVerifies runs the DP backend end to end through the
+// public surface and holds the accounting honest: the fit's single dp_sgd
+// ledger entry must recompute from its journaled (noise, steps, q, δ)
+// within EpsilonTolerance (1e-9) under serd audit verify's math, and the
+// composed budget must not exceed the requested ε.
+func TestPrivBayesLedgerVerifies(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out")
+	jPath := filepath.Join(dir, "journal.jsonl")
+
+	g, err := serd.Sample("Restaurant", serd.SampleConfig{Seed: 3, SizeA: 40, SizeB: 40, Matches: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	synths, err := serd.RuleSynthesizers(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr, err := serd.CreateJournal(jPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr.RunStart("test", 9, map[string]string{"dataset": "Restaurant", "s1_generator": "privbayes"})
+	ledger := serd.NewPrivacyLedger(jr)
+	const wantEps = 2.0
+	res, err := serd.SynthesizeContext(context.Background(), g.ER, serd.Options{
+		Synthesizers: synths,
+		Seed:         9,
+		Journal:      jr,
+		Generator:    serd.PrivBayesGenerator{Epsilon: wantEps},
+		Privacy:      ledger,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serd.SaveDataset(out, res.Syn); err != nil {
+		t.Fatal(err)
+	}
+	eps, _ := ledger.Finish()
+	jr.RunEnd("done", "", map[string]float64{"jsd": res.JSD}, 1)
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if eps > wantEps+1e-9 {
+		t.Errorf("composed ε=%v exceeds the requested budget %v", eps, wantEps)
+	}
+	if eps < wantEps*0.5 {
+		t.Errorf("composed ε=%v implausibly far under the requested budget %v — charge missing?", eps, wantEps)
+	}
+
+	vr, err := serd.AuditVerify(jPath, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !vr.OK() {
+		t.Fatalf("privbayes run failed audit verify: %v", vr.Problems)
+	}
+	if math.Abs(vr.RecomputedEpsilon-vr.RecordedEpsilon) > 1e-9 {
+		t.Errorf("recomputed ε=%v vs recorded ε=%v: drift beyond 1e-9", vr.RecomputedEpsilon, vr.RecordedEpsilon)
+	}
+
+	events, err := serd.ReadJournal(jPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := serd.SummarizeJournal(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sum.GenFits) != 2 {
+		t.Fatalf("summary has %d generator_fit events, want 2 (M and N)", len(sum.GenFits))
+	}
+	for _, f := range sum.GenFits {
+		if f.Backend != "privbayes" {
+			t.Errorf("generator_fit backend = %q, want privbayes", f.Backend)
+		}
 	}
 }
