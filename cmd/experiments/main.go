@@ -5,22 +5,37 @@
 //
 //	experiments [-exp all|t1,t2,f5,f6,f7,f8,f9,t3,t4] [-datasets a,b] \
 //	            [-sizecap N] [-matchcap N] [-seed S] [-transformer] \
-//	            [-metrics-addr :9090] [-report path] [-trace out.json] \
-//	            [-bench-out path] [-bench-against baseline] [-bench-threshold F]
+//	            [-metrics-addr :9090] [-report path] [-trace out.json]
+//	experiments [-bench core|scale|dp] [-bench-out path] \
+//	            [-bench-against baseline] [-bench-threshold F] \
+//	            [-bench-scale-sizes N,N] [-bench-dp-eps E,E]
 //
 // The default run uses the generators' CPU-scaled dataset sizes and the
 // rule-based string synthesizer; -transformer switches SERD's textual
 // synthesis to the DP transformer bank (much slower). -metrics-addr
 // serves the live run inspector for the duration of the run (including
 // the /events SSE stream), -trace writes a Chrome trace-event JSON plus
-// a compact .jsonl trace for `serd trace`, -report
-// writes the final metric snapshot as a run report, and -bench-out runs
-// the core synthesis bench and writes BENCH_core.json-style output
-// instead of the experiment tables. -bench-against compares the fresh
-// bench against a committed baseline (the repo pins BENCH_core.json,
-// regenerated with `-sizecap 40 -matchcap 12 -bench-out BENCH_core.json`)
-// and exits non-zero when S2 throughput regresses more than
-// -bench-threshold (default 30%) on any dataset — the CI perf gate.
+// a compact .jsonl trace for `serd trace`, and -report writes the final
+// metric snapshot as a run report.
+//
+// Any bench flag runs one bench suite instead of the tables and prints
+// its rows (key plus metrics):
+//
+//   - core: one synthesis per dataset — S2 throughput, JSD, rejection
+//     pressure, GC pause and peak RSS (the repo pins BENCH_core.json at
+//     -sizecap 40 -matchcap 12);
+//   - scale: per -bench-scale-sizes entity count, an unblocked and a
+//     blocked synthesis (the -s3-blocker flags) — throughput, pairs
+//     scored, blocking quality and peak RSS (BENCH_scale.json);
+//   - dp: the same-ε gmm vs privbayes matrix per dataset × -bench-dp-eps —
+//     matcher F1, JSD, spent ε, wall and peak RSS (BENCH_dpbench.json).
+//
+// -bench selects the suite; it defaults to the suite of the
+// -bench-against file, else core. -bench-out writes the report, and
+// -bench-against compares the fresh run against a baseline report of the
+// same suite and workload, exiting non-zero when any gated metric
+// regresses past -bench-threshold (default 30%) — the CI perf gate. Bench
+// runs register their rows in the run registry.
 //
 // SIGINT/SIGTERM cancels the running suite at the next synthesis chunk,
 // training minibatch or fit iteration; a second signal force-exits with
@@ -108,14 +123,8 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(os.Stderr, "experiments: run store: %v (run will not be registered)\n", storeErr)
 	}
 
-	if flags.ScaleOut != "" || flags.ScaleAgainst != "" {
-		return runScaleBench(ctx, cfg, flags, stdout)
-	}
-	if flags.BenchOut != "" || flags.BenchAgainst != "" {
-		return runBench(cfg, flags, store, stdout)
-	}
-	if flags.DPBenchOut != "" || flags.DPBenchAgainst != "" {
-		return runDPBench(ctx, cfg, flags, stdout)
+	if flags.Bench != "" {
+		return runBench(ctx, cfg, flags, store, stdout)
 	}
 
 	reg := telemetry.NewRegistry()
@@ -354,50 +363,36 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// runBench is the CI perf-gate path: run the core synthesis bench, write
-// it out and/or compare it against a pinned baseline. Bench runs register
-// their rows in the run registry (when armed) so `serd runs compare` can
-// track the perf trajectory without digging up BENCH_core.json files.
-func runBench(cfg experiments.Config, flags *config.Experiments, store *runstore.Store, stdout io.Writer) error {
+// runBench is the CI perf-gate path: run the selected bench suite, print
+// its rows, register them in the run registry (when armed) so `serd runs`
+// can track the perf trajectory, write the report and/or compare it
+// against a pinned baseline.
+func runBench(ctx context.Context, cfg experiments.Config, flags *config.Experiments, store *runstore.Store, stdout io.Writer) error {
 	start := time.Now()
-	rows, err := experiments.CoreBench(cfg)
+	workload, datasets, rows, err := produceBench(ctx, cfg, flags)
 	if err != nil {
-		return fmt.Errorf("core bench: %w", err)
+		return fmt.Errorf("%s bench: %w", flags.Bench, err)
 	}
-	rep := experiments.CoreBenchReport{SchemaVersion: experiments.CoreBenchSchemaVersion, Time: start, Seed: flags.Seed, SizeCap: flags.SizeCap, MatchCap: flags.MatchCap, Rows: rows}
+	rep := runstore.Report{Suite: flags.Bench, Time: start, Workload: workload, Rows: rows}
 	for _, r := range rows {
-		fmt.Fprintf(stdout, "%-16s %6d entities  %8.1f ent/s  JSD=%.4f  attempts=%.0f\n",
-			r.Dataset, r.Entities, r.EntitiesPerSec, r.JSD, r.Attempts)
+		fmt.Fprintln(stdout, r)
 	}
 	if store != nil {
 		entry := runstore.Entry{
-			RunID:  runstore.SyntheticRunID("experiments-bench", flags.Seed, start.UnixNano()),
-			Tool:   "experiments",
-			Seed:   flags.Seed,
-			Status: journal.StatusDone,
-			Config: map[string]string{
-				"bench":    "core",
-				"sizecap":  strconv.Itoa(flags.SizeCap),
-				"matchcap": strconv.Itoa(flags.MatchCap),
-			},
+			RunID:       runstore.SyntheticRunID("experiments-bench", flags.Seed, start.UnixNano()),
+			Tool:        "experiments",
+			Dataset:     strings.Join(datasets, ","),
+			Seed:        flags.Seed,
+			Status:      journal.StatusDone,
+			Config:      map[string]string{"bench": flags.Bench},
 			Start:       start,
 			WallSeconds: time.Since(start).Seconds(),
+			Bench:       rows,
 			Artifacts:   runstore.Artifacts{Report: flags.BenchOut},
 		}
-		var names []string
-		for _, r := range rows {
-			names = append(names, r.Dataset)
-			entry.Bench = append(entry.Bench, runstore.BenchRow{
-				Dataset:        r.Dataset,
-				Entities:       r.Entities,
-				WallSeconds:    r.WallSeconds,
-				EntitiesPerSec: r.EntitiesPerSec,
-				JSD:            r.JSD,
-				PeakRSSBytes:   r.PeakRSSBytes,
-				GCPauseSeconds: r.GCPauseSeconds,
-			})
+		for k, v := range workload {
+			entry.Config[k] = v
 		}
-		entry.Dataset = strings.Join(names, ",")
 		if regErr := store.Put(entry); regErr != nil {
 			fmt.Fprintf(os.Stderr, "experiments: run store: %v (bench not registered)\n", regErr)
 		} else {
@@ -405,174 +400,77 @@ func runBench(cfg experiments.Config, flags *config.Experiments, store *runstore
 		}
 	}
 	if flags.BenchOut != "" {
-		if err := experiments.WriteCoreBench(flags.BenchOut, rep); err != nil {
-			return fmt.Errorf("core bench: %w", err)
+		if err := runstore.WriteBench(flags.BenchOut, rep); err != nil {
+			return fmt.Errorf("%s bench: %w", flags.Bench, err)
 		}
-		fmt.Fprintf(stdout, "core bench -> %s (%s)\n", flags.BenchOut, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "%s bench -> %s (%s)\n", flags.Bench, flags.BenchOut, time.Since(start).Round(time.Millisecond))
 	}
 	if flags.BenchAgainst != "" {
-		baseline, err := experiments.ReadCoreBench(flags.BenchAgainst)
+		baseline, err := runstore.ReadBench(flags.BenchAgainst)
 		if err != nil {
-			return fmt.Errorf("core bench baseline: %w", err)
+			return fmt.Errorf("%s bench baseline: %w", flags.Bench, err)
 		}
-		problems := experiments.CompareCoreBench(baseline, rep, flags.BenchThreshold)
-		for _, p := range problems {
-			fmt.Fprintln(os.Stderr, "bench regression:", p)
+		if problems := runstore.CompareBench(baseline, rep, flags.BenchThreshold); len(problems) > 0 {
+			return fmt.Errorf("%s bench regressed against %s (threshold %.0f%%):\n  %s",
+				flags.Bench, flags.BenchAgainst, 100*flags.BenchThreshold, strings.Join(problems, "\n  "))
 		}
-		if len(problems) > 0 {
-			return fmt.Errorf("core bench regressed on %d dataset(s)", len(problems))
-		}
-		fmt.Fprintf(stdout, "core bench holds the %s baseline (threshold %.0f%%)\n", flags.BenchAgainst, 100*flags.BenchThreshold)
+		fmt.Fprintf(stdout, "%s bench holds the %s baseline (threshold %.0f%%)\n", flags.Bench, flags.BenchAgainst, 100*flags.BenchThreshold)
 	}
 	return nil
 }
 
-// runDPBench is the same-ε head-to-head path: per (backend × dataset × ε)
-// one full synthesis — the gmm reference stack against the privbayes DP
-// backend — measuring downstream matcher F1, JSD, wall-clock and peak RSS,
-// written/compared as BENCH_dpbench.json. The CI gate pins the DP backend's
-// utility-privacy trade-off alongside the perf gates.
-func runDPBench(ctx context.Context, cfg experiments.Config, flags *config.Experiments, stdout io.Writer) error {
-	var epsilons []float64
-	for _, s := range strings.Split(flags.DPBenchEps, ",") {
-		e, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			return fmt.Errorf("-bench-dp-eps: %w", err)
+// produceBench runs the suite flags.Bench names and returns its workload
+// (the parameters a baseline must share to be comparable), the datasets it
+// benched and its rows.
+func produceBench(ctx context.Context, cfg experiments.Config, flags *config.Experiments) (map[string]string, []string, []runstore.Row, error) {
+	seed := strconv.FormatInt(flags.Seed, 10)
+	switch flags.Bench {
+	case "scale":
+		// The unblocked (quadratic-S3) twin is skipped above 2k entities
+		// per side: past that the full |A|×|B| scoring pass dominates wall
+		// time — the wall the blocked rows exist to demonstrate the way
+		// around.
+		opts := experiments.ScaleBenchOptions{
+			Dataset:      "Restaurant",
+			Seed:         flags.Seed,
+			Sizes:        flags.BenchSizes,
+			RecallFloor:  flags.Blocking.RecallFloor,
+			UnblockedCap: 2_000,
+			Workers:      flags.Workers,
 		}
-		if e <= 0 {
-			return fmt.Errorf("-bench-dp-eps: ε %g must be positive", e)
+		if len(cfg.Datasets) > 0 {
+			opts.Dataset = cfg.Datasets[0]
 		}
-		epsilons = append(epsilons, e)
-	}
-	opts := experiments.DPBenchOptions{
-		Datasets: cfg.Datasets,
-		Epsilons: epsilons,
-		Seed:     flags.Seed,
-		Size:     flags.SizeCap,
-		Workers:  flags.Workers,
-	}.WithDefaults()
-	start := time.Now()
-	rows, err := experiments.DPBench(ctx, opts)
-	if err != nil {
-		return fmt.Errorf("dp bench: %w", err)
-	}
-	rep := experiments.DPBenchReport{
-		SchemaVersion: experiments.DPBenchSchemaVersion,
-		Time:          start,
-		Seed:          flags.Seed,
-		Size:          opts.Size,
-		Datasets:      opts.Datasets,
-		Epsilons:      epsilons,
-		Rows:          rows,
-	}
-	for _, r := range rows {
-		fmt.Fprintf(stdout, "%-14s %-10s eps=%-5g spent=%-8.4f F1=%.4f  JSD=%.4f  wall=%.2fs  rss=%.1f MiB\n",
-			r.Dataset, r.Backend, r.Epsilon, r.EpsilonSpent, r.F1, r.JSD, r.WallSeconds, float64(r.PeakRSSBytes)/(1<<20))
-	}
-	if flags.DPBenchOut != "" {
-		if err := experiments.WriteDPBench(flags.DPBenchOut, rep); err != nil {
-			return fmt.Errorf("dp bench: %w", err)
+		if flags.Blocking.Enabled() {
+			// Resolve the -s3-blocker flags against the generator's schema
+			// (a minimal generation is the cheapest way to obtain it).
+			gen, err := datagen.ByName(opts.Dataset)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			probe, err := gen.Gen(datagen.Config{Seed: flags.Seed, SizeA: 2, SizeB: 2, Matches: 1})
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			if opts.Blocker, err = flags.Blocking.Build(probe.ER.Schema()); err != nil {
+				return nil, nil, nil, err
+			}
 		}
-		fmt.Fprintf(stdout, "dp bench -> %s (%s)\n", flags.DPBenchOut, time.Since(start).Round(time.Millisecond))
+		rows, err := experiments.ScaleBench(ctx, opts)
+		return map[string]string{"seed": seed, "dataset": opts.Dataset}, []string{opts.Dataset}, rows, err
+	case "dp":
+		opts := experiments.DPBenchOptions{
+			Datasets: cfg.Datasets,
+			Epsilons: flags.BenchEpsilons,
+			Seed:     flags.Seed,
+			Size:     flags.SizeCap,
+			Workers:  flags.Workers,
+		}.WithDefaults()
+		rows, err := experiments.DPBench(ctx, opts)
+		return map[string]string{"seed": seed, "size": strconv.Itoa(opts.Size)}, opts.Datasets, rows, err
+	default:
+		rows, err := experiments.CoreBench(cfg)
+		workload := map[string]string{"seed": seed, "sizecap": strconv.Itoa(flags.SizeCap), "matchcap": strconv.Itoa(flags.MatchCap)}
+		return workload, experiments.NewSuite(cfg).Config().Datasets, rows, err
 	}
-	if flags.DPBenchAgainst != "" {
-		baseline, err := experiments.ReadDPBench(flags.DPBenchAgainst)
-		if err != nil {
-			return fmt.Errorf("dp bench baseline: %w", err)
-		}
-		problems := experiments.CompareDPBench(baseline, rep, flags.BenchThreshold)
-		for _, p := range problems {
-			fmt.Fprintln(os.Stderr, "bench regression:", p)
-		}
-		if len(problems) > 0 {
-			return fmt.Errorf("dp bench regressed on %d cell(s)", len(problems))
-		}
-		fmt.Fprintf(stdout, "dp bench holds the %s baseline (threshold %.0f%%)\n", flags.DPBenchAgainst, 100*flags.BenchThreshold)
-	}
-	return nil
-}
-
-// runScaleBench is the scale-gate path: synthesize at each -bench-scale-sizes
-// entity count, unblocked and blocked, and write/compare BENCH_scale.json.
-// The unblocked (quadratic-S3) twin is skipped above 2k entities per side:
-// past that the full |A|×|B| scoring pass dominates wall time — the wall
-// the blocked rows exist to demonstrate the way around.
-func runScaleBench(ctx context.Context, cfg experiments.Config, flags *config.Experiments, stdout io.Writer) error {
-	var sizes []int
-	for _, s := range strings.Split(flags.ScaleSizes, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			return fmt.Errorf("-bench-scale-sizes: %w", err)
-		}
-		sizes = append(sizes, n)
-	}
-	name := "Restaurant"
-	if len(cfg.Datasets) > 0 {
-		name = cfg.Datasets[0]
-	}
-	opts := experiments.ScaleBenchOptions{
-		Dataset:      name,
-		Seed:         flags.Seed,
-		Sizes:        sizes,
-		RecallFloor:  flags.Blocking.RecallFloor,
-		UnblockedCap: 2_000,
-		Workers:      flags.Workers,
-	}
-	if flags.Blocking.Enabled() {
-		// Resolve the -s3-blocker flags against the generator's schema (a
-		// minimal generation is the cheapest way to obtain it).
-		gen, err := datagen.ByName(name)
-		if err != nil {
-			return err
-		}
-		probe, err := gen.Gen(datagen.Config{Seed: flags.Seed, SizeA: 2, SizeB: 2, Matches: 1})
-		if err != nil {
-			return err
-		}
-		opts.Blocker, err = flags.Blocking.Build(probe.ER.Schema())
-		if err != nil {
-			return err
-		}
-	}
-	start := time.Now()
-	rows, err := experiments.ScaleBench(ctx, opts)
-	if err != nil {
-		return fmt.Errorf("scale bench: %w", err)
-	}
-	rep := experiments.ScaleBenchReport{
-		SchemaVersion: experiments.ScaleBenchSchemaVersion,
-		Time:          start,
-		Seed:          flags.Seed,
-		Dataset:       name,
-		Rows:          rows,
-	}
-	for _, r := range rows {
-		mode := "unblocked"
-		if r.Blocked {
-			mode = r.Blocker
-		}
-		fmt.Fprintf(stdout, "%8d entities  %-40s %8.1f ent/s  %12.0f pairs scored  wall=%.1fs  rss=%.1f MiB\n",
-			r.Entities, mode, r.EntitiesPerSec, r.PairsScored, r.WallSeconds, float64(r.PeakRSSBytes)/(1<<20))
-	}
-	if flags.ScaleOut != "" {
-		if err := experiments.WriteScaleBench(flags.ScaleOut, rep); err != nil {
-			return fmt.Errorf("scale bench: %w", err)
-		}
-		fmt.Fprintf(stdout, "scale bench -> %s (%s)\n", flags.ScaleOut, time.Since(start).Round(time.Millisecond))
-	}
-	if flags.ScaleAgainst != "" {
-		baseline, err := experiments.ReadScaleBench(flags.ScaleAgainst)
-		if err != nil {
-			return fmt.Errorf("scale bench baseline: %w", err)
-		}
-		problems := experiments.CompareScaleBench(baseline, rep, flags.BenchThreshold)
-		for _, p := range problems {
-			fmt.Fprintln(os.Stderr, "scale regression:", p)
-		}
-		if len(problems) > 0 {
-			return fmt.Errorf("scale bench regressed on %d row(s)", len(problems))
-		}
-		fmt.Fprintf(stdout, "scale bench holds the %s baseline (threshold %.0f%%)\n", flags.ScaleAgainst, 100*flags.BenchThreshold)
-	}
-	return nil
 }

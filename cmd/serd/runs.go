@@ -343,7 +343,7 @@ func printRun(w io.Writer, e runstore.Entry) {
 	if len(e.Bench) > 0 {
 		fmt.Fprintln(w, "  bench:")
 		for _, b := range e.Bench {
-			fmt.Fprintf(w, "    %-16s %6d entities  %8.1f ent/s  jsd %.4f\n", b.Dataset, b.Entities, b.EntitiesPerSec, b.JSD)
+			fmt.Fprintf(w, "    %s\n", b)
 		}
 	}
 	a := e.Artifacts

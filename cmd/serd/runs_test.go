@@ -354,3 +354,47 @@ func TestRunsCLIErrors(t *testing.T) {
 		t.Fatal("-store off accepted by the CLI")
 	}
 }
+
+// TestRunsShowLegacyBenchEntry pins registry back-compat: an entry whose
+// bench rows carry the flat per-field shape registered before bench rows
+// had a metrics map still loads, lists, and shows as key plus metrics.
+func TestRunsShowLegacyBenchEntry(t *testing.T) {
+	storeDir := t.TempDir()
+	if _, err := runstore.Open(storeDir); err != nil {
+		t.Fatal(err)
+	}
+	const id = "0123456789abcdef0123456789abcdef"
+	legacy := `{
+  "run_id": "` + id + `",
+  "tool": "experiments",
+  "dataset": "Restaurant",
+  "seed": 1,
+  "status": "done",
+  "config": {"bench": "core", "sizecap": "40", "matchcap": "12"},
+  "start": "2026-08-06T07:07:57Z",
+  "registered": "2026-08-06T07:08:01Z",
+  "wall_seconds": 2.1,
+  "bench": [
+    {"dataset": "Restaurant", "entities": 80, "wall_seconds": 0.19, "entities_per_sec": 1749.5, "jsd": 0, "peak_rss_bytes": 52428800, "gc_pause_seconds": 0.001}
+  ]
+}
+`
+	if err := os.WriteFile(filepath.Join(storeDir, "runs", id+".json"), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"runs", "list", "-store", storeDir, "-q"}, &out); err != nil {
+		t.Fatalf("runs list: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), id[:12]) {
+		t.Fatalf("legacy entry not listed:\n%s", out.String())
+	}
+	out.Reset()
+	if err := run([]string{"runs", "show", "-store", storeDir, id[:12]}, &out); err != nil {
+		t.Fatalf("runs show: %v\n%s", err, out.String())
+	}
+	want := "    Restaurant  entities=80  entities_per_sec=1749.5  gc_pause_seconds=0.001  jsd=0  peak_rss_bytes=52428800  wall_seconds=0.19\n"
+	if !strings.Contains(out.String(), "  bench:\n"+want) {
+		t.Errorf("runs show does not print the legacy row as key plus sorted metrics:\n%s", out.String())
+	}
+}

@@ -20,7 +20,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"strconv"
+	"strings"
+
+	"serd/internal/runstore"
 )
 
 // Spec is one canonical shared-flag definition.
@@ -264,19 +268,20 @@ type Experiments struct {
 	Transformer    bool
 	MetricsAddr    string
 	ReportPath     string
+	Bench          string
 	BenchOut       string
 	BenchAgainst   string
 	BenchThreshold float64
-	ScaleOut       string
 	ScaleSizes     string
-	ScaleAgainst   string
-	DPBenchOut     string
-	DPBenchAgainst string
 	DPBenchEps     string
-	TracePath      string
-	RunStore       string
-	Blocking       Blocking
-	Generators     Generators
+	// BenchSizes and BenchEpsilons are ScaleSizes and DPBenchEps parsed
+	// by Validate.
+	BenchSizes    []int
+	BenchEpsilons []float64
+	TracePath     string
+	RunStore      string
+	Blocking      Blocking
+	Generators    Generators
 }
 
 // RegisterExperiments binds cmd/experiments' flag surface into fs.
@@ -292,15 +297,12 @@ func RegisterExperiments(fs *flag.FlagSet) *Experiments {
 	b.boolean(&c.Transformer, "transformer")
 	b.str(&c.MetricsAddr, "metrics-addr")
 	b.str(&c.ReportPath, "report")
-	fs.StringVar(&c.BenchOut, "bench-out", "", "run the core synthesis bench and write BENCH_core.json to this path (skips the tables)")
-	fs.StringVar(&c.BenchAgainst, "bench-against", "", "compare the core bench against this baseline BENCH_core.json, exiting non-zero on a throughput regression (skips the tables)")
-	fs.Float64Var(&c.BenchThreshold, "bench-threshold", 0.30, "allowed fractional throughput drop for -bench-against")
-	fs.StringVar(&c.ScaleOut, "bench-scale", "", "run the scale bench (entities/sec and peak RSS per size, unblocked and blocked) and write BENCH_scale.json to this path (skips the tables)")
-	fs.StringVar(&c.ScaleSizes, "bench-scale-sizes", "1000,10000", "comma-separated per-relation entity counts for -bench-scale, run in increasing order (VmHWM is a process-lifetime high-water mark)")
-	fs.StringVar(&c.ScaleAgainst, "bench-scale-against", "", "compare the scale bench against this baseline BENCH_scale.json, exiting non-zero on a throughput or peak-RSS regression (skips the tables)")
-	fs.StringVar(&c.DPBenchOut, "bench-dp", "", "run the DP backend head-to-head (matcher-F1, JSD, wall, peak RSS per backend × dataset × ε) and write BENCH_dpbench.json to this path (skips the tables)")
-	fs.StringVar(&c.DPBenchAgainst, "bench-dp-against", "", "compare the DP head-to-head against this baseline BENCH_dpbench.json, exiting non-zero on a fidelity/utility/resource regression (skips the tables)")
-	fs.StringVar(&c.DPBenchEps, "bench-dp-eps", "0.5,2", "comma-separated ε values for the -bench-dp matrix")
+	fs.StringVar(&c.Bench, "bench", "", "run a bench suite instead of the tables: core (per-dataset S2 throughput, JSD, rejections, memory), scale (throughput, pairs scored and peak RSS per size, unblocked and blocked S3) or dp (gmm vs privbayes matcher F1, JSD, spent ε, wall and peak RSS per dataset × ε); default: the -bench-against file's suite, else core")
+	fs.StringVar(&c.BenchOut, "bench-out", "", "run the bench and write its report (the BENCH_*.json format) to this path")
+	fs.StringVar(&c.BenchAgainst, "bench-against", "", "run the bench and compare it against this baseline report, exiting non-zero on any gated regression; the suite is taken from the file")
+	fs.Float64Var(&c.BenchThreshold, "bench-threshold", 0.30, "allowed fractional regression of each gated bench metric for -bench-against")
+	fs.StringVar(&c.ScaleSizes, "bench-scale-sizes", "1000,10000", "comma-separated per-relation entity counts (each >= 2) for -bench scale, run in increasing order (VmHWM is a process-lifetime high-water mark)")
+	fs.StringVar(&c.DPBenchEps, "bench-dp-eps", "0.5,2", "comma-separated ε values (each > 0) for the -bench dp matrix")
 	b.str(&c.TracePath, "trace")
 	b.str(&c.RunStore, "run-store")
 	c.Blocking.register(b)
@@ -308,15 +310,72 @@ func RegisterExperiments(fs *flag.FlagSet) *Experiments {
 	return c
 }
 
-// Validate checks cross-flag invariants after parsing.
+// Validate checks cross-flag invariants after parsing, parses the bench
+// lists into BenchSizes and BenchEpsilons, and resolves Bench: with
+// -bench-against the suite defaults to the baseline file's (a disagreeing
+// -bench is refused), and -bench-out alone selects core. After Validate,
+// Bench is empty exactly when no bench flag asks for a bench run.
 func (c *Experiments) Validate() error {
 	if c.BenchThreshold < 0 {
 		return fmt.Errorf("-bench-threshold must be >= 0, got %g", c.BenchThreshold)
+	}
+	c.BenchSizes, c.BenchEpsilons = nil, nil
+	for _, s := range splitList(c.ScaleSizes) {
+		n, err := strconv.Atoi(s)
+		if err != nil {
+			return fmt.Errorf("-bench-scale-sizes: %w", err)
+		}
+		if n < 2 {
+			return fmt.Errorf("-bench-scale-sizes: size %d is below 2", n)
+		}
+		c.BenchSizes = append(c.BenchSizes, n)
+	}
+	for _, s := range splitList(c.DPBenchEps) {
+		e, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return fmt.Errorf("-bench-dp-eps: %w", err)
+		}
+		if !(e > 0) || math.IsInf(e, 1) {
+			return fmt.Errorf("-bench-dp-eps: ε %g must be positive and finite", e)
+		}
+		c.BenchEpsilons = append(c.BenchEpsilons, e)
+	}
+	if _, ok := runstore.BenchRules[c.Bench]; c.Bench != "" && !ok {
+		return fmt.Errorf("-bench: unknown suite %q (want core, scale or dp)", c.Bench)
+	}
+	if c.BenchAgainst != "" {
+		base, err := runstore.ReadBench(c.BenchAgainst)
+		if err != nil {
+			return fmt.Errorf("-bench-against: %w", err)
+		}
+		if c.Bench != "" && c.Bench != base.Suite {
+			return fmt.Errorf("-bench %s disagrees with -bench-against %s, a %s baseline", c.Bench, c.BenchAgainst, base.Suite)
+		}
+		c.Bench = base.Suite
+	}
+	if c.Bench == "" && c.BenchOut != "" {
+		c.Bench = "core"
+	}
+	if c.Bench == "scale" && len(c.BenchSizes) == 0 {
+		return errors.New("-bench scale needs -bench-scale-sizes")
 	}
 	if err := c.Blocking.Validate(); err != nil {
 		return err
 	}
 	return c.Generators.Validate()
+}
+
+// splitList splits a comma-separated flag value into trimmed entries (none
+// for an empty value).
+func splitList(v string) []string {
+	if v == "" {
+		return nil
+	}
+	parts := strings.Split(v, ",")
+	for i := range parts {
+		parts[i] = strings.TrimSpace(parts[i])
+	}
+	return parts
 }
 
 // Datagen holds the parsed flags of cmd/datagen.

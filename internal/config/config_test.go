@@ -3,8 +3,13 @@ package config
 import (
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"serd/internal/runstore"
 )
 
 // toolFlags registers each binary's flag surface exactly as its main does
@@ -181,11 +186,65 @@ func TestDatagenValidate(t *testing.T) {
 }
 
 func TestExperimentsValidate(t *testing.T) {
-	if err := (&Experiments{BenchThreshold: 0.3}).Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	dir := t.TempDir()
+	scale := filepath.Join(dir, "BENCH_scale.json")
+	if err := runstore.WriteBench(scale, runstore.Report{Suite: "scale"}); err != nil {
+		t.Fatal(err)
 	}
-	if err := (&Experiments{BenchThreshold: -1}).Validate(); err == nil {
-		t.Fatal("negative -bench-threshold accepted")
+	old := filepath.Join(dir, "old.json")
+	if err := os.WriteFile(old, []byte(`{"seed":1,"rows":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base := func(mut func(*Experiments)) Experiments {
+		c := Experiments{BenchThreshold: 0.3, ScaleSizes: "1000,10000", DPBenchEps: "0.5,2"}
+		if mut != nil {
+			mut(&c)
+		}
+		return c
+	}
+	cases := []struct {
+		name      string
+		c         Experiments
+		wantErr   string
+		wantBench string
+	}{
+		{name: "valid", c: base(nil)},
+		{name: "zero value", c: Experiments{}},
+		{name: "negative threshold", c: base(func(c *Experiments) { c.BenchThreshold = -1 }), wantErr: "-bench-threshold"},
+		{name: "unknown suite", c: base(func(c *Experiments) { c.Bench = "speed" }), wantErr: "unknown suite"},
+		{name: "size does not parse", c: base(func(c *Experiments) { c.ScaleSizes = "1000,lots" }), wantErr: "-bench-scale-sizes"},
+		{name: "size below 2", c: base(func(c *Experiments) { c.ScaleSizes = "0" }), wantErr: "below 2"},
+		{name: "scale without sizes", c: base(func(c *Experiments) { c.Bench = "scale"; c.ScaleSizes = "" }), wantErr: "-bench-scale-sizes"},
+		{name: "eps does not parse", c: base(func(c *Experiments) { c.DPBenchEps = "0.5,x" }), wantErr: "-bench-dp-eps"},
+		{name: "eps zero", c: base(func(c *Experiments) { c.DPBenchEps = "0" }), wantErr: "positive"},
+		{name: "eps negative", c: base(func(c *Experiments) { c.DPBenchEps = "2,-1" }), wantErr: "positive"},
+		{name: "against picks the file's suite", c: base(func(c *Experiments) { c.BenchAgainst = scale }), wantBench: "scale"},
+		{name: "agreeing suite", c: base(func(c *Experiments) { c.Bench = "scale"; c.BenchAgainst = scale }), wantBench: "scale"},
+		{name: "disagreeing suite", c: base(func(c *Experiments) { c.Bench = "dp"; c.BenchAgainst = scale }), wantErr: "disagrees"},
+		{name: "pre-schema baseline", c: base(func(c *Experiments) { c.BenchAgainst = old }), wantErr: `"suite"`},
+		{name: "out alone is core", c: base(func(c *Experiments) { c.BenchOut = "x.json" }), wantBench: "core"},
+		{name: "explicit suite with out", c: base(func(c *Experiments) { c.Bench = "dp"; c.BenchOut = "x.json" }), wantBench: "dp"},
+	}
+	for _, tc := range cases {
+		err := tc.c.Validate()
+		if tc.wantErr == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error %v", tc.name, err)
+			} else if tc.c.Bench != tc.wantBench {
+				t.Errorf("%s: resolved suite %q, want %q", tc.name, tc.c.Bench, tc.wantBench)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.wantErr)
+		}
+	}
+	c := base(nil)
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(c.BenchSizes, []int{1000, 10000}) || !reflect.DeepEqual(c.BenchEpsilons, []float64{0.5, 2}) {
+		t.Errorf("parsed lists = %v, %v", c.BenchSizes, c.BenchEpsilons)
 	}
 }
 

@@ -1,58 +1,29 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
+	"serd/internal/runstore"
 	"serd/internal/telemetry"
 )
 
-// CoreBenchSchemaVersion is the current BENCH_core.json schema. Version 2
-// added the memory axis (peak_rss_bytes, gc_pause_seconds); documents
-// without a schema_version field are version 1 and compare cleanly — the
-// perf gate only holds runs to fields both documents carry.
-const CoreBenchSchemaVersion = 2
-
-// CoreBenchRow is one dataset's core-synthesis performance profile, the
-// row format of BENCH_core.json.
-type CoreBenchRow struct {
-	Dataset     string  `json:"dataset"`
-	Entities    int     `json:"entities"`
-	WallSeconds float64 `json:"wall_seconds"`
-	// EntitiesPerSec is S2 throughput (accepted entities over S2 wall time).
-	EntitiesPerSec float64 `json:"entities_per_sec"`
-	// JSD is the final Jensen-Shannon divergence between O_real and O_syn.
-	JSD float64 `json:"jsd"`
-	// Attempts counts every S2 synthesis attempt; the two rejection columns
-	// split the failures by cause (§V case 1 vs case 2).
-	Attempts              float64 `json:"attempts"`
-	RejectedDiscriminator float64 `json:"rejected_discriminator"`
-	RejectedDistribution  float64 `json:"rejected_distribution"`
-	// EMIterations is the total EM iteration count across every GMM fit of
-	// the run (S1 learning plus S2 tentative refits).
-	EMIterations float64 `json:"em_iterations"`
-	// PeakRSSBytes is the process high-water RSS after this dataset's run
-	// (schema v2; 0 where the OS does not expose it). Cumulative across the
-	// bench process, so only the last row isolates a single dataset — it is
-	// tracked for memory-blowup regressions, not per-dataset attribution.
-	PeakRSSBytes uint64 `json:"peak_rss_bytes,omitempty"`
-	// GCPauseSeconds is the stop-the-world pause time this dataset's run
-	// added (schema v2).
-	GCPauseSeconds float64 `json:"gc_pause_seconds,omitempty"`
-}
-
 // CoreBench synthesizes each configured dataset once with a private
 // telemetry registry and distills the counters the bench harness tracks
-// over time: throughput, distribution fidelity, and rejection pressure.
-// Any Metrics recorder already in cfg is ignored — each dataset gets an
-// isolated registry so counters are not conflated across datasets.
-func CoreBench(cfg Config) ([]CoreBenchRow, error) {
+// over time into one row per dataset (keyed by name), the rows of the
+// "core" suite: wall_seconds, S2 throughput (entities_per_sec: accepted
+// entities over S2 wall time), the final JSD between O_real and O_syn,
+// the S2 attempt count split by rejection cause (§V case 1 vs case 2), the
+// EM iterations across every GMM fit, the GC pause time the run added and
+// the process peak RSS. Peak RSS is cumulative across the bench process,
+// so only the last row isolates a single dataset — it is tracked for
+// memory-blowup regressions, not per-dataset attribution. Any Metrics
+// recorder already in cfg is ignored — each dataset gets an isolated
+// registry so counters are not conflated across datasets.
+func CoreBench(cfg Config) ([]runstore.Row, error) {
 	cfg = cfg.withDefaults()
-	var rows []CoreBenchRow
+	var rows []runstore.Row
 	for _, name := range cfg.Datasets {
 		reg := telemetry.NewRegistry()
 		one := cfg
@@ -72,144 +43,27 @@ func CoreBench(cfg Config) ([]CoreBenchRow, error) {
 		snap := reg.Snapshot()
 		eps, _ := reg.Gauge("core.s2.entities_per_sec")
 		jsd, _ := reg.Gauge("core.s2.jsd_final")
-		rss, _ := telemetry.ReadPeakRSS() // 0 (omitted) where unsupported
-		rows = append(rows, CoreBenchRow{
-			Dataset:               name,
-			Entities:              syn.A.Len() + syn.B.Len(),
-			WallSeconds:           wall,
-			EntitiesPerSec:        eps,
-			JSD:                   jsd,
-			Attempts:              snap.Counters["core.s2.attempts"],
-			RejectedDiscriminator: snap.Counters["core.s2.rejected.discriminator"],
-			RejectedDistribution:  snap.Counters["core.s2.rejected.distribution"],
-			EMIterations:          snap.Counters["gmm.em.iterations"],
-			PeakRSSBytes:          rss,
-			GCPauseSeconds:        float64(after.PauseTotalNs-before.PauseTotalNs) / 1e9,
-		})
+		m := map[string]float64{
+			"entities":               float64(syn.A.Len() + syn.B.Len()),
+			"wall_seconds":           wall,
+			"entities_per_sec":       eps,
+			"jsd":                    jsd,
+			"attempts":               snap.Counters["core.s2.attempts"],
+			"rejected_discriminator": snap.Counters["core.s2.rejected.discriminator"],
+			"rejected_distribution":  snap.Counters["core.s2.rejected.distribution"],
+			"em_iterations":          snap.Counters["gmm.em.iterations"],
+			"gc_pause_seconds":       float64(after.PauseTotalNs-before.PauseTotalNs) / 1e9,
+		}
+		addPeakRSS(m)
+		rows = append(rows, runstore.Row{Key: name, Metrics: m})
 	}
 	return rows, nil
 }
 
-// CoreBenchReport is the top-level BENCH_core.json document.
-type CoreBenchReport struct {
-	// SchemaVersion is CoreBenchSchemaVersion at write time; absent (0)
-	// in documents written before the field existed.
-	SchemaVersion int       `json:"schema_version,omitempty"`
-	Time          time.Time `json:"time"`
-	Seed          int64     `json:"seed"`
-	// SizeCap and MatchCap record the workload shape so a comparison
-	// against a baseline produced with different caps is rejected instead
-	// of producing meaningless throughput ratios.
-	SizeCap  int            `json:"size_cap,omitempty"`
-	MatchCap int            `json:"match_cap,omitempty"`
-	Rows     []CoreBenchRow `json:"rows"`
-}
-
-// WriteCoreBench writes the report atomically (temp file + rename).
-func WriteCoreBench(path string, rep CoreBenchReport) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
+// addPeakRSS records the process high-water RSS as peak_rss_bytes where
+// the OS exposes it; elsewhere the metric is absent.
+func addPeakRSS(m map[string]float64) {
+	if rss, ok := telemetry.ReadPeakRSS(); ok {
+		m["peak_rss_bytes"] = float64(rss)
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".bench-*.json")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// ReadCoreBench loads a BENCH_core.json document.
-func ReadCoreBench(path string) (CoreBenchReport, error) {
-	var rep CoreBenchReport
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rep, err
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return rep, fmt.Errorf("experiments: %s: %w", path, err)
-	}
-	return rep, nil
-}
-
-// CompareCoreBench checks a fresh bench run against a committed baseline
-// and returns one human-readable problem per regression found:
-//
-//   - mismatched workload shape (seed or caps differ — the ratios would be
-//     meaningless);
-//   - a baseline dataset missing from the current run;
-//   - S2 throughput more than threshold (a fraction, e.g. 0.30) below the
-//     baseline's for any dataset;
-//   - peak RSS or GC pause time (the schema-v2 memory axis) more than
-//     threshold above the baseline's, for datasets where the baseline
-//     actually recorded those columns.
-//
-// Faster runs, extra datasets and fidelity improvements are not problems.
-// Schema versions are deliberately not compared: a v1 baseline (no memory
-// axis, the v2 columns zero) holds a v2 run to throughput exactly as
-// before — a zero baseline column asserts nothing, so pinned baselines
-// survive schema additions. An empty result means the run holds the
-// baseline.
-func CompareCoreBench(baseline, current CoreBenchReport, threshold float64) []string {
-	var problems []string
-	if baseline.Seed != current.Seed || baseline.SizeCap != current.SizeCap || baseline.MatchCap != current.MatchCap {
-		problems = append(problems, fmt.Sprintf(
-			"workload mismatch: baseline (seed=%d sizecap=%d matchcap=%d) vs current (seed=%d sizecap=%d matchcap=%d); regenerate the baseline with the same flags",
-			baseline.Seed, baseline.SizeCap, baseline.MatchCap, current.Seed, current.SizeCap, current.MatchCap))
-		return problems
-	}
-	cur := make(map[string]CoreBenchRow, len(current.Rows))
-	for _, r := range current.Rows {
-		cur[r.Dataset] = r
-	}
-	for _, base := range baseline.Rows {
-		now, ok := cur[base.Dataset]
-		if !ok {
-			problems = append(problems, fmt.Sprintf("dataset %s present in the baseline but not benched now", base.Dataset))
-			continue
-		}
-		if base.EntitiesPerSec > 0 {
-			floor := base.EntitiesPerSec * (1 - threshold)
-			if now.EntitiesPerSec < floor {
-				problems = append(problems, fmt.Sprintf(
-					"dataset %s: S2 throughput %.1f ent/s is %.0f%% below the %.1f ent/s baseline (floor %.1f at the %.0f%% threshold)",
-					base.Dataset, now.EntitiesPerSec, 100*(1-now.EntitiesPerSec/base.EntitiesPerSec), base.EntitiesPerSec, floor, 100*threshold))
-			}
-		}
-		// Schema-v2 memory axis. A v1 baseline stores zeros here, which
-		// assert nothing — only a baseline that measured the column holds
-		// the current run to it.
-		if base.PeakRSSBytes > 0 {
-			ceil := float64(base.PeakRSSBytes) * (1 + threshold)
-			if float64(now.PeakRSSBytes) > ceil {
-				problems = append(problems, fmt.Sprintf(
-					"dataset %s: peak RSS %.1f MiB is %.0f%% above the %.1f MiB baseline (ceiling %.1f MiB at the %.0f%% threshold)",
-					base.Dataset, float64(now.PeakRSSBytes)/(1<<20), 100*(float64(now.PeakRSSBytes)/float64(base.PeakRSSBytes)-1),
-					float64(base.PeakRSSBytes)/(1<<20), ceil/(1<<20), 100*threshold))
-			}
-		}
-		if base.GCPauseSeconds > 0 {
-			ceil := base.GCPauseSeconds * (1 + threshold)
-			if now.GCPauseSeconds > ceil {
-				problems = append(problems, fmt.Sprintf(
-					"dataset %s: GC pause %.4fs is %.0f%% above the %.4fs baseline (ceiling %.4fs at the %.0f%% threshold)",
-					base.Dataset, now.GCPauseSeconds, 100*(now.GCPauseSeconds/base.GCPauseSeconds-1),
-					base.GCPauseSeconds, ceil, 100*threshold))
-			}
-		}
-	}
-	return problems
 }

@@ -3,8 +3,11 @@ package experiments
 import (
 	"context"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"serd/internal/runstore"
 )
 
 func TestDPBenchMatrixAndRoundTrip(t *testing.T) {
@@ -24,83 +27,85 @@ func TestDPBenchMatrixAndRoundTrip(t *testing.T) {
 	}
 	seen := map[string]int{}
 	for _, r := range rows {
-		seen[r.Backend]++
-		if r.F1 < 0 || r.F1 > 1 {
-			t.Errorf("%s/%s: F1=%v outside [0,1]", r.Dataset, r.Backend, r.F1)
+		m := r.Metrics
+		backend := strings.Split(r.Key, "/")[1]
+		seen[backend]++
+		if m["f1"] < 0 || m["f1"] > 1 {
+			t.Errorf("%s: F1=%v outside [0,1]", r.Key, m["f1"])
 		}
-		if r.JSD < 0 || r.JSD > 1 {
-			t.Errorf("%s/%s: JSD=%v outside [0,1]", r.Dataset, r.Backend, r.JSD)
+		if m["jsd"] < 0 || m["jsd"] > 1 {
+			t.Errorf("%s: JSD=%v outside [0,1]", r.Key, m["jsd"])
 		}
-		switch r.Backend {
+		switch backend {
 		case "gmm":
-			if r.EpsilonSpent != 0 {
-				t.Errorf("gmm row spent ε=%v, want 0 (non-private reference)", r.EpsilonSpent)
+			if m["epsilon_spent"] != 0 {
+				t.Errorf("%s spent ε=%v, want 0 (non-private reference)", r.Key, m["epsilon_spent"])
 			}
 		case "privbayes":
-			if r.EpsilonSpent <= 0 || r.EpsilonSpent > r.Epsilon+1e-9 {
-				t.Errorf("privbayes row at eps=%g spent ε=%v, want in (0, %g]", r.Epsilon, r.EpsilonSpent, r.Epsilon)
+			if m["epsilon_spent"] <= 0 || m["epsilon_spent"] > m["epsilon"]+1e-9 {
+				t.Errorf("%s spent ε=%v, want in (0, %g]", r.Key, m["epsilon_spent"], m["epsilon"])
 			}
 		default:
-			t.Errorf("unexpected backend %q", r.Backend)
+			t.Errorf("unexpected backend in %q", r.Key)
 		}
 	}
 	if seen["gmm"] != 2 || seen["privbayes"] != 2 {
 		t.Errorf("backend row counts = %v, want 2 each", seen)
 	}
 
-	rep := DPBenchReport{SchemaVersion: DPBenchSchemaVersion, Time: time.Now(), Seed: opts.Seed, Size: opts.Size,
-		Datasets: opts.Datasets, Epsilons: opts.Epsilons, Rows: rows}
+	rep := runstore.Report{Suite: "dp", Time: time.Now(), Workload: map[string]string{"seed": "7", "size": "30"}, Rows: rows}
 	path := filepath.Join(t.TempDir(), "BENCH_dpbench.json")
-	if err := WriteDPBench(path, rep); err != nil {
+	if err := runstore.WriteBench(path, rep); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadDPBench(path)
+	back, err := runstore.ReadBench(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Rows) != len(rep.Rows) || back.Seed != rep.Seed {
+	if len(back.Rows) != len(rep.Rows) || back.Workload["seed"] != "7" {
 		t.Fatalf("round trip mangled the report: %+v", back)
 	}
-	if problems := CompareDPBench(back, rep, 0.3); len(problems) != 0 {
+	if problems := runstore.CompareBench(back, rep, 0.3); len(problems) != 0 {
 		t.Errorf("self-compare found problems: %v", problems)
 	}
 }
 
-func TestCompareDPBenchFlagsRegressions(t *testing.T) {
-	base := DPBenchReport{Seed: 7, Size: 30, Rows: []DPBenchRow{
-		{Backend: "privbayes", Dataset: "Restaurant", Epsilon: 2, EpsilonSpent: 1.99, F1: 0.8, JSD: 0.1, WallSeconds: 2, PeakRSSBytes: 100 << 20},
-	}}
+// dpBenchReport is a dp-suite report in the shape DPBench rows take: one
+// privbayes cell at ε=2.
+func dpBenchReport(seed string, spent, f1, jsd, wall, rss float64) runstore.Report {
+	return runstore.Report{
+		Suite:    "dp",
+		Workload: map[string]string{"seed": seed, "size": "30"},
+		Rows: []runstore.Row{{Key: "Restaurant/privbayes/eps=2", Metrics: map[string]float64{
+			"epsilon": 2, "epsilon_spent": spent, "f1": f1, "jsd": jsd, "wall_seconds": wall, "peak_rss_bytes": rss}}},
+	}
+}
 
-	cur := base
-	cur.Rows = []DPBenchRow{{Backend: "privbayes", Dataset: "Restaurant", Epsilon: 2, EpsilonSpent: 1.99, F1: 0.4, JSD: 0.1, WallSeconds: 2, PeakRSSBytes: 100 << 20}}
-	if p := CompareDPBench(base, cur, 0.1); len(p) != 1 {
+func TestCompareDPBenchFlagsRegressions(t *testing.T) {
+	base := dpBenchReport("7", 1.99, 0.8, 0.1, 2, 100<<20)
+
+	if p := runstore.CompareBench(base, dpBenchReport("7", 1.99, 0.4, 0.1, 2, 100<<20), 0.1); len(p) != 1 {
 		t.Errorf("F1 collapse: got %d problems (%v), want 1", len(p), p)
 	}
-
-	cur.Rows = []DPBenchRow{{Backend: "privbayes", Dataset: "Restaurant", Epsilon: 2, EpsilonSpent: 2.5, F1: 0.8, JSD: 0.1, WallSeconds: 2, PeakRSSBytes: 100 << 20}}
-	if p := CompareDPBench(base, cur, 0.1); len(p) != 1 {
+	if p := runstore.CompareBench(base, dpBenchReport("7", 2.5, 0.8, 0.1, 2, 100<<20), 0.1); len(p) != 1 {
 		t.Errorf("budget overshoot: got %d problems (%v), want 1", len(p), p)
 	}
-
-	cur.Rows = []DPBenchRow{{Backend: "privbayes", Dataset: "Restaurant", Epsilon: 2, EpsilonSpent: 1.99, F1: 0.8, JSD: 0.5, WallSeconds: 2, PeakRSSBytes: 100 << 20}}
-	if p := CompareDPBench(base, cur, 0.1); len(p) != 1 {
+	if p := runstore.CompareBench(base, dpBenchReport("7", 1.99, 0.8, 0.5, 2, 100<<20), 0.1); len(p) != 1 {
 		t.Errorf("JSD blowup: got %d problems (%v), want 1", len(p), p)
 	}
 
-	cur.Rows = nil
-	if p := CompareDPBench(base, cur, 0.1); len(p) != 1 {
+	empty := dpBenchReport("7", 1.99, 0.8, 0.1, 2, 100<<20)
+	empty.Rows = nil
+	if p := runstore.CompareBench(base, empty, 0.1); len(p) != 1 {
 		t.Errorf("missing cell: got %d problems (%v), want 1", len(p), p)
 	}
 
-	cur = DPBenchReport{Seed: 8, Size: 30, Rows: base.Rows}
-	if p := CompareDPBench(base, cur, 0.1); len(p) != 1 {
+	if p := runstore.CompareBench(base, dpBenchReport("8", 1.99, 0.8, 0.1, 2, 100<<20), 0.1); len(p) != 1 {
 		t.Errorf("workload mismatch: got %d problems (%v), want 1", len(p), p)
 	}
 
 	// Better cells are not regressions.
-	cur = base
-	cur.Rows = []DPBenchRow{{Backend: "privbayes", Dataset: "Restaurant", Epsilon: 2, EpsilonSpent: 1.9, F1: 0.9, JSD: 0.05, WallSeconds: 1, PeakRSSBytes: 90 << 20}}
-	if p := CompareDPBench(base, cur, 0.1); len(p) != 0 {
+	if p := runstore.CompareBench(base, dpBenchReport("7", 1.9, 0.9, 0.05, 1, 90<<20), 0.1); len(p) != 0 {
 		t.Errorf("improvement flagged as regression: %v", p)
 	}
 }

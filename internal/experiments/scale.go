@@ -2,50 +2,17 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"serd/internal/blocking"
 	"serd/internal/core"
 	"serd/internal/datagen"
 	"serd/internal/dataset"
+	"serd/internal/runstore"
 	"serd/internal/telemetry"
 	"serd/internal/textsynth"
 )
-
-// ScaleBenchSchemaVersion is the current BENCH_scale.json schema.
-const ScaleBenchSchemaVersion = 1
-
-// ScaleBenchRow is one (size, blocked?) synthesis run of the scale bench,
-// the row format of BENCH_scale.json.
-type ScaleBenchRow struct {
-	// Entities is the per-relation entity count (|A| = |B|).
-	Entities int `json:"entities"`
-	// Blocked marks the blocked-S3 run at this size; its unblocked twin
-	// (when present) has the same Entities and Blocked=false.
-	Blocked bool `json:"blocked"`
-	// Blocker is the blocker's self-description (blocked rows only).
-	Blocker     string  `json:"blocker,omitempty"`
-	WallSeconds float64 `json:"wall_seconds"`
-	// EntitiesPerSec is S2 throughput (accepted entities over S2 wall time).
-	EntitiesPerSec float64 `json:"entities_per_sec"`
-	// PairsScored is the number of pairs S3 actually scored: the full
-	// |A|×|B| product unblocked, the candidate count blocked.
-	PairsScored float64 `json:"pairs_scored"`
-	// ReductionRatio and RecallBound are the journaled blocking quality
-	// (blocked rows only): fraction of the pair space pruned, and the
-	// fraction of the held-out sampled matches the candidates cover.
-	ReductionRatio float64 `json:"reduction_ratio,omitempty"`
-	RecallBound    float64 `json:"recall_bound,omitempty"`
-	// PeakRSSBytes is the process high-water RSS after this run (0 where
-	// the OS does not expose it). VmHWM is a process-lifetime high-water
-	// mark — it never goes down — so rows are meaningful only when sizes
-	// run in increasing order and, per size, unblocked before blocked.
-	PeakRSSBytes uint64 `json:"peak_rss_bytes,omitempty"`
-}
 
 // ScaleBenchOptions shapes a scale-bench run.
 type ScaleBenchOptions struct {
@@ -55,7 +22,9 @@ type ScaleBenchOptions struct {
 	// Seed drives generation and synthesis.
 	Seed int64
 	// Sizes are the per-relation entity counts, run in the given order
-	// (increasing, for the VmHWM caveat above).
+	// (increasing: peak RSS is VmHWM, a process-lifetime high-water mark
+	// that never goes down, so rows are meaningful only when sizes run in
+	// increasing order and, per size, unblocked before blocked).
 	Sizes []int
 	// Blocker is used for the blocked run at each size; nil defaults to
 	// QGram over the schema's first textual column.
@@ -71,12 +40,17 @@ type ScaleBenchOptions struct {
 }
 
 // ScaleBench measures how synthesis scales with dataset size: at each
-// size it generates a surrogate dataset and synthesizes it twice — once
-// with the paper's exact quadratic S3, once with blocked S3 — recording
-// throughput, the number of pairs S3 scored, the blocking quality and
-// peak RSS. The blocked-vs-unblocked twin rows at one size are the
-// subquadratic tradeoff made measurable.
-func ScaleBench(ctx context.Context, opts ScaleBenchOptions) ([]ScaleBenchRow, error) {
+// size n it generates a surrogate dataset and synthesizes it twice — once
+// with the paper's exact quadratic S3 (row "n/unblocked"), once with
+// blocked S3 ("n/blocked") — the rows of the "scale" suite. Each row
+// records the per-relation entity count, wall_seconds, S2 throughput
+// (entities_per_sec), the pairs S3 actually scored (the full |A|×|B|
+// product unblocked, the candidate count blocked), peak RSS and, blocked,
+// the journaled blocking quality: reduction_ratio (fraction of the pair
+// space pruned) and recall_bound (fraction of the held-out sampled matches
+// the candidates cover). The twin rows at one size are the subquadratic
+// tradeoff made measurable.
+func ScaleBench(ctx context.Context, opts ScaleBenchOptions) ([]runstore.Row, error) {
 	if opts.Dataset == "" {
 		opts.Dataset = "Restaurant"
 	}
@@ -87,7 +61,7 @@ func ScaleBench(ctx context.Context, opts ScaleBenchOptions) ([]ScaleBenchRow, e
 	if err != nil {
 		return nil, err
 	}
-	var rows []ScaleBenchRow
+	var rows []runstore.Row
 	for _, n := range opts.Sizes {
 		if n < 2 {
 			return nil, fmt.Errorf("experiments: scale bench: size %d too small", n)
@@ -128,7 +102,7 @@ func ScaleBench(ctx context.Context, opts ScaleBenchOptions) ([]ScaleBenchRow, e
 }
 
 // scaleRun is one synthesis at one size, blocked when blocker != nil.
-func scaleRun(ctx context.Context, g *datagen.Generated, synths map[string]textsynth.Synthesizer, n int, opts ScaleBenchOptions, blocker blocking.Blocker) (ScaleBenchRow, error) {
+func scaleRun(ctx context.Context, g *datagen.Generated, synths map[string]textsynth.Synthesizer, n int, opts ScaleBenchOptions, blocker blocking.Blocker) (runstore.Row, error) {
 	reg := telemetry.NewRegistry()
 	start := time.Now()
 	_, err := core.Synthesize(ctx, g.ER, core.Options{
@@ -140,24 +114,22 @@ func scaleRun(ctx context.Context, g *datagen.Generated, synths map[string]texts
 		S3RecallFloor: opts.RecallFloor,
 	})
 	if err != nil {
-		return ScaleBenchRow{}, fmt.Errorf("experiments: scale bench at %d (blocked=%v): %w", n, blocker != nil, err)
+		return runstore.Row{}, fmt.Errorf("experiments: scale bench at %d (blocked=%v): %w", n, blocker != nil, err)
 	}
 	wall := time.Since(start).Seconds()
 	eps, _ := reg.Gauge("core.s2.entities_per_sec")
-	rss, _ := telemetry.ReadPeakRSS()
-	row := ScaleBenchRow{
-		Entities:       n,
-		Blocked:        blocker != nil,
-		WallSeconds:    wall,
-		EntitiesPerSec: eps,
-		PairsScored:    float64(n) * float64(n),
-		PeakRSSBytes:   rss,
-	}
+	row := runstore.Row{Key: fmt.Sprintf("%d/unblocked", n), Metrics: map[string]float64{
+		"entities":         float64(n),
+		"wall_seconds":     wall,
+		"entities_per_sec": eps,
+		"pairs_scored":     float64(n) * float64(n),
+	}}
+	addPeakRSS(row.Metrics)
 	if blocker != nil {
-		row.Blocker = blocker.Describe()
-		row.PairsScored, _ = reg.Gauge("core.s3.candidates")
-		row.ReductionRatio, _ = reg.Gauge("core.s3.reduction_ratio")
-		row.RecallBound, _ = reg.Gauge("core.s3.recall_bound")
+		row.Key = fmt.Sprintf("%d/blocked", n)
+		row.Metrics["pairs_scored"], _ = reg.Gauge("core.s3.candidates")
+		row.Metrics["reduction_ratio"], _ = reg.Gauge("core.s3.reduction_ratio")
+		row.Metrics["recall_bound"], _ = reg.Gauge("core.s3.recall_bound")
 	}
 	return row, nil
 }
@@ -180,103 +152,4 @@ func scaleSynthesizers(g *datagen.Generated) (map[string]textsynth.Synthesizer, 
 		out[col.Name] = rs
 	}
 	return out, nil
-}
-
-// ScaleBenchReport is the top-level BENCH_scale.json document.
-type ScaleBenchReport struct {
-	SchemaVersion int             `json:"schema_version"`
-	Time          time.Time       `json:"time"`
-	Seed          int64           `json:"seed"`
-	Dataset       string          `json:"dataset"`
-	Rows          []ScaleBenchRow `json:"rows"`
-}
-
-// WriteScaleBench writes the report atomically (temp file + rename).
-func WriteScaleBench(path string, rep ScaleBenchReport) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".bench-scale-*.json")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// ReadScaleBench loads a BENCH_scale.json document.
-func ReadScaleBench(path string) (ScaleBenchReport, error) {
-	var rep ScaleBenchReport
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rep, err
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return rep, fmt.Errorf("experiments: %s: %w", path, err)
-	}
-	return rep, nil
-}
-
-// CompareScaleBench checks a fresh scale bench against a baseline, one
-// problem per regression: workload mismatch (seed or dataset), a baseline
-// row missing from the current run (matched by entities + blocked flag),
-// S2 throughput more than threshold below the baseline's, or peak RSS
-// more than threshold above it (only where the baseline recorded RSS).
-// Faster runs and extra rows are not problems.
-func CompareScaleBench(baseline, current ScaleBenchReport, threshold float64) []string {
-	var problems []string
-	if baseline.Seed != current.Seed || baseline.Dataset != current.Dataset {
-		problems = append(problems, fmt.Sprintf(
-			"workload mismatch: baseline (seed=%d dataset=%s) vs current (seed=%d dataset=%s); regenerate the baseline with the same flags",
-			baseline.Seed, baseline.Dataset, current.Seed, current.Dataset))
-		return problems
-	}
-	type key struct {
-		n       int
-		blocked bool
-	}
-	cur := make(map[key]ScaleBenchRow, len(current.Rows))
-	for _, r := range current.Rows {
-		cur[key{r.Entities, r.Blocked}] = r
-	}
-	for _, base := range baseline.Rows {
-		label := fmt.Sprintf("%d entities (blocked=%v)", base.Entities, base.Blocked)
-		now, ok := cur[key{base.Entities, base.Blocked}]
-		if !ok {
-			problems = append(problems, fmt.Sprintf("row %s present in the baseline but not benched now", label))
-			continue
-		}
-		if base.EntitiesPerSec > 0 {
-			floor := base.EntitiesPerSec * (1 - threshold)
-			if now.EntitiesPerSec < floor {
-				problems = append(problems, fmt.Sprintf(
-					"row %s: S2 throughput %.1f ent/s is %.0f%% below the %.1f ent/s baseline (floor %.1f at the %.0f%% threshold)",
-					label, now.EntitiesPerSec, 100*(1-now.EntitiesPerSec/base.EntitiesPerSec), base.EntitiesPerSec, floor, 100*threshold))
-			}
-		}
-		if base.PeakRSSBytes > 0 {
-			ceil := float64(base.PeakRSSBytes) * (1 + threshold)
-			if float64(now.PeakRSSBytes) > ceil {
-				problems = append(problems, fmt.Sprintf(
-					"row %s: peak RSS %.1f MiB is %.0f%% above the %.1f MiB baseline (ceiling %.1f MiB at the %.0f%% threshold)",
-					label, float64(now.PeakRSSBytes)/(1<<20), 100*(float64(now.PeakRSSBytes)/float64(base.PeakRSSBytes)-1),
-					float64(base.PeakRSSBytes)/(1<<20), ceil/(1<<20), 100*threshold))
-			}
-		}
-	}
-	return problems
 }

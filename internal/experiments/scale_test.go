@@ -2,68 +2,13 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"serd/internal/runstore"
 )
-
-func scaleReport(eps float64) ScaleBenchReport {
-	return ScaleBenchReport{
-		SchemaVersion: ScaleBenchSchemaVersion,
-		Seed:          1, Dataset: "Restaurant",
-		Rows: []ScaleBenchRow{
-			{Entities: 100, Blocked: false, EntitiesPerSec: eps, PairsScored: 10000, PeakRSSBytes: 1 << 25},
-			{Entities: 100, Blocked: true, Blocker: "qgram(col=0,q=3,min_shared=2,max_per=64)", EntitiesPerSec: eps, PairsScored: 800, PeakRSSBytes: 1 << 25},
-		},
-	}
-}
-
-func TestCompareScaleBench(t *testing.T) {
-	base := scaleReport(100)
-
-	if p := CompareScaleBench(base, scaleReport(100), 0.30); len(p) != 0 {
-		t.Errorf("identical runs flagged: %v", p)
-	}
-	if p := CompareScaleBench(base, scaleReport(500), 0.30); len(p) != 0 {
-		t.Errorf("speedup flagged: %v", p)
-	}
-	slow := scaleReport(60)
-	if p := CompareScaleBench(base, slow, 0.30); len(p) != 2 {
-		t.Errorf("40%% drop: got %v, want 2 problems", p)
-	}
-
-	// Rows are matched by (entities, blocked): dropping the blocked twin
-	// is a regression even though the unblocked row is still present.
-	missing := scaleReport(100)
-	missing.Rows = missing.Rows[:1]
-	p := CompareScaleBench(base, missing, 0.30)
-	if len(p) != 1 || !strings.Contains(p[0], "blocked=true") {
-		t.Errorf("missing blocked row: %v", p)
-	}
-
-	// The memory axis: RSS blowup past the threshold fails the gate.
-	fat := scaleReport(100)
-	fat.Rows[1].PeakRSSBytes = 1 << 28
-	p = CompareScaleBench(base, fat, 0.30)
-	if len(p) != 1 || !strings.Contains(p[0], "peak RSS") {
-		t.Errorf("RSS blowup: %v", p)
-	}
-	// ...but only where the baseline measured it.
-	noRSS := scaleReport(100)
-	for i := range noRSS.Rows {
-		noRSS.Rows[i].PeakRSSBytes = 0
-	}
-	if p := CompareScaleBench(noRSS, fat, 0.30); len(p) != 0 {
-		t.Errorf("RSS held against a baseline that never measured it: %v", p)
-	}
-
-	other := scaleReport(100)
-	other.Dataset = "DBLP-ACM"
-	p = CompareScaleBench(base, other, 0.30)
-	if len(p) != 1 || !strings.Contains(p[0], "workload mismatch") {
-		t.Errorf("dataset mismatch: %v", p)
-	}
-}
 
 // TestScaleBenchSmall runs the real bench at toy sizes: both twins per
 // size, blocked rows carrying the blocking-quality columns, and the
@@ -81,40 +26,38 @@ func TestScaleBenchSmall(t *testing.T) {
 	}
 	for i, r := range rows {
 		wantN := []int{40, 40, 60, 60}[i]
-		wantBlocked := i%2 == 1
-		if r.Entities != wantN || r.Blocked != wantBlocked {
-			t.Fatalf("row %d = (%d, blocked=%v), want (%d, %v)", i, r.Entities, r.Blocked, wantN, wantBlocked)
+		mode := []string{"unblocked", "blocked"}[i%2]
+		m := r.Metrics
+		if want := fmt.Sprintf("%d/%s", wantN, mode); r.Key != want || m["entities"] != float64(wantN) {
+			t.Fatalf("row %d = %s, want key %s", i, r, want)
 		}
-		if r.EntitiesPerSec <= 0 || r.WallSeconds <= 0 {
-			t.Errorf("row %d: no throughput recorded: %+v", i, r)
+		if m["entities_per_sec"] <= 0 || m["wall_seconds"] <= 0 {
+			t.Errorf("row %d: no throughput recorded: %s", i, r)
 		}
-		if !r.Blocked {
-			if want := float64(wantN) * float64(wantN); r.PairsScored != want {
-				t.Errorf("unblocked row %d scored %v pairs, want the full product %v", i, r.PairsScored, want)
+		if mode == "unblocked" {
+			if want := float64(wantN) * float64(wantN); m["pairs_scored"] != want {
+				t.Errorf("unblocked row %d scored %v pairs, want the full product %v", i, m["pairs_scored"], want)
 			}
 			continue
 		}
-		if r.Blocker == "" {
-			t.Errorf("blocked row %d has no blocker description", i)
+		if m["pairs_scored"] <= 0 || m["pairs_scored"] >= float64(wantN)*float64(wantN) {
+			t.Errorf("blocked row %d scored %v pairs, want a strict subset of the pair space", i, m["pairs_scored"])
 		}
-		if r.PairsScored <= 0 || r.PairsScored >= float64(wantN)*float64(wantN) {
-			t.Errorf("blocked row %d scored %v pairs, want a strict subset of the pair space", i, r.PairsScored)
-		}
-		if r.ReductionRatio <= 0 || r.ReductionRatio >= 1 {
-			t.Errorf("blocked row %d reduction ratio %v outside (0,1)", i, r.ReductionRatio)
+		if m["reduction_ratio"] <= 0 || m["reduction_ratio"] >= 1 {
+			t.Errorf("blocked row %d reduction ratio %v outside (0,1)", i, m["reduction_ratio"])
 		}
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_scale.json")
-	rep := ScaleBenchReport{SchemaVersion: ScaleBenchSchemaVersion, Seed: 5, Dataset: "Restaurant", Rows: rows}
-	if err := WriteScaleBench(path, rep); err != nil {
+	rep := runstore.Report{Suite: "scale", Workload: map[string]string{"seed": "5", "dataset": "Restaurant"}, Rows: rows}
+	if err := runstore.WriteBench(path, rep); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadScaleBench(path)
+	back, err := runstore.ReadBench(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := CompareScaleBench(back, rep, 0.0); len(p) != 0 {
+	if p := runstore.CompareBench(back, rep, 0.0); len(p) != 0 {
 		t.Errorf("round-tripped report does not hold itself: %v", p)
 	}
 
@@ -128,7 +71,69 @@ func TestScaleBenchSmall(t *testing.T) {
 	if len(capped) != 3 {
 		t.Fatalf("capped bench: got %d rows, want 3", len(capped))
 	}
-	if capped[2].Entities != 60 || !capped[2].Blocked {
+	if capped[2].Key != "60/blocked" {
 		t.Errorf("capped bench row 2 = %+v, want blocked-only at 60", capped[2])
+	}
+}
+
+// scaleBenchReport is a scale-suite report in the shape ScaleBench rows
+// take: the unblocked and blocked twin at one size.
+func scaleBenchReport(eps float64) runstore.Report {
+	return runstore.Report{
+		Suite:    "scale",
+		Workload: map[string]string{"seed": "1", "dataset": "Restaurant"},
+		Rows: []runstore.Row{
+			{Key: "100/unblocked", Metrics: map[string]float64{"entities": 100, "entities_per_sec": eps, "pairs_scored": 10000, "peak_rss_bytes": 1 << 25}},
+			{Key: "100/blocked", Metrics: map[string]float64{"entities": 100, "entities_per_sec": eps, "pairs_scored": 800, "peak_rss_bytes": 1 << 25}},
+		},
+	}
+}
+
+// TestCompareScaleBench holds the scale suite's gate: throughput and peak
+// RSS per (size, blocking mode) row, rows matched by that key, and the
+// dataset part of the workload.
+func TestCompareScaleBench(t *testing.T) {
+	base := scaleBenchReport(100)
+
+	if p := runstore.CompareBench(base, scaleBenchReport(100), 0.30); len(p) != 0 {
+		t.Errorf("identical runs flagged: %v", p)
+	}
+	if p := runstore.CompareBench(base, scaleBenchReport(500), 0.30); len(p) != 0 {
+		t.Errorf("speedup flagged: %v", p)
+	}
+	if p := runstore.CompareBench(base, scaleBenchReport(60), 0.30); len(p) != 2 {
+		t.Errorf("40%% drop: got %v, want 2 problems", p)
+	}
+
+	// Dropping the blocked twin is a regression even though the unblocked
+	// row of the same size is still present.
+	missing := scaleBenchReport(100)
+	missing.Rows = missing.Rows[:1]
+	p := runstore.CompareBench(base, missing, 0.30)
+	if len(p) != 1 || !strings.Contains(p[0], "100/blocked") {
+		t.Errorf("missing blocked row: %v", p)
+	}
+
+	// The memory axis: RSS blowup past the threshold fails the gate.
+	fat := scaleBenchReport(100)
+	fat.Rows[1].Metrics["peak_rss_bytes"] = 1 << 28
+	p = runstore.CompareBench(base, fat, 0.30)
+	if len(p) != 1 || !strings.Contains(p[0], "peak_rss_bytes") {
+		t.Errorf("RSS blowup: %v", p)
+	}
+	// ...but only where the baseline measured it.
+	noRSS := scaleBenchReport(100)
+	for _, r := range noRSS.Rows {
+		delete(r.Metrics, "peak_rss_bytes")
+	}
+	if p := runstore.CompareBench(noRSS, fat, 0.30); len(p) != 0 {
+		t.Errorf("RSS held against a baseline that never measured it: %v", p)
+	}
+
+	other := scaleBenchReport(100)
+	other.Workload = map[string]string{"seed": "1", "dataset": "DBLP-ACM"}
+	p = runstore.CompareBench(base, other, 0.30)
+	if len(p) != 1 || !strings.Contains(p[0], "workload mismatch") {
+		t.Errorf("dataset mismatch: %v", p)
 	}
 }

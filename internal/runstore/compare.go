@@ -92,14 +92,29 @@ type Comparison struct {
 func (c *Comparison) Regressed() bool { return len(c.Regressions) > 0 }
 
 // Compare joins two registered runs and flags every axis where B drifts
-// beyond opts past A. Wall-clock and RSS regressions are directional
-// (B slower/bigger than A); ε and fidelity likewise flag only growth.
+// beyond opts past A. Every axis is a Lower rule — B slower, bigger, more
+// ε-hungry or less faithful than A regresses — evaluated exactly as the
+// bench comparator evaluates BenchRules.
 func Compare(a, b Entry, opts CompareOptions) *Comparison {
 	opts = opts.withDefaults()
 	c := &Comparison{A: a, B: b}
+	// A stage needs an absolute growth of MinSeconds; so does the total
+	// wall, which moreover gates only against a measured (non-zero) A. RSS
+	// and jsd gate only where A measured them; ε gates from zero up.
+	var (
+		wallRule  = Rule{Better: Lower, Abs: opts.MinSeconds, MinBase: positive}
+		stageRule = Rule{Better: Lower, Abs: opts.MinSeconds}
+		rssRule   = Rule{Better: Lower, MinBase: positive}
+		epsRule   = Rule{Better: Lower}
+		jsdRule   = Rule{Better: Lower, MinBase: positive}
+	)
+	regressed := func(r Rule, d Delta, rel float64) bool {
+		_, bad := r.Check(d.A, d.B, rel)
+		return bad
+	}
 
 	c.Wall = Delta{Name: "wall", A: a.WallSeconds, B: b.WallSeconds}
-	if c.Wall.Diff() > opts.MinSeconds && c.Wall.Frac() > opts.WallThreshold {
+	if regressed(wallRule, c.Wall, opts.WallThreshold) {
 		c.Wall.Regressed = true
 		c.Regressions = append(c.Regressions, fmt.Sprintf(
 			"wall-clock %.2fs -> %.2fs (+%.0f%%, threshold %.0f%%)",
@@ -107,7 +122,7 @@ func Compare(a, b Entry, opts CompareOptions) *Comparison {
 	}
 
 	for _, d := range joinDeltas(stageMap(a.Stages), stageMap(b.Stages)) {
-		if d.Diff() > opts.MinSeconds && (d.A == 0 || d.Frac() > opts.WallThreshold) {
+		if regressed(stageRule, d, opts.WallThreshold) {
 			d.Regressed = true
 			c.Regressions = append(c.Regressions, fmt.Sprintf(
 				"stage %s: %.3fs -> %.3fs (+%.0f%% wall, threshold %.0f%%)",
@@ -124,7 +139,7 @@ func Compare(a, b Entry, opts CompareOptions) *Comparison {
 		rssB = float64(b.Runtime.PeakRSSBytes)
 	}
 	c.PeakRSS = Delta{Name: "peak_rss_bytes", A: rssA, B: rssB}
-	if rssA > 0 && c.PeakRSS.Frac() > opts.RSSThreshold {
+	if regressed(rssRule, c.PeakRSS, opts.RSSThreshold) {
 		c.PeakRSS.Regressed = true
 		c.Regressions = append(c.Regressions, fmt.Sprintf(
 			"peak RSS %.1f MiB -> %.1f MiB (+%.0f%%, threshold %.0f%%)",
@@ -146,14 +161,14 @@ func Compare(a, b Entry, opts CompareOptions) *Comparison {
 		}
 	}
 	c.Epsilon = Delta{Name: "epsilon", A: epsA, B: epsB}
-	if epsB > epsA*(1+opts.EpsThreshold) {
+	if regressed(epsRule, c.Epsilon, opts.EpsThreshold) {
 		c.Epsilon.Regressed = true
 		c.Regressions = append(c.Regressions, fmt.Sprintf(
 			"composed ε %.6g -> %.6g (+%.2f%%, threshold %.2f%%)",
 			epsA, epsB, 100*c.Epsilon.Frac(), 100*opts.EpsThreshold))
 	}
 	for _, d := range joinDeltas(groupsA, groupsB) {
-		if d.B > d.A*(1+opts.EpsThreshold) {
+		if regressed(epsRule, d, opts.EpsThreshold) {
 			d.Regressed = true
 			c.Regressions = append(c.Regressions, fmt.Sprintf(
 				"ε group %s: %.6g -> %.6g (threshold %.2f%%)",
@@ -166,7 +181,7 @@ func Compare(a, b Entry, opts CompareOptions) *Comparison {
 		// Only jsd has a known "higher is worse" direction; the rest of
 		// the summary map (entity counts, rejection tallies) is printed
 		// for context but never gates.
-		if d.Name == "jsd" && d.A > 0 && d.Frac() > opts.MetricThreshold {
+		if d.Name == "jsd" && regressed(jsdRule, d, opts.MetricThreshold) {
 			d.Regressed = true
 			c.Regressions = append(c.Regressions, fmt.Sprintf(
 				"fidelity drift: jsd %.4f -> %.4f (+%.0f%%, threshold %.0f%%)",

@@ -82,18 +82,6 @@ type Privacy struct {
 	Groups  []GroupSpend `json:"groups,omitempty"`
 }
 
-// BenchRow is the subset of a core-bench row the registry keeps for
-// cross-run comparison (the full row set stays in BENCH_core.json).
-type BenchRow struct {
-	Dataset        string  `json:"dataset"`
-	Entities       int     `json:"entities"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	EntitiesPerSec float64 `json:"entities_per_sec"`
-	JSD            float64 `json:"jsd"`
-	PeakRSSBytes   uint64  `json:"peak_rss_bytes,omitempty"`
-	GCPauseSeconds float64 `json:"gc_pause_seconds,omitempty"`
-}
-
 // Artifacts points at the run's on-disk artifacts. Paths are recorded
 // as given on the command line; they may go stale (the registry never
 // copies artifacts) and consumers must treat them as best-effort.
@@ -134,8 +122,9 @@ type Entry struct {
 	Stages      []StageTime             `json:"stages,omitempty"`
 	Runtime     *telemetry.RuntimeStats `json:"runtime,omitempty"`
 	Privacy     *Privacy                `json:"privacy,omitempty"`
-	Bench       []BenchRow              `json:"bench,omitempty"`
-	Artifacts   Artifacts               `json:"artifacts,omitempty"`
+	// Bench holds a bench run's rows (suite runs of cmd/experiments -bench).
+	Bench     []Row     `json:"bench,omitempty"`
+	Artifacts Artifacts `json:"artifacts,omitempty"`
 }
 
 // LineageSHA returns the combined hash of the first lineage entry with
