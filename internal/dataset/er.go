@@ -43,12 +43,12 @@ func (e *ER) MatchSet() map[Pair]bool {
 }
 
 // MatchingVectors computes X+ — the similarity vectors of all matching
-// pairs (paper §II-B).
+// pairs (paper §II-B). Each value is prepped once (see SimCache).
 func (e *ER) MatchingVectors() [][]float64 {
-	s := e.Schema()
+	c := NewSimCache(e.Schema())
 	out := make([][]float64, 0, len(e.Matches))
 	for _, p := range e.Matches {
-		out = append(out, s.SimVector(e.A.Entities[p.A], e.B.Entities[p.B]))
+		out = append(out, c.SimVector(e.A.Entities[p.A], e.B.Entities[p.B]))
 	}
 	return out
 }
@@ -58,12 +58,13 @@ func (e *ER) MatchingVectors() [][]float64 {
 // non-matching pairs are used; otherwise a uniform sample without
 // replacement is drawn with r. Sampling keeps the quadratic pair space
 // tractable for the larger datasets, exactly as ER systems do in practice.
+// Each value is prepped once (see SimCache).
 func (e *ER) NonMatchingVectors(maxN int, r *rand.Rand) [][]float64 {
 	pairs := e.NonMatchingPairs(maxN, r)
-	s := e.Schema()
+	c := NewSimCache(e.Schema())
 	out := make([][]float64, 0, len(pairs))
 	for _, p := range pairs {
-		out = append(out, s.SimVector(e.A.Entities[p.A], e.B.Entities[p.B]))
+		out = append(out, c.SimVector(e.A.Entities[p.A], e.B.Entities[p.B]))
 	}
 	return out
 }

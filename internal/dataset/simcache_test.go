@@ -1,8 +1,12 @@
 package dataset
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
+
+	"serd/internal/simfn"
 )
 
 // TestSimCacheMatchesSchemaSimVector is the cache's correctness contract:
@@ -60,4 +64,50 @@ func TestSimCacheConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+var sinkPairs []LabeledPair
+
+// BenchmarkHardestNonMatches scores every pair of a 60×60 relation: each
+// entity recurs in 60 candidates, the reuse the per-call SimCache serves.
+func BenchmarkHardestNonMatches(b *testing.B) {
+	s, err := NewSchema([]Column{
+		{Name: "name", Kind: Textual, Sim: simfn.QGramJaccard{Q: 3, Fold: true}},
+		{Name: "city", Kind: Categorical, Sim: simfn.QGramJaccard{Q: 3, Fold: true}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(5))
+	word := func() string {
+		w := make([]byte, 4+r.Intn(8))
+		for i := range w {
+			w[i] = byte('a' + r.Intn(26))
+		}
+		return string(w)
+	}
+	rel := func(name string) *Relation {
+		out := NewRelation(name, s)
+		for i := 0; i < 60; i++ {
+			if err := out.Append(&Entity{ID: fmt.Sprintf("%s%d", name, i), Values: []string{word() + " " + word(), word()}}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return out
+	}
+	er, err := NewER(rel("a"), rel("b"), []Pair{{0, 0}, {1, 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cands []Pair
+	for i := 0; i < 60; i++ {
+		for j := 0; j < 60; j++ {
+			cands = append(cands, Pair{A: i, B: j})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkPairs = HardestNonMatches(er, cands, 120)
+	}
 }

@@ -83,12 +83,13 @@ func LabeledPairsMixed(e *ER, negPerPos int, candidates []Pair, r *rand.Rand) []
 
 // HardestNonMatches scores every candidate pair and returns the top-n
 // non-matching pairs by mean similarity — the boundary cases that make a
-// matcher workload meaningful.
+// matcher workload meaningful. Candidates share entities heavily, so each
+// value is prepped once (see SimCache).
 func HardestNonMatches(e *ER, candidates []Pair, n int) []LabeledPair {
 	if n <= 0 {
 		return nil
 	}
-	s := e.Schema()
+	c := NewSimCache(e.Schema())
 	matchSet := e.MatchSet()
 	seen := make(map[Pair]bool, len(candidates))
 	type scoredPair struct {
@@ -101,7 +102,7 @@ func HardestNonMatches(e *ER, candidates []Pair, n int) []LabeledPair {
 			continue
 		}
 		seen[p] = true
-		x := s.SimVector(e.A.Entities[p.A], e.B.Entities[p.B])
+		x := c.SimVector(e.A.Entities[p.A], e.B.Entities[p.B])
 		mean := 0.0
 		for _, v := range x {
 			mean += v

@@ -25,6 +25,7 @@ type Component struct {
 	Mean   []float64
 	Cov    *stats.Mat
 	dist   *stats.MVN
+	logW   float64 // math.Log(Weight), hoisted out of every density call
 }
 
 // Model is a Gaussian mixture over similarity vectors.
@@ -65,6 +66,7 @@ func New(comps []Component) (*Model, error) {
 		}
 		c.Cov = cov
 		c.dist = dist
+		c.logW = math.Log(c.Weight)
 		m.Comps[i] = c
 	}
 	return m, nil
@@ -73,17 +75,30 @@ func New(comps []Component) (*Model, error) {
 // Dim returns the dimensionality of the mixture.
 func (m *Model) Dim() int { return m.dim }
 
-// LogPDF returns the log density of the mixture at x.
-func (m *Model) LogPDF(x []float64) float64 {
-	// log-sum-exp over components for numerical stability.
+// maxStackComps is the component count up to which the per-component log
+// densities live in a stack buffer; larger mixtures allocate.
+const maxStackComps = 8
+
+// compLogs fills logs with log(w_i) + log N_i(x) per component and returns
+// their maximum.
+func (m *Model) compLogs(x, logs []float64) float64 {
 	maxLog := math.Inf(-1)
-	logs := make([]float64, len(m.Comps))
-	for i, c := range m.Comps {
-		logs[i] = math.Log(c.Weight) + c.dist.LogPDF(x)
+	for i := range m.Comps {
+		c := &m.Comps[i]
+		logs[i] = c.logW + c.dist.LogPDF(x)
 		if logs[i] > maxLog {
 			maxLog = logs[i]
 		}
 	}
+	return maxLog
+}
+
+// LogPDF returns the log density of the mixture at x.
+func (m *Model) LogPDF(x []float64) float64 {
+	// log-sum-exp over components for numerical stability.
+	var buf [maxStackComps]float64
+	logs := logsBuf(&buf, len(m.Comps))
+	maxLog := m.compLogs(x, logs)
 	if math.IsInf(maxLog, -1) {
 		return maxLog
 	}
@@ -92,6 +107,14 @@ func (m *Model) LogPDF(x []float64) float64 {
 		sum += math.Exp(l - maxLog)
 	}
 	return maxLog + math.Log(sum)
+}
+
+// logsBuf returns n slots of buf, or a fresh slice when n exceeds it.
+func logsBuf(buf *[maxStackComps]float64, n int) []float64 {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]float64, n)
 }
 
 // PDF returns the density of the mixture at x.
@@ -127,14 +150,9 @@ func (m *Model) SampleClamped(r *rand.Rand) []float64 {
 // Responsibilities returns γ_i = P(component i | x) for each component
 // (Eq. 5, evaluated at the current parameters).
 func (m *Model) Responsibilities(x []float64) []float64 {
-	logs := make([]float64, len(m.Comps))
-	maxLog := math.Inf(-1)
-	for i, c := range m.Comps {
-		logs[i] = math.Log(c.Weight) + c.dist.LogPDF(x)
-		if logs[i] > maxLog {
-			maxLog = logs[i]
-		}
-	}
+	var buf [maxStackComps]float64
+	logs := logsBuf(&buf, len(m.Comps))
+	maxLog := m.compLogs(x, logs)
 	out := make([]float64, len(m.Comps))
 	if math.IsInf(maxLog, -1) {
 		for i := range out {
@@ -158,14 +176,9 @@ func (m *Model) Responsibilities(x []float64) []float64 {
 // quantities from a single pass over the component log-densities, bit
 // identical to Responsibilities followed by LogPDF.
 func (m *Model) RespLogPDF(x, dst []float64) float64 {
-	logs := make([]float64, len(m.Comps))
-	maxLog := math.Inf(-1)
-	for i, c := range m.Comps {
-		logs[i] = math.Log(c.Weight) + c.dist.LogPDF(x)
-		if logs[i] > maxLog {
-			maxLog = logs[i]
-		}
-	}
+	var buf [maxStackComps]float64
+	logs := logsBuf(&buf, len(m.Comps))
+	maxLog := m.compLogs(x, logs)
 	if math.IsInf(maxLog, -1) {
 		for i := range dst {
 			dst[i] = 1 / float64(len(dst))

@@ -3,6 +3,7 @@ package gmm
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"serd/internal/stats"
 )
@@ -86,7 +87,7 @@ func ModelFromState(st *ModelState) (*Model, error) {
 				return nil, fmt.Errorf("gmm: state component %d covariance: %w", i, err)
 			}
 		}
-		m.Comps[i] = Component{Weight: cs.Weight, Mean: mean, Cov: cov, dist: dist}
+		m.Comps[i] = Component{Weight: cs.Weight, Mean: mean, Cov: cov, dist: dist, logW: math.Log(cs.Weight)}
 	}
 	return m, nil
 }

@@ -9,11 +9,13 @@
 package simfn
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Func computes a similarity score in [0, 1] between two attribute values.
@@ -84,22 +86,82 @@ func (f QGramJaccard) q() int {
 
 // Sim implements Func. Both-empty inputs compare equal (similarity 1).
 func (f QGramJaccard) Sim(a, b string) float64 {
-	return jaccardSorted(f.grams(a), f.grams(b))
+	return f.SimPrepped(f.Prep(a), f.Prep(b))
 }
 
-// Prep implements Preprocessor: the case-folded, sorted q-gram set.
-func (f QGramJaccard) Prep(v string) any { return f.grams(v) }
+// Prep implements Preprocessor: the case-folded, sorted q-gram set — packed
+// uint64 keys for q ≤ 3 (see packedQGrams), gram substrings above that.
+// The representation depends on Q alone, so any two Prep results of one
+// QGramJaccard compare.
+func (f QGramJaccard) Prep(v string) any {
+	if f.Fold {
+		v = strings.ToLower(v)
+	}
+	q := f.q()
+	if q > maxPackedQ {
+		return sortedQGrams(v, q)
+	}
+	return packedQGrams(v, q)
+}
 
 // SimPrepped implements Preprocessor.
 func (f QGramJaccard) SimPrepped(a, b any) float64 {
-	return jaccardSorted(a.([]string), b.([]string))
+	if f.q() > maxPackedQ {
+		return jaccardSorted(a.([]string), b.([]string))
+	}
+	return jaccardSorted(a.([]uint64), b.([]uint64))
 }
 
-func (f QGramJaccard) grams(s string) []string {
-	if f.Fold {
-		s = strings.ToLower(s)
+// maxPackedQ is the largest q whose grams pack into one uint64 key: three
+// 21-bit units use bits 0–62.
+const maxPackedQ = 3
+
+// packedQGrams returns the q-gram set of s (q ≤ maxPackedQ) as sorted,
+// deduplicated uint64 keys, gram for gram equal exactly when the
+// substrings sortedQGrams yields are equal — so the Jaccard ratio, an
+// integer ratio of set sizes, is bit-identical. Each gram packs its q
+// units at 21 bits apiece. A unit is a decoded rune; an invalid UTF-8 byte
+// b, which sortedQGrams slices as a one-byte "rune", becomes its own unit
+// 0x110000|b, above every rune, so a literal U+FFFD stays distinct from
+// the bytes it replaces. A non-empty value shorter than q is one gram with
+// bit 63 set and its unit count in bits 61–62: it never equals a full
+// gram, and the count keeps "a" apart from "a\x00".
+func packedQGrams(s string, q int) []uint64 {
+	if s == "" {
+		return nil
 	}
-	return sortedQGrams(s, f.q())
+	n := utf8.RuneCountInString(s) // counts each invalid byte as one unit
+	if n < q {
+		key := uint64(1)<<63 | uint64(n)<<61
+		for i, shift := 0, 0; i < len(s); shift += 21 {
+			u, size := gramUnit(s, i)
+			key |= u << shift
+			i += size
+		}
+		return []uint64{key}
+	}
+	mask := uint64(1)<<(21*q) - 1
+	out := make([]uint64, 0, n-q+1)
+	var g uint64
+	for i, k := 0, 1; i < len(s); k++ {
+		u, size := gramUnit(s, i)
+		g = (g<<21 | u) & mask
+		if k >= q {
+			out = append(out, g)
+		}
+		i += size
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// gramUnit decodes the unit at s[i:] and its width in bytes.
+func gramUnit(s string, i int) (uint64, int) {
+	r, size := utf8.DecodeRuneInString(s[i:])
+	if r == utf8.RuneError && size == 1 {
+		return 0x110000 | uint64(s[i]), 1
+	}
+	return uint64(r), size
 }
 
 // QGrams returns the multiset-collapsed set of q-grams of s, computed over
@@ -122,10 +184,11 @@ func QGrams(s string, q int) map[string]struct{} {
 }
 
 // sortedQGrams returns the multiset-collapsed q-grams of s as a sorted,
-// deduplicated slice with the same semantics as QGrams. Each gram is a
-// rune-aligned substring of s (no per-gram copy), and sorted slices
-// intersect by merge in jaccardSorted without hashing — the representation
-// behind the Sim hot path and Preprocessor caching.
+// deduplicated slice of rune-aligned substrings of s (no per-gram copy).
+// For valid UTF-8 it has the semantics of QGrams; an invalid byte, which
+// QGrams decodes to U+FFFD, stays a distinct one-byte "rune" here. It is
+// QGramJaccard's representation for q > maxPackedQ and the oracle the
+// packed grams are tested against.
 func sortedQGrams(s string, q int) []string {
 	if s == "" {
 		return nil
@@ -144,21 +207,14 @@ func sortedQGrams(s string, q int) []string {
 	for i := 0; i+q <= n; i++ {
 		out = append(out, s[idx[i]:idx[i+q]])
 	}
-	sort.Strings(out)
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[w-1] {
-			out[w] = out[i]
-			w++
-		}
-	}
-	return out[:w]
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // jaccardSorted computes the Jaccard similarity of two sorted, deduplicated
 // slices by merge intersection. Empty-set conventions: both empty compare
 // equal (1), one empty compares disjoint (0).
-func jaccardSorted(a, b []string) float64 {
+func jaccardSorted[T cmp.Ordered](a, b []T) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
@@ -219,15 +275,8 @@ func sortedTokens(s string) []string {
 	if start >= 0 {
 		out = append(out, s[start:])
 	}
-	sort.Strings(out)
-	w := 0
-	for i, t := range out {
-		if i == 0 || t != out[w-1] {
-			out[w] = t
-			w++
-		}
-	}
-	return out[:w]
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Exact is the 0/1 equality similarity.

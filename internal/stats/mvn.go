@@ -9,9 +9,10 @@ import (
 // MVN is a multivariate normal distribution N(mean, cov), held in a
 // factorized form ready for density evaluation and sampling.
 type MVN struct {
-	mean   []float64
-	chol   *Mat // lower Cholesky factor of cov
-	logDet float64
+	mean []float64
+	chol *Mat // lower Cholesky factor of cov
+	// norm is k·log 2π + log|Σ|, the constant part of -2·log density.
+	norm float64
 }
 
 // NewMVN builds an MVN from a mean vector and covariance matrix. The
@@ -31,7 +32,7 @@ func NewMVN(mean []float64, cov *Mat) (*MVN, error) {
 	}
 	m := make([]float64, len(mean))
 	copy(m, mean)
-	return &MVN{mean: m, chol: l, logDet: logDet}, nil
+	return &MVN{mean: m, chol: l, norm: float64(len(mean))*math.Log(2*math.Pi) + logDet}, nil
 }
 
 // Dim returns the dimensionality of the distribution.
@@ -44,23 +45,34 @@ func (d *MVN) Mean() []float64 {
 	return m
 }
 
-// LogPDF returns the log density at x.
+// LogPDF returns the log density at x. It allocates nothing for k ≤ 16:
+// the forward solve runs in place in a stack buffer, with ForwardSolve's
+// arithmetic, so the value is bit-identical to the ForwardSolve formula.
 func (d *MVN) LogPDF(x []float64) float64 {
 	k := len(d.mean)
 	if len(x) != k {
 		panic(fmt.Sprintf("stats: LogPDF dim %d, want %d", len(x), k))
 	}
-	diff := make([]float64, k)
-	for i := range diff {
-		diff[i] = x[i] - d.mean[i]
+	var buf [16]float64
+	var y []float64
+	if k <= len(buf) {
+		y = buf[:k]
+	} else {
+		y = make([]float64, k)
 	}
-	// Quadratic form (x-μ)ᵀ Σ⁻¹ (x-μ) = ||L⁻¹(x-μ)||².
-	y := ForwardSolve(d.chol, diff)
+	// Quadratic form (x-μ)ᵀ Σ⁻¹ (x-μ) = ||L⁻¹(x-μ)||², solving L·y = x-μ
+	// row by row.
+	l := d.chol
 	quad := 0.0
-	for _, v := range y {
-		quad += v * v
+	for i := 0; i < k; i++ {
+		sum := x[i] - d.mean[i]
+		for j := 0; j < i; j++ {
+			sum -= l.At(i, j) * y[j]
+		}
+		y[i] = sum / l.At(i, i)
+		quad += y[i] * y[i]
 	}
-	return -0.5 * (float64(k)*math.Log(2*math.Pi) + d.logDet + quad)
+	return -0.5 * (d.norm + quad)
 }
 
 // PDF returns the density at x.

@@ -27,6 +27,9 @@ type invarianceRun struct {
 	out, scratch string
 	// reg is the registry under the journal-instrumented recorder.
 	reg *serd.MetricsRegistry
+	// ledger is the run's privacy ledger, already charged once; a row
+	// hands it to a DP backend through opts.Privacy.
+	ledger *serd.PrivacyLedger
 }
 
 // invarianceRow arms one optional feature. arm may change the context
@@ -71,6 +74,7 @@ func synthesizeRow(t *testing.T, out string, row invarianceRow) []byte {
 		out:     out,
 		scratch: t.TempDir(),
 		reg:     reg,
+		ledger:  ledger,
 	}
 	var check func([]byte)
 	if row.arm != nil {
