@@ -15,9 +15,12 @@ type Joint struct {
 	M  *Model  // matching distribution
 	N  *Model  // non-matching distribution
 	Pi float64 // probability of matching, |X+| / (|X+|+|X-|)
+
+	logPi, log1mPi float64 // math.Log(Pi) and math.Log(1-Pi)
 }
 
-// NewJoint validates and assembles an O-distribution.
+// NewJoint validates and assembles an O-distribution. It is the only
+// constructor: it caches the log weights LogPDF and PosteriorMatch use.
 func NewJoint(m, n *Model, pi float64) (*Joint, error) {
 	switch {
 	case m == nil || n == nil:
@@ -27,7 +30,7 @@ func NewJoint(m, n *Model, pi float64) (*Joint, error) {
 	case pi < 0 || pi > 1 || math.IsNaN(pi):
 		return nil, errors.New("gmm: pi outside [0,1]")
 	}
-	return &Joint{M: m, N: n, Pi: pi}, nil
+	return &Joint{M: m, N: n, Pi: pi, logPi: math.Log(pi), log1mPi: math.Log(1 - pi)}, nil
 }
 
 // Dim returns the similarity-vector dimensionality.
@@ -40,8 +43,8 @@ func (j *Joint) PDF(x []float64) float64 {
 
 // LogPDF evaluates the log of PDF with log-sum-exp stability.
 func (j *Joint) LogPDF(x []float64) float64 {
-	lm := math.Log(j.Pi) + j.M.LogPDF(x)
-	ln := math.Log(1-j.Pi) + j.N.LogPDF(x)
+	lm := j.logPi + j.M.LogPDF(x)
+	ln := j.log1mPi + j.N.LogPDF(x)
 	if j.Pi == 0 {
 		return ln
 	}
@@ -56,8 +59,8 @@ func (j *Joint) LogPDF(x []float64) float64 {
 // the M-distribution (paper §IV-C):
 // P_m(x) = π p_m(x) / (π p_m(x) + (1-π) p_n(x)).
 func (j *Joint) PosteriorMatch(x []float64) float64 {
-	lm := math.Log(j.Pi) + j.M.LogPDF(x)
-	ln := math.Log(1-j.Pi) + j.N.LogPDF(x)
+	lm := j.logPi + j.M.LogPDF(x)
+	ln := j.log1mPi + j.N.LogPDF(x)
 	if math.IsInf(lm, -1) && math.IsInf(ln, -1) {
 		return 0.5
 	}

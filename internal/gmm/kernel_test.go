@@ -1,6 +1,7 @@
 package gmm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -87,5 +88,53 @@ func BenchmarkJSDStriped(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkFloat = JSDStriped(p, q, 256, int64(i), pool)
+	}
+}
+
+// TestJointCachedLogWeights pins LogPDF and PosteriorMatch, which read the
+// log weights NewJoint caches, bit for bit against the formula that takes
+// math.Log(Pi) per call — for joints from NewJoint and from JointFromState,
+// including the degenerate weights 0 and 1.
+func TestJointCachedLogWeights(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	m, n := randomModel(t, r, 3, 2), randomModel(t, r, 2, 2)
+	xs := make([][]float64, 40)
+	for i := range xs {
+		xs[i] = []float64{r.Float64(), r.Float64()}
+	}
+	xs = append(xs, []float64{1e6, -1e6}) // both densities underflow
+	for _, pi := range []float64{0, 0.3, 1} {
+		built, err := NewJoint(m, n, pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := JointFromState(built.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range []*Joint{built, restored} {
+			for _, x := range xs {
+				lm := math.Log(j.Pi) + j.M.LogPDF(x)
+				ln := math.Log(1-j.Pi) + j.N.LogPDF(x)
+				want := 1 / (1 + math.Exp(ln-lm))
+				if math.IsInf(lm, -1) && math.IsInf(ln, -1) {
+					want = 0.5
+				}
+				if got := j.PosteriorMatch(x); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("pi=%v x=%v: PosteriorMatch = %v, formula %v", pi, x, got, want)
+				}
+				want = ln
+				switch {
+				case j.Pi == 1:
+					want = lm
+				case j.Pi != 0:
+					hi := math.Max(lm, ln)
+					want = hi + math.Log(math.Exp(lm-hi)+math.Exp(ln-hi))
+				}
+				if got := j.LogPDF(x); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("pi=%v x=%v: LogPDF = %v, formula %v", pi, x, got, want)
+				}
+			}
+		}
 	}
 }

@@ -86,24 +86,29 @@ func (p *Pool) Run(phase string, n int, fn func(i int)) {
 	}
 	start := time.Now()
 	var busyNS atomic.Int64
+	chunk := func(c, lo, hi int) {
+		var span *trace.Child
+		if p.tr != nil && phase != "" {
+			span = p.tr.Child(phase+".chunk", trace.Int("worker", c), trace.Int("lo", lo), trace.Int("hi", hi))
+		}
+		t0 := time.Now()
+		for i := lo; i < hi; i++ {
+			fn(i)
+		}
+		span.End()
+		busyNS.Add(int64(time.Since(t0)))
+	}
+	// Chunk 0 runs on the calling goroutine, which would otherwise only
+	// wait; the other w-1 chunks each get a goroutine.
 	var wg sync.WaitGroup
-	wg.Add(w)
-	for c := 0; c < w; c++ {
-		lo, hi := c*n/w, (c+1)*n/w
+	wg.Add(w - 1)
+	for c := 1; c < w; c++ {
 		go func(c, lo, hi int) {
 			defer wg.Done()
-			var span *trace.Child
-			if p.tr != nil && phase != "" {
-				span = p.tr.Child(phase+".chunk", trace.Int("worker", c), trace.Int("lo", lo), trace.Int("hi", hi))
-			}
-			t0 := time.Now()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-			span.End()
-			busyNS.Add(int64(time.Since(t0)))
-		}(c, lo, hi)
+			chunk(c, lo, hi)
+		}(c, c*n/w, (c+1)*n/w)
 	}
+	chunk(0, 0, n/w)
 	wg.Wait()
 	p.record(phase, time.Duration(busyNS.Load()), time.Since(start))
 }

@@ -1,9 +1,13 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"serd/internal/telemetry"
+	"serd/internal/trace"
 )
 
 func TestRunCoversEveryIndexOnce(t *testing.T) {
@@ -71,5 +75,50 @@ func TestSplitSeedsDeterministicAndDistinct(t *testing.T) {
 	}
 	if same > 0 {
 		t.Errorf("%d/64 stripe seeds collide between master seeds 42 and 43", same)
+	}
+}
+
+// TestRunChunkSpans pins the traced fan-out with chunk 0 on the caller:
+// every index runs once, and each chunk c emits one "<phase>.chunk" span
+// tagged with worker c and its [c·n/w, (c+1)·n/w) range.
+func TestRunChunkSpans(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 4} {
+		for _, n := range []int{1, 5, 16} {
+			bus := telemetry.NewBus(256)
+			p := New(workers, trace.Wrap(trace.New(bus), nil))
+			hits := make([]int32, n)
+			p.Run("test.phase", n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			for i, h := range hits {
+				if h != 1 {
+					t.Errorf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
+				}
+			}
+			w := min(workers, n)
+			events, _, _ := bus.Poll(0, 256)
+			got := map[string]bool{}
+			for _, ev := range events {
+				if ev.Kind != "span" || ev.Name != "test.phase.chunk" {
+					continue
+				}
+				attrs := map[string]string{}
+				for _, a := range ev.Attrs {
+					attrs[a.Key] = a.Val
+				}
+				key := attrs["worker"] + ":" + attrs["lo"] + "-" + attrs["hi"]
+				if got[key] {
+					t.Errorf("workers=%d n=%d: duplicate chunk span %s", workers, n, key)
+				}
+				got[key] = true
+			}
+			if len(got) != w {
+				t.Errorf("workers=%d n=%d: %d chunk spans, want %d: %v", workers, n, len(got), w, got)
+			}
+			for c := 0; c < w; c++ {
+				key := fmt.Sprintf("%d:%d-%d", c, c*n/w, (c+1)*n/w)
+				if !got[key] {
+					t.Errorf("workers=%d n=%d: missing chunk span %s in %v", workers, n, key, got)
+				}
+			}
+		}
 	}
 }

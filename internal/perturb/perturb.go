@@ -9,13 +9,82 @@ import (
 	"math/rand"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Op transforms a string into a perturbed variant using r.
 type Op func(s string, r *rand.Rand) string
 
-// Typo substitutes one letter for a random lowercase letter.
+// Typo substitutes one letter for a random lowercase letter. Like
+// DeleteChar and DuplicateChar, when s holds invalid UTF-8 and a letter it
+// returns the edit with every invalid byte rewritten to U+FFFD.
 func Typo(s string, r *rand.Rand) string {
+	if !utf8.ValidString(s) {
+		return typoRunes(s, r)
+	}
+	i, w := pickLetter(s, r)
+	if w == 0 {
+		return s
+	}
+	k := r.Intn(26)
+	return s[:i] + lowercase[k:k+1] + s[i+w:]
+}
+
+// DeleteChar removes one letter, rewriting invalid UTF-8 as Typo does.
+func DeleteChar(s string, r *rand.Rand) string {
+	if !utf8.ValidString(s) {
+		return deleteCharRunes(s, r)
+	}
+	i, w := pickLetter(s, r)
+	if w == 0 {
+		return s
+	}
+	return s[:i] + s[i+w:]
+}
+
+// DuplicateChar doubles one letter, rewriting invalid UTF-8 as Typo does.
+func DuplicateChar(s string, r *rand.Rand) string {
+	runes := []rune(s)
+	idxs := letterIndexes(runes)
+	if len(idxs) == 0 {
+		return s
+	}
+	i := idxs[r.Intn(len(idxs))]
+	return string(runes[:i+1]) + string(runes[i:])
+}
+
+const lowercase = "abcdefghijklmnopqrstuvwxyz"
+
+// pickLetter draws one letter of the valid UTF-8 string s with
+// r.Intn(letter count) and returns its byte offset and width. With no
+// letter it makes no draw and returns width 0.
+func pickLetter(s string, r *rand.Rand) (i, w int) {
+	n := 0
+	for _, c := range s {
+		if unicode.IsLetter(c) {
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	k := r.Intn(n)
+	for i, c := range s {
+		if unicode.IsLetter(c) {
+			if k == 0 {
+				return i, utf8.RuneLen(c)
+			}
+			k--
+		}
+	}
+	panic("perturb: letter count changed between passes")
+}
+
+// typoRunes and deleteCharRunes are the []rune forms of Typo and
+// DeleteChar. They serve invalid UTF-8, whose rewrite to U+FFFD by
+// string([]rune(s)) is part of the output, and they are the oracles the
+// slicing forms are tested against: same output, same draws.
+func typoRunes(s string, r *rand.Rand) string {
 	runes := []rune(s)
 	idxs := letterIndexes(runes)
 	if len(idxs) == 0 {
@@ -26,8 +95,7 @@ func Typo(s string, r *rand.Rand) string {
 	return string(runes)
 }
 
-// DeleteChar removes one letter.
-func DeleteChar(s string, r *rand.Rand) string {
+func deleteCharRunes(s string, r *rand.Rand) string {
 	runes := []rune(s)
 	idxs := letterIndexes(runes)
 	if len(idxs) == 0 {
@@ -35,17 +103,6 @@ func DeleteChar(s string, r *rand.Rand) string {
 	}
 	i := idxs[r.Intn(len(idxs))]
 	return string(runes[:i]) + string(runes[i+1:])
-}
-
-// DuplicateChar doubles one letter.
-func DuplicateChar(s string, r *rand.Rand) string {
-	runes := []rune(s)
-	idxs := letterIndexes(runes)
-	if len(idxs) == 0 {
-		return s
-	}
-	i := idxs[r.Intn(len(idxs))]
-	return string(runes[:i+1]) + string(runes[i:])
 }
 
 // DropToken removes one whitespace-separated token (never the only one).

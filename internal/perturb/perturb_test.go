@@ -154,3 +154,30 @@ func TestTowardSimilarityIdentityTarget(t *testing.T) {
 		t.Errorf("target 1.0 should return the input unchanged, got %q (%v)", got, sim)
 	}
 }
+
+var towardValues = []string{
+	"Arnie Morton's of Chicago", "435 S. La Cienega Blvd.", "Art's Delicatessen",
+	"12224 Ventura Blvd.", "Hotel Bel-Air", "701 Stone Canyon Rd.",
+}
+
+// BenchmarkTowardSimilarity is the rule synthesizer's edit walk: perturb
+// restaurant-style values toward targets across [0, 1] under bound 3-gram
+// Jaccard.
+func BenchmarkTowardSimilarity(b *testing.B) {
+	f := simfn.QGramJaccard{Q: 3, Fold: true}
+	bound := make([]func(string) float64, len(towardValues))
+	for i, v := range towardValues {
+		bound[i] = simfn.Bind(f, v)
+	}
+	r := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(towardValues)
+		sim := bound[k]
+		sinkWalk, _ = TowardSimilarity(towardValues[k], float64(i%11)/10, 0.02,
+			func(_, c string) float64 { return sim(c) }, 200, r)
+	}
+}
+
+var sinkWalk string

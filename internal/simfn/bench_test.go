@@ -35,3 +35,14 @@ func BenchmarkQGramJaccardSimPrepped(b *testing.B) {
 		sinkSim = f.SimPrepped(prepped[i%len(prepped)], prepped[(i/len(prepped))%len(prepped)])
 	}
 }
+
+// BenchmarkBindQGram is the edit walk's inner call: one value bound, a
+// stream of candidates scored against it.
+func BenchmarkBindQGram(b *testing.B) {
+	f := QGramJaccard{Q: 3, Fold: true}
+	bound := Bind(f, benchValues[0])
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkSim = bound(benchValues[i%len(benchValues)])
+	}
+}

@@ -56,3 +56,61 @@ func EditDistance(a, b string) int {
 	}
 	return prev[len(rb)]
 }
+
+// EditDistanceWithin is EditDistance for callers that only ask whether the
+// distance is at most k: it returns the exact distance when that is ≤ k
+// and some value > k otherwise. It gives up once a whole row of the
+// dynamic program exceeds k, since no later row can fall below its
+// minimum. Tokens of up to 32 runes stay on the stack.
+func EditDistanceWithin(a, b string, k int) int {
+	var bufA, bufB [32]rune
+	ra, rb := appendRunes(bufA[:0], a), appendRunes(bufB[:0], b)
+	if d := len(ra) - len(rb); d > k || -d > k {
+		return k + 1
+	}
+	if len(ra) == 0 || len(rb) == 0 {
+		return len(ra) + len(rb)
+	}
+	var rows [2 * 33]int
+	prev, cur := rows[:33], rows[33:]
+	if len(rb) >= 33 {
+		prev, cur = make([]int, len(rb)+1), make([]int, len(rb)+1)
+	}
+	for j := 0; j <= len(rb); j++ {
+		prev[j] = j
+	}
+	for i := 1; i <= len(ra); i++ {
+		cur[0] = i
+		rowMin := i
+		for j := 1; j <= len(rb); j++ {
+			m := prev[j-1] // substitute
+			if ra[i-1] != rb[j-1] {
+				m++
+			}
+			if d := prev[j] + 1; d < m { // delete
+				m = d
+			}
+			if d := cur[j-1] + 1; d < m { // insert
+				m = d
+			}
+			cur[j] = m
+			if m < rowMin {
+				rowMin = m
+			}
+		}
+		if rowMin > k {
+			return k + 1
+		}
+		prev, cur = cur, prev
+	}
+	return prev[len(rb)]
+}
+
+// appendRunes appends the runes of s to dst, decoding invalid bytes to
+// U+FFFD exactly as []rune(s) does.
+func appendRunes(dst []rune, s string) []rune {
+	for _, r := range s {
+		dst = append(dst, r)
+	}
+	return dst
+}

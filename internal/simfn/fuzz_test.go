@@ -52,3 +52,41 @@ func FuzzQGramJaccard(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBindQGram differentially checks the bound q-gram matcher against the
+// string-set oracle for Q in {1, 2, 3, 4} with and without folding. One
+// closure scores b, then a longer value, then b again, so the scratch
+// table's generation stamps and growth both run between calls.
+func FuzzBindQGram(f *testing.F) {
+	long := strings.Repeat("abcdefgh", 9) // 72 runes
+	seeds := []struct{ a, b string }{
+		{"\xff", "\xff"},
+		{"AB\xffCD", "ab\uFFFDcd"}, // a folded invalid byte is U+FFFD
+		{"caf\xc3", "CAFÉ"},
+		{"ÀÉ", "àé"},
+		{"İstanbul", "istanbul"},
+		{"ΣΑΣ", "σας"},
+		{"", "abc"},
+		{"abc", ""},
+		{"", ""},
+		{"abcd", "a"}, // b shorter than q
+		{"ab", "AB"},  // both shorter than q
+		{long, strings.ToUpper(long) + "\xe2\x82"},
+	}
+	for _, s := range seeds {
+		for q := uint8(0); q < 4; q++ {
+			f.Add(s.a, s.b, q, false)
+			f.Add(s.a, s.b, q, true)
+		}
+	}
+	f.Fuzz(func(t *testing.T, a, b string, q uint8, fold bool) {
+		fn := QGramJaccard{Q: 1 + int(q%4), Fold: fold}
+		bound := Bind(fn, a)
+		for _, v := range []string{b, b + long + b, a, b} {
+			want := oracleQGramJaccard(fn, a, v)
+			if got := bound(v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s fold=%t: Bind(%q)(%q) = %v, oracle %v", fn.Name(), fold, a, v, got, want)
+			}
+		}
+	})
+}

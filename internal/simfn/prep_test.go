@@ -84,3 +84,29 @@ func TestSortedGramsMatchQGramsMap(t *testing.T) {
 		}
 	}
 }
+
+// TestBindQGramAllocFree pins the bound matcher's steady state: once its
+// scratch table has grown to fit, a call on ASCII input with capitals (the
+// folding path) allocates nothing.
+func TestBindQGramAllocFree(t *testing.T) {
+	bound := Bind(QGramJaccard{Q: 3, Fold: true}, "Arnie Morton's of Chicago")
+	b := "ARNIE Mortons of CHICAGO Steakhouse"
+	bound(b)
+	if allocs := testing.AllocsPerRun(100, func() { bound(b) }); allocs != 0 {
+		t.Errorf("bound q-gram call allocates %v times, want 0", allocs)
+	}
+}
+
+// TestQGramMatcherGenerationWrap runs the matcher across a wrap of its
+// scratch table's generation counter: stale stamps must not read as live.
+func TestQGramMatcherGenerationWrap(t *testing.T) {
+	f := QGramJaccard{Q: 3, Fold: true}
+	m := newQGramMatcher(f, "Hotel Bel-Air")
+	m.sim("Hotel Bel Air")
+	m.gen = ^uint32(0) - 1
+	for _, b := range []string{"Hotel Bel-Air", "Cafe Bizou", "hotel bel-air", "Campanile"} {
+		if got, want := m.sim(b), f.Sim("Hotel Bel-Air", b); got != want {
+			t.Errorf("gen %d: sim(%q) = %v, want %v", m.gen, b, got, want)
+		}
+	}
+}

@@ -45,8 +45,14 @@ type Preprocessor interface {
 
 // Bind returns sim(a, ·) with a's preprocessing hoisted out of the loop:
 // when f is a Preprocessor, a is prepped once and every call pays only for
-// b. The returned function equals f.Sim(a, b) exactly.
+// b. The returned function equals f.Sim(a, b) exactly. For QGramJaccard
+// with q ≤ 3 it is a sort-free matcher (see qgramMatcher) that keeps
+// scratch state between calls, so the returned function must be called
+// from one goroutine at a time; bind once per goroutine.
 func Bind(f Func, a string) func(b string) float64 {
+	if qg, ok := f.(QGramJaccard); ok && qg.q() <= maxPackedQ {
+		return newQGramMatcher(qg, a).sim
+	}
 	if pp, ok := f.(Preprocessor); ok {
 		pa := pp.Prep(a)
 		return func(b string) float64 { return pp.SimPrepped(pa, pp.Prep(b)) }

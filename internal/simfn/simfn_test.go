@@ -263,3 +263,37 @@ func TestQGrams(t *testing.T) {
 		t.Errorf("empty string should yield no grams, got %d", len(got))
 	}
 }
+
+// TestEditDistanceWithin pins the bounded distance to the full one: for
+// every pair and k, min(within, k+1) == min(EditDistance, k+1).
+func TestEditDistanceWithin(t *testing.T) {
+	long := strings.Repeat("abcdefghij", 5) // past the stack buffers
+	pairs := [][2]string{
+		{"", ""}, {"", "abc"}, {"abc", ""}, {"kitten", "kitten"},
+		{"kitten", "sitting"}, {"flaw", "lawn"}, {"a", "abcdef"},
+		{"café", "cafe"}, {"日本語", "日本"}, {"naïve", "naive"},
+		{"ab\xff", "ab\xfe"}, {"ab\xff", "ab\uFFFD"},
+		{long, long + "x"}, {long, "x" + long[1:]}, {long, strings.ToUpper(long)},
+	}
+	r := rand.New(rand.NewSource(9))
+	alphabet := []rune("abcé日 ")
+	word := func() string {
+		rs := make([]rune, r.Intn(9))
+		for i := range rs {
+			rs[i] = alphabet[r.Intn(len(alphabet))]
+		}
+		return string(rs)
+	}
+	for i := 0; i < 500; i++ {
+		pairs = append(pairs, [2]string{word(), word()})
+	}
+	capAt := func(d, k int) int { return min(d, k+1) }
+	for _, p := range pairs {
+		full := EditDistance(p[0], p[1])
+		for k := 0; k <= 4; k++ {
+			if got := EditDistanceWithin(p[0], p[1], k); capAt(got, k) != capAt(full, k) {
+				t.Errorf("EditDistanceWithin(%q, %q, %d) = %d, EditDistance = %d", p[0], p[1], k, got, full)
+			}
+		}
+	}
+}

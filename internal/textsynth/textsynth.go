@@ -100,7 +100,8 @@ func (rs *RuleSynthesizer) repairTokens(s string) string {
 			if abs := len(v) - len(lower); abs > 2 || abs < -2 {
 				continue
 			}
-			if d := simfn.EditDistance(lower, v); d < bestD {
+			// Only d < bestD matters, so the search may give up past bestD-1.
+			if d := simfn.EditDistanceWithin(lower, v, bestD-1); d < bestD {
 				best, bestD = v, d
 				if d == 1 {
 					break

@@ -179,3 +179,35 @@ func TestSynthesizedHighTargetStaysInVocabulary(t *testing.T) {
 		t.Errorf("%.0f%% of synthesized tokens are out of vocabulary", 100*frac)
 	}
 }
+
+// BenchmarkRuleSynthesize is one S2 string synthesis: Restaurant names
+// and addresses, targets swept across [0, 1], the default candidate set,
+// edit walks and token repair.
+func BenchmarkRuleSynthesize(b *testing.B) {
+	gen, err := datagen.Restaurant(datagen.Config{Seed: 1, SizeA: 40, SizeB: 40, Matches: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim := simfn.QGramJaccard{Q: 3, Fold: true}
+	var values []string
+	synths := map[string]*RuleSynthesizer{}
+	for _, col := range []string{"name", "address"} {
+		rs, err := NewRuleSynthesizer(sim, gen.Background[col])
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, v := range gen.Background[col][:8] {
+			values = append(values, v)
+			synths[v] = rs
+		}
+	}
+	r := rand.New(rand.NewSource(3))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := values[i%len(values)]
+		sinkSynth, _ = synths[v].Synthesize(v, float64(i%11)/10, r)
+	}
+}
+
+var sinkSynth string
