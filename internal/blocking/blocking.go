@@ -9,6 +9,7 @@ package blocking
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -33,6 +34,23 @@ func checkColumn(blocker string, col int, a, b *dataset.Relation) error {
 	for _, rel := range [...]*dataset.Relation{a, b} {
 		if n := rel.Schema.Len(); col < 0 || col >= n {
 			return fmt.Errorf("blocking: %s blocker: key column %d out of range for relation %q (%d columns)", blocker, col, rel.Name, n)
+		}
+	}
+	return nil
+}
+
+// param is one numeric blocker parameter, named as its struct field.
+type param struct {
+	field string
+	v     int
+}
+
+// checkParams validates numeric blocker parameters after defaults: a zero
+// field takes its default, so a value left below 1 was set negative.
+func checkParams(blocker string, ps ...param) error {
+	for _, p := range ps {
+		if p.v < 1 {
+			return fmt.Errorf("blocking: %s blocker: %s = %d, want at least 1", blocker, p.field, p.v)
 		}
 	}
 	return nil
@@ -71,51 +89,140 @@ func (g QGram) Describe() string {
 	return fmt.Sprintf("qgram(col=%d,q=%d,min_shared=%d,max_per=%d)", d.Column, d.Q, d.MinShared, d.MaxPerEntity)
 }
 
-// Candidates implements Blocker.
+// Candidates implements Blocker. B's key grams are interned to dense ids
+// and indexed as ascending []int32 posting lists; each A-entity counts its
+// overlaps in one reused per-B counter. When more than MaxPerEntity
+// B-entities share MinShared grams, the strongest overlaps are kept —
+// count descending, ties to the lower index — and emitted by ascending
+// index.
 func (g QGram) Candidates(a, b *dataset.Relation) ([]dataset.Pair, error) {
 	d := g.defaults()
 	if err := checkColumn("qgram", d.Column, a, b); err != nil {
 		return nil, err
 	}
-	// Inverted index over B's key grams.
-	index := make(map[string][]int)
+	if err := checkParams("qgram", param{"Q", d.Q}, param{"MinShared", d.MinShared}, param{"MaxPerEntity", d.MaxPerEntity}); err != nil {
+		return nil, err
+	}
+	grams := gramInterner{q: d.Q, ids: make(map[string]int32)}
+	// CSR inverted index: gram id → ascending B indices.
+	var ids []int32
+	bOff := make([]int, b.Len()+1)
 	for j, e := range b.Entities {
-		for gram := range simfn.QGrams(strings.ToLower(e.Values[d.Column]), d.Q) {
-			index[gram] = append(index[gram], j)
+		ids = grams.appendIDs(ids, e.Values[d.Column], true)
+		bOff[j+1] = len(ids)
+	}
+	n := len(grams.stamp)
+	start := make([]int32, n+1)
+	for _, id := range ids {
+		start[id+1]++
+	}
+	for id := 0; id < n; id++ {
+		start[id+1] += start[id]
+	}
+	postings := make([]int32, len(ids))
+	fill := slices.Clone(start[:n])
+	for j := range b.Entities {
+		for _, id := range ids[bOff[j]:bOff[j+1]] {
+			postings[fill[id]] = int32(j)
+			fill[id]++
 		}
 	}
+
 	var out []dataset.Pair
-	shared := make(map[int]int)
+	shared := make([]int32, b.Len())
+	var touched, cands, hist []int32
 	for i, e := range a.Entities {
-		clear(shared)
-		for gram := range simfn.QGrams(strings.ToLower(e.Values[d.Column]), d.Q) {
-			for _, j := range index[gram] {
+		ids = grams.appendIDs(ids[:0], e.Values[d.Column], false)
+		for _, id := range ids {
+			for _, j := range postings[start[id]:start[id+1]] {
+				if shared[j] == 0 {
+					touched = append(touched, j)
+				}
 				shared[j]++
 			}
 		}
-		cands := make([]int, 0, len(shared))
-		for j, n := range shared {
-			if n >= d.MinShared {
+		cands = cands[:0]
+		for _, j := range touched {
+			if int(shared[j]) >= d.MinShared {
 				cands = append(cands, j)
 			}
 		}
+		slices.Sort(cands)
 		if len(cands) > d.MaxPerEntity {
-			// Keep the strongest overlaps; ties break by index so the
-			// truncation is deterministic (cands comes out of a map).
-			sort.Slice(cands, func(x, y int) bool {
-				if shared[cands[x]] != shared[cands[y]] {
-					return shared[cands[x]] > shared[cands[y]]
-				}
-				return cands[x] < cands[y]
-			})
-			cands = cands[:d.MaxPerEntity]
+			cands, hist = keepStrongest(cands, shared, d.MaxPerEntity, len(ids), hist)
 		}
-		sort.Ints(cands)
 		for _, j := range cands {
-			out = append(out, dataset.Pair{A: i, B: j})
+			out = append(out, dataset.Pair{A: i, B: int(j)})
 		}
+		for _, j := range touched {
+			shared[j] = 0
+		}
+		touched = touched[:0]
 	}
 	return out, nil
+}
+
+// keepStrongest cuts ascending cands to the max entries with the highest
+// shared counts, ties going to the lower index, preserving ascending
+// order — the order a count-descending, index-ascending sort truncated to
+// max would yield, re-sorted by index. Counts are at most maxCount; a
+// histogram finds the threshold count t, then one pass keeps every count
+// above t and the lowest-index ties at t. hist is reusable scratch.
+func keepStrongest(cands, shared []int32, max, maxCount int, hist []int32) ([]int32, []int32) {
+	hist = slices.Grow(hist[:0], maxCount+1)[:maxCount+1]
+	clear(hist)
+	for _, j := range cands {
+		hist[shared[j]]++
+	}
+	t, above := maxCount, 0
+	for ; above+int(hist[t]) < max; t-- {
+		above += int(hist[t])
+	}
+	ties := max - above
+	kept := cands[:0]
+	for _, j := range cands {
+		if c := shared[j]; int(c) > t || (int(c) == t && ties > 0) {
+			if int(c) == t {
+				ties--
+			}
+			kept = append(kept, j)
+		}
+	}
+	return kept, hist
+}
+
+// gramInterner maps key-column values to dense ids of their case-folded
+// q-gram sets, the grams of simfn.QGrams(strings.ToLower(v), q).
+type gramInterner struct {
+	q     int
+	ids   map[string]int32
+	stamp []int32 // per id: the last call that emitted it
+	call  int32
+	grams []string // scratch
+}
+
+// appendIDs appends the distinct ids of v's grams to dst. With intern set,
+// unseen grams get fresh ids; otherwise they are skipped (no B-entity has
+// them).
+func (x *gramInterner) appendIDs(dst []int32, v string, intern bool) []int32 {
+	x.call++
+	x.grams = simfn.AppendQGrams(x.grams[:0], strings.ToLower(v), x.q)
+	for _, gram := range x.grams {
+		id, ok := x.ids[gram]
+		if !ok {
+			if !intern {
+				continue
+			}
+			id = int32(len(x.stamp))
+			x.ids[gram] = id
+			x.stamp = append(x.stamp, 0)
+		}
+		if x.stamp[id] != x.call {
+			x.stamp[id] = x.call
+			dst = append(dst, id)
+		}
+	}
+	return dst
 }
 
 // Token blocks on shared lower-cased tokens of one key column.
@@ -144,6 +251,9 @@ func (t Token) Describe() string {
 func (t Token) Candidates(a, b *dataset.Relation) ([]dataset.Pair, error) {
 	d := t.defaults()
 	if err := checkColumn("token", d.Column, a, b); err != nil {
+		return nil, err
+	}
+	if err := checkParams("token", param{"MaxPerToken", d.MaxPerToken}); err != nil {
 		return nil, err
 	}
 	index := make(map[string][]int)
@@ -199,6 +309,9 @@ func (s SortedNeighborhood) Describe() string {
 func (s SortedNeighborhood) Candidates(a, b *dataset.Relation) ([]dataset.Pair, error) {
 	d := s.defaults()
 	if err := checkColumn("sorted-neighborhood", d.Column, a, b); err != nil {
+		return nil, err
+	}
+	if err := checkParams("sorted-neighborhood", param{"Window", d.Window}); err != nil {
 		return nil, err
 	}
 	type keyed struct {

@@ -235,6 +235,36 @@ func TestOutOfRangeColumnErrors(t *testing.T) {
 	}
 }
 
+func TestInvalidParametersError(t *testing.T) {
+	g := fixture(t)
+	for _, tc := range []struct {
+		bl          Blocker
+		name, field string
+	}{
+		{QGram{Q: -1}, "qgram", "Q"},
+		{QGram{MinShared: -1}, "qgram", "MinShared"},
+		{QGram{MaxPerEntity: -1}, "qgram", "MaxPerEntity"},
+		{MinHash{Q: -1}, "minhash", "Q"},
+		{MinHash{Hashes: -5}, "minhash", "Hashes"},
+		{MinHash{Bands: -2}, "minhash", "Bands"},
+		{Token{MaxPerToken: -1}, "token", "MaxPerToken"},
+		{SortedNeighborhood{Window: -1}, "sorted-neighborhood", "Window"},
+		{Union{QGram{}, Token{MaxPerToken: -3}}, "token", "MaxPerToken"},
+	} {
+		cands, err := tc.bl.Candidates(g.ER.A, g.ER.B)
+		if err == nil {
+			t.Errorf("%s: no error for invalid %s", tc.bl.Describe(), tc.field)
+			continue
+		}
+		if cands != nil {
+			t.Errorf("%s: candidates returned alongside error", tc.bl.Describe())
+		}
+		if msg := err.Error(); !strings.Contains(msg, "blocking: "+tc.name+" blocker") || !strings.Contains(msg, tc.field+" = ") {
+			t.Errorf("%s: error %q does not name the blocker %q and field %s", tc.bl.Describe(), msg, tc.name, tc.field)
+		}
+	}
+}
+
 func TestUnionDedupDeterminism(t *testing.T) {
 	g := fixture(t)
 	col := titleCol(t, g)

@@ -39,8 +39,9 @@ func (m MinHash) defaults() MinHash {
 	if m.Bands == 0 {
 		m.Bands = 8
 	}
-	if m.Hashes%m.Bands != 0 {
-		// Round the sketch length up to a multiple of the band count.
+	if m.Hashes > 0 && m.Bands > 0 && m.Hashes%m.Bands != 0 {
+		// Round the sketch length up to a multiple of the band count
+		// (negative values are left for Candidates to reject).
 		m.Hashes = (m.Hashes/m.Bands + 1) * m.Bands
 	}
 	return m
@@ -56,6 +57,9 @@ func (m MinHash) Describe() string {
 func (m MinHash) Candidates(a, b *dataset.Relation) ([]dataset.Pair, error) {
 	d := m.defaults()
 	if err := checkColumn("minhash", d.Column, a, b); err != nil {
+		return nil, err
+	}
+	if err := checkParams("minhash", param{"Q", d.Q}, param{"Hashes", d.Hashes}, param{"Bands", d.Bands}); err != nil {
 		return nil, err
 	}
 	q := d.Q

@@ -372,7 +372,7 @@ func TestLabeledPairsMixedCoversBothRegimes(t *testing.T) {
 		t.Error("no negatives sampled")
 	}
 	// HardestNonMatches is sorted descending by mean similarity.
-	hard := HardestNonMatches(er, all, 5)
+	hard := HardestNonMatches(er, all, 5, nil, nil)
 	for i := 1; i < len(hard); i++ {
 		if meanOf(hard[i].Vector) > meanOf(hard[i-1].Vector)+1e-12 {
 			t.Fatal("hardest negatives not sorted by mean similarity")

@@ -3,6 +3,8 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+
+	"serd/internal/parallel"
 )
 
 // Pair addresses an (A-entity, B-entity) pair by index.
@@ -45,12 +47,7 @@ func (e *ER) MatchSet() map[Pair]bool {
 // MatchingVectors computes X+ — the similarity vectors of all matching
 // pairs (paper §II-B). Each value is prepped once (see SimCache).
 func (e *ER) MatchingVectors() [][]float64 {
-	c := NewSimCache(e.Schema())
-	out := make([][]float64, 0, len(e.Matches))
-	for _, p := range e.Matches {
-		out = append(out, c.SimVector(e.A.Entities[p.A], e.B.Entities[p.B]))
-	}
-	return out
+	return e.PairVectors(e.Matches, nil, nil)
 }
 
 // NonMatchingVectors computes up to maxN similarity vectors of
@@ -60,12 +57,26 @@ func (e *ER) MatchingVectors() [][]float64 {
 // tractable for the larger datasets, exactly as ER systems do in practice.
 // Each value is prepped once (see SimCache).
 func (e *ER) NonMatchingVectors(maxN int, r *rand.Rand) [][]float64 {
-	pairs := e.NonMatchingPairs(maxN, r)
-	c := NewSimCache(e.Schema())
-	out := make([][]float64, 0, len(pairs))
-	for _, p := range pairs {
-		out = append(out, c.SimVector(e.A.Entities[p.A], e.B.Entities[p.B]))
+	return e.PairVectors(e.NonMatchingPairs(maxN, r), nil, nil)
+}
+
+// PairVectors computes the similarity vectors of pairs, in pair order,
+// through cache (nil builds a fresh one). With a pool the pairs are scored
+// in parallel under the "generator.vectors" phase — S1's learning vectors
+// are the pooled caller — into index-addressed slots, so the result is
+// bit-identical at any worker count. The vectors share one backing array,
+// each capped at its own length.
+func (e *ER) PairVectors(pairs []Pair, cache *SimCache, pool *parallel.Pool) [][]float64 {
+	if cache == nil {
+		cache = NewSimCache(e.Schema())
 	}
+	dim := e.Schema().Len()
+	flat := make([]float64, len(pairs)*dim)
+	out := make([][]float64, len(pairs))
+	pool.Run("generator.vectors", len(pairs), func(i int) {
+		p := pairs[i]
+		out[i] = cache.simVectorInto(flat[i*dim:(i+1)*dim:(i+1)*dim], e.A.Entities[p.A], e.B.Entities[p.B])
+	})
 	return out
 }
 

@@ -43,7 +43,12 @@ func NewSimCache(schema *Schema) *SimCache {
 // SimVector computes the similarity vector x_(a,b), equal bit for bit to
 // Schema.SimVector(a, b).
 func (c *SimCache) SimVector(a, b *Entity) []float64 {
-	x := make([]float64, len(c.schema.Cols))
+	return c.simVectorInto(make([]float64, len(c.schema.Cols)), a, b)
+}
+
+// simVectorInto writes SimVector(a, b) into x (one slot per column) and
+// returns it.
+func (c *SimCache) simVectorInto(x []float64, a, b *Entity) []float64 {
 	for i, col := range c.schema.Cols {
 		cc := c.cols[i]
 		if cc == nil {

@@ -108,6 +108,6 @@ func BenchmarkHardestNonMatches(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkPairs = HardestNonMatches(er, cands, 120)
+		sinkPairs = HardestNonMatches(er, cands, 120, nil, nil)
 	}
 }

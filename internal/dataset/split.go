@@ -3,7 +3,9 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+
+	"serd/internal/parallel"
 )
 
 // LabeledPair is a training/evaluation example for an ER matcher: the pair,
@@ -63,7 +65,7 @@ func LabeledPairsMixed(e *ER, negPerPos int, candidates []Pair, r *rand.Rand) []
 	wantNeg := len(e.Matches) * negPerPos
 	hardBudget := wantNeg / 2
 	seen := make(map[Pair]bool)
-	for _, lp := range HardestNonMatches(e, candidates, hardBudget) {
+	for _, lp := range HardestNonMatches(e, candidates, hardBudget, nil, nil) {
 		seen[lp.Pair] = true
 		out = append(out, lp)
 		wantNeg--
@@ -83,39 +85,58 @@ func LabeledPairsMixed(e *ER, negPerPos int, candidates []Pair, r *rand.Rand) []
 
 // HardestNonMatches scores every candidate pair and returns the top-n
 // non-matching pairs by mean similarity — the boundary cases that make a
-// matcher workload meaningful. Candidates share entities heavily, so each
-// value is prepped once (see SimCache).
-func HardestNonMatches(e *ER, candidates []Pair, n int) []LabeledPair {
+// matcher workload meaningful. Candidates are deduplicated serially in
+// candidate order, then scored through cache on pool (see PairVectors;
+// nil for either is fine), so the selection is the same at any worker
+// count. Ties in mean keep candidate order (a stable sort).
+func HardestNonMatches(e *ER, candidates []Pair, n int, cache *SimCache, pool *parallel.Pool) []LabeledPair {
 	if n <= 0 {
 		return nil
 	}
-	c := NewSimCache(e.Schema())
 	matchSet := e.MatchSet()
 	seen := make(map[Pair]bool, len(candidates))
-	type scoredPair struct {
-		lp   LabeledPair
-		mean float64
-	}
-	scored := make([]scoredPair, 0, len(candidates))
+	pairs := make([]Pair, 0, len(candidates))
 	for _, p := range candidates {
 		if matchSet[p] || seen[p] {
 			continue
 		}
 		seen[p] = true
-		x := c.SimVector(e.A.Entities[p.A], e.B.Entities[p.B])
+		pairs = append(pairs, p)
+	}
+	xs := e.PairVectors(pairs, cache, pool)
+	means := make([]float64, len(xs))
+	order := make([]int32, len(xs))
+	for i, x := range xs {
 		mean := 0.0
 		for _, v := range x {
 			mean += v
 		}
-		scored = append(scored, scoredPair{lp: LabeledPair{Pair: p, Vector: x}, mean: mean / float64(len(x))})
+		means[i] = mean / float64(len(x))
+		order[i] = int32(i)
 	}
-	sort.SliceStable(scored, func(i, j int) bool { return scored[i].mean > scored[j].mean })
-	if len(scored) > n {
-		scored = scored[:n]
+	// Only cmp < 0 steers the stable sort, as less steers sort.SliceStable
+	// (one generated algorithm), so the order is sort.SliceStable's by
+	// mean > mean, ties and NaN means included.
+	slices.SortStableFunc(order, func(i, j int32) int {
+		switch {
+		case means[i] > means[j]:
+			return -1
+		case means[j] > means[i]:
+			return 1
+		}
+		return 0
+	})
+	if len(order) > n {
+		order = order[:n]
 	}
-	out := make([]LabeledPair, len(scored))
-	for i, sp := range scored {
-		out[i] = sp.lp
+	// Copy the kept vectors out of the scoring array, so callers that hold
+	// the result do not keep every candidate's vector alive.
+	dim := e.Schema().Len()
+	flat := make([]float64, 0, len(order)*dim)
+	out := make([]LabeledPair, len(order))
+	for k, i := range order {
+		flat = append(flat, xs[i]...)
+		out[k] = LabeledPair{Pair: pairs[i], Vector: flat[k*dim : (k+1)*dim : (k+1)*dim]}
 	}
 	return out
 }

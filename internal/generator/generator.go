@@ -89,8 +89,9 @@ type FitOptions struct {
 	Privacy *journal.Ledger
 	// Rand drives sampling, EM initialization and marginal noise.
 	Rand *rand.Rand
-	// Pool, when set, parallelizes the EM E-steps (bit-identical at any
-	// worker count; see gmm.FitOptions.Pool).
+	// Pool, when set, parallelizes the learning vectors' scoring and the
+	// EM E- and M-steps (bit-identical at any worker count; see
+	// dataset.ER.PairVectors and gmm.FitOptions.Pool).
 	Pool *parallel.Pool
 }
 

@@ -90,7 +90,9 @@ func (o FitOptions) WithDefaults(matches int) FitOptions {
 // and X− (a down-sampled uniform non-matching sample, plus the blocker's
 // hardest non-matching candidates unless NoHardNegatives). Every backend
 // learns from the same vectors, so backend comparisons differ only in the
-// density model, never the data.
+// density model, never the data. All three sets score through one
+// SimCache on opts.Pool; the uniform sample is drawn serially first, so
+// the random stream is the same at any worker count.
 func LearningVectors(real *dataset.ER, opts FitOptions) (xp, xn [][]float64, err error) {
 	if real == nil {
 		return nil, nil, fmt.Errorf("core: nil dataset")
@@ -98,8 +100,9 @@ func LearningVectors(real *dataset.ER, opts FitOptions) (xp, xn [][]float64, err
 	if len(real.Matches) < 2 {
 		return nil, nil, fmt.Errorf("core: need at least 2 matching pairs to learn the M-distribution, have %d", len(real.Matches))
 	}
-	xp = real.MatchingVectors()
-	xn = real.NonMatchingVectors(opts.MaxNonMatching, opts.Rand)
+	cache := dataset.NewSimCache(real.Schema())
+	xp = real.PairVectors(real.Matches, cache, opts.Pool)
+	xn = real.PairVectors(real.NonMatchingPairs(opts.MaxNonMatching, opts.Rand), cache, opts.Pool)
 	if len(xn) < 2 {
 		return nil, nil, fmt.Errorf("core: need at least 2 non-matching pairs, have %d", len(xn))
 	}
@@ -116,7 +119,7 @@ func LearningVectors(real *dataset.ER, opts FitOptions) (xp, xn [][]float64, err
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: hard-negative mining: %w", err)
 		}
-		for _, lp := range dataset.HardestNonMatches(real, cands, hardN) {
+		for _, lp := range dataset.HardestNonMatches(real, cands, hardN, cache, opts.Pool) {
 			xn = append(xn, lp.Vector)
 		}
 	}

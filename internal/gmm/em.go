@@ -33,10 +33,12 @@ type FitOptions struct {
 	Metrics telemetry.Recorder
 	// Rand seeds the k-means++-style initialization. Required.
 	Rand *rand.Rand
-	// Pool, when set, parallelizes the E-step across sample rows. The fit
-	// is bit-identical at any worker count: per-row responsibilities and
-	// log-densities land in index-addressed slots and the log-likelihood
-	// reduces in index order. Nil runs serially.
+	// Pool, when set, parallelizes the E-step across sample rows and the
+	// M-step across components. The fit is bit-identical at any worker
+	// count: per-row responsibilities and log-densities land in
+	// index-addressed slots, the log-likelihood reduces in index order, and
+	// each component's M-step runs serially on one worker. Nil runs
+	// serially.
 	Pool *parallel.Pool
 }
 
@@ -116,8 +118,8 @@ func Fit(ctx context.Context, xs [][]float64, g int, opts FitOptions) (*Model, e
 		for _, v := range lls {
 			ll += v
 		}
-		// M-step (Eq. 6).
-		next, err := maximize(xs, gamma, g, opts.Ridge, opts.Diagonal)
+		// M-step (Eq. 6), one component per pool index.
+		next, err := maximize(xs, gamma, g, opts.Ridge, opts.Diagonal, opts.Pool)
 		if err != nil {
 			return nil, err
 		}
@@ -239,62 +241,81 @@ func initModel(xs [][]float64, g int, opts FitOptions) (*Model, error) {
 	return New(comps)
 }
 
-// maximize performs the M-step of Eq. 6 given responsibilities.
-func maximize(xs [][]float64, gamma [][]float64, g int, ridge float64, diagonal bool) (*Model, error) {
+// maximize performs the M-step of Eq. 6 given responsibilities. The g
+// components are independent and each is computed serially, so fanning
+// them out over pool leaves every float unchanged.
+func maximize(xs [][]float64, gamma [][]float64, g int, ridge float64, diagonal bool, pool *parallel.Pool) (*Model, error) {
+	comps := make([]Component, g)
+	pool.Run("gmm.em.mstep", g, func(k int) {
+		comps[k] = maximizeComponent(xs, gamma, k, ridge, diagonal)
+	})
+	return New(comps)
+}
+
+// maximizeComponent re-estimates component k. Each row's centered vector
+// d = x − mean is computed once, and w·d[a] once per row and a, so every
+// covariance term is still (w·d[a])·d[b], summed over rows in order.
+func maximizeComponent(xs [][]float64, gamma [][]float64, k int, ridge float64, diagonal bool) Component {
 	dim := len(xs[0])
 	n := len(xs)
-	comps := make([]Component, g)
-	for k := 0; k < g; k++ {
-		nk := 0.0
-		mean := make([]float64, dim)
-		for i, x := range xs {
-			w := gamma[i][k]
-			nk += w
-			for j, v := range x {
-				mean[j] += w * v
-			}
+	nk := 0.0
+	mean := make([]float64, dim)
+	for i, x := range xs {
+		w := gamma[i][k]
+		nk += w
+		for j, v := range x {
+			mean[j] += w * v
 		}
-		if nk < 1e-12 {
-			// A component lost all its mass; re-seed it at a random-ish
-			// sample to keep the mixture full rank.
-			nk = 1e-12
-			copy(mean, xs[k%n])
-			for j := range mean {
-				mean[j] *= nk
-			}
-		}
-		for j := range mean {
-			mean[j] /= nk
-		}
-		cov := stats.NewMat(dim, dim)
-		for i, x := range xs {
-			w := gamma[i][k]
-			if w == 0 {
-				continue
-			}
-			for a := 0; a < dim; a++ {
-				da := x[a] - mean[a]
-				for b := 0; b < dim; b++ {
-					cov.Add(a, b, w*da*(x[b]-mean[b]))
-				}
-			}
-		}
-		for i := range cov.Data {
-			cov.Data[i] /= nk
-		}
-		if diagonal {
-			for a := 0; a < dim; a++ {
-				for b := 0; b < dim; b++ {
-					if a != b {
-						cov.Set(a, b, 0)
-					}
-				}
-			}
-		}
-		stats.RegularizeCovariance(cov, ridge)
-		comps[k] = Component{Weight: nk / float64(n), Mean: mean, Cov: cov}
 	}
-	return New(comps)
+	if nk < 1e-12 {
+		// A component lost all its mass; re-seed it at a random-ish
+		// sample to keep the mixture full rank.
+		nk = 1e-12
+		copy(mean, xs[k%n])
+		for j := range mean {
+			mean[j] *= nk
+		}
+	}
+	for j := range mean {
+		mean[j] /= nk
+	}
+	cov := stats.NewMat(dim, dim)
+	var buf [16]float64 // d stays on the stack up to 16 columns
+	d := buf[:]
+	if dim > len(buf) {
+		d = make([]float64, dim)
+	}
+	d = d[:dim]
+	for i, x := range xs {
+		w := gamma[i][k]
+		if w == 0 {
+			continue
+		}
+		for b := range d {
+			d[b] = x[b] - mean[b]
+		}
+		for a, da := range d {
+			wa := w * da
+			row := cov.Data[a*dim : (a+1)*dim]
+			for b, db := range d {
+				row[b] += wa * db
+			}
+		}
+	}
+	for i := range cov.Data {
+		cov.Data[i] /= nk
+	}
+	if diagonal {
+		for a := 0; a < dim; a++ {
+			for b := 0; b < dim; b++ {
+				if a != b {
+					cov.Set(a, b, 0)
+				}
+			}
+		}
+	}
+	stats.RegularizeCovariance(cov, ridge)
+	return Component{Weight: nk / float64(n), Mean: mean, Cov: cov}
 }
 
 func sqDist(a, b []float64) float64 {

@@ -2,6 +2,7 @@ package simfn
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -81,6 +82,31 @@ func TestSortedGramsMatchQGramsMap(t *testing.T) {
 					t.Fatalf("q=%d %q: sorted gram %q missing from map", q, s, g)
 				}
 			}
+		}
+	}
+}
+
+// TestAppendQGramsPositions pins AppendQGrams' position-order output:
+// repeats kept, multi-byte runes and invalid bytes one unit each, a value
+// shorter than q one gram, and dst's existing entries left in place.
+func TestAppendQGramsPositions(t *testing.T) {
+	for _, tc := range []struct {
+		s    string
+		q    int
+		want []string
+	}{
+		{"", 3, nil},
+		{"ab", 3, []string{"ab"}},
+		{"abc", 3, []string{"abc"}},
+		{"abab", 2, []string{"ab", "ba", "ab"}},
+		{"aaaa", 1, []string{"a", "a", "a", "a"}},
+		{"né日x", 2, []string{"né", "é日", "日x"}},
+		{"a\xffb\xfe", 2, []string{"a\xff", "\xffb", "b\xfe"}},
+		{"\xff\xfe", 3, []string{"\xff\xfe"}},
+	} {
+		got := AppendQGrams([]string{"kept"}, tc.s, tc.q)
+		if want := append([]string{"kept"}, tc.want...); !slices.Equal(got, want) {
+			t.Errorf("AppendQGrams(%q, %d) = %q, want %q", tc.s, tc.q, got[1:], tc.want)
 		}
 	}
 }

@@ -196,25 +196,40 @@ func QGrams(s string, q int) map[string]struct{} {
 // QGramJaccard's representation for q > maxPackedQ and the oracle the
 // packed grams are tested against.
 func sortedQGrams(s string, q int) []string {
-	if s == "" {
-		return nil
-	}
-	// Byte offsets of every rune start, plus the terminating length.
-	idx := make([]int, 0, len(s)+1)
-	for i := range s {
-		idx = append(idx, i)
-	}
-	idx = append(idx, len(s))
-	n := len(idx) - 1 // rune count
-	if n < q {
-		return []string{s}
-	}
-	out := make([]string, 0, n-q+1)
-	for i := 0; i+q <= n; i++ {
-		out = append(out, s[idx[i]:idx[i+q]])
-	}
+	out := AppendQGrams(nil, s, q)
 	slices.Sort(out)
 	return slices.Compact(out)
+}
+
+// AppendQGrams appends the gram at every q-gram position of s (q ≥ 1) to
+// dst, in position order and with repeats, as rune-aligned substrings of s (no
+// per-gram copy); a non-empty s shorter than q is one gram. An invalid
+// UTF-8 byte is a one-byte "rune", so for valid UTF-8 — and
+// strings.ToLower's output always is, since it rewrites invalid bytes to
+// U+FFFD — the distinct grams are exactly the set QGrams returns. Callers
+// that dedupe grams themselves (an index build) skip sortedQGrams' sort.
+func AppendQGrams(dst []string, s string, q int) []string {
+	if s == "" {
+		return dst
+	}
+	hi := 0 // byte end of the window of q runes starting at lo
+	for k := 0; k < q; k++ {
+		if hi == len(s) {
+			return append(dst, s)
+		}
+		_, size := utf8.DecodeRuneInString(s[hi:])
+		hi += size
+	}
+	for lo := 0; ; {
+		dst = append(dst, s[lo:hi])
+		if hi == len(s) {
+			return dst
+		}
+		_, size := utf8.DecodeRuneInString(s[lo:])
+		lo += size
+		_, size = utf8.DecodeRuneInString(s[hi:])
+		hi += size
+	}
 }
 
 // jaccardSorted computes the Jaccard similarity of two sorted, deduplicated
