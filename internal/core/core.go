@@ -15,6 +15,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -201,6 +202,29 @@ func (o Options) withDefaults(real *dataset.ER) Options {
 		o.HeartbeatEvery = 64
 	}
 	return o
+}
+
+// validate rejects the S2 rejection settings that withDefaults leaves
+// meaningless: a negative count, or an Eq. 10 slack that is negative or
+// NaN. (A negative HeartbeatEvery is documented: it disables heartbeats.)
+func (o Options) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"MaxRejections", o.MaxRejections},
+		{"RejectionSample", o.RejectionSample},
+		{"JSDSamples", o.JSDSamples},
+		{"MinFitVectors", o.MinFitVectors},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("core: Options.%s = %d, want ≥ 0 (0 selects the default)", f.name, f.v)
+		}
+	}
+	if o.Alpha < 0 || math.IsNaN(o.Alpha) {
+		return fmt.Errorf("core: Options.Alpha = %v, want ≥ 0 (0 selects the default)", o.Alpha)
+	}
+	return nil
 }
 
 // Result is the output of Synthesize.

@@ -215,6 +215,34 @@ func TestSynthesizeValidation(t *testing.T) {
 	}
 }
 
+// TestSynthesizeRejectsNegativeOptions pins the option values that used
+// to panic (a negative RejectionSample in the delta draw) or be silently
+// misread (the rest) to an error naming the field.
+func TestSynthesizeRejectsNegativeOptions(t *testing.T) {
+	gen, synths := fixture(t, 20, 20, 8)
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{RejectionSample: -1}, "core: Options.RejectionSample = -1, want ≥ 0 (0 selects the default)"},
+		{Options{JSDSamples: -5}, "core: Options.JSDSamples = -5, want ≥ 0 (0 selects the default)"},
+		{Options{MaxRejections: -1}, "core: Options.MaxRejections = -1, want ≥ 0 (0 selects the default)"},
+		{Options{MinFitVectors: -2}, "core: Options.MinFitVectors = -2, want ≥ 0 (0 selects the default)"},
+		{Options{Alpha: -0.5}, "core: Options.Alpha = -0.5, want ≥ 0 (0 selects the default)"},
+		{Options{Alpha: math.NaN()}, "core: Options.Alpha = NaN, want ≥ 0 (0 selects the default)"},
+	} {
+		tc.opts.Synthesizers, tc.opts.Seed = synths, 1
+		_, err := Synthesize(context.Background(), gen.ER, tc.opts)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("error = %v, want %q", err, tc.want)
+		}
+	}
+	// A negative HeartbeatEvery keeps its documented meaning: no heartbeats.
+	if _, err := Synthesize(context.Background(), gen.ER, Options{Synthesizers: synths, Seed: 1, SizeA: 5, SizeB: 5, HeartbeatEvery: -1}); err != nil {
+		t.Errorf("HeartbeatEvery = -1: %v", err)
+	}
+}
+
 func TestSynthesizeWithManualColdStart(t *testing.T) {
 	gen, synths := fixture(t, 25, 25, 10)
 	cold := &dataset.Entity{ID: "manual", Values: []string{

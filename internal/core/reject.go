@@ -135,12 +135,12 @@ func (d *distState) reject(dl delta, r *rand.Rand) bool {
 	if !okB || !okA {
 		return false
 	}
-	// Common random numbers: the same seed stripes the same sample stream
-	// over both estimates, so Monte-Carlo noise cancels between them. The
-	// striped estimator is bit-identical at any worker count.
-	seed := r.Int63()
-	jsdBefore := gmm.JSDStriped(before, d.oReal, d.opts.JSDSamples, seed, d.pool)
-	jsdAfter := gmm.JSDStriped(after, d.oReal, d.opts.JSDSamples, seed, d.pool)
+	// Common random numbers: one seed stripes one sample stream over both
+	// estimates, so Monte-Carlo noise cancels between them. A side the
+	// delta left unchanged is the same *Model in both joints, which
+	// JSDPair evaluates once. The striped estimator is bit-identical at
+	// any worker count.
+	jsdBefore, jsdAfter := gmm.JSDPair(before, after, d.oReal, d.opts.JSDSamples, r.Int63(), d.pool)
 	// The running JSD(O_syn, O_real) is the pipeline's convergence signal;
 	// expose it as a gauge so the live inspector shows the trajectory.
 	d.opts.Metrics.Set("core.s2.jsd", jsdBefore)

@@ -71,6 +71,9 @@ func Synthesize(ctx context.Context, real *dataset.ER, opts Options) (*Result, e
 	if opts.SizeA < 1 || opts.SizeB < 1 {
 		return nil, fmt.Errorf("core: synthesized sizes %d/%d must be positive", opts.SizeA, opts.SizeB)
 	}
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	st := &synthRun{
 		real: real,
 		opts: opts,

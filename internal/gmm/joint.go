@@ -43,8 +43,14 @@ func (j *Joint) PDF(x []float64) float64 {
 
 // LogPDF evaluates the log of PDF with log-sum-exp stability.
 func (j *Joint) LogPDF(x []float64) float64 {
-	lm := j.logPi + j.M.LogPDF(x)
-	ln := j.log1mPi + j.N.LogPDF(x)
+	return j.combine(j.M.LogPDF(x), j.N.LogPDF(x))
+}
+
+// combine is LogPDF from the two sides' log densities at one x, mLog =
+// M.LogPDF(x) and nLog = N.LogPDF(x).
+func (j *Joint) combine(mLog, nLog float64) float64 {
+	lm := j.logPi + mLog
+	ln := j.log1mPi + nLog
 	if j.Pi == 0 {
 		return ln
 	}
@@ -52,7 +58,7 @@ func (j *Joint) LogPDF(x []float64) float64 {
 		return lm
 	}
 	hi := math.Max(lm, ln)
-	return hi + math.Log(math.Exp(lm-hi)+math.Exp(ln-hi))
+	return addLog(hi, expShift(lm-hi)+expShift(ln-hi))
 }
 
 // PosteriorMatch returns P_m(x), the posterior probability that x belongs to
@@ -75,10 +81,17 @@ func (j *Joint) IsMatch(x []float64) bool { return j.PosteriorMatch(x) >= 0.5 }
 // and from N otherwise (step S2-2 of SERD). Coordinates are clamped to the
 // valid similarity range [0, 1].
 func (j *Joint) Sample(r *rand.Rand) (x []float64, matching bool) {
-	if r.Float64() < j.Pi {
-		return j.M.SampleClamped(r), true
+	m, matching := j.side(r.Float64())
+	return m.SampleClamped(r), matching
+}
+
+// side returns the model a uniform draw u selects — M when u < π — and
+// whether it is M.
+func (j *Joint) side(u float64) (*Model, bool) {
+	if u < j.Pi {
+		return j.M, true
 	}
-	return j.N.SampleClamped(r), false
+	return j.N, false
 }
 
 // SampleMatching draws a similarity vector from the M-distribution,
@@ -108,7 +121,14 @@ func JSD(p, q Dist, n int, r *rand.Rand) float64 {
 	if n <= 0 {
 		n = 256
 	}
-	jsd := 0.5*(halfSum(p, q, n, r)/float64(n)) + 0.5*(halfSum(q, p, n, r)/float64(n))
+	sp := halfSum(p, q, n, r)
+	return jsdMean(sp, halfSum(q, p, n, r), n)
+}
+
+// jsdMean turns the two directions' undivided sums over n samples each
+// into the estimate, clamped at 0.
+func jsdMean(sp, sq float64, n int) float64 {
+	jsd := 0.5*(sp/float64(n)) + 0.5*(sq/float64(n))
 	if jsd < 0 {
 		return 0 // Monte-Carlo noise can dip slightly below zero
 	}
@@ -122,55 +142,129 @@ func halfSum(a, b Dist, n int, r *rand.Rand) float64 {
 	for i := 0; i < n; i++ {
 		x, _ := a.Sample(r)
 		la := a.LogPDF(x)
-		lb := b.LogPDF(x)
-		// log m = log((exp la + exp lb)/2)
-		hi := math.Max(la, lb)
-		lm := hi + math.Log(math.Exp(la-hi)+math.Exp(lb-hi)) - math.Ln2
-		sum += la - lm
+		sum += la - logMid(la, b.LogPDF(x))
 	}
 	return sum
 }
 
-// jsdStripe is the fixed sample count per JSDStriped RNG substream. The
+// logMid returns log m for m = (e^la + e^lb)/2, the estimator's midpoint
+// density, with log-sum-exp stability.
+func logMid(la, lb float64) float64 {
+	hi := math.Max(la, lb)
+	return addLog(hi, expShift(la-hi)+expShift(lb-hi)) - math.Ln2
+}
+
+// jsdStripe is the fixed sample count per JSDPair RNG substream. The
 // stripe size is part of the estimator's definition, not a tuning knob:
 // changing it changes which substream draws which sample and therefore the
-// estimate.
+// estimates.
 const jsdStripe = 32
 
-// JSDStriped is JSD with the sample stream split into fixed-size stripes,
+// JSDPair returns the two estimates Eq. 10 compares, JSD(before, q) and
+// JSD(after, q), from one striped pass on common random numbers. The
+// sample stream of n samples per side is split into fixed-size stripes,
 // each drawn from its own SplitSeeds(seed, ·) substream and reduced in
-// stripe order — so the estimate depends only on (p, q, n, seed) and is
-// bit-identical at any worker count, including a nil pool. Callers that
-// score two mixtures with common random numbers pass the same seed to both
-// calls; substream i then draws the same underlying sample stream in each,
-// and the Monte-Carlo noise cancels exactly as with the serial estimator.
-func JSDStriped(p, q Dist, n int, seed int64, pool *parallel.Pool) float64 {
+// stripe order, so both values depend only on (before, after, q, n, seed)
+// and are bit-identical at any worker count, including a nil pool. Each
+// value is the one a stripe-wise JSD of that joint alone would give:
+// stripe s draws its before/after samples and then its q samples from one
+// substream, and the noise cancels between the two estimates.
+//
+// Both estimates share that substream's draws. Joint.Sample takes a side
+// uniform, a component uniform and Dim normals whichever side and
+// component it picks, so the raw draws are taken once and mapped through
+// each joint, and the stream reaches the q-half in the same state for both:
+// q's samples and its densities are computed once. A side model the two
+// joints hold by the same pointer is evaluated once per x, and when both
+// pick the same component the sample, and its q density, are shared too.
+// before and after must have the same dimension.
+func JSDPair(before, after *Joint, q Dist, n int, seed int64, pool *parallel.Pool) (jb, ja float64) {
+	if before.Dim() != after.Dim() {
+		panic("gmm: JSDPair joints differ in dimension")
+	}
 	if n <= 0 {
 		n = 256
 	}
 	stripes := (n + jsdStripe - 1) / jsdStripe
 	seeds := parallel.SplitSeeds(seed, stripes)
-	sumsP := make([]float64, stripes)
-	sumsQ := make([]float64, stripes)
+	sums := make([]pairSums, stripes)
 	pool.Run("gmm.jsd", stripes, func(s int) {
-		r := rand.New(rand.NewSource(seeds[s]))
 		count := jsdStripe
 		if s == stripes-1 {
 			count = n - s*jsdStripe
 		}
-		sumsP[s] = halfSum(p, q, count, r)
-		sumsQ[s] = halfSum(q, p, count, r)
+		sums[s] = pairStripe(before, after, q, count, rand.New(rand.NewSource(seeds[s])))
 	})
-	var sp, sq float64
-	for s := 0; s < stripes; s++ {
-		sp += sumsP[s]
-		sq += sumsQ[s]
+	var tot pairSums
+	for _, s := range sums {
+		tot.pb += s.pb
+		tot.qb += s.qb
+		tot.pa += s.pa
+		tot.qa += s.qa
 	}
-	jsd := 0.5*(sp/float64(n)) + 0.5*(sq/float64(n))
-	if jsd < 0 {
-		return 0
+	return jsdMean(tot.pb, tot.qb, n), jsdMean(tot.pa, tot.qa, n)
+}
+
+// pairSums holds one stripe's undivided halfSum values: the joint-side
+// (p) and q-side directions of the before (b) and after (a) estimates.
+type pairSums struct{ pb, qb, pa, qa float64 }
+
+// pairStripe draws one stripe of count samples per side and accumulates
+// both estimates' sums in sample order, as halfSum does for each alone.
+func pairStripe(before, after *Joint, q Dist, count int, r *rand.Rand) pairSums {
+	// One scratch buffer per stripe: the samples reach q.LogPDF, an
+	// interface call, so a stack array would escape to the heap anyway.
+	dim := before.Dim()
+	buf := make([]float64, 3*dim)
+	z, xb, xa := buf[:dim], buf[dim:2*dim], buf[2*dim:]
+	var s pairSums
+	for i := 0; i < count; i++ {
+		// Joint.Sample's draws, in its order.
+		u0, u1 := r.Float64(), r.Float64()
+		for k := range z {
+			z[k] = r.NormFloat64()
+		}
+		mb, _ := before.side(u0)
+		ma, _ := after.side(u0)
+		cb, ca := mb.component(u1), ma.component(u1)
+		cb.FromStandard(z, xb)
+		clamp01(xb)
+		lqb := q.LogPDF(xb)
+		if ca == cb {
+			lb, la := pairLogPDF(before, after, xb)
+			s.pb += lb - logMid(lb, lqb)
+			s.pa += la - logMid(la, lqb)
+			continue
+		}
+		lb := before.LogPDF(xb)
+		s.pb += lb - logMid(lb, lqb)
+		ca.FromStandard(z, xa)
+		clamp01(xa)
+		la := after.LogPDF(xa)
+		s.pa += la - logMid(la, q.LogPDF(xa))
 	}
-	return jsd
+	for i := 0; i < count; i++ {
+		x, _ := q.Sample(r)
+		lq := q.LogPDF(x)
+		lb, la := pairLogPDF(before, after, x)
+		s.qb += lq - logMid(lq, lb)
+		s.qa += lq - logMid(lq, la)
+	}
+	return s
+}
+
+// pairLogPDF returns before.LogPDF(x) and after.LogPDF(x), evaluating a
+// side model the two joints share once.
+func pairLogPDF(before, after *Joint, x []float64) (lb, la float64) {
+	mb, nb := before.M.LogPDF(x), before.N.LogPDF(x)
+	ma, na := mb, nb
+	if after.M != before.M {
+		ma = after.M.LogPDF(x)
+	}
+	if after.N != before.N {
+		na = after.N.LogPDF(x)
+	}
+	return before.combine(mb, nb), after.combine(ma, na)
 }
 
 // KL estimates the Kullback-Leibler divergence KL(p || q) between two

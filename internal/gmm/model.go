@@ -104,9 +104,30 @@ func (m *Model) LogPDF(x []float64) float64 {
 	}
 	sum := 0.0
 	for _, l := range logs {
-		sum += math.Exp(l - maxLog)
+		sum += expShift(l - maxLog)
 	}
-	return maxLog + math.Log(sum)
+	return addLog(maxLog, sum)
+}
+
+// expShift returns math.Exp(d) for a log-sum-exp term d = l − max. The
+// maximum term's d is exactly 0, and math.Exp(±0) is exactly 1, so that
+// term skips math.Exp; NaN and ±Inf differences still go through it.
+func expShift(d float64) float64 {
+	if d == 0 {
+		return 1
+	}
+	return math.Exp(d)
+}
+
+// addLog returns hi + math.Log(sum), the log-sum-exp total over the
+// maximum hi. A sum of exactly 1 — the maximum term alone, the rest
+// underflowed — skips math.Log, whose value there is +0; the +0 is still
+// added, so a -0 hi comes out +0 as it would through math.Log.
+func addLog(hi, sum float64) float64 {
+	if sum == 1 {
+		return hi + 0
+	}
+	return hi + math.Log(sum)
 }
 
 // logsBuf returns n slots of buf, or a fresh slice when n exceeds it.
@@ -120,23 +141,35 @@ func logsBuf(buf *[maxStackComps]float64, n int) []float64 {
 // PDF returns the density of the mixture at x.
 func (m *Model) PDF(x []float64) float64 { return math.Exp(m.LogPDF(x)) }
 
-// Sample draws one vector from the mixture.
+// Sample draws one vector from the mixture: a uniform that picks the
+// component, then that component's draws.
 func (m *Model) Sample(r *rand.Rand) []float64 {
-	u := r.Float64()
+	return m.component(r.Float64()).Sample(r)
+}
+
+// component returns the Gaussian a uniform draw u selects: the first
+// component whose cumulative weight reaches u, else the last.
+func (m *Model) component(u float64) *stats.MVN {
 	acc := 0.0
-	for _, c := range m.Comps {
-		acc += c.Weight
+	for i := range m.Comps {
+		acc += m.Comps[i].Weight
 		if u <= acc {
-			return c.dist.Sample(r)
+			return m.Comps[i].dist
 		}
 	}
-	return m.Comps[len(m.Comps)-1].dist.Sample(r)
+	return m.Comps[len(m.Comps)-1].dist
 }
 
 // SampleClamped draws one vector and clamps every coordinate into [0, 1],
 // the valid range of similarity scores.
 func (m *Model) SampleClamped(r *rand.Rand) []float64 {
 	x := m.Sample(r)
+	clamp01(x)
+	return x
+}
+
+// clamp01 clamps every coordinate of x into [0, 1] in place.
+func clamp01(x []float64) {
 	for i, v := range x {
 		if v < 0 {
 			x[i] = 0
@@ -144,7 +177,6 @@ func (m *Model) SampleClamped(r *rand.Rand) []float64 {
 			x[i] = 1
 		}
 	}
-	return x
 }
 
 // Responsibilities returns γ_i = P(component i | x) for each component
@@ -162,7 +194,7 @@ func (m *Model) Responsibilities(x []float64) []float64 {
 	}
 	sum := 0.0
 	for i, l := range logs {
-		out[i] = math.Exp(l - maxLog)
+		out[i] = expShift(l - maxLog)
 		sum += out[i]
 	}
 	for i := range out {
@@ -187,13 +219,13 @@ func (m *Model) RespLogPDF(x, dst []float64) float64 {
 	}
 	sum := 0.0
 	for i, l := range logs {
-		dst[i] = math.Exp(l - maxLog)
+		dst[i] = expShift(l - maxLog)
 		sum += dst[i]
 	}
 	for i := range dst {
 		dst[i] /= sum
 	}
-	return maxLog + math.Log(sum)
+	return addLog(maxLog, sum)
 }
 
 // LogLikelihood returns Σ log p(x) over xs (Eq. 4).

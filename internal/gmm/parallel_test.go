@@ -36,38 +36,51 @@ func testJoints(t *testing.T) (*Joint, *Joint) {
 	return p, q
 }
 
-// TestJSDStripedWorkerInvariant is the determinism contract of the striped
-// estimator: the same seed must give the bit-identical value on a nil pool
+// TestJSDPairWorkerInvariant is the determinism contract of the striped
+// estimator: the same seed must give the bit-identical pair on a nil pool
 // and on pools of any worker count.
-func TestJSDStripedWorkerInvariant(t *testing.T) {
+func TestJSDPairWorkerInvariant(t *testing.T) {
 	p, q := testJoints(t)
+	after, err := NewJoint(p.M, q.M, 0.35)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, n := range []int{1, 31, 32, 33, 200, 1000} {
-		want := JSDStriped(p, q, n, 12345, nil)
+		wantB, wantA := JSDPair(p, after, q, n, 12345, nil)
 		for _, workers := range []int{1, 2, 4, 13} {
 			pool := parallel.New(workers, nil)
-			if got := JSDStriped(p, q, n, 12345, pool); got != want {
-				t.Errorf("n=%d workers=%d: JSDStriped = %v, serial = %v", n, workers, got, want)
+			if gotB, gotA := JSDPair(p, after, q, n, 12345, pool); gotB != wantB || gotA != wantA {
+				t.Errorf("n=%d workers=%d: JSDPair = (%v, %v), serial = (%v, %v)", n, workers, gotB, gotA, wantB, wantA)
 			}
 		}
 	}
 }
 
-func TestJSDStripedTracksSerialJSD(t *testing.T) {
+func TestJSDPairTracksSerialJSD(t *testing.T) {
 	p, q := testJoints(t)
-	striped := JSDStriped(p, q, 4000, 99, nil)
-	serial := JSD(p, q, 4000, rand.New(rand.NewSource(99)))
-	if striped < 0 || striped > math.Log(2)+1e-9 {
-		t.Fatalf("JSDStriped = %v outside [0, ln 2]", striped)
+	after, err := NewJoint(p.M, q.M, 0.35)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Different sample streams, same estimand: they should agree loosely.
-	if math.Abs(striped-serial) > 0.1 {
-		t.Errorf("striped %v vs serial %v differ beyond Monte-Carlo noise", striped, serial)
+	jb, ja := JSDPair(p, after, q, 4000, 99, nil)
+	for name, pair := range map[string]struct {
+		striped float64
+		j       *Joint
+	}{"before": {jb, p}, "after": {ja, after}} {
+		if pair.striped < 0 || pair.striped > math.Log(2)+1e-9 {
+			t.Fatalf("%s: JSDPair = %v outside [0, ln 2]", name, pair.striped)
+		}
+		// Different sample streams, same estimand: they should agree loosely.
+		serial := JSD(pair.j, q, 4000, rand.New(rand.NewSource(99)))
+		if math.Abs(pair.striped-serial) > 0.1 {
+			t.Errorf("%s: striped %v vs serial %v differ beyond Monte-Carlo noise", name, pair.striped, serial)
+		}
 	}
 	// log-sum-exp of two identical densities rounds, so JSD(p, p) is only
 	// zero to machine precision, not exactly.
-	same := JSDStriped(p, p, 2000, 5, nil)
-	if same < 0 || same > 1e-12 {
-		t.Errorf("JSD(p, p) = %v, want ~0", same)
+	sameB, sameA := JSDPair(p, p, p, 2000, 5, nil)
+	if sameB < 0 || sameB > 1e-12 || sameA != sameB {
+		t.Errorf("JSD(p, p) = (%v, %v), want equal and ~0", sameB, sameA)
 	}
 }
 

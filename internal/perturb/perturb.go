@@ -106,40 +106,114 @@ func deleteCharRunes(s string, r *rand.Rand) string {
 }
 
 // DropToken removes one whitespace-separated token (never the only one).
+// Tokens split as strings.Fields splits them and rejoin with single spaces.
 func DropToken(s string, r *rand.Rand) string {
-	t := strings.Fields(s)
+	var buf [16]span
+	t := appendFields(buf[:0], s)
 	if len(t) < 2 {
 		return s
 	}
 	i := r.Intn(len(t))
-	return strings.Join(append(t[:i:i], t[i+1:]...), " ")
+	return joinFields(s, append(t[:i], t[i+1:]...))
 }
 
-// SwapTokens exchanges two adjacent tokens.
+// SwapTokens exchanges two adjacent tokens, splitting and rejoining as
+// DropToken does.
 func SwapTokens(s string, r *rand.Rand) string {
-	t := strings.Fields(s)
+	var buf [16]span
+	t := appendFields(buf[:0], s)
 	if len(t) < 2 {
 		return s
 	}
 	i := r.Intn(len(t) - 1)
 	t[i], t[i+1] = t[i+1], t[i]
-	return strings.Join(t, " ")
+	return joinFields(s, t)
+}
+
+// span is the byte range [start, end) of one token of a string.
+type span struct{ start, end int }
+
+// appendFields appends the tokens of s to dst, split as strings.Fields
+// splits: a rune separates when unicode.IsSpace holds, and an invalid
+// UTF-8 byte never does.
+func appendFields(dst []span, s string) []span {
+	i := 0
+	for {
+		for i < len(s) {
+			space, w := spaceAt(s, i)
+			if !space {
+				break
+			}
+			i += w
+		}
+		if i == len(s) {
+			return dst
+		}
+		start := i
+		for i < len(s) {
+			space, w := spaceAt(s, i)
+			if space {
+				break
+			}
+			i += w
+		}
+		dst = append(dst, span{start, i})
+	}
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace holds for.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// spaceAt reports whether the rune at byte offset i of s is white space,
+// and its width in bytes (1 for an invalid byte).
+func spaceAt(s string, i int) (bool, int) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return asciiSpace[c], 1
+	}
+	c, w := utf8.DecodeRuneInString(s[i:])
+	return unicode.IsSpace(c), w
+}
+
+// joinFields returns the tokens t of s joined by single spaces, the
+// strings.Join(·, " ") of their substrings.
+func joinFields(s string, t []span) string {
+	var b strings.Builder
+	b.Grow(len(s))
+	for k, f := range t {
+		if k > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(s[f.start:f.end])
+	}
+	return b.String()
 }
 
 // LowerCase folds the string to lower case.
 func LowerCase(s string, _ *rand.Rand) string { return strings.ToLower(s) }
 
-// TitleCase upper-cases the first letter of every token.
+// TitleCase upper-cases the first letter of every token, splitting and
+// rejoining as DropToken does. A token that is not valid UTF-8 comes out
+// with every invalid byte rewritten to U+FFFD, as Typo's does.
 func TitleCase(s string, _ *rand.Rand) string {
-	t := strings.Fields(s)
-	for i, w := range t {
-		runes := []rune(w)
-		if len(runes) > 0 {
-			runes[0] = unicode.ToUpper(runes[0])
+	var buf [16]span
+	var b strings.Builder
+	b.Grow(len(s))
+	for k, f := range appendFields(buf[:0], s) {
+		if k > 0 {
+			b.WriteByte(' ')
 		}
-		t[i] = string(runes)
+		w := s[f.start:f.end]
+		if !utf8.ValidString(w) {
+			runes := []rune(w)
+			runes[0] = unicode.ToUpper(runes[0])
+			b.WriteString(string(runes))
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(w)
+		b.WriteRune(unicode.ToUpper(c))
+		b.WriteString(w[size:])
 	}
-	return strings.Join(t, " ")
+	return b.String()
 }
 
 // AbbreviateFirstNames shortens every token except the last of each

@@ -78,23 +78,30 @@ func (d *MVN) LogPDF(x []float64) float64 {
 // PDF returns the density at x.
 func (d *MVN) PDF(x []float64) float64 { return math.Exp(d.LogPDF(x)) }
 
-// Sample draws one vector from the distribution using r.
+// Sample draws one vector from the distribution using r: Dim standard
+// normal draws mapped through FromStandard.
 func (d *MVN) Sample(r *rand.Rand) []float64 {
 	k := len(d.mean)
 	z := make([]float64, k)
 	for i := range z {
 		z[i] = r.NormFloat64()
 	}
-	// x = μ + L·z
 	x := make([]float64, k)
-	for i := 0; i < k; i++ {
+	d.FromStandard(z, x)
+	return x
+}
+
+// FromStandard writes x = μ + L·z, the sample of this distribution that
+// the standard normal draws z map to. x and z must both have length Dim
+// and must not overlap.
+func (d *MVN) FromStandard(z, x []float64) {
+	for i := range d.mean {
 		sum := d.mean[i]
 		for j := 0; j <= i; j++ {
 			sum += d.chol.At(i, j) * z[j]
 		}
 		x[i] = sum
 	}
-	return x
 }
 
 // RegularizeCovariance adds ridge*I to cov in place and returns it. GMM
