@@ -274,19 +274,28 @@ func Apply(s string, ops []Op, n int, r *rand.Rand) string {
 // variant found. sim must be symmetric in its arguments. This is the
 // workhorse behind similarity-bucketed training-pair construction.
 //
+// sim must also be pure: the same arguments always give the same float
+// bits. An edit that leaves the walk's current string unchanged (LowerCase
+// on lower-case text, a token op on one token) reuses that string's known
+// similarity instead of calling sim again.
+//
 // The walk uses token- and character-level ops but not name abbreviation:
 // "T. S. O." artifacts on non-name text read as obviously fake, and
 // callers that want abbreviation apply it directly.
 func TowardSimilarity(s string, target, tol float64, sim func(a, b string) float64, maxSteps int, r *rand.Rand) (string, float64) {
 	ops := []Op{Typo, DeleteChar, DropToken, SwapTokens, LowerCase, TitleCase}
-	best, bestSim := s, sim(s, s)
-	cur := s
+	sSim := sim(s, s)
+	best, bestSim := s, sSim
+	cur, curSim := s, sSim
 	for i := 0; i < maxSteps; i++ {
 		if diff := bestSim - target; diff <= tol && diff >= -tol {
 			return best, bestSim
 		}
 		cand := Apply(cur, ops, 1, r)
-		cs := sim(s, cand)
+		cs := curSim
+		if cand != cur {
+			cs = sim(s, cand)
+		}
 		if abs(cs-target) < abs(bestSim-target) {
 			best, bestSim = cand, cs
 		}
@@ -294,9 +303,9 @@ func TowardSimilarity(s string, target, tol float64, sim func(a, b string) float
 		// target (edits only reduce similarity in expectation); restart
 		// from the original when we overshoot.
 		if cs > target {
-			cur = cand
+			cur, curSim = cand, cs
 		} else {
-			cur = s
+			cur, curSim = s, sSim
 		}
 	}
 	return best, bestSim

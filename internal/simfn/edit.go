@@ -1,5 +1,7 @@
 package simfn
 
+import "math/bits"
+
 // EditSim is the normalized Levenshtein similarity:
 // 1 - editDistance(a, b) / max(len(a), len(b)), over runes.
 type EditSim struct{}
@@ -63,8 +65,16 @@ func EditDistance(a, b string) int {
 // dynamic program exceeds k, since no later row can fall below its
 // minimum. Tokens of up to 32 runes stay on the stack.
 func EditDistanceWithin(a, b string, k int) int {
-	var bufA, bufB [32]rune
-	ra, rb := appendRunes(bufA[:0], a), appendRunes(bufB[:0], b)
+	var bufA [32]rune
+	return EditDistanceRunesWithin(appendRunes(bufA[:0], a), b, k)
+}
+
+// EditDistanceRunesWithin is EditDistanceWithin with a given as its
+// decoded runes ([]rune(a)), for callers that compare one string with
+// many and decode it once.
+func EditDistanceRunesWithin(ra []rune, b string, k int) int {
+	var bufB [32]rune
+	rb := appendRunes(bufB[:0], b)
 	if d := len(ra) - len(rb); d > k || -d > k {
 		return k + 1
 	}
@@ -113,4 +123,28 @@ func appendRunes(dst []rune, s string) []rune {
 		dst = append(dst, r)
 	}
 	return dst
+}
+
+// RuneMask returns the runes of s folded into a 64-bit set: bit r%64 is
+// set for every rune r, an invalid UTF-8 byte counting as U+FFFD as
+// []rune(s) decodes it. MaskDistanceBound turns two masks into a lower
+// bound on the edit distance.
+func RuneMask(s string) uint64 {
+	var m uint64
+	for _, r := range s {
+		m |= 1 << (uint32(r) % 64)
+	}
+	return m
+}
+
+// MaskDistanceBound returns a lower bound on EditDistance(a, b) given
+// ma = RuneMask(a) and mb = RuneMask(b). Every bit of ma &^ mb stands for
+// at least one rune of a with no rune of b in its bit class. Each such
+// rune must be deleted or substituted; one edit removes at most one rune
+// of a, and runes on different bits are different runes. So the distance
+// is at least popcount(ma &^ mb), and by the same argument over the runes
+// of b that must be inserted, at least popcount(mb &^ ma). Runes that share
+// a bit merge into one class, which can only lower the counts.
+func MaskDistanceBound(ma, mb uint64) int {
+	return max(bits.OnesCount64(ma&^mb), bits.OnesCount64(mb&^ma))
 }

@@ -264,6 +264,34 @@ func TestQGrams(t *testing.T) {
 	}
 }
 
+// TestMaskDistanceBound checks that the rune-set bound never exceeds the
+// edit distance, over random pairs with invalid bytes, multi-byte runes
+// and runes that share a bit (r and r+64), and that it is tight on
+// disjoint rune sets.
+func TestMaskDistanceBound(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	alphabet := []string{"a", "b", "c", "A", "\u00a1", "\u00a2", "é", "日", "本", "\xff", "\xfe", "\uFFFD", " "}
+	word := func() string {
+		var b strings.Builder
+		for n := r.Intn(10); n > 0; n-- {
+			b.WriteString(alphabet[r.Intn(len(alphabet))])
+		}
+		return b.String()
+	}
+	for i := 0; i < 5000; i++ {
+		a, b := word(), word()
+		if lb, d := MaskDistanceBound(RuneMask(a), RuneMask(b)), EditDistance(a, b); lb > d {
+			t.Fatalf("MaskDistanceBound(%q, %q) = %d > EditDistance %d", a, b, lb, d)
+		}
+	}
+	if got := MaskDistanceBound(RuneMask("abc"), RuneMask("xyz")); got != 3 {
+		t.Errorf("bound on disjoint sets = %d, want 3", got)
+	}
+	if RuneMask("\xff") != RuneMask("\uFFFD") {
+		t.Error("an invalid byte must count as U+FFFD")
+	}
+}
+
 // TestEditDistanceWithin pins the bounded distance to the full one: for
 // every pair and k, min(within, k+1) == min(EditDistance, k+1).
 func TestEditDistanceWithin(t *testing.T) {

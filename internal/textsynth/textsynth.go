@@ -17,8 +17,9 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
+	"unicode/utf8"
 
 	"serd/internal/perturb"
 	"serd/internal/simfn"
@@ -54,7 +55,15 @@ type RuleSynthesizer struct {
 	DisableRepair bool
 
 	vocab     map[string]bool // lower-cased corpus tokens
-	vocabList []string        // sorted, for deterministic nearest-token search
+	vocabList []vocabToken    // sorted by token, for deterministic nearest-token search
+}
+
+// vocabToken is one background-vocabulary token with the facts
+// repairTokens bounds its edit distance by.
+type vocabToken struct {
+	tok   string
+	runes int    // utf8.RuneCountInString(tok)
+	mask  uint64 // simfn.RuneMask(tok)
 }
 
 // NewRuleSynthesizer validates and returns a rule synthesizer.
@@ -70,11 +79,11 @@ func NewRuleSynthesizer(sim simfn.Func, corpus []string) (*RuleSynthesizer, erro
 		for _, tok := range strings.Fields(strings.ToLower(s)) {
 			if !rs.vocab[tok] {
 				rs.vocab[tok] = true
-				rs.vocabList = append(rs.vocabList, tok)
+				rs.vocabList = append(rs.vocabList, vocabToken{tok, utf8.RuneCountInString(tok), simfn.RuneMask(tok)})
 			}
 		}
 	}
-	sort.Strings(rs.vocabList)
+	slices.SortFunc(rs.vocabList, func(a, b vocabToken) int { return strings.Compare(a.tok, b.tok) })
 	return rs, nil
 }
 
@@ -84,6 +93,12 @@ func NewRuleSynthesizer(sim simfn.Func, corpus []string) (*RuleSynthesizer, erro
 // for the transformer's implicit language model: it keeps synthesized text
 // lexically in-domain so entities survive the paper's "indistinguishable
 // entities" requirement across long synthesis chains.
+//
+// Tokens of fewer than three runes are kept. The snap is the first token
+// in sorted order at the smallest distance, stopping at distance 1. Only
+// d < bestD can change that choice, so a vocabulary token is scored only
+// when neither the rune-count gap nor simfn.MaskDistanceBound, both lower
+// bounds on the distance, already reaches bestD.
 func (rs *RuleSynthesizer) repairTokens(s string) string {
 	if rs.DisableRepair || len(rs.vocab) == 0 {
 		return s
@@ -92,17 +107,23 @@ func (rs *RuleSynthesizer) repairTokens(s string) string {
 	changed := false
 	for i, tok := range toks {
 		lower := strings.ToLower(tok)
-		if rs.vocab[lower] || len(lower) < 3 {
+		if rs.vocab[lower] {
 			continue
 		}
+		runes := []rune(lower)
+		if len(runes) < 3 {
+			continue
+		}
+		mask := simfn.RuneMask(lower)
 		best, bestD := "", 3
 		for _, v := range rs.vocabList {
-			if abs := len(v) - len(lower); abs > 2 || abs < -2 {
+			if gap := v.runes - len(runes); gap >= bestD || -gap >= bestD ||
+				simfn.MaskDistanceBound(mask, v.mask) >= bestD {
 				continue
 			}
 			// Only d < bestD matters, so the search may give up past bestD-1.
-			if d := simfn.EditDistanceWithin(lower, v, bestD-1); d < bestD {
-				best, bestD = v, d
+			if d := simfn.EditDistanceRunesWithin(runes, v.tok, bestD-1); d < bestD {
+				best, bestD = v.tok, d
 				if d == 1 {
 					break
 				}
@@ -219,12 +240,13 @@ func blend(s, donor string, target float64, r *rand.Rand) string {
 }
 
 // Bucket returns the index of the similarity interval containing sim when
-// [0, 1] is split into k equal buckets I_1..I_k (paper §VI).
+// [0, 1] is split into k equal buckets I_1..I_k (paper §VI). Values below
+// 0 and NaN fall in the first bucket, values of 1 and above in the last.
 func Bucket(sim float64, k int) int {
 	if sim >= 1 {
 		return k - 1
 	}
-	if sim < 0 {
+	if sim < 0 || math.IsNaN(sim) {
 		return 0
 	}
 	return int(sim * float64(k))

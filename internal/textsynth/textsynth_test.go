@@ -72,8 +72,13 @@ func TestBucketing(t *testing.T) {
 	if Bucket(0.55, 10) != 5 {
 		t.Errorf("Bucket(0.55) = %d", Bucket(0.55, 10))
 	}
-	if Bucket(-0.1, 10) != 0 {
-		t.Error("negative sim must clamp to bucket 0")
+	for _, c := range []struct {
+		sim  float64
+		want int
+	}{{-0.1, 0}, {math.Inf(-1), 0}, {math.NaN(), 0}, {math.Inf(1), 9}} {
+		if got := Bucket(c.sim, 10); got != c.want {
+			t.Errorf("Bucket(%v, 10) = %d, want %d", c.sim, got, c.want)
+		}
 	}
 	if c := BucketCenter(5, 10); math.Abs(c-0.55) > 1e-12 {
 		t.Errorf("BucketCenter = %v", c)
@@ -145,6 +150,24 @@ func TestRepairTokensSnapsToVocabulary(t *testing.T) {
 	if got := rs.repairTokens("Forrest"); got != "Forrest" {
 		t.Errorf("DisableRepair ignored: %q", got)
 	}
+	// Lengths count runes, not bytes: "brle" is two edits from the
+	// 6-rune, 8-byte "brûlée", and a 2-rune CJK token is too short to snap.
+	rs, err = NewRuleSynthesizer(simfn.QGramJaccard{Q: 3, Fold: true}, []string{"crème brûlée", "東京 タワー"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rs.repairTokens("Brle"); got != "Brûlée" {
+		t.Errorf("repairTokens(%q) = %q, want %q", "Brle", got, "Brûlée")
+	}
+	if got := rs.repairTokens("東都"); got != "東都" {
+		t.Errorf("repairTokens must keep a 2-rune token: %q", got)
+	}
+	// A synthesizer built as a struct literal has no vocabulary and
+	// repairs nothing.
+	lit := &RuleSynthesizer{Sim: simfn.QGramJaccard{Q: 3}, Corpus: []string{"forest"}}
+	if got := lit.repairTokens("Forrest"); got != "Forrest" {
+		t.Errorf("struct-literal synthesizer repaired %q", got)
+	}
 }
 
 func TestSynthesizedHighTargetStaysInVocabulary(t *testing.T) {
@@ -188,10 +211,28 @@ func BenchmarkRuleSynthesize(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchRuleSynthesize(b, gen, "name", "address")
+}
+
+// BenchmarkRuleSynthesizeProducts is BenchmarkRuleSynthesize on
+// Walmart-Amazon values: one-token model numbers, where many walk edits
+// are no-ops, and long titles and descriptions, whose out-of-vocabulary
+// tokens scan the whole vocabulary in token repair.
+func BenchmarkRuleSynthesizeProducts(b *testing.B) {
+	gen, err := datagen.Products(datagen.Config{Seed: 1, SizeA: 40, SizeB: 40, Matches: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchRuleSynthesize(b, gen, "modelno", "title", "descr")
+}
+
+// benchRuleSynthesize synthesizes the first 8 background values of each
+// column, cycling through them and through targets 0, 0.1, …, 1.
+func benchRuleSynthesize(b *testing.B, gen *datagen.Generated, cols ...string) {
 	sim := simfn.QGramJaccard{Q: 3, Fold: true}
 	var values []string
 	synths := map[string]*RuleSynthesizer{}
-	for _, col := range []string{"name", "address"} {
+	for _, col := range cols {
 		rs, err := NewRuleSynthesizer(sim, gen.Background[col])
 		if err != nil {
 			b.Fatal(err)

@@ -121,6 +121,9 @@ func TestModelForFallsBackToNearestBucket(t *testing.T) {
 	if ts.modelFor(0.1) != m {
 		t.Error("modelFor must fall back to the nearest trained bucket")
 	}
+	if ts.modelFor(math.NaN()) != m {
+		t.Error("modelFor(NaN) must fall back from bucket 0")
+	}
 }
 
 // resumeOptions is a DP configuration whose buckets hit a partial final
