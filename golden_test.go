@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"serd"
+	"serd/internal/generator"
 )
 
 var updateGolden = flag.Bool("update", false, "re-pin testdata/golden_digests.json from this build")
@@ -43,7 +44,7 @@ func TestGoldenDigests(t *testing.T) {
 			return nil
 		}},
 		{name: "privbayes-eps-1", arm: func(t *testing.T, r *invarianceRun) func([]byte) {
-			r.opts.Generator = serd.PrivBayesGenerator{Epsilon: 1}
+			r.opts.Generator = generator.PrivBayes{Epsilon: 1}
 			r.opts.Privacy = r.ledger
 			return nil
 		}},

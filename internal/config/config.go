@@ -314,7 +314,8 @@ func RegisterExperiments(fs *flag.FlagSet) *Experiments {
 // lists into BenchSizes and BenchEpsilons, and resolves Bench: with
 // -bench-against the suite defaults to the baseline file's (a disagreeing
 // -bench is refused), and -bench-out alone selects core. After Validate,
-// Bench is empty exactly when no bench flag asks for a bench run.
+// Bench is empty exactly when no bench flag asks for a bench run; a bench
+// run refuses -trace, -metrics-addr and -report.
 func (c *Experiments) Validate() error {
 	if c.BenchThreshold < 0 {
 		return fmt.Errorf("-bench-threshold must be >= 0, got %g", c.BenchThreshold)
@@ -355,6 +356,17 @@ func (c *Experiments) Validate() error {
 	}
 	if c.Bench == "" && c.BenchOut != "" {
 		c.Bench = "core"
+	}
+	if c.Bench != "" {
+		// A bench run writes only its bench report: it arms no event bus,
+		// inspector or run report, so these flags would do nothing.
+		for _, f := range []struct{ name, value string }{
+			{"trace", c.TracePath}, {"metrics-addr", c.MetricsAddr}, {"report", c.ReportPath},
+		} {
+			if f.value != "" {
+				return fmt.Errorf("-%s is not supported on a bench run (-bench, -bench-out or -bench-against)", f.name)
+			}
+		}
 	}
 	if c.Bench == "scale" && len(c.BenchSizes) == 0 {
 		return errors.New("-bench scale needs -bench-scale-sizes")

@@ -224,6 +224,18 @@ func TestExperimentsValidate(t *testing.T) {
 		{name: "pre-schema baseline", c: base(func(c *Experiments) { c.BenchAgainst = old }), wantErr: `"suite"`},
 		{name: "out alone is core", c: base(func(c *Experiments) { c.BenchOut = "x.json" }), wantBench: "core"},
 		{name: "explicit suite with out", c: base(func(c *Experiments) { c.Bench = "dp"; c.BenchOut = "x.json" }), wantBench: "dp"},
+		{name: "trace with bench", c: base(func(c *Experiments) { c.Bench = "core"; c.TracePath = "x.json" }), wantErr: "-trace is not supported"},
+		{name: "trace with out", c: base(func(c *Experiments) { c.BenchOut = "b.json"; c.TracePath = "x.json" }), wantErr: "-trace is not supported"},
+		{name: "trace with against", c: base(func(c *Experiments) { c.BenchAgainst = scale; c.TracePath = "x.json" }), wantErr: "-trace is not supported"},
+		{name: "metrics-addr with bench", c: base(func(c *Experiments) { c.Bench = "core"; c.MetricsAddr = ":0" }), wantErr: "-metrics-addr is not supported"},
+		{name: "metrics-addr with out", c: base(func(c *Experiments) { c.BenchOut = "b.json"; c.MetricsAddr = ":0" }), wantErr: "-metrics-addr is not supported"},
+		{name: "metrics-addr with against", c: base(func(c *Experiments) { c.BenchAgainst = scale; c.MetricsAddr = ":0" }), wantErr: "-metrics-addr is not supported"},
+		{name: "report with bench", c: base(func(c *Experiments) { c.Bench = "core"; c.ReportPath = "r.json" }), wantErr: "-report is not supported"},
+		{name: "report with out", c: base(func(c *Experiments) { c.BenchOut = "b.json"; c.ReportPath = "r.json" }), wantErr: "-report is not supported"},
+		{name: "report with against", c: base(func(c *Experiments) { c.BenchAgainst = scale; c.ReportPath = "r.json" }), wantErr: "-report is not supported"},
+		{name: "trace, metrics-addr and report without a bench", c: base(func(c *Experiments) {
+			c.TracePath, c.MetricsAddr, c.ReportPath = "x.json", ":0", "r.json"
+		})},
 	}
 	for _, tc := range cases {
 		err := tc.c.Validate()

@@ -38,54 +38,3 @@ func TestValidateNil(t *testing.T) {
 		t.Fatal("nil dataset must report one error")
 	}
 }
-
-func TestMatchClusters(t *testing.T) {
-	er := paperER(t)
-	// paperER: matches {0,0} and {1,1} -> two 1-1 clusters.
-	clusters := MatchClusters(er)
-	if len(clusters) != 2 {
-		t.Fatalf("got %d clusters, want 2", len(clusters))
-	}
-	if len(OneToOneViolations(er)) != 0 {
-		t.Error("clean 1-1 matches flagged")
-	}
-	// Add a0-b1: b1 now links a0 and a1, merging both clusters into one
-	// {a0,a1}x{b0,b1} component - a 1-1 violation.
-	er.Matches = append(er.Matches, Pair{A: 0, B: 1})
-	v := OneToOneViolations(er)
-	if len(v) != 1 {
-		t.Fatalf("got %d violations, want 1", len(v))
-	}
-	if len(v[0].A) != 2 || len(v[0].B) != 2 {
-		t.Errorf("violation shape = %+v", v[0])
-	}
-}
-
-func TestMatchClustersTransitive(t *testing.T) {
-	er := paperER(t)
-	// a0-b0, a1-b0 and a1-b1 chain into one component {a0,a1} x {b0,b1}.
-	er.Matches = []Pair{{A: 0, B: 0}, {A: 1, B: 0}, {A: 1, B: 1}}
-	clusters := MatchClusters(er)
-	if len(clusters) != 1 {
-		t.Fatalf("got %d clusters, want 1", len(clusters))
-	}
-	if len(clusters[0].A) != 2 || len(clusters[0].B) != 2 {
-		t.Errorf("cluster = %+v", clusters[0])
-	}
-}
-
-func TestProfile(t *testing.T) {
-	er := paperER(t)
-	er.A.Entities[0].Values[1] = "" // one missing author
-	profs := Profile(er.A)
-	if len(profs) != 4 {
-		t.Fatalf("got %d profiles", len(profs))
-	}
-	authors := profs[1]
-	if authors.Name != "authors" || authors.MissingRate <= 0 {
-		t.Errorf("authors profile = %+v", authors)
-	}
-	if profs[0].Distinct != 3 || profs[0].MeanLength <= 0 {
-		t.Errorf("title profile = %+v", profs[0])
-	}
-}

@@ -36,9 +36,7 @@ func TestFitContextCancelsIterativeMatchers(t *testing.T) {
 		name string
 		m    Matcher
 	}{
-		{"logistic", &LogisticRegression{}},
 		{"mlp", &MLP{}},
-		{"svm", &LinearSVM{}},
 		{"forest", &RandomForest{}},
 		{"zeroer", &ZeroER{}},
 	} {
@@ -58,7 +56,7 @@ func TestFitContextFallsBackToPlainFit(t *testing.T) {
 	xs, ys := cancelFixture()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m := &NaiveBayes{}
+	m := &DecisionTree{}
 	if err := FitContext(ctx, m, xs, ys); err != nil {
 		t.Fatalf("FitContext on a plain Fitter = %v, want nil (uncancelable fallback)", err)
 	}
@@ -71,13 +69,13 @@ func TestFitContextFallsBackToPlainFit(t *testing.T) {
 // untriggered context yields exactly the model plain Fit yields.
 func TestFitContextUntriggeredIsNoop(t *testing.T) {
 	xs, ys := cancelFixture()
-	plain := &LogisticRegression{}
+	plain := &RandomForest{Trees: 5, Seed: 1}
 	if err := plain.Fit(xs, ys); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	armed := &LogisticRegression{}
+	armed := &RandomForest{Trees: 5, Seed: 1}
 	if err := armed.FitContext(ctx, xs, ys); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +91,7 @@ func TestInstrumentForwardsFitContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rec := telemetry.NewRegistry()
-	wrapped := Instrument("lr", &LogisticRegression{}, rec)
+	wrapped := Instrument("mlp", &MLP{}, rec)
 	if err := FitContext(ctx, wrapped, xs, ys); !errors.Is(err, context.Canceled) {
 		t.Fatalf("instrumented FitContext = %v, want context.Canceled", err)
 	}

@@ -1,8 +1,8 @@
 // Package matcher implements the ER matchers used in the paper's
 // evaluation: a random forest over similarity vectors standing in for the
 // Magellan system's default matcher, a neural matcher standing in for
-// Deepmatcher, plus decision-tree and logistic-regression baselines, and
-// the precision/recall/F1 metrics of §VII.
+// Deepmatcher, the decision tree the forest is built from, the
+// unsupervised ZeroER matcher, and the precision/recall/F1 metrics of §VII.
 package matcher
 
 import (
@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -192,34 +191,4 @@ func BestThreshold(s Scorer, xs [][]float64, ys []bool) (float64, Metrics) {
 		}
 	}
 	return bestThreshold, bestMet
-}
-
-// PermutationImportance measures each feature's contribution to a fitted
-// matcher: the F1 drop when that feature's column is shuffled across the
-// evaluation set (Breiman-style permutation importance). ER practitioners
-// use it to see which attribute similarities a matcher actually relies on.
-// r drives the shuffles; the result has one entry per feature.
-func PermutationImportance(m Matcher, xs [][]float64, ys []bool, r *rand.Rand) []float64 {
-	if len(xs) == 0 {
-		return nil
-	}
-	base := Evaluate(m, xs, ys).F1()
-	dim := len(xs[0])
-	out := make([]float64, dim)
-	shuffled := make([][]float64, len(xs))
-	for i := range shuffled {
-		shuffled[i] = make([]float64, dim)
-		copy(shuffled[i], xs[i])
-	}
-	for f := 0; f < dim; f++ {
-		perm := r.Perm(len(xs))
-		for i := range shuffled {
-			shuffled[i][f] = xs[perm[i]][f]
-		}
-		out[f] = base - Evaluate(m, shuffled, ys).F1()
-		for i := range shuffled {
-			shuffled[i][f] = xs[i][f] // restore
-		}
-	}
-	return out
 }

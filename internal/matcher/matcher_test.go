@@ -31,7 +31,6 @@ func allMatchers() map[string]Matcher {
 	return map[string]Matcher{
 		"tree":   &DecisionTree{},
 		"forest": &RandomForest{Seed: 1},
-		"logreg": &LogisticRegression{},
 		"mlp":    &MLP{Seed: 1, Epochs: 150},
 	}
 }
@@ -137,7 +136,7 @@ func TestEvaluateConfusion(t *testing.T) {
 	// A constant-true matcher gives TP=|pos|, FP=|neg|.
 	r := rand.New(rand.NewSource(4))
 	xs, ys := separableData(r, 100, 0)
-	m := &LogisticRegression{Epochs: 1}
+	m := &MLP{Seed: 4, Epochs: 1}
 	if err := m.Fit(xs, ys); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +192,7 @@ func TestForestBeatsSingleTreeOnNoisyData(t *testing.T) {
 func TestBestThreshold(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	xs, ys := separableData(r, 300, 0)
-	m := &LogisticRegression{Epochs: 30} // deliberately under-trained
+	m := &MLP{Seed: 7, Epochs: 30} // deliberately under-trained
 	if err := m.Fit(xs, ys); err != nil {
 		t.Fatal(err)
 	}
@@ -225,27 +224,3 @@ func TestBestThresholdPerfectSeparation(t *testing.T) {
 type fixedScorer struct{ scores map[float64]float64 }
 
 func (f fixedScorer) Score(x []float64) float64 { return f.scores[x[0]] }
-
-func TestPermutationImportance(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	xs, ys := separableData(r, 400, 0)
-	m := &RandomForest{Trees: 15, Seed: 8}
-	if err := m.Fit(xs, ys); err != nil {
-		t.Fatal(err)
-	}
-	imp := PermutationImportance(m, xs, ys, r)
-	if len(imp) != 4 {
-		t.Fatalf("got %d importances", len(imp))
-	}
-	// Feature 0 separates the classes (0.9 vs 0.1); feature 2 is ~identical
-	// noise in both classes. The informative feature must dominate.
-	if imp[0] <= imp[2] {
-		t.Errorf("importances = %v; feature 0 should dominate feature 2", imp)
-	}
-	if imp[0] <= 0 {
-		t.Errorf("informative feature has non-positive importance %v", imp[0])
-	}
-	if PermutationImportance(m, nil, nil, r) != nil {
-		t.Error("empty input should return nil")
-	}
-}

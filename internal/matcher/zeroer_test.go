@@ -64,68 +64,3 @@ func TestZeroERValidation(t *testing.T) {
 		t.Error("unfitted Score should be 0")
 	}
 }
-
-func TestLinearSVMLearns(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	trainX, trainY := separableData(r, 400, 0)
-	testX, testY := separableData(r, 200, 0)
-	m := &LinearSVM{Seed: 4}
-	if err := m.Fit(trainX, trainY); err != nil {
-		t.Fatal(err)
-	}
-	if met := Evaluate(m, testX, testY); met.F1() < 0.95 {
-		t.Errorf("SVM F1 = %v", met.F1())
-	}
-	for i := 0; i < 20; i++ {
-		if s := m.Score(testX[i]); s < 0 || s > 1 {
-			t.Fatalf("score %v out of range", s)
-		}
-	}
-}
-
-func TestNaiveBayesLearns(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	trainX, trainY := separableData(r, 400, 0)
-	testX, testY := separableData(r, 200, 0)
-	m := &NaiveBayes{}
-	if err := m.Fit(trainX, trainY); err != nil {
-		t.Fatal(err)
-	}
-	if met := Evaluate(m, testX, testY); met.F1() < 0.95 {
-		t.Errorf("NB F1 = %v", met.F1())
-	}
-	if m.Score(testX[0]) < 0 || m.Score(testX[0]) > 1 {
-		t.Error("NB score out of range")
-	}
-}
-
-func TestNaiveBayesConstantFeature(t *testing.T) {
-	// A feature that is constant within a class must not divide by zero.
-	xs := [][]float64{{1, 0.9}, {1, 0.8}, {0, 0.1}, {0, 0.2}, {1, 0.95}, {0, 0.15}}
-	ys := []bool{true, true, false, false, true, false}
-	m := &NaiveBayes{}
-	if err := m.Fit(xs, ys); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Predict([]float64{1, 0.85}) || m.Predict([]float64{0, 0.12}) {
-		t.Error("NB misclassifies cleanly separated points")
-	}
-}
-
-func TestCrossValidate(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	xs, ys := separableData(r, 300, 0)
-	f1, err := CrossValidate(func() Matcher { return &LogisticRegression{} }, xs, ys, 5, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f1 < 0.9 {
-		t.Errorf("cross-validated F1 = %v", f1)
-	}
-	// A k larger than the data size clamps rather than erroring.
-	small := xs[:8]
-	smallY := ys[:8]
-	if _, err := CrossValidate(func() Matcher { return &NaiveBayes{} }, small, smallY, 100, r); err != nil {
-		t.Logf("small-sample CV failed acceptably: %v", err)
-	}
-}

@@ -30,23 +30,13 @@ type Server struct {
 	closing   chan struct{}
 }
 
-// Serve starts the inspector on addr (e.g. ":9090"; ":0" picks a free
-// port). It returns as soon as the listener is bound; the accept loop runs
-// in a goroutine until Close or Shutdown.
-func Serve(addr string, reg *Registry) (*Server, error) {
-	return ServeWith(addr, reg, nil)
-}
-
-// ServeWith is Serve with an event bus attached: the /events SSE endpoint
-// streams the bus live. bus may be nil, in which case /events reports 404.
-func ServeWith(addr string, reg *Registry, bus *Bus) (*Server, error) {
-	return ServeWithExtra(addr, reg, bus, nil)
-}
-
-// ServeWithExtra is ServeWith plus caller-mounted routes: each extra
-// entry is mounted at its path prefix and listed on the index page. The
-// hook exists so higher layers (the run registry's /runs pages) can ride
-// the inspector's listener without this package importing them.
+// ServeWithExtra starts the inspector on addr (e.g. ":9090"; ":0" picks a
+// free port) with an optional event bus and caller-mounted routes. It
+// returns as soon as the listener is bound; the accept loop runs in a
+// goroutine until Close or Shutdown. A nil bus makes /events report 404.
+// Each extra entry is mounted at its path prefix and listed on the index
+// page; the hook exists so higher layers (the run registry's /runs pages)
+// can ride the inspector's listener without this package importing them.
 func ServeWithExtra(addr string, reg *Registry, bus *Bus, extra map[string]http.Handler) (*Server, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -88,7 +78,7 @@ func (s *Server) markClosing() {
 
 // Handler returns the inspector's routes without binding a listener — for
 // embedding into an existing mux. The /events endpoint reports 404 (no
-// bus); use ServeWith for the streaming inspector.
+// bus); use ServeWithExtra for the streaming inspector.
 func Handler(reg *Registry) http.Handler {
 	return handler(reg, nil, nil, nil)
 }

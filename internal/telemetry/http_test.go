@@ -22,7 +22,7 @@ func get(t *testing.T, addr, path string) *http.Response {
 func TestHTTPIndexAndContentTypes(t *testing.T) {
 	g := NewRegistry()
 	g.Add("core.s2.accepted", 1)
-	srv, err := ServeWith("127.0.0.1:0", g, NewBus(64))
+	srv, err := ServeWithExtra("127.0.0.1:0", g, NewBus(64), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestHTTPIndexAndContentTypes(t *testing.T) {
 }
 
 func TestHTTPNotFound(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", NewRegistry())
+	srv, err := ServeWithExtra("127.0.0.1:0", NewRegistry(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestHTTPNotFound(t *testing.T) {
 // must return promptly despite the infinite stream.
 func TestSSEStreamAndGracefulShutdown(t *testing.T) {
 	bus := NewBus(64)
-	srv, err := ServeWith("127.0.0.1:0", NewRegistry(), bus)
+	srv, err := ServeWithExtra("127.0.0.1:0", NewRegistry(), bus, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestSSEStreamAndGracefulShutdown(t *testing.T) {
 // records, as the race detector's eyes on the Snapshot path.
 func TestHTTPConcurrentSnapshot(t *testing.T) {
 	g := NewRegistry()
-	srv, err := Serve("127.0.0.1:0", g)
+	srv, err := ServeWithExtra("127.0.0.1:0", g, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,13 @@
 // (core.Options.Metrics, gmm.FitOptions.Metrics, textsynth
 // TransformerOptions.Metrics, dp.SGD.Metrics, experiments.Config.Metrics).
 // The concrete Registry implementation aggregates everything and exposes it
-// three ways:
+// two ways:
 //
-//   - a live HTTP inspector (Serve): /metrics.json (snapshot), /metrics
-//     (Prometheus text exposition) and /debug/pprof/,
+//   - a live HTTP inspector (ServeWithExtra): /metrics.json (snapshot),
+//     /metrics (Prometheus text exposition), /events (live SSE stream) and
+//     /debug/pprof/,
 //   - a structured run-report JSON written next to the output dataset
-//     (WriteRunReport),
-//   - the legacy Options.Progress callback, via the Progress adapter.
+//     (WriteRunReport).
 //
 // Metric names are dotted paths, "<package>.<phase>.<signal>", e.g.
 // "core.s2.rejected.distribution". See DESIGN.md for the full name index.
@@ -73,18 +73,6 @@ func Enabled(r Recorder) bool {
 	return r != nil && r != Nop
 }
 
-// Progress returns an Options.Progress-compatible callback that mirrors
-// done/total into the "<prefix>.done" and "<prefix>.total" gauges — the
-// adapter that maps the legacy callback surface onto a Recorder.
-func Progress(r Recorder, prefix string) func(done, total int) {
-	r = OrNop(r)
-	doneName, totalName := prefix+".done", prefix+".total"
-	return func(done, total int) {
-		r.Set(doneName, float64(done))
-		r.Set(totalName, float64(total))
-	}
-}
-
 // RecordParallel records a parallel region's outcome against a phase:
 // "<phase>.parallel.speedup" (busy time over wall time — the realized
 // parallel speedup, 1.0 when serial) and "<phase>.parallel.utilization"
@@ -98,16 +86,4 @@ func RecordParallel(r Recorder, phase string, busySeconds, wallSeconds float64, 
 	speedup := busySeconds / wallSeconds
 	r.Set(phase+".parallel.speedup", speedup)
 	r.Set(phase+".parallel.utilization", speedup/float64(workers))
-}
-
-// MultiProgress fans one progress event out to several callbacks (e.g. the
-// legacy CLI printer plus a Progress adapter); nil entries are skipped.
-func MultiProgress(fns ...func(done, total int)) func(done, total int) {
-	return func(done, total int) {
-		for _, fn := range fns {
-			if fn != nil {
-				fn(done, total)
-			}
-		}
-	}
 }

@@ -88,28 +88,6 @@ func TestOrNopAndEnabled(t *testing.T) {
 	}
 }
 
-func TestProgressAdapter(t *testing.T) {
-	g := NewRegistry()
-	fn := Progress(g, "core.progress")
-	fn(3, 10)
-	if v, _ := g.Gauge("core.progress.done"); v != 3 {
-		t.Errorf("done = %v", v)
-	}
-	if v, _ := g.Gauge("core.progress.total"); v != 10 {
-		t.Errorf("total = %v", v)
-	}
-
-	var legacy [2]int
-	multi := MultiProgress(nil, func(d, tot int) { legacy = [2]int{d, tot} }, Progress(g, "p"))
-	multi(7, 9)
-	if legacy != [2]int{7, 9} {
-		t.Errorf("legacy callback got %v", legacy)
-	}
-	if v, _ := g.Gauge("p.done"); v != 7 {
-		t.Errorf("p.done = %v", v)
-	}
-}
-
 func TestRegistryConcurrentAccess(t *testing.T) {
 	g := NewRegistry()
 	var wg sync.WaitGroup
@@ -161,7 +139,7 @@ func TestWritePrometheus(t *testing.T) {
 func TestServeEndpoints(t *testing.T) {
 	g := NewRegistry()
 	g.Add("core.s2.accepted", 42)
-	srv, err := Serve("127.0.0.1:0", g)
+	srv, err := ServeWithExtra("127.0.0.1:0", g, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,11 +8,17 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"serd"
+	"serd/internal/generator"
+	"serd/internal/journal"
+	"serd/internal/runstore"
+	"serd/internal/telemetry"
+	"serd/internal/trace"
 )
 
 // invarianceRun is the shared baseline pipeline a byte-invariance row
@@ -29,7 +35,7 @@ type invarianceRun struct {
 	reg *serd.MetricsRegistry
 	// ledger is the run's privacy ledger, already charged once; a row
 	// hands it to a DP backend through opts.Privacy.
-	ledger *serd.PrivacyLedger
+	ledger *journal.Ledger
 }
 
 // invarianceRow arms one optional feature. arm may change the context
@@ -42,8 +48,9 @@ type invarianceRow struct {
 
 // synthesizeRow runs the baseline pipeline with row's feature armed (a
 // zero row is the baseline itself), writes the dataset to out and returns
-// the raw journal bytes. A run with Options.Stream armed writes its
-// dataset through the stream; every other run saves it at the end.
+// the raw journal bytes, or nil when the row disarmed the journal. A run
+// with Options.Stream armed writes its dataset through the stream; every
+// other run saves it at the end.
 func synthesizeRow(t *testing.T, out string, row invarianceRow) []byte {
 	t.Helper()
 	g, err := serd.Sample("Restaurant", serd.SampleConfig{Seed: 3, SizeA: 40, SizeB: 40, Matches: 12})
@@ -55,9 +62,9 @@ func synthesizeRow(t *testing.T, out string, row invarianceRow) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	jr := serd.NewJournal(&buf)
+	jr := journal.New(&buf)
 	jr.RunStart("test", 9, map[string]string{"dataset": "Restaurant"})
-	ledger := serd.NewPrivacyLedger(jr)
+	ledger := journal.NewLedger(jr)
 	if err := ledger.ChargeSGD("bk0", "bank", 0.25, 1.1, 12, 1e-5); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +74,7 @@ func synthesizeRow(t *testing.T, out string, row invarianceRow) []byte {
 		opts: serd.Options{
 			Synthesizers: synths,
 			Seed:         9,
-			Metrics:      serd.JournalRecorder(jr, reg),
+			Metrics:      journal.Instrument(jr, reg),
 			Journal:      jr,
 		},
 		schema:  g.ER.Schema(),
@@ -101,7 +108,23 @@ func synthesizeRow(t *testing.T, out string, row invarianceRow) []byte {
 	if check != nil {
 		check(buf.Bytes())
 	}
+	if r.opts.Journal == nil {
+		return nil
+	}
 	return buf.Bytes()
+}
+
+func readDataset(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	for _, name := range []string{"A.csv", "B.csv", "matches.csv"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = string(data)
+	}
+	return out
 }
 
 // stripVolatile removes the documented volatile fields (ts, dur_s) from
@@ -130,14 +153,47 @@ func stripVolatile(t *testing.T, data []byte) string {
 // TestByteInvariance pins that every optional feature is a byte-noop:
 // each row arms one feature on the shared baseline run, and its dataset
 // bytes and stripped journal (every chain hash included) must equal the
-// baseline's. A new optional feature adds a row here.
+// baseline's. A row that disarms the journal compares dataset bytes only.
+// A new optional feature adds a row here.
 func TestByteInvariance(t *testing.T) {
 	base := t.TempDir()
 	baseDir := filepath.Join(base, "baseline")
-	baseline := stripVolatile(t, synthesizeRow(t, baseDir, invarianceRow{}))
+	var baseReg *serd.MetricsRegistry
+	baseline := stripVolatile(t, synthesizeRow(t, baseDir, invarianceRow{arm: func(t *testing.T, r *invarianceRun) func([]byte) {
+		baseReg = r.reg
+		return nil
+	}}))
 	want := readDataset(t, baseDir)
 
 	rows := []invarianceRow{
+		// A same-seed rerun repeats the baseline exactly: telemetry and
+		// journaling never perturb the RNG stream, and the registry
+		// counters match too.
+		{name: "same-seed-rerun", arm: func(t *testing.T, r *invarianceRun) func([]byte) {
+			return func(raw []byte) {
+				counters, baseCounters := r.reg.Snapshot().Counters, baseReg.Snapshot().Counters
+				if !reflect.DeepEqual(counters, baseCounters) {
+					t.Errorf("counter values differ between same-seed runs:\nrerun:    %v\nbaseline: %v", counters, baseCounters)
+				}
+				for _, name := range []string{"core.s2.accepted", "core.s2.attempts", "gmm.em.fits"} {
+					if counters[name] == 0 {
+						t.Errorf("counter %s not recorded", name)
+					}
+				}
+				for _, typ := range []string{"ledger_charge", "phase_end"} {
+					if !bytes.Contains(raw, []byte(`"type":"`+typ+`"`)) {
+						t.Errorf("journal has no %s event", typ)
+					}
+				}
+			}
+		}},
+		// With no journal and no recorder the run writes the same dataset
+		// bytes: neither layer consumes a draw.
+		{name: "unjournaled-unrecorded", arm: func(t *testing.T, r *invarianceRun) func([]byte) {
+			r.opts.Journal = nil
+			r.opts.Metrics = nil
+			return nil
+		}},
 		// Cancellation plumbing checks a never-triggered context at every
 		// chunk/minibatch/iteration boundary without moving a draw.
 		{name: "cancelable-context", arm: func(t *testing.T, r *invarianceRun) func([]byte) {
@@ -157,7 +213,7 @@ func TestByteInvariance(t *testing.T) {
 		}},
 		// A nil Generator resolves to the gmm backend: one configuration.
 		{name: "gmm-generator", arm: func(t *testing.T, r *invarianceRun) func([]byte) {
-			r.opts.Generator = serd.GMMGenerator{}
+			r.opts.Generator = generator.GMM{}
 			return nil
 		}},
 		// Streaming output with blocking off: the stream writes the bytes
@@ -176,14 +232,17 @@ func TestByteInvariance(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			dir := filepath.Join(base, row.name)
-			journal := synthesizeRow(t, dir, row)
+			raw := synthesizeRow(t, dir, row)
 			got := readDataset(t, dir)
 			for name := range want {
 				if got[name] != want[name] {
 					t.Errorf("%s differs from the baseline: the feature perturbed the output", name)
 				}
 			}
-			if s := stripVolatile(t, journal); s != baseline {
+			if raw == nil {
+				return
+			}
+			if s := stripVolatile(t, raw); s != baseline {
 				t.Errorf("journal differs from the baseline beyond ts/dur_s:\n%s\n---- vs ----\n%s", s, baseline)
 			}
 		})
@@ -194,12 +253,12 @@ func TestByteInvariance(t *testing.T) {
 // the run binaries do after the terminal journal event. The registry
 // reads the record; it never shapes it.
 func armRunStore(t *testing.T, r *invarianceRun) func([]byte) {
-	return func(journal []byte) {
+	return func(raw []byte) {
 		jPath := filepath.Join(r.scratch, "run.journal.jsonl")
-		if err := os.WriteFile(jPath, journal, 0o644); err != nil {
+		if err := os.WriteFile(jPath, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		events, err := serd.ReadJournal(jPath)
+		events, err := journal.Read(jPath)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +268,7 @@ func armRunStore(t *testing.T, r *invarianceRun) func([]byte) {
 		}
 		entry.Artifacts.OutDir = r.out
 		entry.Artifacts.Journal = jPath
-		store, err := serd.OpenRunStore(filepath.Join(r.scratch, "store"))
+		store, err := runstore.Open(filepath.Join(r.scratch, "store"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,11 +297,11 @@ func armRunStore(t *testing.T, r *invarianceRun) func([]byte) {
 // to have seen events and the graceful shutdown, and the written trace to
 // account for ≥95% of the run in both its summary and critical path.
 func armTracing(t *testing.T, r *invarianceRun) func([]byte) {
-	bus := serd.NewEventBus(0)
-	tracer := serd.NewTracer(bus)
-	sampler := serd.StartRuntimeSampler(r.reg, bus, 5*time.Millisecond)
+	bus := telemetry.NewBus(0)
+	tracer := trace.New(bus)
+	sampler := telemetry.StartSampler(r.reg, bus, 5*time.Millisecond)
 	t.Cleanup(func() { sampler.Stop() })
-	srv, err := serd.ServeMetricsWith("127.0.0.1:0", r.reg, bus)
+	srv, err := telemetry.ServeWithExtra("127.0.0.1:0", r.reg, bus, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,14 +332,14 @@ func armTracing(t *testing.T, r *invarianceRun) func([]byte) {
 	}()
 
 	tracePath := filepath.Join(r.scratch, "run.json")
-	exp, err := serd.NewTraceExporter(bus, tracePath, serd.TraceHeader{
+	exp, err := trace.NewExporter(bus, tracePath, trace.Header{
 		RunID: "trace-noop-test", Tool: "test", Dataset: "Restaurant",
 		Seed: 9, StartNS: time.Now().UnixNano(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.opts.Metrics = serd.TraceRecorder(tracer, r.opts.Metrics)
+	r.opts.Metrics = trace.Wrap(tracer, r.opts.Metrics)
 
 	return func([]byte) {
 		sampler.Stop()
@@ -304,21 +363,21 @@ func armTracing(t *testing.T, r *invarianceRun) func([]byte) {
 			t.Fatal("SSE client did not finish after server shutdown")
 		}
 
-		tr, err := serd.LoadTrace(tracePath)
+		tr, err := trace.Load(tracePath)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tr.Dropped != 0 {
 			t.Errorf("trace dropped %d events", tr.Dropped)
 		}
-		sum := serd.SummarizeTrace(tr)
+		sum := trace.Summarize(tr)
 		if sum.Coverage < 0.95 {
 			t.Errorf("stage tree covers %.1f%% of wall-clock, want >= 95%%; stages: %+v", 100*sum.Coverage, sum.Stages)
 		}
 		if len(sum.Stages) < 3 {
 			t.Errorf("summary has %d stages, want the full pipeline: %+v", len(sum.Stages), sum.Stages)
 		}
-		cp := serd.FindTraceCriticalPath(tr)
+		cp := trace.FindCriticalPath(tr)
 		if len(cp.Steps) == 0 || cp.Coverage < 0.95 {
 			t.Errorf("critical path covers %.1f%% across %d steps, want >= 95%%", 100*cp.Coverage, len(cp.Steps))
 		}

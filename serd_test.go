@@ -4,10 +4,16 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"serd"
+	"serd/internal/blocking"
+	"serd/internal/datagen"
+	"serd/internal/dataset"
+	"serd/internal/generator"
+	"serd/internal/journal"
 )
 
 // TestPublicAPIEndToEnd walks the README quick-start path through the
@@ -31,11 +37,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	r := rand.New(rand.NewSource(1))
-	train, test, err := serd.TrainTestSplit(real.ER, 3, 0.3, r)
+	train, test, err := dataset.Split(dataset.LabeledPairs(real.ER, 3, r), 0.3, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	synTrain, _, err := serd.TrainTestSplit(res.Syn, 3, 0.05, r)
+	synTrain, _, err := dataset.Split(dataset.LabeledPairs(res.Syn, 3, r), 0.05, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +80,15 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSampleNames pins that Sample serves every built-in dataset, in
+// Table II order, and refuses an unknown name.
 func TestSampleNames(t *testing.T) {
-	names := serd.SampleNames()
+	var names []string
+	for _, g := range datagen.Registry() {
+		names = append(names, g.Name)
+	}
 	if len(names) != 4 || names[0] != "DBLP-ACM" {
-		t.Fatalf("SampleNames = %v", names)
+		t.Fatalf("built-in datasets = %v", names)
 	}
 	for _, n := range names {
 		if _, err := serd.Sample(n, serd.SampleConfig{Seed: 1, SizeA: 10, SizeB: 10, Matches: 4, BackgroundPerColumn: 5}); err != nil {
@@ -137,7 +148,7 @@ func TestBlockingAndZeroERFacade(t *testing.T) {
 	// Blocking: candidates must cover the matches and prune the space.
 	cands, err := serd.BlockerUnion{
 		serd.QGramBlocker{Column: 0},
-		serd.TokenBlocker{Column: 0},
+		blocking.Token{Column: 0},
 	}.Candidates(real.ER.A, real.ER.B)
 	if err != nil {
 		t.Fatal(err)
@@ -227,16 +238,6 @@ func TestAuditHelpersFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := serd.OneToOneViolations(real.ER); len(v) != 0 {
-		t.Errorf("generated matches should be 1-1, got %d violations", len(v))
-	}
-	if c := serd.MatchClusters(real.ER); len(c) != 15 {
-		t.Errorf("got %d clusters, want 15", len(c))
-	}
-	profs := serd.ProfileRelation(real.ER.A)
-	if len(profs) != 4 || profs[0].Distinct == 0 {
-		t.Errorf("profiles = %+v", profs)
-	}
 	r := rand.New(rand.NewSource(6))
 	synths, err := serd.RuleSynthesizers(real)
 	if err != nil {
@@ -253,33 +254,31 @@ func TestAuditHelpersFacade(t *testing.T) {
 	if nndr <= 0.3 {
 		t.Errorf("NNDR of synthesized data = %v, want high (private)", nndr)
 	}
-	// Threshold tuning and cross validation over the mixed workload.
+	// A matcher trained on the mixed workload holds up on its held-out
+	// split.
 	pairs, err := serd.MixedWorkload(real.ER, 3, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &serd.LogisticRegression{}
-	xs, ys := serd.Vectors(pairs)
-	if err := m.Fit(xs, ys); err != nil {
-		t.Fatal(err)
-	}
-	if thr, met := serd.BestThreshold(m, pairs); thr <= 0 || met.F1() <= 0 {
-		t.Errorf("BestThreshold = %v, %+v", thr, met)
-	}
-	f1, err := serd.CrossValidate(func() serd.Matcher { return &serd.RandomForest{Seed: 1} }, pairs, 4, r)
+	train, test, err := serd.Split(pairs, 0.3, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f1 <= 0.3 {
-		t.Errorf("cross-validated F1 = %v", f1)
+	m := &serd.RandomForest{Seed: 1}
+	xs, ys := serd.Vectors(train)
+	if err := m.Fit(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	if f1 := serd.Evaluate(m, test).F1(); f1 <= 0.3 {
+		t.Errorf("held-out F1 on the mixed workload = %v", f1)
 	}
 }
 
-// TestPrivBayesLedgerVerifies runs the DP backend end to end through the
-// public surface and holds the accounting honest: the fit's single dp_sgd
-// ledger entry must recompute from its journaled (noise, steps, q, δ)
-// within EpsilonTolerance (1e-9) under serd audit verify's math, and the
-// composed budget must not exceed the requested ε.
+// TestPrivBayesLedgerVerifies runs the DP backend end to end and holds
+// the accounting honest: the fit's single dp_sgd ledger entry must
+// recompute from its journaled (noise, steps, q, δ) within
+// EpsilonTolerance (1e-9) under serd audit verify's math, and the composed
+// budget must not exceed the requested ε.
 func TestPrivBayesLedgerVerifies(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "out")
@@ -293,18 +292,18 @@ func TestPrivBayesLedgerVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr, err := serd.CreateJournal(jPath)
+	jr, err := journal.Create(jPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	jr.RunStart("test", 9, map[string]string{"dataset": "Restaurant", "s1_generator": "privbayes"})
-	ledger := serd.NewPrivacyLedger(jr)
+	ledger := journal.NewLedger(jr)
 	const wantEps = 2.0
 	res, err := serd.SynthesizeContext(context.Background(), g.ER, serd.Options{
 		Synthesizers: synths,
 		Seed:         9,
 		Journal:      jr,
-		Generator:    serd.PrivBayesGenerator{Epsilon: wantEps},
+		Generator:    generator.PrivBayes{Epsilon: wantEps},
 		Privacy:      ledger,
 	})
 	if err != nil {
@@ -326,7 +325,7 @@ func TestPrivBayesLedgerVerifies(t *testing.T) {
 		t.Errorf("composed ε=%v implausibly far under the requested budget %v — charge missing?", eps, wantEps)
 	}
 
-	vr, err := serd.AuditVerify(jPath, "")
+	vr, err := journal.Verify(jPath, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,11 +336,11 @@ func TestPrivBayesLedgerVerifies(t *testing.T) {
 		t.Errorf("recomputed ε=%v vs recorded ε=%v: drift beyond 1e-9", vr.RecomputedEpsilon, vr.RecordedEpsilon)
 	}
 
-	events, err := serd.ReadJournal(jPath)
+	events, err := journal.Read(jPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := serd.SummarizeJournal(events)
+	sum, err := journal.Summarize(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,5 +351,63 @@ func TestPrivBayesLedgerVerifies(t *testing.T) {
 		if f.Backend != "privbayes" {
 			t.Errorf("generator_fit backend = %q, want privbayes", f.Backend)
 		}
+	}
+}
+
+// TestJournalFileRoundTripFromLibrary drives a journaled library run end
+// to end: create the journal on disk, record a run, read back, verify.
+func TestJournalFileRoundTripFromLibrary(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out")
+	jPath := filepath.Join(dir, "journal.jsonl")
+
+	g, err := serd.Sample("Restaurant", serd.SampleConfig{Seed: 3, SizeA: 30, SizeB: 30, Matches: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	synths, err := serd.RuleSynthesizers(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr, err := journal.Create(jPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr.RunStart("test", 9, nil)
+	res, err := serd.Synthesize(g.ER, serd.Options{Synthesizers: synths, Seed: 9, Journal: jr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serd.SaveDataset(out, res.Syn); err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.Lineage("output", out); err != nil {
+		t.Fatal(err)
+	}
+	jr.RunEnd("done", "", nil, 1)
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(jPath); err != nil {
+		t.Fatal(err)
+	}
+
+	vr, err := journal.Verify(jPath, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !vr.OK() {
+		t.Fatalf("library round trip failed verify: %v", vr.Problems)
+	}
+	events, err := journal.Read(jPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := journal.Summarize(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Synthesis == nil || len(sum.GenFits) != 2 || len(sum.Lineage) != 1 {
+		t.Errorf("summary = synthesis %v, %d generator fits, %d lineage", sum.Synthesis, len(sum.GenFits), len(sum.Lineage))
 	}
 }
