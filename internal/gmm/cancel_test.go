@@ -5,8 +5,10 @@ import (
 	"errors"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"serd/internal/parallel"
 	"serd/internal/telemetry"
 )
 
@@ -17,12 +19,12 @@ type cancelOnObserve struct {
 	telemetry.Recorder
 	name   string
 	cancel context.CancelFunc
-	fired  int
+	fired  atomic.Int32
 }
 
 func (c *cancelOnObserve) Observe(name string, v float64) {
 	if name == c.name {
-		c.fired++
+		c.fired.Add(1)
 		c.cancel()
 	}
 	c.Recorder.Observe(name, v)
@@ -54,26 +56,32 @@ func TestFitCancelMidEM(t *testing.T) {
 	// Prompt return: the loop must stop at the next iteration boundary,
 	// not run to MaxIter. The observation fires from iteration 2 onward,
 	// so exactly one improvement is observed before the cancel lands.
-	if rec.fired != 1 {
-		t.Fatalf("EM ran %d iterations past the cancel, want return within one", rec.fired-1)
+	if fired := rec.fired.Load(); fired != 1 {
+		t.Fatalf("EM ran %d iterations past the cancel, want return within one", fired-1)
 	}
 }
 
 func TestFitAICCancelStopsModelSearch(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	xs := slowData(r, 200)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rec := &cancelOnObserve{Recorder: telemetry.Nop, name: "gmm.em.loglik_improvement", cancel: cancel}
-	_, err := FitAIC(ctx, xs, 4, FitOptions{Rand: r, Metrics: rec, Tol: -1, MaxIter: 50})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("FitAIC under cancel = %v, want context.Canceled", err)
-	}
-	// The search must stop at the first canceled candidate instead of
-	// trying every component count: with the cancel landing in the g=1
-	// fit, only that fit's improvement fires.
-	if rec.fired != 1 {
-		t.Fatalf("model search continued after cancel (%d fits observed an improvement)", rec.fired)
+	for _, pool := range []*parallel.Pool{nil, parallel.New(2, nil), parallel.New(4, nil)} {
+		r := rand.New(rand.NewSource(7))
+		xs := slowData(r, 200)
+		ctx, cancel := context.WithCancel(context.Background())
+		rec := &cancelOnObserve{Recorder: telemetry.Nop, name: "gmm.em.loglik_improvement", cancel: cancel}
+		_, err := FitAIC(ctx, xs, 4, FitOptions{Rand: r, Metrics: rec, Tol: -1, MaxIter: 50, Pool: pool})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: FitAIC under cancel = %v, want context.Canceled", pool.Workers(), err)
+		}
+		// The search must stop at the first canceled candidate instead of
+		// trying every component count. With no pool the candidates run
+		// one after another, longest first: the cancel lands in the g=4
+		// fit, and the candidates after it stop at their first iteration
+		// check, before any improvement fires. On a pool, each candidate
+		// running when the cancel lands can fire once: at most one per
+		// worker.
+		if fired := rec.fired.Load(); fired < 1 || fired > int32(pool.Workers()) {
+			t.Fatalf("workers=%d: model search continued after cancel (%d fits observed an improvement)", pool.Workers(), fired)
+		}
 	}
 }
 

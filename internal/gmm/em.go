@@ -22,11 +22,6 @@ type FitOptions struct {
 	Tol float64
 	// Ridge is the covariance regularization. Default DefaultRidge.
 	Ridge float64
-	// Diagonal restricts covariances to their diagonal. Useful for
-	// higher-dimensional schemas (e.g. the 8-column music dataset), where
-	// full covariances cost d² parameters per component and overfit small
-	// match sets.
-	Diagonal bool
 	// Metrics receives EM telemetry: "gmm.em.fits" / "gmm.em.iterations"
 	// counters, the per-fit iteration histogram, and the final
 	// log-likelihood gauge. Nil disables recording.
@@ -34,11 +29,12 @@ type FitOptions struct {
 	// Rand seeds the k-means++-style initialization. Required.
 	Rand *rand.Rand
 	// Pool, when set, parallelizes the E-step across sample rows and the
-	// M-step across components. The fit is bit-identical at any worker
-	// count: per-row responsibilities and log-densities land in
-	// index-addressed slots, the log-likelihood reduces in index order, and
-	// each component's M-step runs serially on one worker. Nil runs
-	// serially.
+	// M-step across components, and FitAIC's candidates across component
+	// counts. The fit is bit-identical at any worker count: per-row
+	// responsibilities and log-densities land in index-addressed slots,
+	// the log-likelihood reduces in index order, each component's M-step
+	// runs serially on one worker, and FitAIC draws every candidate's seed
+	// before any EM runs. Nil runs serially.
 	Pool *parallel.Pool
 }
 
@@ -65,10 +61,23 @@ func (o FitOptions) withDefaults() FitOptions {
 // partially-converged model is discarded (EM is cheap to replay relative
 // to a checkpoint of its intermediate state).
 func Fit(ctx context.Context, xs [][]float64, g int, opts FitOptions) (*Model, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	opts = opts.withDefaults()
+	model, err := seed(xs, g, opts)
+	if err != nil {
+		return nil, err
+	}
+	model, ll, err := em(ctx, xs, model, opts)
+	if err != nil {
+		return nil, err
+	}
+	opts.Metrics.Set("gmm.em.loglik", ll)
+	return model, nil
+}
+
+// seed validates xs, clamps g to the sample count and draws the
+// k-means++ starting model. It makes every random draw of a fit; EM
+// itself draws none.
+func seed(xs [][]float64, g int, opts FitOptions) (*Model, error) {
 	if len(xs) == 0 {
 		return nil, errors.New("gmm: no samples")
 	}
@@ -84,23 +93,29 @@ func Fit(ctx context.Context, xs [][]float64, g int, opts FitOptions) (*Model, e
 			return nil, fmt.Errorf("gmm: sample %d has dim %d, want %d", i, len(x), dim)
 		}
 	}
+	return initModel(xs, g, opts)
+}
 
-	model, err := initModel(xs, g, opts)
-	if err != nil {
-		return nil, err
+// em runs EM iterations from model until the log-likelihood improvement
+// drops below opts.Tol or opts.MaxIter is reached. It returns the fitted
+// model and the log-likelihood of its last E-step. opts must be
+// defaulted.
+func em(ctx context.Context, xs [][]float64, model *Model, opts FitOptions) (*Model, float64, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-
+	g := len(model.Comps)
 	gamma := make([][]float64, len(xs)) // responsibilities, n×g
 	for i := range gamma {
 		gamma[i] = make([]float64, g)
 	}
 	lls := make([]float64, len(xs)) // per-row log-densities, reduced in order
-	prevLL := math.Inf(-1)
+	ll, prevLL := 0.0, math.Inf(-1)
 	iters := 0
 	tr := trace.FromRecorder(opts.Metrics) // nil when tracing is disarmed
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("gmm: em canceled after %d iterations: %w", iter, err)
+			return nil, 0, fmt.Errorf("gmm: em canceled after %d iterations: %w", iter, err)
 		}
 		iters = iter + 1
 		var iterSpan *trace.Child
@@ -114,14 +129,14 @@ func Fit(ctx context.Context, xs [][]float64, g int, opts FitOptions) (*Model, e
 		opts.Pool.Run("gmm.em.estep", len(xs), func(i int) {
 			lls[i] = m.RespLogPDF(xs[i], gamma[i])
 		})
-		ll := 0.0
+		ll = 0
 		for _, v := range lls {
 			ll += v
 		}
 		// M-step (Eq. 6), one component per pool index.
-		next, err := maximize(xs, gamma, g, opts.Ridge, opts.Diagonal, opts.Pool)
+		next, err := maximize(xs, gamma, g, opts.Ridge, opts.Pool)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		model = next
 		if iterSpan != nil {
@@ -133,7 +148,6 @@ func Fit(ctx context.Context, xs [][]float64, g int, opts FitOptions) (*Model, e
 		if !math.IsInf(prevLL, -1) {
 			opts.Metrics.Observe("gmm.em.loglik_improvement", ll-prevLL)
 		}
-		opts.Metrics.Set("gmm.em.loglik", ll)
 		if math.Abs(ll-prevLL) < opts.Tol {
 			break
 		}
@@ -142,53 +156,76 @@ func Fit(ctx context.Context, xs [][]float64, g int, opts FitOptions) (*Model, e
 	opts.Metrics.Add("gmm.em.fits", 1)
 	opts.Metrics.Add("gmm.em.iterations", float64(iters))
 	opts.Metrics.Observe("gmm.em.iterations_per_fit", float64(iters))
-	return model, nil
+	return model, ll, nil
 }
 
 // FitAIC fits mixtures with 1..maxG components and returns the one that
-// minimizes the Akaike information criterion (§IV-A).
+// minimizes the Akaike information criterion (§IV-A); the first of equal
+// scores wins.
+//
+// The candidates share nothing but xs, so their EM loops run as whole
+// tasks on opts.Pool, claimed longest first (g = maxG down to 1): on two
+// workers g=maxG runs beside g=maxG−1, and the short fits fill in behind.
+// Every seed is drawn serially in g order before any EM starts, so
+// opts.Rand ends where a serial g = 1..maxG loop of Fit calls leaves it,
+// and selection runs in g order after the join, so the result is the
+// same at any worker count. A canceled search returns the ctx error;
+// candidates not yet started stop at their first iteration check.
 func FitAIC(ctx context.Context, xs [][]float64, maxG int, opts FitOptions) (*Model, error) {
-	return fitCriterion(ctx, xs, maxG, opts, func(m *Model) float64 { return m.AIC(xs) })
-}
-
-// FitBIC is FitAIC with the Bayesian information criterion
-// (k·ln n − 2·logL), which penalizes components harder on small samples.
-func FitBIC(ctx context.Context, xs [][]float64, maxG int, opts FitOptions) (*Model, error) {
-	n := float64(len(xs))
-	return fitCriterion(ctx, xs, maxG, opts, func(m *Model) float64 {
-		return float64(m.NumParams())*math.Log(n) - 2*m.LogLikelihood(xs)
-	})
-}
-
-func fitCriterion(ctx context.Context, xs [][]float64, maxG int, opts FitOptions, criterion func(*Model) float64) (*Model, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if maxG < 1 {
 		maxG = 1
 	}
-	var best *Model
+	type candidate struct {
+		model   *Model
+		ll, aic float64
+		err     error
+	}
+	cands := make([]candidate, maxG) // cands[g-1]
+	for i := range cands {
+		// Defaulted per candidate, as each Fit call does: a nil Rand
+		// seeds every candidate from a fresh source.
+		cands[i].model, cands[i].err = seed(xs, i+1, opts.withDefaults())
+	}
+	o := opts.withDefaults()
+	opts.Pool.Claim("gmm.em.fit", maxG, func(i int) {
+		c := &cands[maxG-1-i]
+		if c.err != nil {
+			return
+		}
+		if c.model, c.ll, c.err = em(ctx, xs, c.model, o); c.err == nil {
+			c.aic = c.model.AIC(xs)
+		}
+	})
+	ctxErr := ctx.Err()
+	var best *candidate
 	bestScore := math.Inf(1)
 	var firstErr error
-	for g := 1; g <= maxG; g++ {
-		m, err := Fit(ctx, xs, g, opts)
-		if err != nil {
-			// A canceled fit must not be swallowed as just another failed
-			// candidate: the whole model search stops.
-			if ctx != nil && ctx.Err() != nil {
-				return nil, err
+	for i := range cands {
+		c := &cands[i]
+		if c.err != nil {
+			// A canceled candidate stops the whole search rather than
+			// being skipped as just another failed fit.
+			if ctxErr != nil && errors.Is(c.err, ctxErr) {
+				return nil, c.err
 			}
 			if firstErr == nil {
-				firstErr = err
+				firstErr = c.err
 			}
 			continue
 		}
-		if score := criterion(m); score < bestScore {
-			bestScore = score
-			best = m
+		if c.aic < bestScore {
+			bestScore = c.aic
+			best = c
 		}
 	}
 	if best == nil {
 		return nil, fmt.Errorf("gmm: no candidate model fit: %w", firstErr)
 	}
-	return best, nil
+	o.Metrics.Set("gmm.em.loglik", best.ll)
+	return best.model, nil
 }
 
 // initModel seeds EM with k-means++-style centers and the global covariance.
@@ -244,10 +281,10 @@ func initModel(xs [][]float64, g int, opts FitOptions) (*Model, error) {
 // maximize performs the M-step of Eq. 6 given responsibilities. The g
 // components are independent and each is computed serially, so fanning
 // them out over pool leaves every float unchanged.
-func maximize(xs [][]float64, gamma [][]float64, g int, ridge float64, diagonal bool, pool *parallel.Pool) (*Model, error) {
+func maximize(xs [][]float64, gamma [][]float64, g int, ridge float64, pool *parallel.Pool) (*Model, error) {
 	comps := make([]Component, g)
 	pool.Run("gmm.em.mstep", g, func(k int) {
-		comps[k] = maximizeComponent(xs, gamma, k, ridge, diagonal)
+		comps[k] = maximizeComponent(xs, gamma, k, ridge)
 	})
 	return New(comps)
 }
@@ -255,7 +292,7 @@ func maximize(xs [][]float64, gamma [][]float64, g int, ridge float64, diagonal 
 // maximizeComponent re-estimates component k. Each row's centered vector
 // d = x − mean is computed once, and w·d[a] once per row and a, so every
 // covariance term is still (w·d[a])·d[b], summed over rows in order.
-func maximizeComponent(xs [][]float64, gamma [][]float64, k int, ridge float64, diagonal bool) Component {
+func maximizeComponent(xs [][]float64, gamma [][]float64, k int, ridge float64) Component {
 	dim := len(xs[0])
 	n := len(xs)
 	nk := 0.0
@@ -304,15 +341,6 @@ func maximizeComponent(xs [][]float64, gamma [][]float64, k int, ridge float64, 
 	}
 	for i := range cov.Data {
 		cov.Data[i] /= nk
-	}
-	if diagonal {
-		for a := 0; a < dim; a++ {
-			for b := 0; b < dim; b++ {
-				if a != b {
-					cov.Set(a, b, 0)
-				}
-			}
-		}
 	}
 	stats.RegularizeCovariance(cov, ridge)
 	return Component{Weight: nk / float64(n), Mean: mean, Cov: cov}

@@ -225,50 +225,3 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Error("Clone shares mean storage with original")
 	}
 }
-
-func TestFitDiagonalCovariance(t *testing.T) {
-	r := rand.New(rand.NewSource(20))
-	xs := twoClusterData(r, 200)
-	m, err := Fit(context.Background(), xs, 2, FitOptions{Rand: r, Diagonal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range m.Comps {
-		for i := 0; i < 2; i++ {
-			for j := 0; j < 2; j++ {
-				if i != j && c.Cov.At(i, j) != 0 {
-					t.Fatalf("off-diagonal covariance %v", c.Cov.At(i, j))
-				}
-			}
-		}
-	}
-	// Diagonal fit still separates the clusters.
-	if p := m.PDF([]float64{0.9, 0.85}); p <= m.PDF([]float64{0.5, 0.5}) {
-		t.Error("diagonal fit lost the cluster structure")
-	}
-}
-
-func TestFitBICPrefersSimplerModelOnSmallData(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	// A small single-cluster sample: BIC should choose 1 component.
-	xs := make([][]float64, 30)
-	for i := range xs {
-		xs[i] = []float64{0.5 + 0.05*r.NormFloat64(), 0.5 + 0.05*r.NormFloat64()}
-	}
-	m, err := FitBIC(context.Background(), xs, 3, FitOptions{Rand: r})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Comps) != 1 {
-		t.Errorf("BIC chose %d components for unimodal 30-sample data", len(m.Comps))
-	}
-	// And it still finds two components when the data demands them.
-	bimodal := twoClusterData(r, 150)
-	m, err = FitBIC(context.Background(), bimodal, 3, FitOptions{Rand: r})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Comps) < 2 {
-		t.Errorf("BIC chose %d components for clearly bimodal data", len(m.Comps))
-	}
-}

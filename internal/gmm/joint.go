@@ -266,21 +266,3 @@ func pairLogPDF(before, after *Joint, x []float64) (lb, la float64) {
 	}
 	return before.combine(mb, nb), after.combine(ma, na)
 }
-
-// KL estimates the Kullback-Leibler divergence KL(p || q) between two
-// mixture models by Monte-Carlo with n samples from p.
-func KL(p, q *Model, n int, r *rand.Rand) float64 {
-	if n <= 0 {
-		n = 256
-	}
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		x := p.Sample(r)
-		sum += p.LogPDF(x) - q.LogPDF(x)
-	}
-	kl := sum / float64(n)
-	if kl < 0 {
-		return 0
-	}
-	return kl
-}

@@ -1,6 +1,8 @@
 package gmm
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -125,6 +127,49 @@ func BenchmarkJSDPair(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkFloat, _ = JSDPair(before, after, q, 128, int64(i), pool)
+	}
+}
+
+// dblpShapedVectors draws n four-column similarity vectors shaped like
+// S1's DBLP non-match learning set: mostly low similarities, a band of
+// hard negatives with high-similarity columns, clamped into [0, 1] so
+// that the boundaries carry point masses.
+func dblpShapedVectors(r *rand.Rand, n int) [][]float64 {
+	easy := [4]float64{0.1, 0.1, 0.2, 0.5}
+	hard := [4]float64{0.6, 0.3, 0.8, 0.9}
+	xs := make([][]float64, n)
+	for i := range xs {
+		center, sd := easy, 0.08
+		if r.Intn(10) < 3 {
+			center, sd = hard, 0.15
+		}
+		x := make([]float64, len(center))
+		for j, c := range center {
+			x[j] = c + sd*r.NormFloat64()
+		}
+		clamp01(x)
+		xs[i] = x
+	}
+	return xs
+}
+
+// BenchmarkFitAIC measures S1's N-distribution fit: the AIC search over
+// 1..4 components on 5,610 DBLP-shaped vectors, at one and two workers.
+func BenchmarkFitAIC(b *testing.B) {
+	xs := dblpShapedVectors(rand.New(rand.NewSource(35)), 5610)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			pool := parallel.New(workers, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, err := FitAIC(context.Background(), xs, 4, FitOptions{Rand: rand.New(rand.NewSource(1)), Pool: pool})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkModel = m
+			}
+		})
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // oracleMaximizeComponent is the straightforward M-step for component k:
 // the covariance accumulates w·(x[a]−mean[a])·(x[b]−mean[b]) entry by
 // entry through Mat.Add. maximizeComponent must match it bit for bit.
-func oracleMaximizeComponent(xs, gamma [][]float64, k int, ridge float64, diagonal bool) Component {
+func oracleMaximizeComponent(xs, gamma [][]float64, k int, ridge float64) Component {
 	dim := len(xs[0])
 	n := len(xs)
 	nk := 0.0
@@ -49,15 +49,6 @@ func oracleMaximizeComponent(xs, gamma [][]float64, k int, ridge float64, diagon
 	}
 	for i := range cov.Data {
 		cov.Data[i] /= nk
-	}
-	if diagonal {
-		for a := 0; a < dim; a++ {
-			for b := 0; b < dim; b++ {
-				if a != b {
-					cov.Set(a, b, 0)
-				}
-			}
-		}
 	}
 	stats.RegularizeCovariance(cov, ridge)
 	return Component{Weight: nk / float64(n), Mean: mean, Cov: cov}
@@ -111,38 +102,35 @@ func sameComponent(t *testing.T, label string, got, want Component) {
 // TestMaximizeMatchesOracleAtAnyWorkerCount pins the M-step's contract:
 // the hoisted kernel equals the entry-by-entry oracle bit for bit, and a
 // pooled M-step equals the serial one, across component counts, a
-// high-dimensional (heap-buffered) case, a starved component and the
-// diagonal restriction.
+// high-dimensional (heap-buffered) case and a starved component.
 func TestMaximizeMatchesOracleAtAnyWorkerCount(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for _, dim := range []int{1, 4, 17} {
 		for g := 1; g <= 4; g++ {
 			for _, starve := range []bool{false, true} {
-				for _, diagonal := range []bool{false, true} {
-					xs, gamma := mstepInput(r, 60, dim, g, starve)
-					serial, err := maximize(xs, gamma, g, DefaultRidge, diagonal, nil)
+				xs, gamma := mstepInput(r, 60, dim, g, starve)
+				serial, err := maximize(xs, gamma, g, DefaultRidge, nil)
+				if err != nil {
+					t.Fatalf("dim=%d g=%d: %v", dim, g, err)
+				}
+				comps := make([]Component, g)
+				for k := range comps {
+					comps[k] = oracleMaximizeComponent(xs, gamma, k, DefaultRidge)
+				}
+				want, err := New(comps)
+				if err != nil {
+					t.Fatalf("dim=%d g=%d: oracle: %v", dim, g, err)
+				}
+				for k := 0; k < g; k++ {
+					sameComponent(t, "serial vs oracle", serial.Comps[k], want.Comps[k])
+				}
+				for _, workers := range []int{1, 2, 4} {
+					pooled, err := maximize(xs, gamma, g, DefaultRidge, parallel.New(workers, nil))
 					if err != nil {
-						t.Fatalf("dim=%d g=%d: %v", dim, g, err)
-					}
-					comps := make([]Component, g)
-					for k := range comps {
-						comps[k] = oracleMaximizeComponent(xs, gamma, k, DefaultRidge, diagonal)
-					}
-					want, err := New(comps)
-					if err != nil {
-						t.Fatalf("dim=%d g=%d: oracle: %v", dim, g, err)
+						t.Fatalf("dim=%d g=%d workers=%d: %v", dim, g, workers, err)
 					}
 					for k := 0; k < g; k++ {
-						sameComponent(t, "serial vs oracle", serial.Comps[k], want.Comps[k])
-					}
-					for _, workers := range []int{1, 2, 4} {
-						pooled, err := maximize(xs, gamma, g, DefaultRidge, diagonal, parallel.New(workers, nil))
-						if err != nil {
-							t.Fatalf("dim=%d g=%d workers=%d: %v", dim, g, workers, err)
-						}
-						for k := 0; k < g; k++ {
-							sameComponent(t, "pooled vs serial", pooled.Comps[k], serial.Comps[k])
-						}
+						sameComponent(t, "pooled vs serial", pooled.Comps[k], serial.Comps[k])
 					}
 				}
 			}
@@ -157,7 +145,7 @@ func BenchmarkMaximize(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := maximize(xs, gamma, 4, DefaultRidge, false, nil)
+		m, err := maximize(xs, gamma, 4, DefaultRidge, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -249,20 +249,3 @@ func TestJSDSeparatesDifferentDistributions(t *testing.T) {
 		t.Errorf("JSD exceeds log 2 bound: %v", far)
 	}
 }
-
-func TestKLNonNegativeAndZeroOnSelf(t *testing.T) {
-	r := rand.New(rand.NewSource(10))
-	xs := twoClusterData(r, 150)
-	m, _ := Fit(context.Background(), xs, 2, FitOptions{Rand: r})
-	if d := KL(m, m, 256, r); d != 0 {
-		t.Errorf("KL(m||m) = %v, want 0", d)
-	}
-	other := make([][]float64, 150)
-	for i := range other {
-		other[i] = []float64{0.5 + 0.01*r.NormFloat64(), 0.5 + 0.01*r.NormFloat64()}
-	}
-	m2, _ := Fit(context.Background(), other, 1, FitOptions{Rand: r})
-	if d := KL(m, m2, 256, r); d <= 0 {
-		t.Errorf("KL between different mixtures = %v, want > 0", d)
-	}
-}

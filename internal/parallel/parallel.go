@@ -3,8 +3,8 @@
 // execution parameter, never a semantic one: a computation fanned out
 // through Pool.Run must produce bit-identical results at any worker count,
 // including 1. The package enforces the half of that contract it can —
-// fixed contiguous index chunking, completion barriers, no scheduling
-// randomness — and SplitSeeds supplies the other half for Monte-Carlo
+// fixed contiguous index chunking, per-index result slots, completion
+// barriers — and SplitSeeds supplies the other half for Monte-Carlo
 // callers: pre-split RNG substreams keyed by stripe index rather than by
 // worker, so the sample stream is independent of how stripes land on
 // workers.
@@ -109,6 +109,54 @@ func (p *Pool) Run(phase string, n int, fn func(i int)) {
 		}(c, c*n/w, (c+1)*n/w)
 	}
 	chunk(0, 0, n/w)
+	wg.Wait()
+	p.record(phase, time.Duration(busyNS.Load()), time.Since(start))
+}
+
+// Claim invokes fn(i) for every i in [0, n) like Run, but hands the
+// indices out one at a time, in ascending order, to whichever of the
+// pool's workers is free, rather than in fixed contiguous chunks. It
+// suits a few tasks of uneven cost: ordered longest first, the short
+// tasks fill in behind the long ones. Which worker runs an index varies
+// from run to run, so fn must write only to index i's slots; a nil or
+// one-worker pool runs the indices in ascending order on the caller. fn
+// may call Run or Claim on the same pool; each call is bounded by the
+// pool's worker count on its own.
+func (p *Pool) Claim(phase string, n int, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
+	w := min(p.Workers(), n)
+	start := time.Now()
+	if w == 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		p.record(phase, time.Since(start), time.Since(start))
+		return
+	}
+	var next, busyNS atomic.Int64
+	work := func() {
+		t0 := time.Now()
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				break
+			}
+			fn(i)
+		}
+		busyNS.Add(int64(time.Since(t0)))
+	}
+	// The calling goroutine is one of the w workers, as in Run.
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for c := 1; c < w; c++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 	p.record(phase, time.Duration(busyNS.Load()), time.Since(start))
 }

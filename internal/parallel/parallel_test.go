@@ -37,6 +37,40 @@ func TestNilPoolRunsSerially(t *testing.T) {
 	}
 }
 
+// TestClaimCoversEveryIndexOnce pins Claim's contract: every index runs
+// exactly once at any worker count, also when fn nests Run on the same
+// pool, and a nil or one-worker pool runs the indices in ascending order.
+func TestClaimCoversEveryIndexOnce(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 4, 7, 16} {
+		for _, n := range []int{0, 1, 2, 5, 16, 100} {
+			p := New(workers, nil)
+			hits := make([]int32, n)
+			inner := make([]int32, n*3)
+			p.Claim("", n, func(i int) {
+				atomic.AddInt32(&hits[i], 1)
+				p.Run("", 3, func(j int) { atomic.AddInt32(&inner[3*i+j], 1) })
+			})
+			for i, h := range hits {
+				if h != 1 {
+					t.Errorf("workers=%d n=%d: index %d claimed %d times", workers, n, i, h)
+				}
+			}
+			for i, h := range inner {
+				if h != 1 {
+					t.Errorf("workers=%d n=%d: nested index %d visited %d times", workers, n, i, h)
+				}
+			}
+		}
+	}
+	for _, p := range []*Pool{nil, New(1, nil)} {
+		var order []int
+		p.Claim("", 6, func(i int) { order = append(order, i) })
+		if fmt.Sprint(order) != "[0 1 2 3 4 5]" {
+			t.Errorf("workers=%d: Claim order %v, want ascending", p.Workers(), order)
+		}
+	}
+}
+
 func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
 	p := New(0, nil)
 	if got, want := p.Workers(), runtime.GOMAXPROCS(0); got != want {
