@@ -24,11 +24,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
-	"time"
 
 	"serd/internal/blocking"
 	"serd/internal/config"
@@ -36,9 +34,8 @@ import (
 	"serd/internal/dataset"
 	"serd/internal/journal"
 	"serd/internal/pipeline"
-	"serd/internal/runstore"
+	"serd/internal/session"
 	"serd/internal/telemetry"
-	"serd/internal/trace"
 )
 
 func main() {
@@ -75,6 +72,14 @@ func run(args []string, stdout io.Writer) error {
 	if jPath == "" {
 		jPath = filepath.Join(flags.Out, journal.DefaultName)
 	}
+	runCfg := map[string]string{
+		"out":     flags.Out,
+		"dataset": flags.Dataset,
+		"size_a":  strconv.Itoa(flags.SizeA),
+		"size_b":  strconv.Itoa(flags.SizeB),
+		"matches": strconv.Itoa(flags.Matches),
+	}
+	flags.Blocking.JournaledConfig(runCfg)
 	if !flags.NoJournal {
 		var err error
 		jr, err = journal.Create(jPath)
@@ -82,70 +87,7 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		defer jr.Close()
-		runCfg := map[string]string{
-			"out":     flags.Out,
-			"dataset": flags.Dataset,
-			"size_a":  strconv.Itoa(flags.SizeA),
-			"size_b":  strconv.Itoa(flags.SizeB),
-			"matches": strconv.Itoa(flags.Matches),
-		}
-		flags.Blocking.JournaledConfig(runCfg)
 		jr.RunStart("datagen", flags.Seed, runCfg)
-	}
-
-	// The run registry is best-effort infrastructure: a store that fails
-	// to open must not change the generation run's outcome, so the error
-	// degrades to a warning and the run proceeds unregistered.
-	store, storeErr := runstore.Resolve(flags.RunStore)
-	if storeErr != nil {
-		fmt.Fprintf(os.Stderr, "datagen: run store: %v (run will not be registered)\n", storeErr)
-	}
-
-	start := time.Now()
-
-	reg := telemetry.NewRegistry()
-	// Tracing arms exactly like cmd/serd: only when there is a consumer (a
-	// -trace file or a live inspector streaming /events); disarmed, rec is
-	// the registry unchanged.
-	var bus *telemetry.Bus
-	if flags.TracePath != "" || flags.MetricsAddr != "" {
-		bus = telemetry.NewBus(0)
-	}
-	rec := trace.Wrap(trace.New(bus), reg)
-	if flags.MetricsAddr != "" {
-		var extra map[string]http.Handler
-		if store != nil {
-			extra = map[string]http.Handler{"/runs/": runstore.Handler(store, nil)}
-		}
-		srv, err := telemetry.ServeWithExtra(flags.MetricsAddr, reg, bus, extra)
-		if err != nil {
-			return fmt.Errorf("metrics server: %w", err)
-		}
-		defer srv.Close()
-		endpoints := "metrics.json, metrics, events, debug/pprof"
-		if store != nil {
-			endpoints += ", runs"
-		}
-		fmt.Fprintf(stdout, "metrics: http://%s/ (%s)\n", srv.Addr(), endpoints)
-		testHookServing(srv.Addr())
-	}
-	if flags.TracePath != "" {
-		hdr := trace.Header{Tool: "datagen", Dataset: flags.Dataset, Seed: flags.Seed, StartNS: start.UnixNano()}
-		if jr != nil {
-			_, chain, _ := jr.Seam()
-			hdr.RunID = chain
-		}
-		exp, err := trace.NewExporter(bus, flags.TracePath, hdr)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := exp.Close(); err != nil {
-				fmt.Fprintln(stdout, "trace:", err)
-				return
-			}
-			fmt.Fprintf(stdout, "trace -> %s\n", flags.TracePath)
-		}()
 	}
 
 	// First SIGINT/SIGTERM cancels between datasets (generation is fast;
@@ -154,108 +96,89 @@ func run(args []string, stdout io.Writer) error {
 	ctx, stop := pipeline.SignalContext(context.Background())
 	defer stop()
 
+	return session.Run(session.Spec{
+		Tool:        "datagen",
+		Dataset:     flags.Dataset,
+		Seed:        flags.Seed,
+		Observe:     flags.Observe,
+		Out:         flags.Out,
+		NoReport:    flags.NoReport,
+		Journal:     jr,
+		JournalPath: jPath,
+		Config:      runCfg,
+		OnServing:   testHookServing,
+	}, stdout, func(rec telemetry.Recorder) (session.Result, error) {
+		summary, err := generate(ctx, flags, gens, jr, rec, stdout)
+		return session.Result{Summary: summary, RunEnd: summary}, err
+	})
+}
+
+// generate writes each generator's dataset and background corpora under
+// -out, journals its output lineage and, with -s3-blocker, grades the
+// blocker against it. The summary it returns holds the per-dataset
+// counts, also on error.
+func generate(ctx context.Context, flags *config.Datagen, gens []datagen.Generator, jr *journal.Journal, rec telemetry.Recorder, stdout io.Writer) (map[string]float64, error) {
 	summary := map[string]float64{}
-	err := func() error {
-		for _, g := range gens {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("datagen: canceled before %s: %w", g.Name, err)
-			}
-			span := rec.StartSpan("datagen." + g.Name)
-			cfg := datagen.Config{Seed: flags.Seed, SizeA: flags.SizeA, SizeB: flags.SizeB, Matches: flags.Matches}
-			gen, err := g.Gen(cfg)
-			if err != nil {
-				span.End()
-				return fmt.Errorf("%s: %w", g.Name, err)
-			}
-			dir := filepath.Join(flags.Out, g.Name)
-			if err := dataset.SaveDir(dir, gen.ER); err != nil {
-				span.End()
-				return fmt.Errorf("%s: %w", g.Name, err)
-			}
-			for col, corpus := range gen.Background {
-				path := filepath.Join(dir, "background_"+col+".txt")
-				f, err := os.Create(path)
-				if err != nil {
-					span.End()
-					return err
-				}
-				for _, s := range corpus {
-					fmt.Fprintln(f, s)
-				}
-				if err := f.Close(); err != nil {
-					span.End()
-					return err
-				}
-			}
-			span.End()
-			if jr != nil {
-				if err := jr.Lineage("output", dir); err != nil {
-					return err
-				}
-			}
-			st := gen.ER.Stats()
-			reg.Add("datagen.entities", float64(st.SizeA+st.SizeB))
-			reg.Add("datagen.matches", float64(st.Matches))
-			summary[g.Name+".entities"] = float64(st.SizeA + st.SizeB)
-			summary[g.Name+".matches"] = float64(st.Matches)
-			fmt.Fprintf(stdout, "%-15s -> %s (|A|=%d |B|=%d |M|=%d, %d background corpora)\n",
-				g.Name, dir, st.SizeA, st.SizeB, st.Matches, len(gen.Background))
-
-			// With -s3-blocker, grade the blocker against this dataset's
-			// ground truth — here recall is exact, not a held-out bound, so
-			// a generation run doubles as a blocking dry-run before a long
-			// synthesis commits to the same configuration.
-			if flags.Blocking.Enabled() {
-				if err := gradeBlocker(flags, g.Name, gen.ER, jr, summary, stdout); err != nil {
-					return fmt.Errorf("%s: %w", g.Name, err)
-				}
-			}
+	for _, g := range gens {
+		if err := ctx.Err(); err != nil {
+			return summary, fmt.Errorf("datagen: canceled before %s: %w", g.Name, err)
 		}
-		return nil
-	}()
-
-	if err == nil && !flags.NoReport {
-		path := flags.ReportPath
-		if path == "" {
-			path = filepath.Join(flags.Out, "run_report.json")
-		}
-		rep := &telemetry.RunReport{
-			Tool:        "datagen",
-			Dataset:     flags.Dataset,
-			Seed:        flags.Seed,
-			Start:       start,
-			WallSeconds: time.Since(start).Seconds(),
-			Summary:     summary,
-			Metrics:     reg.Snapshot(),
+		dir := filepath.Join(flags.Out, g.Name)
+		span := rec.StartSpan("datagen." + g.Name)
+		gen, err := writeGenerated(g, flags, dir)
+		span.End()
+		if err != nil {
+			return summary, fmt.Errorf("%s: %w", g.Name, err)
 		}
 		if jr != nil {
-			rep.Journal = jPath
+			if err := jr.Lineage("output", dir); err != nil {
+				return summary, err
+			}
 		}
-		if werr := telemetry.WriteRunReport(path, rep); werr != nil {
-			err = fmt.Errorf("run report: %w", werr)
-		} else {
-			fmt.Fprintf(stdout, "run report -> %s\n", path)
-		}
-	}
+		st := gen.ER.Stats()
+		rec.Add("datagen.entities", float64(st.SizeA+st.SizeB))
+		rec.Add("datagen.matches", float64(st.Matches))
+		summary[g.Name+".entities"] = float64(st.SizeA + st.SizeB)
+		summary[g.Name+".matches"] = float64(st.Matches)
+		fmt.Fprintf(stdout, "%-15s -> %s (|A|=%d |B|=%d |M|=%d, %d background corpora)\n",
+			g.Name, dir, st.SizeA, st.SizeB, st.Matches, len(gen.Background))
 
-	if jr != nil {
-		status, msg := pipeline.TerminalStatus(err)
-		jr.RunEnd(status, msg, summary, time.Since(start).Seconds())
-		if jerr := jr.Close(); err == nil && jerr != nil {
-			return jerr
+		// With -s3-blocker, grade the blocker against this dataset's
+		// ground truth — here recall is exact, not a held-out bound, so
+		// a generation run doubles as a blocking dry-run before a long
+		// synthesis commits to the same configuration.
+		if flags.Blocking.Enabled() {
+			if err := gradeBlocker(flags, g.Name, gen.ER, jr, summary, stdout); err != nil {
+				return summary, fmt.Errorf("%s: %w", g.Name, err)
+			}
 		}
 	}
+	return summary, nil
+}
 
-	// Registration happens strictly after the journal's terminal event so
-	// the registry entry is distilled from the finished, verifiable record
-	// (the run id IS the journal's first chain hash). Journal-less runs
-	// have no content-addressed identity and are not registered.
-	if store != nil && jr != nil {
-		if regErr := registerDatagenRun(store, flags, jPath, stdout); regErr != nil {
-			fmt.Fprintf(os.Stderr, "datagen: run store: %v (run not registered)\n", regErr)
+// writeGenerated generates one dataset and writes it, with one
+// background corpus per textual column, to dir.
+func writeGenerated(g datagen.Generator, flags *config.Datagen, dir string) (*datagen.Generated, error) {
+	gen, err := g.Gen(datagen.Config{Seed: flags.Seed, SizeA: flags.SizeA, SizeB: flags.SizeB, Matches: flags.Matches})
+	if err != nil {
+		return nil, err
+	}
+	if err := dataset.SaveDir(dir, gen.ER); err != nil {
+		return nil, err
+	}
+	for col, corpus := range gen.Background {
+		f, err := os.Create(filepath.Join(dir, "background_"+col+".txt"))
+		if err != nil {
+			return nil, err
+		}
+		for _, s := range corpus {
+			fmt.Fprintln(f, s)
+		}
+		if err := f.Close(); err != nil {
+			return nil, err
 		}
 	}
-	return err
+	return gen, nil
 }
 
 // gradeBlocker evaluates the configured blocker against a generated
@@ -295,32 +218,6 @@ func gradeBlocker(flags *config.Datagen, name string, e *dataset.ER, jr *journal
 	summary[name+".blocking_reduction"] = q.ReductionRatio
 	fmt.Fprintf(stdout, "%-15s    blocking %s: candidates=%d reduction=%.4f recall=%.4f\n",
 		name, bl.Describe(), q.Candidates, q.ReductionRatio, q.Recall)
-	return nil
-}
-
-// registerDatagenRun distills the finished journal into a registry entry.
-// Best-effort: errors are reported by the caller as warnings and never
-// change the run's exit status.
-func registerDatagenRun(store *runstore.Store, flags *config.Datagen, jPath string, stdout io.Writer) error {
-	events, err := journal.Read(jPath)
-	if err != nil {
-		return err
-	}
-	entry, err := runstore.EntryFromJournal(events)
-	if err != nil {
-		return err
-	}
-	entry.Artifacts = runstore.Artifacts{OutDir: flags.Out, Journal: jPath, Trace: flags.TracePath}
-	if !flags.NoReport {
-		entry.Artifacts.Report = flags.ReportPath
-		if entry.Artifacts.Report == "" {
-			entry.Artifacts.Report = filepath.Join(flags.Out, "run_report.json")
-		}
-	}
-	if err := store.Put(entry); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "run registered: %s (serd runs show %s)\n", entry.ShortID(), entry.ShortID())
 	return nil
 }
 

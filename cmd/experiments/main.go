@@ -47,7 +47,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -59,9 +58,9 @@ import (
 	"serd/internal/journal"
 	"serd/internal/pipeline"
 	"serd/internal/runstore"
+	"serd/internal/session"
 	"serd/internal/telemetry"
 	"serd/internal/textsynth"
-	"serd/internal/trace"
 )
 
 func main() {
@@ -116,73 +115,35 @@ func run(args []string, stdout io.Writer) error {
 	}
 	cfg.Generator = gen
 
-	// The run registry is best-effort: a store that fails to open warns
-	// and the run proceeds unregistered, never changing its exit status.
-	store, storeErr := runstore.Resolve(flags.RunStore)
-	if storeErr != nil {
-		fmt.Fprintf(os.Stderr, "experiments: run store: %v (run will not be registered)\n", storeErr)
-	}
-
 	if flags.Bench != "" {
-		return runBench(ctx, cfg, flags, store, stdout)
+		return runBench(ctx, cfg, flags, stdout)
 	}
 
-	reg := telemetry.NewRegistry()
-	start := time.Now()
+	datasets := experiments.NewSuite(cfg).Config().Datasets
+	return session.Run(session.Spec{
+		Tool:    "experiments",
+		Dataset: strings.Join(datasets, ","),
+		Seed:    flags.Seed,
+		Observe: flags.Observe,
+		Config: map[string]string{
+			"exp":         flags.Exp,
+			"sizecap":     strconv.Itoa(flags.SizeCap),
+			"matchcap":    strconv.Itoa(flags.MatchCap),
+			"transformer": strconv.FormatBool(flags.Transformer),
+		},
+		Unjournaled: true,
+	}, stdout, func(rec telemetry.Recorder) (session.Result, error) {
+		cfg.Metrics = rec
+		return session.Result{}, runTables(cfg, flags.Exp, stdout)
+	})
+}
 
-	// The event bus feeds both live consumers: SSE subscribers on /events
-	// and the -trace exporter. It is armed only when someone can listen,
-	// so plain runs pay nothing.
-	var bus *telemetry.Bus
-	if flags.TracePath != "" || flags.MetricsAddr != "" {
-		bus = telemetry.NewBus(0)
-	}
-	cfg.Metrics = trace.Wrap(trace.New(bus), reg)
-	sampler := telemetry.StartSampler(reg, bus, 0)
-	defer sampler.Stop()
-
-	if flags.MetricsAddr != "" {
-		var extra map[string]http.Handler
-		if store != nil {
-			extra = map[string]http.Handler{"/runs/": runstore.Handler(store, nil)}
-		}
-		srv, err := telemetry.ServeWithExtra(flags.MetricsAddr, reg, bus, extra)
-		if err != nil {
-			return fmt.Errorf("metrics server: %w", err)
-		}
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			srv.Shutdown(sctx)
-		}()
-		endpoints := "metrics.json, metrics, events, debug/pprof"
-		if store != nil {
-			endpoints += ", runs"
-		}
-		fmt.Fprintf(stdout, "metrics: http://%s/ (%s)\n", srv.Addr(), endpoints)
-	}
-	if flags.TracePath != "" {
-		exp, err := trace.NewExporter(bus, flags.TracePath, trace.Header{
-			Tool:    "experiments",
-			Dataset: flags.Datasets,
-			Seed:    flags.Seed,
-			StartNS: start.UnixNano(),
-		})
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		defer func() {
-			if err := exp.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: trace:", err)
-				return
-			}
-			fmt.Fprintf(stdout, "trace -> %s\n", flags.TracePath)
-		}()
-	}
+// runTables regenerates the tables and figures exp names, in the paper's
+// order, and stops at the first that fails.
+func runTables(cfg experiments.Config, exp string, stdout io.Writer) error {
 	suite := experiments.NewSuite(cfg)
-
 	want := map[string]bool{}
-	for _, e := range strings.Split(flags.Exp, ",") {
+	for _, e := range strings.Split(exp, ",") {
 		want[strings.TrimSpace(e)] = true
 	}
 	all := want["all"]
@@ -310,64 +271,15 @@ func run(args []string, stdout io.Writer) error {
 		experiments.PrintAblationBuckets(stdout, ablDataset, rows)
 		return nil
 	})
-	// Registration happens after the suite finishes (on the error path
-	// too, so aborted/failed runs still show in history). Suite runs have
-	// no journal, so the id is synthetic: tool + seed + start time.
-	rtStats := sampler.Stop()
-	if store != nil {
-		entry := runstore.Entry{
-			RunID:   runstore.SyntheticRunID("experiments", flags.Seed, start.UnixNano()),
-			Tool:    "experiments",
-			Dataset: strings.Join(suite.Config().Datasets, ","),
-			Seed:    flags.Seed,
-			Config: map[string]string{
-				"exp":         flags.Exp,
-				"sizecap":     strconv.Itoa(flags.SizeCap),
-				"matchcap":    strconv.Itoa(flags.MatchCap),
-				"transformer": strconv.FormatBool(flags.Transformer),
-			},
-			Start:       start,
-			WallSeconds: time.Since(start).Seconds(),
-			Stages:      runstore.StagesFromSnapshot(reg.Snapshot()),
-			Runtime:     &rtStats,
-			Artifacts:   runstore.Artifacts{Trace: flags.TracePath, Report: flags.ReportPath},
-		}
-		entry.Status, entry.Error = pipeline.TerminalStatus(runErr)
-		if regErr := store.Put(entry); regErr != nil {
-			fmt.Fprintf(os.Stderr, "experiments: run store: %v (run not registered)\n", regErr)
-		} else {
-			fmt.Fprintf(stdout, "run registered: %s (serd runs show %s)\n", entry.ShortID(), entry.ShortID())
-		}
-	}
-
-	if runErr != nil {
-		return runErr
-	}
-
-	if flags.ReportPath != "" {
-		rep := &telemetry.RunReport{
-			Tool:        "experiments",
-			Dataset:     strings.Join(suite.Config().Datasets, ","),
-			Seed:        flags.Seed,
-			Start:       start,
-			WallSeconds: time.Since(start).Seconds(),
-			Trace:       flags.TracePath,
-			Runtime:     &rtStats,
-			Metrics:     reg.Snapshot(),
-		}
-		if err := telemetry.WriteRunReport(flags.ReportPath, rep); err != nil {
-			return fmt.Errorf("run report: %w", err)
-		}
-		fmt.Fprintf(stdout, "run report -> %s\n", flags.ReportPath)
-	}
-	return nil
+	return runErr
 }
 
 // runBench is the CI perf-gate path: run the selected bench suite, print
-// its rows, register them in the run registry (when armed) so `serd runs`
-// can track the perf trajectory, write the report and/or compare it
+// its rows, write the report, register the rows in the run registry (when
+// armed) so `serd runs` can track the perf trajectory, and compare them
 // against a pinned baseline.
-func runBench(ctx context.Context, cfg experiments.Config, flags *config.Experiments, store *runstore.Store, stdout io.Writer) error {
+func runBench(ctx context.Context, cfg experiments.Config, flags *config.Experiments, stdout io.Writer) error {
+	store := session.OpenStore(flags.RunStore, "experiments")
 	start := time.Now()
 	workload, datasets, rows, err := produceBench(ctx, cfg, flags)
 	if err != nil {
@@ -376,6 +288,12 @@ func runBench(ctx context.Context, cfg experiments.Config, flags *config.Experim
 	rep := runstore.Report{Suite: flags.Bench, Time: start, Workload: workload, Rows: rows}
 	for _, r := range rows {
 		fmt.Fprintln(stdout, r)
+	}
+	if flags.BenchOut != "" {
+		if err := runstore.WriteBench(flags.BenchOut, rep); err != nil {
+			return fmt.Errorf("%s bench: %w", flags.Bench, err)
+		}
+		fmt.Fprintf(stdout, "%s bench -> %s (%s)\n", flags.Bench, flags.BenchOut, time.Since(start).Round(time.Millisecond))
 	}
 	if store != nil {
 		entry := runstore.Entry{
@@ -393,17 +311,7 @@ func runBench(ctx context.Context, cfg experiments.Config, flags *config.Experim
 		for k, v := range workload {
 			entry.Config[k] = v
 		}
-		if regErr := store.Put(entry); regErr != nil {
-			fmt.Fprintf(os.Stderr, "experiments: run store: %v (bench not registered)\n", regErr)
-		} else {
-			fmt.Fprintf(stdout, "run registered: %s (serd runs show %s)\n", entry.ShortID(), entry.ShortID())
-		}
-	}
-	if flags.BenchOut != "" {
-		if err := runstore.WriteBench(flags.BenchOut, rep); err != nil {
-			return fmt.Errorf("%s bench: %w", flags.Bench, err)
-		}
-		fmt.Fprintf(stdout, "%s bench -> %s (%s)\n", flags.Bench, flags.BenchOut, time.Since(start).Round(time.Millisecond))
+		session.Register(store, entry, "experiments", stdout)
 	}
 	if flags.BenchAgainst != "" {
 		baseline, err := runstore.ReadBench(flags.BenchAgainst)

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"serd/internal/runstore"
+	"serd/internal/telemetry"
+	"serd/internal/trace"
 )
 
 // benchArgs is a toy core-bench workload: one small dataset, seconds.
@@ -77,5 +79,42 @@ func TestBenchSuiteMismatchRefused(t *testing.T) {
 	err := run([]string{"-bench", "dp", "-bench-against", scale, "-run-store", "off"}, &stdout)
 	if err == nil || !strings.Contains(err.Error(), "disagrees") {
 		t.Fatalf("dp against a scale baseline: error %v, want a suite disagreement", err)
+	}
+}
+
+// TestTablesTraceReportAndRegistry drives the table path with every
+// observability output armed: the trace loads, the report carries the
+// runtime sampler's block, and the store holds the run with its stages.
+func TestTablesTraceReportAndRegistry(t *testing.T) {
+	dir := t.TempDir()
+	store := filepath.Join(dir, "store")
+	tracePath := filepath.Join(dir, "trace.json")
+	reportPath := filepath.Join(dir, "report.json")
+	var stdout bytes.Buffer
+	err := run([]string{"-exp", "t2", "-sizecap", "20", "-matchcap", "6",
+		"-trace", tracePath, "-report", reportPath, "-run-store", store}, &stdout)
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, stdout.String())
+	}
+	if _, err := trace.Load(tracePath); err != nil {
+		t.Errorf("trace: %v", err)
+	}
+	rep, err := telemetry.ReadRunReport(reportPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tool != "experiments" || rep.Runtime == nil || rep.Runtime.Samples < 1 {
+		t.Errorf("report = tool %q, runtime %+v; want experiments with a runtime block", rep.Tool, rep.Runtime)
+	}
+	s, err := runstore.Open(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := s.List()
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("store holds %d entries (%v), want 1", len(entries), err)
+	}
+	if e := entries[0]; e.Tool != "experiments" || len(e.Stages) == 0 || e.Artifacts.Report != reportPath || e.Artifacts.Trace != tracePath {
+		t.Errorf("entry = %+v", e)
 	}
 }

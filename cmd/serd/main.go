@@ -58,6 +58,7 @@ import (
 	"serd/internal/journal"
 	"serd/internal/pipeline"
 	"serd/internal/runstore"
+	"serd/internal/session"
 	"serd/internal/telemetry"
 )
 
@@ -76,41 +77,6 @@ func main() {
 // testHookServing is called with the inspector's bound address once it is
 // listening, so tests can hit the live endpoints mid-run.
 var testHookServing = func(addr string) {}
-
-// registerSerdRun distills the closed journal into a registry entry and
-// writes it. Reading the journal back (rather than plumbing state out of
-// synth) keeps the entry honest: it records exactly what the run's
-// provenance record says, terminal status included.
-func registerSerdRun(store *runstore.Store, flags *config.Serd, jPath string, rt *telemetry.RuntimeStats, stdout io.Writer) error {
-	events, err := journal.Read(jPath)
-	if err != nil {
-		return err
-	}
-	entry, err := runstore.EntryFromJournal(events)
-	if err != nil {
-		return err
-	}
-	entry.Runtime = rt
-	reportPath := ""
-	if !flags.NoReport {
-		reportPath = flags.ReportPath
-		if reportPath == "" {
-			reportPath = filepath.Join(flags.Out, "run_report.json")
-		}
-	}
-	entry.Artifacts = runstore.Artifacts{
-		OutDir:      flags.Out,
-		Journal:     jPath,
-		Trace:       flags.TracePath,
-		Report:      reportPath,
-		Checkpoints: flags.CheckpointDir,
-	}
-	if err := store.Put(entry); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "run registered: %s (serd runs show %s)\n", entry.RunID, entry.ShortID())
-	return nil
-}
 
 // testHookCheckpointer exposes the run's checkpointer so tests can inject
 // faults (kill the run at a chosen save) without a subprocess.
@@ -286,52 +252,22 @@ func run(args []string, stdout io.Writer) error {
 	ctx, stop := pipeline.SignalContext(context.Background())
 	defer stop()
 
-	// The run registry is pure observability: a failure to open it warns
-	// and the run proceeds unregistered. Journal-less runs (-no-journal)
-	// skip registration entirely — the registry id is the journal's first
-	// chain hash, and without a journal there is nothing to distill.
-	store, storeErr := runstore.Resolve(flags.RunStore)
-	if storeErr != nil {
-		fmt.Fprintf(os.Stderr, "serd: run store: %v (run will not be registered)\n", storeErr)
-	}
-	var live *runstore.LiveRun
-	if store != nil && jr != nil {
-		live = &runstore.LiveRun{}
-		live.Set(runstore.Entry{
-			RunID:   jr.First(),
-			Tool:    "serd",
-			Dataset: filepath.Base(filepath.Clean(flags.In)),
-			Seed:    flags.Seed,
-			Config:  runCfg,
-			Start:   time.Now(),
-		})
-	}
-
-	start := time.Now()
-	rtStats, err := synth(ctx, synthConfig{
-		flags: flags, schema: schema, journalPath: jPath,
-		jr: jr, ledger: ledger, start: start,
-		cp: cp, snap: snap, openPhases: openPhases,
-		store: store, live: live,
-	}, real, stdout)
-
-	if jr != nil {
-		status, msg := pipeline.TerminalStatus(err)
-		jr.RunEnd(status, msg, nil, time.Since(start).Seconds())
-		if jerr := jr.Close(); err == nil && jerr != nil {
-			return jerr
-		}
-	}
-
-	// Registration is the pipeline's finalize stage: strictly after the
-	// terminal journal event, distilled from what the run recorded, so an
-	// armed registry cannot perturb dataset or journal bytes.
-	if store != nil && jr != nil {
-		if regErr := registerSerdRun(store, flags, jPath, &rtStats, stdout); regErr != nil {
-			fmt.Fprintf(os.Stderr, "serd: run store: %v (run not registered)\n", regErr)
-		}
-		live.Clear()
-	}
+	err = session.Run(session.Spec{
+		Tool:        "serd",
+		Dataset:     filepath.Base(filepath.Clean(flags.In)),
+		Seed:        flags.Seed,
+		Observe:     flags.Observe,
+		Out:         flags.Out,
+		NoReport:    flags.NoReport,
+		Journal:     jr,
+		JournalPath: jPath,
+		OpenPhases:  openPhases,
+		Config:      runCfg,
+		Checkpoints: flags.CheckpointDir,
+		OnServing:   testHookServing,
+	}, stdout, func(rec telemetry.Recorder) (session.Result, error) {
+		return synth(ctx, synthConfig{flags: flags, schema: schema, jr: jr, ledger: ledger, cp: cp, snap: snap}, rec, real, stdout)
+	})
 	if err != nil && os.Getenv("SERD_TEST_HANG_ABORT") != "" {
 		// Simulates a graceful abort that wedges on the way out (a stuck
 		// flush, a hung deferred resource) so the subprocess e2e test can

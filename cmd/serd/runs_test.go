@@ -292,6 +292,56 @@ func TestRunsRunIDIsJournalFirstChain(t *testing.T) {
 	}
 }
 
+// TestRunsRecordOnlyWrittenReport pins that a registry entry points at
+// a run report only when the run wrote one: a budget-aborted run writes
+// none and registers none, a successful run registers the report it wrote.
+func TestRunsRecordOnlyWrittenReport(t *testing.T) {
+	dir := t.TempDir()
+	inDir := filepath.Join(dir, "in")
+	storeDir := filepath.Join(dir, "store")
+	writeSampleInput(t, inDir)
+	s, err := runstore.Open(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entryFor := func(outDir string) runstore.Entry {
+		t.Helper()
+		events, err := journal.Read(filepath.Join(outDir, journal.DefaultName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := s.Get(events[0].Chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	base := []string{"-in", inDir, "-schema", "name:text,address:text,city:cat,flavor:cat", "-seed", "7", "-run-store", storeDir}
+
+	aborted := filepath.Join(dir, "aborted")
+	err = run(append(base, "-out", aborted,
+		"-transformer", "-tx-buckets", "2", "-tx-pairs", "8", "-tx-epochs", "1", "-tx-batch", "4",
+		"-epsilon-budget", "0.001"), io.Discard)
+	if !errors.Is(err, journal.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	}
+	if e := entryFor(aborted); e.Status != journal.StatusAborted || e.Artifacts.Report != "" {
+		t.Errorf("aborted run registered status %q, report %q; want aborted and no report", e.Status, e.Artifacts.Report)
+	}
+
+	done := filepath.Join(dir, "done")
+	if err := run(append(base, "-out", done), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	e := entryFor(done)
+	if want := filepath.Join(done, "run_report.json"); e.Status != journal.StatusDone || e.Artifacts.Report != want {
+		t.Errorf("successful run registered status %q, report %q; want done and %q", e.Status, e.Artifacts.Report, want)
+	}
+	if _, err := os.Stat(e.Artifacts.Report); err != nil {
+		t.Errorf("registered report is not on disk: %v", err)
+	}
+}
+
 // TestRunsServe boots the standalone dashboard and checks JSON and HTML
 // content negotiation on the same endpoint.
 func TestRunsServe(t *testing.T) {

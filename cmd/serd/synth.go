@@ -6,139 +6,39 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"serd"
 	"serd/internal/checkpoint"
 	"serd/internal/config"
 	"serd/internal/journal"
-	"serd/internal/runstore"
+	"serd/internal/session"
 	"serd/internal/telemetry"
-	"serd/internal/trace"
 )
 
 // synthConfig carries the parsed flags and the run's wiring (journal,
-// ledger, checkpointer, resume snapshot) into the pipeline body so the
-// journal's terminal-status accounting in run can wrap it.
+// ledger, checkpointer, resume snapshot) into the pipeline body.
 type synthConfig struct {
-	flags       *config.Serd
-	schema      *serd.Schema
-	journalPath string
-	jr          *journal.Journal
-	ledger      *journal.Ledger
-	start       time.Time
-	cp          *checkpoint.Checkpointer
-	snap        *checkpoint.Snapshot
-	openPhases  map[string]int
-	// store/live wire the run registry: store mounts /runs on the live
-	// inspector, live carries the in-flight status the dashboard shows.
-	// Both may be nil (registry off).
-	store *runstore.Store
-	live  *runstore.LiveRun
+	flags  *config.Serd
+	schema *serd.Schema
+	jr     *journal.Journal
+	ledger *journal.Ledger
+	cp     *checkpoint.Checkpointer
+	snap   *checkpoint.Snapshot
 }
 
 // synth runs the pipeline proper: transformer-bank training (or the rule
-// synthesizer), core synthesis, dataset/report output and the optional
-// privacy audit. ctx cancels it cooperatively at the next
-// minibatch/chunk/iteration boundary. The returned RuntimeStats are the
-// sampler's final accounting, valid on the error path too so failed runs
-// still register their resource profile.
-func synth(ctx context.Context, cfg synthConfig, real *serd.ER, stdout io.Writer) (rtStats telemetry.RuntimeStats, err error) {
+// synthesizer), core synthesis, dataset output and the optional privacy
+// audit, reporting into rec. ctx cancels it cooperatively at the next
+// minibatch/chunk/iteration boundary. The returned Result carries the
+// run report's headline scalars and privacy block.
+func synth(ctx context.Context, cfg synthConfig, rec telemetry.Recorder, real *serd.ER, stdout io.Writer) (session.Result, error) {
 	flags := cfg.flags
-	// The registry feeds the live inspector and the run report; it stays
-	// on even without -metrics-addr so the report is always complete. The
-	// journal taps the same stream for phase boundaries and ε checkpoints.
-	reg := serd.NewMetricsRegistry()
-	rec := journal.Instrument(cfg.jr, reg)
-	if cfg.openPhases != nil {
-		// Resumed run: phases left open in the journal prefix would emit a
-		// duplicate phase_start when re-entered; suppress those (the ends
-		// still journal, restoring balanced pairs across the seam).
-		rec = journal.InstrumentResumed(cfg.jr, reg, cfg.openPhases)
-	}
-
-	// Tracing arms when there is a consumer: a -trace file, or a live
-	// inspector whose /events stream wants span events. The tracer wraps
-	// the recorder chain OUTERMOST so every downstream package can recover
-	// it via trace.FromRecorder; disarmed, rec is returned unchanged and
-	// the hot loops pay nothing.
-	var bus *telemetry.Bus
-	if flags.TracePath != "" || flags.MetricsAddr != "" {
-		bus = telemetry.NewBus(0)
-	}
-	rec = trace.Wrap(trace.New(bus), rec)
 	if cfg.cp != nil {
 		cfg.cp.Metrics = rec
 	}
-
-	// The runtime sampler always runs: its gauges cost a goroutine and a
-	// 250ms tick, and the run report gains the peak-RSS / GC-pause axis the
-	// bench trajectory tracks. It observes only the Go runtime — never the
-	// synthesis state — so it cannot perturb outputs.
-	sampler := telemetry.StartSampler(reg, bus, 0)
-	defer func() {
-		// Stop is idempotent; this fills the named return on every exit
-		// path (the happy path below already stopped it for the report).
-		rtStats = sampler.Stop()
-	}()
-
-	if flags.MetricsAddr != "" {
-		// The run registry rides the inspector's listener: /runs lists the
-		// store's history with this run pinned live at the top.
-		var extra map[string]http.Handler
-		if cfg.store != nil {
-			extra = map[string]http.Handler{"/runs/": runstore.Handler(cfg.store, cfg.live)}
-		}
-		srv, err := telemetry.ServeWithExtra(flags.MetricsAddr, reg, bus, extra)
-		if err != nil {
-			return rtStats, fmt.Errorf("metrics server: %w", err)
-		}
-		defer func() {
-			// Graceful drain on every exit path (including the signal
-			// path, which cancels ctx and unwinds through here): attached
-			// /events clients receive a terminal shutdown event.
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			srv.Shutdown(sctx) //nolint:errcheck // best-effort drain at exit
-		}()
-		endpoints := "metrics.json, metrics, events, debug/pprof"
-		if cfg.store != nil {
-			endpoints += ", runs"
-		}
-		fmt.Fprintf(stdout, "metrics: http://%s/ (%s)\n", srv.Addr(), endpoints)
-		testHookServing(srv.Addr())
-	}
-
-	if flags.TracePath != "" {
-		hdr := trace.Header{
-			Tool:    "serd",
-			Dataset: filepath.Base(filepath.Clean(flags.In)),
-			Seed:    flags.Seed,
-			StartNS: cfg.start.UnixNano(),
-		}
-		if cfg.jr != nil {
-			// The journal seam at trace start keys the trace to the run's
-			// provenance record without adding any journal event.
-			_, chain, _ := cfg.jr.Seam()
-			hdr.RunID = chain
-		}
-		exp, err := trace.NewExporter(bus, flags.TracePath, hdr)
-		if err != nil {
-			return rtStats, err
-		}
-		defer func() {
-			if err := exp.Close(); err != nil {
-				fmt.Fprintln(stdout, "trace:", err)
-				return
-			}
-			fmt.Fprintf(stdout, "trace -> %s\n", flags.TracePath)
-		}()
-	}
-
 	synths := make(map[string]serd.Synthesizer)
 	for _, col := range cfg.schema.Cols {
 		if col.Kind != serd.Textual {
@@ -146,7 +46,7 @@ func synth(ctx context.Context, cfg synthConfig, real *serd.ER, stdout io.Writer
 		}
 		corpus, err := readLines(filepath.Join(flags.In, "background_"+col.Name+".txt"))
 		if err != nil {
-			return rtStats, fmt.Errorf("textual column %q needs a background corpus: %w", col.Name, err)
+			return session.Result{}, fmt.Errorf("textual column %q needs a background corpus: %w", col.Name, err)
 		}
 		if flags.Transformer {
 			txOpts := serd.TransformerOptions{
@@ -169,13 +69,13 @@ func synth(ctx context.Context, cfg synthConfig, real *serd.ER, stdout io.Writer
 			}
 			ts, err := serd.TrainTransformerContext(ctx, corpus, col.Sim, txOpts)
 			if err != nil {
-				return rtStats, fmt.Errorf("training transformer bank for column %q: %w", col.Name, err)
+				return session.Result{}, fmt.Errorf("training transformer bank for column %q: %w", col.Name, err)
 			}
 			if cfg.cp != nil && (txOpts.Resume == nil || !txOpts.Resume.Done) {
 				// Terminal per-column checkpoint: a crash in any later
 				// phase resumes without retraining this bank.
 				if err := cfg.cp.SaveTrain(ts.CheckpointState(col.Name)); err != nil {
-					return rtStats, err
+					return session.Result{}, err
 				}
 			}
 			fmt.Fprintf(stdout, "transformer bank for %q trained (ε=%.4f at δ=%g)\n", col.Name, ts.Epsilon(), flags.DPDelta)
@@ -184,14 +84,14 @@ func synth(ctx context.Context, cfg synthConfig, real *serd.ER, stdout io.Writer
 		}
 		rs, err := serd.NewRuleSynthesizer(col.Sim, corpus)
 		if err != nil {
-			return rtStats, err
+			return session.Result{}, err
 		}
 		synths[col.Name] = rs
 	}
 
 	blocker, err := flags.Blocking.Build(cfg.schema)
 	if err != nil {
-		return rtStats, err
+		return session.Result{}, err
 	}
 	if blocker != nil {
 		fmt.Fprintf(stdout, "S3 blocking: %s\n", blocker.Describe())
@@ -199,7 +99,7 @@ func synth(ctx context.Context, cfg synthConfig, real *serd.ER, stdout io.Writer
 
 	gen, err := flags.Generators.Build()
 	if err != nil {
-		return rtStats, err
+		return session.Result{}, err
 	}
 
 	opts := serd.Options{
@@ -247,12 +147,12 @@ func synth(ctx context.Context, cfg synthConfig, real *serd.ER, stdout io.Writer
 	if flags.LoadDist != "" {
 		f, err := os.Open(flags.LoadDist)
 		if err != nil {
-			return rtStats, err
+			return session.Result{}, err
 		}
 		opts.Learned, err = serd.LoadDistributions(f)
 		f.Close()
 		if err != nil {
-			return rtStats, err
+			return session.Result{}, err
 		}
 		fmt.Fprintf(stdout, "reusing O-distribution from %s\n", flags.LoadDist)
 	} else {
@@ -264,40 +164,40 @@ func synth(ctx context.Context, cfg synthConfig, real *serd.ER, stdout io.Writer
 	// or cancelled run never leaves a torn dataset behind.
 	sw, err := serd.NewStreamWriter(flags.Out, cfg.schema)
 	if err != nil {
-		return rtStats, err
+		return session.Result{}, err
 	}
 	opts.Stream = sw
 	res, err := serd.SynthesizeContext(ctx, real, opts)
 	if err != nil {
 		sw.Abort()
-		return rtStats, err
+		return session.Result{}, err
 	}
 	if err := sw.Finalize(); err != nil {
-		return rtStats, err
+		return session.Result{}, err
 	}
 	if flags.SaveDist != "" {
 		// The JSON distribution format is the GMM joint's; config
 		// validation refuses -save-dist with any other backend.
 		joint, ok := res.OReal.(*serd.Joint)
 		if !ok {
-			return rtStats, fmt.Errorf("-save-dist: O_real is a %T, not a GMM joint", res.OReal)
+			return session.Result{}, fmt.Errorf("-save-dist: O_real is a %T, not a GMM joint", res.OReal)
 		}
 		f, err := os.Create(flags.SaveDist)
 		if err != nil {
-			return rtStats, err
+			return session.Result{}, err
 		}
 		if err := serd.SaveDistributions(f, joint); err != nil {
 			f.Close()
-			return rtStats, err
+			return session.Result{}, err
 		}
 		if err := f.Close(); err != nil {
-			return rtStats, err
+			return session.Result{}, err
 		}
 		fmt.Fprintf(stdout, "saved O-distribution to %s\n", flags.SaveDist)
 	}
 	if cfg.jr != nil {
 		if err := cfg.jr.Lineage("output", flags.Out); err != nil {
-			return rtStats, err
+			return session.Result{}, err
 		}
 	}
 	fmt.Fprintf(stdout, "synthesized %+v -> %s\n", res.Syn.Stats(), flags.Out)
@@ -306,7 +206,7 @@ func synth(ctx context.Context, cfg synthConfig, real *serd.ER, stdout io.Writer
 
 	if flags.Audit {
 		if err := privacyAudit(cfg, real, res.Syn, stdout); err != nil {
-			return rtStats, err
+			return session.Result{}, err
 		}
 	}
 
@@ -316,44 +216,18 @@ func synth(ctx context.Context, cfg synthConfig, real *serd.ER, stdout io.Writer
 			epsTotal, deltaTotal, len(cfg.ledger.Entries()))
 	}
 
-	if !flags.NoReport {
-		path := flags.ReportPath
-		if path == "" {
-			path = filepath.Join(flags.Out, "run_report.json")
-		}
-		// Final sample before the snapshot so the report's gauges and
-		// Runtime block agree (also the named return the registry records).
-		rtStats = sampler.Stop()
-		rep := &serd.RunReport{
-			Tool:        "serd",
-			Dataset:     filepath.Base(filepath.Clean(flags.In)),
-			Seed:        flags.Seed,
-			Start:       cfg.start,
-			WallSeconds: time.Since(cfg.start).Seconds(),
-			Summary: map[string]float64{
-				"jsd":                       res.JSD,
-				"entities":                  float64(res.Syn.A.Len() + res.Syn.B.Len()),
-				"matches":                   float64(len(res.Syn.Matches)),
-				"sampled_matches":           float64(res.SampledMatches),
-				"rejected_by_distribution":  float64(res.RejectedByDistribution),
-				"rejected_by_discriminator": float64(res.RejectedByDiscriminator),
-			},
-			Metrics: reg.Snapshot(),
-			Runtime: &rtStats,
-			Trace:   flags.TracePath,
-		}
-		if cfg.jr != nil {
-			rep.Journal = cfg.journalPath
-		}
-		if len(cfg.ledger.Entries()) > 0 {
-			rep.Privacy = cfg.ledger.Summary()
-		}
-		if err := serd.WriteRunReport(path, rep); err != nil {
-			return rtStats, fmt.Errorf("run report: %w", err)
-		}
-		fmt.Fprintf(stdout, "run report -> %s\n", path)
+	out := session.Result{Summary: map[string]float64{
+		"jsd":                       res.JSD,
+		"entities":                  float64(res.Syn.A.Len() + res.Syn.B.Len()),
+		"matches":                   float64(len(res.Syn.Matches)),
+		"sampled_matches":           float64(res.SampledMatches),
+		"rejected_by_distribution":  float64(res.RejectedByDistribution),
+		"rejected_by_discriminator": float64(res.RejectedByDiscriminator),
+	}}
+	if len(cfg.ledger.Entries()) > 0 {
+		out.Privacy = cfg.ledger.Summary()
 	}
-	return rtStats, nil
+	return out, nil
 }
 
 // privacyAudit computes the Table III privacy metrics over the run's real

@@ -46,7 +46,7 @@ var sharedSpecs = []Spec{
 	{Name: "seed", Def: int64(1), Usage: "random seed"},
 	{Name: "out", Def: "", Usage: "output dataset directory (required)"},
 	{Name: "workers", Def: int(0), Usage: "worker count for the parallel S2/S3 hot path (0 = GOMAXPROCS); outputs are bit-identical at any value"},
-	{Name: "metrics-addr", Def: "", Usage: "serve the live run inspector on this address (e.g. :9090); with -trace or on serd, /events streams span/metric events as SSE"},
+	{Name: "metrics-addr", Def: "", Usage: "serve the live run inspector on this address (e.g. :9090); /events streams span/metric events as SSE"},
 	{Name: "trace", Def: "", Usage: "write a Chrome trace-event JSON here plus a compact .jsonl trace next to it (analyze with 'serd trace'); tracing never changes outputs"},
 	{Name: "run-store", Def: "", Usage: "run-registry directory for cross-run history ('serd runs'); default ~/.serd/runs, 'off' disables registration"},
 	{Name: "report", Def: "", Usage: "run-report path (with an -out directory, default <out>/run_report.json)"},
@@ -126,6 +126,22 @@ func (b binder) float(p *float64, name string) {
 	b.fs.Float64Var(p, s.Name, s.Def.(float64), s.Usage)
 }
 
+// Observe holds the observability flags all three binaries share: the
+// live inspector, the trace, the run report and the run registry.
+type Observe struct {
+	MetricsAddr string
+	TracePath   string
+	ReportPath  string
+	RunStore    string
+}
+
+func (o *Observe) register(b binder) {
+	b.str(&o.MetricsAddr, "metrics-addr")
+	b.str(&o.TracePath, "trace")
+	b.str(&o.ReportPath, "report")
+	b.str(&o.RunStore, "run-store")
+}
+
 // Serd holds the parsed flags of cmd/serd.
 type Serd struct {
 	In, Out, SchemaSpec string
@@ -137,8 +153,6 @@ type Serd struct {
 	Audit               bool
 	AuditEpsilon        float64
 	Progress            bool
-	MetricsAddr         string
-	ReportPath          string
 	NoReport            bool
 	JournalPath         string
 	NoJournal           bool
@@ -156,10 +170,9 @@ type Serd struct {
 	CheckpointDir       string
 	CheckpointEvery     int
 	Resume              bool
-	TracePath           string
-	RunStore            string
-	Blocking            Blocking
-	Generators          Generators
+	Observe
+	Blocking   Blocking
+	Generators Generators
 }
 
 // RegisterSerd binds cmd/serd's full flag surface into fs.
@@ -179,8 +192,6 @@ func RegisterSerd(fs *flag.FlagSet) *Serd {
 	fs.BoolVar(&c.Audit, "audit", false, "print privacy metrics (hitting rate, DCR, NNDR) after synthesis")
 	fs.Float64Var(&c.AuditEpsilon, "audit-epsilon", 0, "release the -audit metrics through the Laplace mechanism with this total ε, charged to the privacy ledger (0 = exact, unledgered release)")
 	fs.BoolVar(&c.Progress, "progress", false, "print synthesis progress")
-	b.str(&c.MetricsAddr, "metrics-addr")
-	b.str(&c.ReportPath, "report")
 	b.boolean(&c.NoReport, "no-report")
 	b.str(&c.JournalPath, "journal")
 	b.boolean(&c.NoJournal, "no-journal")
@@ -198,8 +209,7 @@ func RegisterSerd(fs *flag.FlagSet) *Serd {
 	b.str(&c.CheckpointDir, "checkpoint-dir")
 	b.integer(&c.CheckpointEvery, "checkpoint-every")
 	b.boolean(&c.Resume, "resume")
-	b.str(&c.TracePath, "trace")
-	b.str(&c.RunStore, "run-store")
+	c.Observe.register(b)
 	c.Blocking.register(b)
 	c.Generators.register(b)
 	return c
@@ -266,8 +276,6 @@ type Experiments struct {
 	Seed           int64
 	Workers        int
 	Transformer    bool
-	MetricsAddr    string
-	ReportPath     string
 	Bench          string
 	BenchOut       string
 	BenchAgainst   string
@@ -278,10 +286,9 @@ type Experiments struct {
 	// by Validate.
 	BenchSizes    []int
 	BenchEpsilons []float64
-	TracePath     string
-	RunStore      string
-	Blocking      Blocking
-	Generators    Generators
+	Observe
+	Blocking   Blocking
+	Generators Generators
 }
 
 // RegisterExperiments binds cmd/experiments' flag surface into fs.
@@ -295,16 +302,13 @@ func RegisterExperiments(fs *flag.FlagSet) *Experiments {
 	b.integer64(&c.Seed, "seed")
 	b.integer(&c.Workers, "workers")
 	b.boolean(&c.Transformer, "transformer")
-	b.str(&c.MetricsAddr, "metrics-addr")
-	b.str(&c.ReportPath, "report")
 	fs.StringVar(&c.Bench, "bench", "", "run a bench suite instead of the tables: core (per-dataset S2 throughput, JSD, rejections, memory), scale (throughput, pairs scored and peak RSS per size, unblocked and blocked S3) or dp (gmm vs privbayes matcher F1, JSD, spent ε, wall and peak RSS per dataset × ε); default: the -bench-against file's suite, else core")
 	fs.StringVar(&c.BenchOut, "bench-out", "", "run the bench and write its report (the BENCH_*.json format) to this path")
 	fs.StringVar(&c.BenchAgainst, "bench-against", "", "run the bench and compare it against this baseline report, exiting non-zero on any gated regression; the suite is taken from the file")
 	fs.Float64Var(&c.BenchThreshold, "bench-threshold", 0.30, "allowed fractional regression of each gated bench metric for -bench-against")
 	fs.StringVar(&c.ScaleSizes, "bench-scale-sizes", "1000,10000", "comma-separated per-relation entity counts (each >= 2) for -bench scale, run in increasing order (VmHWM is a process-lifetime high-water mark)")
 	fs.StringVar(&c.DPBenchEps, "bench-dp-eps", "0.5,2", "comma-separated ε values (each > 0) for the -bench dp matrix")
-	b.str(&c.TracePath, "trace")
-	b.str(&c.RunStore, "run-store")
+	c.Observe.register(b)
 	c.Blocking.register(b)
 	c.Generators.register(b)
 	return c
@@ -398,15 +402,12 @@ type Datagen struct {
 	SizeA       int
 	SizeB       int
 	Matches     int
-	MetricsAddr string
-	ReportPath  string
 	NoReport    bool
 	JournalPath string
 	NoJournal   bool
-	TracePath   string
-	RunStore    string
-	Blocking    Blocking
-	Generators  Generators
+	Observe
+	Blocking   Blocking
+	Generators Generators
 }
 
 // RegisterDatagen binds cmd/datagen's flag surface into fs.
@@ -419,13 +420,10 @@ func RegisterDatagen(fs *flag.FlagSet) *Datagen {
 	fs.IntVar(&c.SizeA, "size-a", 0, "override |A| (0 = scaled default)")
 	fs.IntVar(&c.SizeB, "size-b", 0, "override |B| (0 = scaled default)")
 	fs.IntVar(&c.Matches, "matches", 0, "override |M| (0 = scaled default)")
-	b.str(&c.MetricsAddr, "metrics-addr")
-	b.str(&c.ReportPath, "report")
 	b.boolean(&c.NoReport, "no-report")
 	b.str(&c.JournalPath, "journal")
 	b.boolean(&c.NoJournal, "no-journal")
-	b.str(&c.TracePath, "trace")
-	b.str(&c.RunStore, "run-store")
+	c.Observe.register(b)
 	c.Blocking.register(b)
 	c.Generators.register(b)
 	return c

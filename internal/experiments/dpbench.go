@@ -81,7 +81,7 @@ func DPBench(ctx context.Context, opts DPBenchOptions) ([]runstore.Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: dp bench: generating %s: %w", name, err)
 		}
-		synths, err := scaleSynthesizers(g)
+		synths, err := ruleSynthesizers(g)
 		if err != nil {
 			return nil, err
 		}

@@ -70,7 +70,7 @@ func ScaleBench(ctx context.Context, opts ScaleBenchOptions) ([]runstore.Row, er
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scale bench: generating %s at %d: %w", opts.Dataset, n, err)
 		}
-		synths, err := scaleSynthesizers(g)
+		synths, err := ruleSynthesizers(g)
 		if err != nil {
 			return nil, err
 		}
@@ -132,24 +132,4 @@ func scaleRun(ctx context.Context, g *datagen.Generated, synths map[string]texts
 		row.Metrics["recall_bound"], _ = reg.Gauge("core.s3.recall_bound")
 	}
 	return row, nil
-}
-
-// scaleSynthesizers builds the rule synthesizers for a generated dataset
-// (the Suite variant caches by dataset name, which a multi-size bench
-// cannot use).
-func scaleSynthesizers(g *datagen.Generated) (map[string]textsynth.Synthesizer, error) {
-	out := make(map[string]textsynth.Synthesizer)
-	for _, col := range g.ER.Schema().Cols {
-		if col.Kind != dataset.Textual {
-			continue
-		}
-		rs, err := textsynth.NewRuleSynthesizer(col.Sim, g.Background[col.Name])
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scale bench: %s: %w", col.Name, err)
-		}
-		rs.Candidates = 6
-		rs.MaxSteps = 120
-		out[col.Name] = rs
-	}
-	return out, nil
 }

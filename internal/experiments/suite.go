@@ -166,23 +166,34 @@ func (s *Suite) generatedLocked(name string) (*datagen.Generated, error) {
 // Synthesizers builds SERD's per-column string synthesizers for a dataset
 // from its background corpora.
 func (s *Suite) Synthesizers(g *datagen.Generated) (map[string]textsynth.Synthesizer, error) {
+	if !s.cfg.UseTransformer {
+		return ruleSynthesizers(g)
+	}
 	out := make(map[string]textsynth.Synthesizer)
 	for _, col := range g.ER.Schema().Cols {
 		if col.Kind != dataset.Textual {
 			continue
 		}
-		corpus := g.Background[col.Name]
-		if s.cfg.UseTransformer {
-			opts := s.cfg.Transformer
-			opts.Seed = s.cfg.Seed + 7
-			ts, err := textsynth.TrainTransformer(s.ctx(), corpus, col.Sim, opts)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: training transformer for %s: %w", col.Name, err)
-			}
-			out[col.Name] = ts
+		opts := s.cfg.Transformer
+		opts.Seed = s.cfg.Seed + 7
+		ts, err := textsynth.TrainTransformer(s.ctx(), g.Background[col.Name], col.Sim, opts)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: training transformer for %s: %w", col.Name, err)
+		}
+		out[col.Name] = ts
+	}
+	return out, nil
+}
+
+// ruleSynthesizers builds the rule synthesizer every experiment and bench
+// uses for each textual column of a generated dataset.
+func ruleSynthesizers(g *datagen.Generated) (map[string]textsynth.Synthesizer, error) {
+	out := make(map[string]textsynth.Synthesizer)
+	for _, col := range g.ER.Schema().Cols {
+		if col.Kind != dataset.Textual {
 			continue
 		}
-		rs, err := textsynth.NewRuleSynthesizer(col.Sim, corpus)
+		rs, err := textsynth.NewRuleSynthesizer(col.Sim, g.Background[col.Name])
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", col.Name, err)
 		}

@@ -44,17 +44,6 @@ func (l *LiveRun) SetRunID(id string) {
 	l.mu.Unlock()
 }
 
-// Clear deactivates the live entry (the run registered or exited).
-// Nil-safe.
-func (l *LiveRun) Clear() {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.active = false
-	l.mu.Unlock()
-}
-
 // Snapshot returns the live entry and whether one is active. Nil-safe.
 func (l *LiveRun) Snapshot() (Entry, bool) {
 	if l == nil {

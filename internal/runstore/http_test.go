@@ -114,16 +114,10 @@ func TestHandlerLiveRun(t *testing.T) {
 		t.Fatalf("registered run still listed live: %+v", after.Live)
 	}
 
-	live.Clear()
-	if _, ok := live.Snapshot(); ok {
-		t.Fatal("Clear did not deactivate the live entry")
-	}
-
 	// Nil receiver safety (registry off): all methods are no-ops.
 	var nilLive *LiveRun
 	nilLive.Set(Entry{})
 	nilLive.SetRunID("x")
-	nilLive.Clear()
 	if _, ok := nilLive.Snapshot(); ok {
 		t.Fatal("nil LiveRun reported active")
 	}

@@ -14,9 +14,11 @@ import (
 	"time"
 
 	"serd"
+	"serd/internal/config"
 	"serd/internal/generator"
 	"serd/internal/journal"
 	"serd/internal/runstore"
+	"serd/internal/session"
 	"serd/internal/telemetry"
 	"serd/internal/trace"
 )
@@ -32,10 +34,16 @@ type invarianceRun struct {
 	// artifacts (trace files, run store).
 	out, scratch string
 	// reg is the registry under the journal-instrumented recorder.
-	reg *serd.MetricsRegistry
+	reg *telemetry.Registry
 	// ledger is the run's privacy ledger, already charged once; a row
 	// hands it to a DP backend through opts.Privacy.
 	ledger *journal.Ledger
+	// session, when a row sets it, runs the synthesis inside the run
+	// session the binaries use: the session's recorder replaces
+	// opts.Metrics, and the session ends and closes the journal. stdout
+	// holds what the session printed.
+	session *session.Spec
+	stdout  bytes.Buffer
 }
 
 // invarianceRow arms one optional feature. arm may change the context
@@ -61,14 +69,18 @@ func synthesizeRow(t *testing.T, out string, row invarianceRow) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	jr := journal.New(&buf)
+	scratch := t.TempDir()
+	jPath := filepath.Join(scratch, "journal.jsonl")
+	jr, err := journal.Create(jPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	jr.RunStart("test", 9, map[string]string{"dataset": "Restaurant"})
 	ledger := journal.NewLedger(jr)
 	if err := ledger.ChargeSGD("bk0", "bank", 0.25, 1.1, 12, 1e-5); err != nil {
 		t.Fatal(err)
 	}
-	reg := serd.NewMetricsRegistry()
+	reg := telemetry.NewRegistry()
 	r := &invarianceRun{
 		ctx: context.Background(),
 		opts: serd.Options{
@@ -79,7 +91,7 @@ func synthesizeRow(t *testing.T, out string, row invarianceRow) []byte {
 		},
 		schema:  g.ER.Schema(),
 		out:     out,
-		scratch: t.TempDir(),
+		scratch: scratch,
 		reg:     reg,
 		ledger:  ledger,
 	}
@@ -87,31 +99,52 @@ func synthesizeRow(t *testing.T, out string, row invarianceRow) []byte {
 	if row.arm != nil {
 		check = row.arm(t, r)
 	}
-	res, err := serd.SynthesizeContext(r.ctx, g.ER, r.opts)
-	if sw := r.opts.Stream; sw != nil {
-		if err != nil {
-			sw.Abort()
-		} else if err = sw.Finalize(); err != nil {
-			t.Fatal(err)
+	synthesize := func() (map[string]float64, error) {
+		res, err := serd.SynthesizeContext(r.ctx, g.ER, r.opts)
+		if sw := r.opts.Stream; sw != nil {
+			if err != nil {
+				sw.Abort()
+			} else {
+				err = sw.Finalize()
+			}
+		} else if err == nil {
+			err = serd.SaveDataset(out, res.Syn)
 		}
-	} else if err == nil {
-		err = serd.SaveDataset(out, res.Syn)
+		if err != nil {
+			return nil, err
+		}
+		ledger.Finish()
+		return map[string]float64{"jsd": res.JSD}, nil
+	}
+	if r.session != nil {
+		spec := *r.session
+		spec.Journal, spec.JournalPath = jr, jPath
+		err = session.Run(spec, &r.stdout, func(rec telemetry.Recorder) (session.Result, error) {
+			r.opts.Metrics = rec
+			summary, err := synthesize()
+			return session.Result{RunEnd: summary}, err
+		})
+	} else {
+		var summary map[string]float64
+		if summary, err = synthesize(); err == nil {
+			jr.RunEnd("done", "", summary, 1)
+			err = jr.Close()
+		}
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledger.Finish()
-	jr.RunEnd("done", "", map[string]float64{"jsd": res.JSD}, 1)
-	if err := jr.Close(); err != nil {
+	raw, err := os.ReadFile(jPath)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if check != nil {
-		check(buf.Bytes())
+		check(raw)
 	}
 	if r.opts.Journal == nil {
 		return nil
 	}
-	return buf.Bytes()
+	return raw
 }
 
 func readDataset(t *testing.T, dir string) map[string]string {
@@ -158,7 +191,7 @@ func stripVolatile(t *testing.T, data []byte) string {
 func TestByteInvariance(t *testing.T) {
 	base := t.TempDir()
 	baseDir := filepath.Join(base, "baseline")
-	var baseReg *serd.MetricsRegistry
+	var baseReg *telemetry.Registry
 	baseline := stripVolatile(t, synthesizeRow(t, baseDir, invarianceRow{arm: func(t *testing.T, r *invarianceRun) func([]byte) {
 		baseReg = r.reg
 		return nil
@@ -249,34 +282,32 @@ func TestByteInvariance(t *testing.T) {
 	}
 }
 
-// armRunStore registers the finished journal into a store, exactly what
-// the run binaries do after the terminal journal event. The registry
-// reads the record; it never shapes it.
+// armRunStore runs the row inside a session with an open run store: the
+// session registers the run after the journal's terminal event, as the
+// binaries do. The registry reads the record; it never shapes it.
 func armRunStore(t *testing.T, r *invarianceRun) func([]byte) {
+	dir := filepath.Join(r.scratch, "store")
+	r.session = &session.Spec{
+		Tool: "test", Dataset: "Restaurant", Seed: 9,
+		Observe: config.Observe{RunStore: dir},
+		Out:     r.out, NoReport: true,
+	}
 	return func(raw []byte) {
-		jPath := filepath.Join(r.scratch, "run.journal.jsonl")
-		if err := os.WriteFile(jPath, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		events, err := journal.Read(jPath)
+		events, err := journal.Parse(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		entry, err := serd.RunEntryFromJournal(events)
+		store, err := runstore.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		entry.Artifacts.OutDir = r.out
-		entry.Artifacts.Journal = jPath
-		store, err := runstore.Open(filepath.Join(r.scratch, "store"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Put(entry); err != nil {
-			t.Fatal(err)
+		entries, err := store.List()
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("store holds %d entries (%v), want the one run", len(entries), err)
 		}
 		// Content addressing: the registered id IS the journal's first
 		// chain hash, so identical configs collapse to one identity.
+		entry := entries[0]
 		if entry.RunID == "" || entry.RunID != events[0].Chain {
 			t.Fatalf("run id %q != journal first chain %q", entry.RunID, events[0].Chain)
 		}
@@ -284,72 +315,57 @@ func armRunStore(t *testing.T, r *invarianceRun) func([]byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Status != "done" || len(got.Stages) == 0 || got.Privacy == nil || got.Generator != "gmm" {
+		if got.Status != "done" || len(got.Stages) == 0 || got.Privacy == nil || got.Generator != "gmm" ||
+			got.Artifacts.OutDir != r.out || got.Artifacts.Journal == "" || got.Runtime == nil {
 			t.Fatalf("registered entry lost fields: %+v", got)
 		}
 	}
 }
 
-// armTracing arms the entire observability stack: event bus, tracer
-// wrapped outermost over the journal-instrumented recorder, runtime
-// sampler, trace exporter, and the live inspector with one real SSE
-// client attached for the whole run. Its check requires the SSE client
-// to have seen events and the graceful shutdown, and the written trace to
-// account for ≥95% of the run in both its summary and critical path.
+// armTracing runs the row inside a session with the entire observability
+// stack armed: event bus, tracer wrapped outermost over the
+// journal-instrumented recorder, runtime sampler, trace exporter, and the
+// live inspector with one real SSE client attached for the whole run. Its
+// check requires the SSE client to have seen events and the graceful
+// shutdown, and the written trace to account for ≥95% of the run in both
+// its summary and critical path.
 func armTracing(t *testing.T, r *invarianceRun) func([]byte) {
-	bus := telemetry.NewBus(0)
-	tracer := trace.New(bus)
-	sampler := telemetry.StartSampler(r.reg, bus, 5*time.Millisecond)
-	t.Cleanup(func() { sampler.Stop() })
-	srv, err := telemetry.ServeWithExtra("127.0.0.1:0", r.reg, bus, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-
-	resp, err := http.Get("http://" + srv.Addr() + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { resp.Body.Close() })
 	type sseResult struct {
 		events      int
 		gotShutdown bool
 	}
 	sseDone := make(chan sseResult, 1)
-	go func() {
-		var res sseResult
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			if line := sc.Text(); strings.HasPrefix(line, "event: ") {
-				res.events++
-				if line == "event: shutdown" {
-					res.gotShutdown = true
-				}
-			}
-		}
-		sseDone <- res
-	}()
-
 	tracePath := filepath.Join(r.scratch, "run.json")
-	exp, err := trace.NewExporter(bus, tracePath, trace.Header{
-		RunID: "trace-noop-test", Tool: "test", Dataset: "Restaurant",
-		Seed: 9, StartNS: time.Now().UnixNano(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	r.session = &session.Spec{
+		Tool: "test", Dataset: "Restaurant", Seed: 9,
+		Observe: config.Observe{MetricsAddr: "127.0.0.1:0", TracePath: tracePath, RunStore: runstore.Off},
+		OnServing: func(addr string) {
+			resp, err := http.Get("http://" + addr + "/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() {
+				defer resp.Body.Close()
+				var res sseResult
+				sc := bufio.NewScanner(resp.Body)
+				for sc.Scan() {
+					if line := sc.Text(); strings.HasPrefix(line, "event: ") {
+						res.events++
+						if line == "event: shutdown" {
+							res.gotShutdown = true
+						}
+					}
+				}
+				sseDone <- res
+			}()
+		},
 	}
-	r.opts.Metrics = trace.Wrap(tracer, r.opts.Metrics)
 
 	return func([]byte) {
-		sampler.Stop()
-		if err := exp.Close(); err != nil {
-			t.Fatalf("trace exporter: %v", err)
-		}
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			t.Fatalf("inspector shutdown: %v", err)
+		// The session prints the trace path only once the exporter closed
+		// cleanly, and reports a failed inspector drain.
+		if out := r.stdout.String(); !strings.Contains(out, "trace -> "+tracePath+"\n") || strings.Contains(out, "metrics: drain:") {
+			t.Errorf("exporter close or inspector drain failed; session printed:\n%s", out)
 		}
 		select {
 		case sse := <-sseDone:

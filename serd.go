@@ -166,13 +166,9 @@ type (
 )
 
 // Run records (see internal/telemetry, internal/journal and
-// internal/runstore): the metrics registry a run records into, the run
-// report written next to an output dataset, and the registry entry a
-// finished journal distills into.
+// internal/runstore): the run report written next to an output dataset,
+// and the registry entry a finished journal distills into.
 type (
-	// MetricsRegistry is the in-memory recorder behind the /metrics
-	// endpoints and run reports; set it on Options.Metrics.
-	MetricsRegistry = telemetry.Registry
 	// RunReport is the structured summary written next to an output
 	// dataset.
 	RunReport = telemetry.RunReport
@@ -182,13 +178,7 @@ type (
 	RunEntry = runstore.Entry
 )
 
-// NewMetricsRegistry returns an empty, concurrency-safe registry.
-func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
-
-// WriteRunReport writes a run report atomically; ReadRunReport loads it.
-func WriteRunReport(path string, rep *RunReport) error { return telemetry.WriteRunReport(path, rep) }
-
-// ReadRunReport reads a report written by WriteRunReport.
+// ReadRunReport reads a run report.
 func ReadRunReport(path string) (*RunReport, error) { return telemetry.ReadRunReport(path) }
 
 // RunEntryFromJournal distills a finished journal's events into a
