@@ -339,7 +339,7 @@ func BenchmarkCore_SynthesizeEntityRate(b *testing.B) {
 // BenchmarkSimFn_QGramJaccard isolates the pipeline's hottest kernel: the
 // q-gram Jaccard similarity, uncached (both sides re-derived per call, the
 // pre-PR behavior everywhere) vs prepped (sorted gram sets computed once —
-// what simfn.Bind and dataset.SimCache give the S2/S3 hot paths).
+// what simfn.Bind and dataset.Preps give the S2/S3 hot paths).
 func BenchmarkSimFn_QGramJaccard(b *testing.B) {
 	sim := simfn.QGramJaccard{Q: 3, Fold: true}
 	s1 := "Adaptable Query Optimization and Evaluation in Temporal Middleware"

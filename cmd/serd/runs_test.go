@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -288,6 +289,39 @@ func TestRunsRunIDIsJournalFirstChain(t *testing.T) {
 	for _, e := range entries {
 		if e.Status == "" || e.RunID == "" {
 			t.Fatalf("torn entry after rerun: %+v", e)
+		}
+	}
+}
+
+// TestRunsEntryCarriesSummary pins that a serd run's registry entry holds
+// the run's summary, read back from the journal's run_end event — the
+// jsd there is what `serd runs compare` gates fidelity drift on.
+func TestRunsEntryCarriesSummary(t *testing.T) {
+	dir := t.TempDir()
+	inDir := filepath.Join(dir, "in")
+	storeDir := filepath.Join(dir, "store")
+	writeSampleInput(t, inDir)
+	var out bytes.Buffer
+	if err := run(synthArgs(inDir, filepath.Join(dir, "out"), storeDir, 7), &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	ids, err := filepath.Glob(filepath.Join(storeDir, "runs", "*.json"))
+	if err != nil || len(ids) != 1 {
+		t.Fatalf("registered entries = %v, %v; want one", ids, err)
+	}
+	raw, err := os.ReadFile(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entry struct {
+		Summary map[string]*float64 `json:"summary"`
+	}
+	if err := json.Unmarshal(raw, &entry); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"jsd", "entities", "matches"} {
+		if entry.Summary[key] == nil {
+			t.Fatalf("%s: summary lacks %q: %s", filepath.Base(ids[0]), key, raw)
 		}
 	}
 }

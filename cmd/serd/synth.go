@@ -33,7 +33,8 @@ type synthConfig struct {
 // synthesizer), core synthesis, dataset output and the optional privacy
 // audit, reporting into rec. ctx cancels it cooperatively at the next
 // minibatch/chunk/iteration boundary. The returned Result carries the
-// run report's headline scalars and privacy block.
+// run report's headline scalars and privacy block, and the same scalars
+// as the journal's run_end summary.
 func synth(ctx context.Context, cfg synthConfig, rec telemetry.Recorder, real *serd.ER, stdout io.Writer) (session.Result, error) {
 	flags := cfg.flags
 	if cfg.cp != nil {
@@ -216,14 +217,17 @@ func synth(ctx context.Context, cfg synthConfig, rec telemetry.Recorder, real *s
 			epsTotal, deltaTotal, len(cfg.ledger.Entries()))
 	}
 
-	out := session.Result{Summary: map[string]float64{
+	summary := map[string]float64{
 		"jsd":                       res.JSD,
 		"entities":                  float64(res.Syn.A.Len() + res.Syn.B.Len()),
 		"matches":                   float64(len(res.Syn.Matches)),
 		"sampled_matches":           float64(res.SampledMatches),
 		"rejected_by_distribution":  float64(res.RejectedByDistribution),
 		"rejected_by_discriminator": float64(res.RejectedByDiscriminator),
-	}}
+	}
+	// The journal's run_end carries the summary too: the run registry
+	// reads it from there, and `serd runs compare` gates on its jsd.
+	out := session.Result{Summary: summary, RunEnd: summary}
 	if len(cfg.ledger.Entries()) > 0 {
 		out.Privacy = cfg.ledger.Summary()
 	}

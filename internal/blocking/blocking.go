@@ -15,6 +15,7 @@ import (
 
 	"serd/internal/dataset"
 	"serd/internal/simfn"
+	"serd/internal/stats"
 )
 
 // Blocker proposes candidate pairs between two relations.
@@ -93,8 +94,8 @@ func (g QGram) Describe() string {
 // and indexed as ascending []int32 posting lists; each A-entity counts its
 // overlaps in one reused per-B counter. When more than MaxPerEntity
 // B-entities share MinShared grams, the strongest overlaps are kept —
-// count descending, ties to the lower index — and emitted by ascending
-// index.
+// count descending, ties to the lower index — before anything is sorted,
+// and the survivors are emitted by ascending index.
 func (g QGram) Candidates(a, b *dataset.Relation) ([]dataset.Pair, error) {
 	d := g.defaults()
 	if err := checkColumn("qgram", d.Column, a, b); err != nil {
@@ -130,7 +131,7 @@ func (g QGram) Candidates(a, b *dataset.Relation) ([]dataset.Pair, error) {
 
 	var out []dataset.Pair
 	shared := make([]int32, b.Len())
-	var touched, cands, hist []int32
+	var touched, cands, hist, tied []int32
 	for i, e := range a.Entities {
 		ids = grams.appendIDs(ids[:0], e.Values[d.Column], false)
 		for _, id := range ids {
@@ -147,10 +148,10 @@ func (g QGram) Candidates(a, b *dataset.Relation) ([]dataset.Pair, error) {
 				cands = append(cands, j)
 			}
 		}
-		slices.Sort(cands)
 		if len(cands) > d.MaxPerEntity {
-			cands, hist = keepStrongest(cands, shared, d.MaxPerEntity, len(ids), hist)
+			cands, hist, tied = keepStrongest(cands, shared, d.MaxPerEntity, len(ids), hist, tied)
 		}
+		slices.Sort(cands)
 		for _, j := range cands {
 			out = append(out, dataset.Pair{A: i, B: int(j)})
 		}
@@ -162,13 +163,14 @@ func (g QGram) Candidates(a, b *dataset.Relation) ([]dataset.Pair, error) {
 	return out, nil
 }
 
-// keepStrongest cuts ascending cands to the max entries with the highest
-// shared counts, ties going to the lower index, preserving ascending
-// order — the order a count-descending, index-ascending sort truncated to
-// max would yield, re-sorted by index. Counts are at most maxCount; a
-// histogram finds the threshold count t, then one pass keeps every count
-// above t and the lowest-index ties at t. hist is reusable scratch.
-func keepStrongest(cands, shared []int32, max, maxCount int, hist []int32) ([]int32, []int32) {
+// keepStrongest cuts cands, in any order, to the max entries with the
+// highest shared counts, ties going to the lower index — the entries a
+// count-descending, index-ascending sort truncated to max would keep — and
+// returns them unordered. Counts are at most maxCount; a histogram finds
+// the threshold count t, every count above t is kept, and of the ties at
+// t the lowest indices that fit are found by selection rather than
+// sorting. hist and tied are reusable scratch.
+func keepStrongest(cands, shared []int32, max, maxCount int, hist, tied []int32) ([]int32, []int32, []int32) {
 	hist = slices.Grow(hist[:0], maxCount+1)[:maxCount+1]
 	clear(hist)
 	for _, j := range cands {
@@ -180,15 +182,24 @@ func keepStrongest(cands, shared []int32, max, maxCount int, hist []int32) ([]in
 	}
 	ties := max - above
 	kept := cands[:0]
+	tied = tied[:0]
 	for _, j := range cands {
-		if c := shared[j]; int(c) > t || (int(c) == t && ties > 0) {
-			if int(c) == t {
-				ties--
-			}
+		switch c := int(shared[j]); {
+		case c > t:
+			kept = append(kept, j)
+		case c == t:
+			tied = append(tied, j)
+		}
+	}
+	// Indices are distinct, so exactly ties of them are at most the
+	// ties-th smallest.
+	last := stats.Select(tied, ties-1)
+	for _, j := range tied {
+		if j <= last {
 			kept = append(kept, j)
 		}
 	}
-	return kept, hist
+	return kept, hist, tied
 }
 
 // gramInterner maps key-column values to dense ids of their case-folded
@@ -362,23 +373,18 @@ func (u Union) Describe() string {
 
 // Candidates implements Blocker. Members run in declaration order and the
 // first occurrence of each pair wins, so the union's candidate order is
-// deterministic for a fixed member list.
+// deterministic for a fixed member list. Repeats are dropped once, over
+// the members' concatenated output (see dataset.UniquePairs).
 func (u Union) Candidates(a, b *dataset.Relation) ([]dataset.Pair, error) {
-	seen := make(map[dataset.Pair]bool)
-	var out []dataset.Pair
+	var all []dataset.Pair
 	for _, bl := range u {
 		cands, err := bl.Candidates(a, b)
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range cands {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
-		}
+		all = append(all, cands...)
 	}
-	return out, nil
+	return dataset.UniquePairs(all, nil, a.Len(), b.Len()), nil
 }
 
 // Quality reports how well a candidate set covers the truth.

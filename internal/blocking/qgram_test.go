@@ -152,3 +152,29 @@ func BenchmarkQGramCandidates(b *testing.B) {
 }
 
 var sinkPairs []dataset.Pair
+
+// BenchmarkUnionCandidates runs S1's default hard-negative blocker — a
+// union of q-gram blockers over every textual column — on Products-shaped
+// relations (80 × 690), so the members' overlap exercises the union's
+// deduplication.
+func BenchmarkUnionCandidates(b *testing.B) {
+	gen, err := datagen.Products(datagen.Config{Seed: 1, SizeA: 80, SizeB: 690, Matches: 36, BackgroundPerColumn: 60})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var bl Union
+	for i, col := range gen.ER.Schema().Cols {
+		if col.Kind == dataset.Textual {
+			bl = append(bl, QGram{Column: i})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cands, err := bl.Candidates(gen.ER.A, gen.ER.B)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkPairs = cands
+	}
+}

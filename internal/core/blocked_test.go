@@ -40,7 +40,8 @@ func TestLabelAllPairsBlockedSampledOverlap(t *testing.T) {
 	for _, p := range gen.ER.Matches[2:] {
 		cands = append(cands, p)
 	}
-	matches, err := labelAllPairs(context.Background(), nil, j, gen.ER.A, gen.ER.B, sampled, cands, true, dataset.NewSimCache(gen.ER.Schema()), nil)
+	pa, pb := gen.ER.Prep(nil)
+	matches, err := labelAllPairs(context.Background(), nil, j, pa, pb, sampled, cands, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -293,16 +293,16 @@ func bootstrap(vs *valueSynth, real *dataset.ER, opts Options, r *rand.Rand) (*d
 // posterior-probability label P_m(x) >= P_n(x) (Eq. 7 / §IV-C). With
 // blocked set, only the precomputed candidate pairs are scored and the
 // rest default to non-matching (the candidates come from runS3, which
-// journals the blocking tradeoff before labeling starts). Scoring fans
-// out over the pool — pairs are pure reads of the relations, the sampled
-// map and O_real — with per-slot results merged deterministically (and
-// sorted regardless).
+// journals the blocking tradeoff before labeling starts). a and b are
+// A_syn and B_syn prepped under one schema. Scoring fans out over the
+// pool — pairs are pure reads of the preps, the sampled map and O_real —
+// with per-slot results merged deterministically (and sorted regardless).
 //
 // Cancellation is checked per row (per candidate when blocked): workers
 // skip remaining slots once the run is stopped, the partial labeling is
 // discarded, and the stop cause is returned. An untriggered context adds
 // one flag read per slot and changes nothing else.
-func labelAllPairs(ctx context.Context, cp *checkpoint.Checkpointer, oReal generator.Dist, a, b *dataset.Relation, sampled map[dataset.Pair]bool, cands []dataset.Pair, blocked bool, cache *dataset.SimCache, pool *parallel.Pool) ([]dataset.Pair, error) {
+func labelAllPairs(ctx context.Context, cp *checkpoint.Checkpointer, oReal generator.Dist, a, b *dataset.Preps, sampled map[dataset.Pair]bool, cands []dataset.Pair, blocked bool, pool *parallel.Pool) ([]dataset.Pair, error) {
 	if err := pipeline.Stopped(ctx, cp); err != nil {
 		return nil, err
 	}
@@ -319,7 +319,7 @@ func labelAllPairs(ctx context.Context, cp *checkpoint.Checkpointer, oReal gener
 		if _, ok := sampled[p]; ok {
 			return false
 		}
-		return oReal.IsMatch(cache.SimVector(a.Entities[p.A], b.Entities[p.B]))
+		return oReal.IsMatch(a.SimVector(p.A, b, p.B))
 	}
 	if blocked {
 		hit := make([]bool, len(cands))

@@ -338,7 +338,8 @@ func TestLabelAllPairsUsesPosterior(t *testing.T) {
 	}
 	// Label the REAL dataset's pairs with S3: the recovered matches should
 	// largely agree with ground truth (M and N are well separated).
-	matches, err := labelAllPairs(context.Background(), nil, j, gen.ER.A, gen.ER.B, nil, nil, false, dataset.NewSimCache(gen.ER.Schema()), nil)
+	pa, pb := gen.ER.Prep(nil)
+	matches, err := labelAllPairs(context.Background(), nil, j, pa, pb, nil, nil, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,10 +72,11 @@ func TestDeltaVectorsWorkerInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{}.withDefaults(gen.ER)
-	cand := gen.ER.B.Entities[0]
+	te := dataset.NewPreps(gen.ER.Schema(), gen.ER.A.Entities, nil, "")
+	cand := prepOne(gen.ER.Schema(), gen.ER.B.Entities[0])
 	run := func(pool *parallel.Pool) delta {
-		d := newDistState(j, opts, pool, dataset.NewSimCache(gen.ER.Schema()))
-		return d.deltaVectors(cand, gen.ER.A, rand.New(rand.NewSource(8)))
+		d := newDistState(j, opts, pool)
+		return d.deltaVectors(cand, te, rand.New(rand.NewSource(8)))
 	}
 	want := run(nil)
 	for _, workers := range []int{1, 4} {
@@ -100,9 +101,14 @@ func TestDeltaVectorsWorkerInvariant(t *testing.T) {
 	}
 }
 
+// prepOne preps e alone, as S2 preps each candidate e'.
+func prepOne(s *dataset.Schema, e *dataset.Entity) *dataset.Preps {
+	return dataset.NewPreps(s, []*dataset.Entity{e}, nil, "")
+}
+
 // benchDistState builds a learned distState over a scholar fixture for the
-// hot-loop benchmarks.
-func benchDistState(b *testing.B, pool *parallel.Pool) (*distState, *dataset.ER, *rand.Rand) {
+// hot-loop benchmarks, with A prepped as T_e.
+func benchDistState(b *testing.B, pool *parallel.Pool) (*distState, *dataset.ER, *dataset.Preps, *rand.Rand) {
 	b.Helper()
 	gen, err := benchFixture()
 	if err != nil {
@@ -113,29 +119,29 @@ func benchDistState(b *testing.B, pool *parallel.Pool) (*distState, *dataset.ER,
 		b.Fatal(err)
 	}
 	opts := Options{}.withDefaults(gen.ER)
-	d := newDistState(j, opts, pool, dataset.NewSimCache(gen.ER.Schema()))
-	return d, gen.ER, rand.New(rand.NewSource(8))
+	d := newDistState(j, opts, pool)
+	return d, gen.ER, dataset.NewPreps(gen.ER.Schema(), gen.ER.A.Entities, nil, ""), rand.New(rand.NewSource(8))
 }
 
 func BenchmarkDeltaVectors(b *testing.B) {
-	d, er, r := benchDistState(b, nil)
-	cand := er.B.Entities[0]
+	d, er, te, r := benchDistState(b, nil)
+	cand := prepOne(er.Schema(), er.B.Entities[0])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.deltaVectors(cand, er.A, r)
+		d.deltaVectors(cand, te, r)
 	}
 }
 
 func BenchmarkReject(b *testing.B) {
-	d, er, r := benchDistState(b, nil)
+	d, er, te, r := benchDistState(b, nil)
 	// Activate O_syn by committing deltas until both accumulators fit.
 	for i := 0; i < er.B.Len() && !d.active(); i++ {
-		d.commit(d.deltaVectors(er.B.Entities[i], er.A, r))
+		d.commit(d.deltaVectors(prepOne(er.Schema(), er.B.Entities[i]), te, r))
 	}
 	if !d.active() {
 		b.Fatal("accumulators never activated")
 	}
-	dl := d.deltaVectors(er.B.Entities[0], er.A, r)
+	dl := d.deltaVectors(prepOne(er.Schema(), er.B.Entities[0]), te, r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.reject(dl, r)

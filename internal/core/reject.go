@@ -19,10 +19,8 @@ import (
 // noise cancels between the two estimates.
 type distState struct {
 	oReal      generator.Dist
-	schema     *dataset.Schema
 	opts       Options
 	pool       *parallel.Pool
-	cache      *dataset.SimCache
 	pendingPos [][]float64
 	pendingNeg [][]float64
 	accM, accN *gmm.Accumulator
@@ -38,19 +36,17 @@ type delta struct {
 	pos, neg [][]float64
 }
 
-func newDistState(oReal generator.Dist, opts Options, pool *parallel.Pool, cache *dataset.SimCache) *distState {
-	return &distState{oReal: oReal, opts: opts, pool: pool, cache: cache}
+func newDistState(oReal generator.Dist, opts Options, pool *parallel.Pool) *distState {
+	return &distState{oReal: oReal, opts: opts, pool: pool}
 }
 
 // deltaVectors computes ΔX_syn for a candidate e' against (a sample of)
 // the entities of T_e — the table on the other side of the pair space from
-// e' (§V: "the potential generated pairs (e”, e'), ∀e” ∈ T_e"). The
+// e' (§V: "the potential generated pairs (e”, e'), ∀e” ∈ T_e"). cand holds
+// e' alone and te holds T_e, both prepped under one schema. The
 // per-index similarity vectors and posterior labels are computed on the
-// pool (both are pure given the entities) and folded in index order.
-func (d *distState) deltaVectors(cand *dataset.Entity, te *dataset.Relation, r *rand.Rand) delta {
-	if d.schema == nil {
-		d.schema = te.Schema
-	}
+// pool (both are pure given the preps) and folded in index order.
+func (d *distState) deltaVectors(cand, te *dataset.Preps, r *rand.Rand) delta {
 	n := te.Len()
 	var idx []int
 	if n <= d.opts.RejectionSample {
@@ -64,7 +60,7 @@ func (d *distState) deltaVectors(cand *dataset.Entity, te *dataset.Relation, r *
 	xs := make([][]float64, len(idx))
 	match := make([]bool, len(idx))
 	d.pool.Run("core.s2.delta", len(idx), func(j int) {
-		x := d.cache.SimVector(te.Entities[idx[j]], cand)
+		x := te.SimVector(idx[j], cand, 0)
 		xs[j] = x
 		match[j] = d.oReal.IsMatch(x)
 	})

@@ -44,8 +44,10 @@ type synthRun struct {
 
 	oReal      generator.Dist
 	vs         *valueSynth
-	cache      *dataset.SimCache
 	synA, synB *dataset.Relation
+	// preps holds each entity pool prepped by position, for S2's delta
+	// vectors and S3's labeling; S2 appends every accepted entity.
+	preps      map[*dataset.Relation]*dataset.Preps
 	res        *Result
 	dist       *distState
 	sampled    map[dataset.Pair]bool
@@ -270,9 +272,9 @@ func (st *synthRun) runS1(ctx context.Context, _ *pipeline.Env) error {
 }
 
 // runSetup validates O_real against the schema and prepares the S2 state:
-// value synthesizers, the shared similarity cache, the entity pools —
-// restored from a mid-S2 checkpoint (with the RNG stream fast-forwarded)
-// or bootstrapped with the first fake A-entity.
+// value synthesizers and the entity pools — restored from a mid-S2
+// checkpoint (with the RNG stream fast-forwarded) or bootstrapped with
+// the first fake A-entity — and their preps.
 func (st *synthRun) runSetup(context.Context, *pipeline.Env) error {
 	if st.oReal.Dim() != st.real.Schema().Len() {
 		return fmt.Errorf("core: O_real dim %d does not match schema arity %d", st.oReal.Dim(), st.real.Schema().Len())
@@ -283,14 +285,10 @@ func (st *synthRun) runSetup(context.Context, *pipeline.Env) error {
 	}
 	st.vs = vs
 	schema := st.real.Schema()
-	// One prep cache serves S2's rejection scans and S3's labeling: the
-	// synthesized entities are compared against each other thousands of
-	// times, and their q-gram/token sets never change.
-	st.cache = dataset.NewSimCache(schema)
 	st.synA = dataset.NewRelation("A_syn", schema)
 	st.synB = dataset.NewRelation("B_syn", schema)
 	st.res = &Result{OReal: st.oReal}
-	st.dist = newDistState(st.oReal, st.opts, st.pool, st.cache)
+	st.dist = newDistState(st.oReal, st.opts, st.pool)
 	st.sampled = make(map[dataset.Pair]bool) // S2-sampled labels
 	// matched tracks entities that already have a sampled match partner.
 	// Real benchmark matches are essentially one-to-one; synthesizing a
@@ -325,17 +323,24 @@ func (st *synthRun) runSetup(context.Context, *pipeline.Env) error {
 				}
 			}
 		}
-		return nil
+	} else {
+		// S2 bootstrap: one fake A-entity.
+		first, err := bootstrap(st.vs, st.real, st.opts, st.r)
+		if err != nil {
+			return err
+		}
+		if err := st.synA.Append(first); err != nil {
+			return err
+		}
+		if err := st.streamEntity(true, first); err != nil {
+			return err
+		}
 	}
-	// S2 bootstrap: one fake A-entity.
-	first, err := bootstrap(st.vs, st.real, st.opts, st.r)
-	if err != nil {
-		return err
+	st.preps = map[*dataset.Relation]*dataset.Preps{
+		st.synA: dataset.NewPreps(schema, st.synA.Entities, st.pool, ""),
+		st.synB: dataset.NewPreps(schema, st.synB.Entities, st.pool, ""),
 	}
-	if err := st.synA.Append(first); err != nil {
-		return err
-	}
-	return st.streamEntity(true, first)
+	return nil
 }
 
 // streamEntity forwards one accepted entity to the stream writer, if any.
@@ -483,34 +488,34 @@ func (st *synthRun) runS2(ctx context.Context, _ *pipeline.Env) error {
 			cand := st.vs.synthesizeEntity(id, e, x, dstIsA, r)
 
 			// §V entity rejection, unless disabled (SERD-) or out of
-			// attempts.
-			if !opts.DisableRejection && attempt < opts.MaxRejections {
-				if opts.GAN != nil && opts.GAN.Discriminate(cand.Values) < opts.Beta {
-					res.RejectedByDiscriminator++
-					rec.Add("core.s2.rejected.discriminator", 1)
-					heartbeat(synA.Len() + synB.Len())
-					continue
-				}
-				delta := dist.deltaVectors(cand, src, r)
-				if dist.reject(delta, r) {
-					res.RejectedByDistribution++
-					rec.Add("core.s2.rejected.distribution", 1)
-					heartbeat(synA.Len() + synB.Len())
-					continue
-				}
-				dist.commit(delta)
-			} else {
-				// Still fold the accepted entity's pairs into O_syn so the
-				// estimate tracks reality (SERD- skips the check, not the
-				// bookkeeping).
-				dist.commit(dist.deltaVectors(cand, src, r))
+			// attempts. Without the check the accepted entity's pairs
+			// still fold into O_syn so the estimate tracks reality (SERD-
+			// skips the check, not the bookkeeping).
+			check := !opts.DisableRejection && attempt < opts.MaxRejections
+			if check && opts.GAN != nil && opts.GAN.Discriminate(cand.Values) < opts.Beta {
+				res.RejectedByDiscriminator++
+				rec.Add("core.s2.rejected.discriminator", 1)
+				heartbeat(synA.Len() + synB.Len())
+				continue
 			}
+			// e' is prepped once: its delta vectors read the preps, and
+			// on accept they join its side's preps.
+			candPreps := dataset.NewPreps(dst.Schema, []*dataset.Entity{cand}, nil, "")
+			delta := dist.deltaVectors(candPreps, st.preps[src], r)
+			if check && dist.reject(delta, r) {
+				res.RejectedByDistribution++
+				rec.Add("core.s2.rejected.distribution", 1)
+				heartbeat(synA.Len() + synB.Len())
+				continue
+			}
+			dist.commit(delta)
 
 			// S2-4: add e' and the sampled label, streaming the accepted
 			// row out immediately when a stream writer is armed.
 			if err := dst.Append(cand); err != nil {
 				return err
 			}
+			st.preps[dst].Append(candPreps)
 			if err := st.streamEntity(dstIsA, cand); err != nil {
 				return err
 			}
@@ -564,7 +569,7 @@ func (st *synthRun) runS3(ctx context.Context, _ *pipeline.Env) error {
 		}
 		st.journalBlocking(cands)
 	}
-	matches, err := labelAllPairs(ctx, st.cp, st.oReal, st.synA, st.synB, st.sampled, cands, blocked, st.cache, st.pool)
+	matches, err := labelAllPairs(ctx, st.cp, st.oReal, st.preps[st.synA], st.preps[st.synB], st.sampled, cands, blocked, st.pool)
 	if err != nil {
 		if serr := st.saveS2(); serr != nil {
 			return serr

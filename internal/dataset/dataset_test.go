@@ -372,7 +372,8 @@ func TestLabeledPairsMixedCoversBothRegimes(t *testing.T) {
 		t.Error("no negatives sampled")
 	}
 	// HardestNonMatches is sorted descending by mean similarity.
-	hard := HardestNonMatches(er, all, 5, nil, nil)
+	pa, pb := er.Prep(nil)
+	hard := HardestNonMatches(er, all, 5, pa, pb, nil)
 	for i := 1; i < len(hard); i++ {
 		if meanOf(hard[i].Vector) > meanOf(hard[i-1].Vector)+1e-12 {
 			t.Fatal("hardest negatives not sorted by mean similarity")

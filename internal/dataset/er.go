@@ -3,13 +3,64 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
-
-	"serd/internal/parallel"
+	"slices"
 )
 
 // Pair addresses an (A-entity, B-entity) pair by index.
 type Pair struct {
 	A, B int
+}
+
+// UniquePairs returns the pairs of ps that are not in exclude, each once,
+// in first-occurrence order. Every pair, excluded ones included, must lie
+// in [0, nA) × [0, nB). Instead of hashing pairs it groups them by A with
+// a counting sort and marks repeats with one per-B stamp, so time and
+// memory are O(len(ps) + len(exclude) + nA + nB). exclude acts as a
+// prefix of ps whose pairs are never emitted.
+func UniquePairs(ps, exclude []Pair, nA, nB int) []Pair {
+	at := func(k int) Pair {
+		if k < len(exclude) {
+			return exclude[k]
+		}
+		return ps[k-len(exclude)]
+	}
+	total := len(exclude) + len(ps)
+	// byA lists positions grouped by A, in position order within a group.
+	start := make([]int32, nA+1)
+	for k := 0; k < total; k++ {
+		start[at(k).A+1]++
+	}
+	for i := 0; i < nA; i++ {
+		start[i+1] += start[i]
+	}
+	byA := make([]int32, total)
+	fill := slices.Clone(start[:nA])
+	for k := 0; k < total; k++ {
+		a := at(k).A
+		byA[fill[a]] = int32(k)
+		fill[a]++
+	}
+	// stamp[b] is 1 + the last A whose group held (A, b); a position whose
+	// B is already stamped by its own group repeats an earlier pair.
+	stamp := make([]int32, nB)
+	repeat := make([]bool, total)
+	for a := 0; a < nA; a++ {
+		for _, k := range byA[start[a]:start[a+1]] {
+			b := at(int(k)).B
+			if stamp[b] == int32(a+1) {
+				repeat[k] = true
+			} else {
+				stamp[b] = int32(a + 1)
+			}
+		}
+	}
+	out := make([]Pair, 0, len(ps))
+	for k, p := range ps {
+		if !repeat[len(exclude)+k] {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // ER is a labeled entity-resolution dataset E = (A, B, M, N) (paper §II-A).
@@ -45,9 +96,10 @@ func (e *ER) MatchSet() map[Pair]bool {
 }
 
 // MatchingVectors computes X+ — the similarity vectors of all matching
-// pairs (paper §II-B). Each value is prepped once (see SimCache).
+// pairs (paper §II-B). Each value is prepped once (see Preps).
 func (e *ER) MatchingVectors() [][]float64 {
-	return e.PairVectors(e.Matches, nil, nil)
+	a, b := e.Prep(nil)
+	return PairVectors(e.Matches, a, b, nil)
 }
 
 // NonMatchingVectors computes up to maxN similarity vectors of
@@ -55,29 +107,11 @@ func (e *ER) MatchingVectors() [][]float64 {
 // non-matching pairs are used; otherwise a uniform sample without
 // replacement is drawn with r. Sampling keeps the quadratic pair space
 // tractable for the larger datasets, exactly as ER systems do in practice.
-// Each value is prepped once (see SimCache).
+// Each value is prepped once (see Preps).
 func (e *ER) NonMatchingVectors(maxN int, r *rand.Rand) [][]float64 {
-	return e.PairVectors(e.NonMatchingPairs(maxN, r), nil, nil)
-}
-
-// PairVectors computes the similarity vectors of pairs, in pair order,
-// through cache (nil builds a fresh one). With a pool the pairs are scored
-// in parallel under the "generator.vectors" phase — S1's learning vectors
-// are the pooled caller — into index-addressed slots, so the result is
-// bit-identical at any worker count. The vectors share one backing array,
-// each capped at its own length.
-func (e *ER) PairVectors(pairs []Pair, cache *SimCache, pool *parallel.Pool) [][]float64 {
-	if cache == nil {
-		cache = NewSimCache(e.Schema())
-	}
-	dim := e.Schema().Len()
-	flat := make([]float64, len(pairs)*dim)
-	out := make([][]float64, len(pairs))
-	pool.Run("generator.vectors", len(pairs), func(i int) {
-		p := pairs[i]
-		out[i] = cache.simVectorInto(flat[i*dim:(i+1)*dim:(i+1)*dim], e.A.Entities[p.A], e.B.Entities[p.B])
-	})
-	return out
+	pairs := e.NonMatchingPairs(maxN, r)
+	a, b := e.Prep(nil)
+	return PairVectors(pairs, a, b, nil)
 }
 
 // NonMatchingPairs returns up to maxN non-matching pairs (see

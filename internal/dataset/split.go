@@ -2,10 +2,12 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
 	"serd/internal/parallel"
+	"serd/internal/stats"
 )
 
 // LabeledPair is a training/evaluation example for an ER matcher: the pair,
@@ -65,7 +67,8 @@ func LabeledPairsMixed(e *ER, negPerPos int, candidates []Pair, r *rand.Rand) []
 	wantNeg := len(e.Matches) * negPerPos
 	hardBudget := wantNeg / 2
 	seen := make(map[Pair]bool)
-	for _, lp := range HardestNonMatches(e, candidates, hardBudget, nil, nil) {
+	pa, pb := e.Prep(nil)
+	for _, lp := range HardestNonMatches(e, candidates, hardBudget, pa, pb, nil) {
 		seen[lp.Pair] = true
 		out = append(out, lp)
 		wantNeg--
@@ -85,34 +88,71 @@ func LabeledPairsMixed(e *ER, negPerPos int, candidates []Pair, r *rand.Rand) []
 
 // HardestNonMatches scores every candidate pair and returns the top-n
 // non-matching pairs by mean similarity — the boundary cases that make a
-// matcher workload meaningful. Candidates are deduplicated serially in
-// candidate order, then scored through cache on pool (see PairVectors;
-// nil for either is fine), so the selection is the same at any worker
-// count. Ties in mean keep candidate order (a stable sort).
-func HardestNonMatches(e *ER, candidates []Pair, n int, cache *SimCache, pool *parallel.Pool) []LabeledPair {
+// matcher workload meaningful. a and b are the dataset's relations
+// prepped under its schema (see ER.Prep). Candidates are deduplicated
+// serially in candidate order, then scored on pool (see PairVectors; nil
+// is fine), so the selection is the same at any worker count. The order
+// is a stable sort's by mean descending: ties in mean keep candidate
+// order.
+func HardestNonMatches(e *ER, candidates []Pair, n int, a, b *Preps, pool *parallel.Pool) []LabeledPair {
 	if n <= 0 {
 		return nil
 	}
-	matchSet := e.MatchSet()
-	seen := make(map[Pair]bool, len(candidates))
-	pairs := make([]Pair, 0, len(candidates))
-	for _, p := range candidates {
-		if matchSet[p] || seen[p] {
-			continue
-		}
-		seen[p] = true
-		pairs = append(pairs, p)
-	}
-	xs := e.PairVectors(pairs, cache, pool)
+	pairs := UniquePairs(candidates, e.Matches, e.A.Len(), e.B.Len())
+	xs := PairVectors(pairs, a, b, pool)
 	means := make([]float64, len(xs))
-	order := make([]int32, len(xs))
 	for i, x := range xs {
 		mean := 0.0
 		for _, v := range x {
 			mean += v
 		}
 		means[i] = mean / float64(len(x))
-		order[i] = int32(i)
+	}
+	order := hardestOrder(means, n)
+	// Copy the kept vectors out of the scoring array, so callers that hold
+	// the result do not keep every candidate's vector alive.
+	dim := e.Schema().Len()
+	flat := make([]float64, 0, len(order)*dim)
+	out := make([]LabeledPair, len(order))
+	for k, i := range order {
+		flat = append(flat, xs[i]...)
+		out[k] = LabeledPair{Pair: pairs[i], Vector: flat[k*dim : (k+1)*dim : (k+1)*dim]}
+	}
+	return out
+}
+
+// hardestOrder returns the indices of the first n entries of means in a
+// stable sort by mean descending. It selects before it sorts: the n-th
+// largest mean t is an order statistic, every mean above t survives and
+// so do the lowest-index ties at t, and only the ≤ n survivors, still in
+// index order, are stable-sorted. With a NaN mean the comparator is no
+// strict weak order and selection could disagree with the sort, so the
+// whole index is sorted instead.
+func hardestOrder(means []float64, n int) []int32 {
+	var order []int32
+	if n < len(means) && !slices.ContainsFunc(means, math.IsNaN) {
+		t := stats.Select(slices.Clone(means), len(means)-n)
+		above := 0
+		for _, m := range means {
+			if m > t {
+				above++
+			}
+		}
+		ties := n - above
+		order = make([]int32, 0, n)
+		for i, m := range means {
+			if m > t || (m == t && ties > 0) {
+				if m == t {
+					ties--
+				}
+				order = append(order, int32(i))
+			}
+		}
+	} else {
+		order = make([]int32, len(means))
+		for i := range order {
+			order[i] = int32(i)
+		}
 	}
 	// Only cmp < 0 steers the stable sort, as less steers sort.SliceStable
 	// (one generated algorithm), so the order is sort.SliceStable's by
@@ -126,19 +166,7 @@ func HardestNonMatches(e *ER, candidates []Pair, n int, cache *SimCache, pool *p
 		}
 		return 0
 	})
-	if len(order) > n {
-		order = order[:n]
-	}
-	// Copy the kept vectors out of the scoring array, so callers that hold
-	// the result do not keep every candidate's vector alive.
-	dim := e.Schema().Len()
-	flat := make([]float64, 0, len(order)*dim)
-	out := make([]LabeledPair, len(order))
-	for k, i := range order {
-		flat = append(flat, xs[i]...)
-		out[k] = LabeledPair{Pair: pairs[i], Vector: flat[k*dim : (k+1)*dim : (k+1)*dim]}
-	}
-	return out
+	return order[:min(n, len(order))]
 }
 
 // Split shuffles pairs with r and divides them into train and test sets,

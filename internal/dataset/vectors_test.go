@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -120,11 +122,14 @@ func TestHardestNonMatchesMatchesStableSortOracle(t *testing.T) {
 	r.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 	cands = append(cands, cands[:100]...) // repeats must be skipped
 	cands = append(cands, er.Matches...)  // so must true matches
+	pa, pb := er.Prep(nil)
 	for _, n := range []int{1, 7, 50, 400, len(cands)} {
 		want := oracleHardestNonMatches(er, cands, n)
-		sameLabeledPairs(t, fmt.Sprintf("n=%d nil pool", n), HardestNonMatches(er, cands, n, nil, nil), want)
+		sameLabeledPairs(t, fmt.Sprintf("n=%d nil pool", n), HardestNonMatches(er, cands, n, pa, pb, nil), want)
 		for _, workers := range []int{1, 2, 4} {
-			got := HardestNonMatches(er, cands, n, NewSimCache(er.Schema()), parallel.New(workers, nil))
+			pool := parallel.New(workers, nil)
+			pa, pb := er.Prep(pool)
+			got := HardestNonMatches(er, cands, n, pa, pb, pool)
 			sameLabeledPairs(t, fmt.Sprintf("n=%d workers=%d", n, workers), got, want)
 		}
 	}
@@ -137,8 +142,9 @@ func TestHardestNonMatchesCopiesKeptVectors(t *testing.T) {
 	er := tiedER(t)
 	cands := er.NonMatchingPairs(300, rand.New(rand.NewSource(5)))
 	dim := er.Schema().Len()
+	pa, pb := er.Prep(nil)
 	for _, n := range []int{1, 7, 50} {
-		got := HardestNonMatches(er, cands, n, nil, nil)
+		got := HardestNonMatches(er, cands, n, pa, pb, nil)
 		kept := unsafe.Slice(unsafe.SliceData(got[0].Vector), n*dim)
 		for k, lp := range got {
 			if unsafe.SliceData(lp.Vector) != &kept[k*dim] || cap(lp.Vector) != dim {
@@ -149,14 +155,14 @@ func TestHardestNonMatchesCopiesKeptVectors(t *testing.T) {
 }
 
 // TestPairVectorsMatchSchemaAtAnyWorkerCount checks PairVectors against
-// Schema.SimVector on a shared cache, serially and pooled.
+// Schema.SimVector on preps built and read serially and pooled.
 func TestPairVectorsMatchSchemaAtAnyWorkerCount(t *testing.T) {
 	er := tiedER(t)
 	pairs := er.NonMatchingPairs(200, rand.New(rand.NewSource(4)))
 	for _, pool := range []*parallel.Pool{nil, parallel.New(1, nil), parallel.New(2, nil), parallel.New(4, nil)} {
-		cache := NewSimCache(er.Schema())
-		xs := er.PairVectors(pairs, cache, pool)
-		again := er.PairVectors(pairs, cache, pool) // warm cache
+		pa, pb := er.Prep(pool)
+		xs := PairVectors(pairs, pa, pb, pool)
+		again := PairVectors(pairs, pa, pb, pool) // preps are read-only
 		for i, p := range pairs {
 			want := er.Schema().SimVector(er.A.Entities[p.A], er.B.Entities[p.B])
 			if !sameBits(xs[i], want) || !sameBits(again[i], want) {
@@ -165,6 +171,109 @@ func TestPairVectorsMatchSchemaAtAnyWorkerCount(t *testing.T) {
 			if cap(xs[i]) != len(want) {
 				t.Fatalf("vector %d has spare capacity %d; an append would clobber its neighbor", i, cap(xs[i]))
 			}
+		}
+	}
+}
+
+// nanSim is a non-Preprocessor similarity that breaks the [0, 1]
+// contract: it scores NaN whenever either value is "?", so candidate
+// means can be NaN, where the stable sort's comparator is no strict order.
+type nanSim struct{}
+
+func (nanSim) Name() string { return "nan" }
+
+func (nanSim) Sim(a, b string) float64 {
+	switch {
+	case a == "?" || b == "?":
+		return math.NaN()
+	case a == b:
+		return 1
+	}
+	return 0
+}
+
+// FuzzHardestNonMatches pins HardestNonMatches' select-then-sort to the
+// full stable-sort oracle. Each '|'-separated field of as and bs is one
+// entity's value in a q-gram column and a NaN-capable exact column; byte
+// pairs of cands and matches index candidate and match pairs, so inputs
+// carry repeats, true matches among the candidates, equal means (few
+// distinct values), NaN means ("?") and budgets n at and past the
+// candidate count.
+func FuzzHardestNonMatches(f *testing.F) {
+	f.Add("ab|abc|?|ab", "ab|abd|b|?|ab", []byte{0, 0, 1, 1, 0, 0, 2, 3, 3, 4, 1, 2, 0, 4}, []byte{1, 1}, uint8(3))
+	f.Add("x|x|x|x", "x|x|x", []byte{0, 0, 0, 1, 1, 0, 1, 1, 2, 2, 3, 0, 0, 1}, []byte{0, 0}, uint8(2))
+	f.Add("new york|york|?", "york new|new|yorkshire", []byte{0, 0, 0, 1, 0, 2, 1, 0, 1, 1, 1, 2, 2, 0, 2, 1, 2, 2}, []byte{}, uint8(40))
+	f.Add("caf\xc3|café|CAFÉ", "café|caf|\xff", []byte{0, 1, 1, 0, 2, 2, 0, 1, 2, 0}, []byte{2, 2, 0, 1}, uint8(1))
+	f.Fuzz(func(t *testing.T, as, bs string, cands, matches []byte, n uint8) {
+		s, err := NewSchema([]Column{
+			{Name: "name", Kind: Textual, Sim: simfn.QGramJaccard{Q: 2, Fold: true}},
+			{Name: "flag", Kind: Categorical, Sim: nanSim{}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel := func(name, vals string) *Relation {
+			out := NewRelation(name, s)
+			for i, v := range strings.Split(vals, "|") {
+				if i == 16 {
+					break
+				}
+				if err := out.Append(&Entity{ID: fmt.Sprint(name, i), Values: []string{v, v}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return out
+		}
+		a, b := rel("a", as), rel("b", bs)
+		pairs := func(bs []byte) []Pair {
+			var out []Pair
+			for k := 0; k+1 < len(bs) && k < 512; k += 2 {
+				out = append(out, Pair{A: int(bs[k]) % a.Len(), B: int(bs[k+1]) % b.Len()})
+			}
+			return out
+		}
+		er, err := NewER(a, b, pairs(matches))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := pairs(cands)
+		budget := int(n) % (len(cs) + 3)
+		want := oracleHardestNonMatches(er, cs, budget)
+		for _, pool := range []*parallel.Pool{nil, parallel.New(2, nil)} {
+			pa, pb := er.Prep(pool)
+			sameLabeledPairs(t, fmt.Sprintf("n=%d workers=%d", budget, pool.Workers()), HardestNonMatches(er, cs, budget, pa, pb, pool), want)
+		}
+	})
+}
+
+// TestUniquePairsMatchesMapOracle checks the hash-free deduplication
+// against a map of seen pairs, seeded with the excluded ones, on random
+// pair lists dense in repeats.
+func TestUniquePairsMatchesMapOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 200; trial++ {
+		nA, nB := 1+r.Intn(9), 1+r.Intn(9)
+		gen := func(n int) []Pair {
+			out := make([]Pair, n)
+			for i := range out {
+				out[i] = Pair{A: r.Intn(nA), B: r.Intn(nB)}
+			}
+			return out
+		}
+		ps, exclude := gen(r.Intn(80)), gen(r.Intn(6))
+		seen := make(map[Pair]bool)
+		for _, p := range exclude {
+			seen[p] = true
+		}
+		want := []Pair{}
+		for _, p := range ps {
+			if !seen[p] {
+				seen[p] = true
+				want = append(want, p)
+			}
+		}
+		if got := UniquePairs(ps, exclude, nA, nB); !slices.Equal(got, want) {
+			t.Fatalf("UniquePairs(%v, exclude %v) = %v, want %v", ps, exclude, got, want)
 		}
 	}
 }

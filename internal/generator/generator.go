@@ -91,7 +91,7 @@ type FitOptions struct {
 	Rand *rand.Rand
 	// Pool, when set, parallelizes the learning vectors' scoring and the
 	// EM E- and M-steps (bit-identical at any worker count; see
-	// dataset.ER.PairVectors and gmm.FitOptions.Pool).
+	// dataset.PairVectors and gmm.FitOptions.Pool).
 	Pool *parallel.Pool
 }
 

@@ -90,9 +90,10 @@ func (o FitOptions) WithDefaults(matches int) FitOptions {
 // and X− (a down-sampled uniform non-matching sample, plus the blocker's
 // hardest non-matching candidates unless NoHardNegatives). Every backend
 // learns from the same vectors, so backend comparisons differ only in the
-// density model, never the data. All three sets score through one
-// SimCache on opts.Pool; the uniform sample is drawn serially first, so
-// the random stream is the same at any worker count.
+// density model, never the data. Both relations are prepped once on
+// opts.Pool, and all three sets score positionally against those preps;
+// the uniform sample is drawn serially, so the random stream is the same
+// at any worker count.
 func LearningVectors(real *dataset.ER, opts FitOptions) (xp, xn [][]float64, err error) {
 	if real == nil {
 		return nil, nil, fmt.Errorf("core: nil dataset")
@@ -100,9 +101,9 @@ func LearningVectors(real *dataset.ER, opts FitOptions) (xp, xn [][]float64, err
 	if len(real.Matches) < 2 {
 		return nil, nil, fmt.Errorf("core: need at least 2 matching pairs to learn the M-distribution, have %d", len(real.Matches))
 	}
-	cache := dataset.NewSimCache(real.Schema())
-	xp = real.PairVectors(real.Matches, cache, opts.Pool)
-	xn = real.PairVectors(real.NonMatchingPairs(opts.MaxNonMatching, opts.Rand), cache, opts.Pool)
+	a, b := real.Prep(opts.Pool)
+	xp = dataset.PairVectors(real.Matches, a, b, opts.Pool)
+	xn = dataset.PairVectors(real.NonMatchingPairs(opts.MaxNonMatching, opts.Rand), a, b, opts.Pool)
 	if len(xn) < 2 {
 		return nil, nil, fmt.Errorf("core: need at least 2 non-matching pairs, have %d", len(xn))
 	}
@@ -119,7 +120,7 @@ func LearningVectors(real *dataset.ER, opts FitOptions) (xp, xn [][]float64, err
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: hard-negative mining: %w", err)
 		}
-		for _, lp := range dataset.HardestNonMatches(real, cands, hardN, cache, opts.Pool) {
+		for _, lp := range dataset.HardestNonMatches(real, cands, hardN, a, b, opts.Pool) {
 			xn = append(xn, lp.Vector)
 		}
 	}

@@ -1,6 +1,7 @@
 package gmm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -53,7 +54,9 @@ func (w wrapDist) LogPDF(x []float64) float64            { return w.d.LogPDF(x) 
 // interior and differing between the joints), every sharing of the side
 // models, dimensions on both sides of the 16-coordinate stack limit of
 // the density kernels, stripe-boundary sample counts, pools, and a q
-// that is not a *Joint.
+// that is not a *Joint. Each dimension, and within it each sharing, is a
+// parallel subtest; the models are drawn from one stream in dimension
+// order before any subtest runs.
 func TestJSDPairMatchesStripedOracle(t *testing.T) {
 	pools := []*parallel.Pool{nil, parallel.New(1, nil), parallel.New(2, nil), parallel.New(4, nil)}
 	pis := [][2]float64{{0, 0}, {1, 1}, {0.3, 0.3}, {0.3, 0.45}, {0, 0.2}, {1, 0.6}}
@@ -70,38 +73,44 @@ func TestJSDPairMatchesStripedOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sh := range shares {
-			am, an := m2, n2
-			if sh.shareM {
-				am = m
-			}
-			if sh.shareN {
-				an = n
-			}
-			for _, pi := range pis {
-				before, err := NewJoint(m, n, pi[0])
-				if err != nil {
-					t.Fatal(err)
+		t.Run(fmt.Sprintf("dim=%d", dim), func(t *testing.T) {
+			t.Parallel()
+			for _, sh := range shares {
+				am, an := m2, n2
+				if sh.shareM {
+					am = m
 				}
-				after, err := NewJoint(am, an, pi[1])
-				if err != nil {
-					t.Fatal(err)
+				if sh.shareN {
+					an = n
 				}
-				for qi, q := range []Dist{qj, wrapDist{qj}} {
-					for _, ns := range []int{1, 31, 32, 33, 128, 200} {
-						seed := int64(dim*1000 + ns)
-						wantB := JSDStriped(before, q, ns, seed, nil)
-						wantA := JSDStriped(after, q, ns, seed, nil)
-						for pi2, pool := range pools {
-							gotB, gotA := JSDPair(before, after, q, ns, seed, pool)
-							if math.Float64bits(gotB) != math.Float64bits(wantB) || math.Float64bits(gotA) != math.Float64bits(wantA) {
-								t.Fatalf("dim=%d %s pi=%v q#%d n=%d pool#%d: JSDPair = (%v, %v), oracle (%v, %v)",
-									dim, sh.name, pi, qi, ns, pi2, gotB, gotA, wantB, wantA)
+				t.Run(sh.name, func(t *testing.T) {
+					t.Parallel()
+					for _, pi := range pis {
+						before, err := NewJoint(m, n, pi[0])
+						if err != nil {
+							t.Fatal(err)
+						}
+						after, err := NewJoint(am, an, pi[1])
+						if err != nil {
+							t.Fatal(err)
+						}
+						for qi, q := range []Dist{qj, wrapDist{qj}} {
+							for _, ns := range []int{1, 31, 32, 33, 128, 200} {
+								seed := int64(dim*1000 + ns)
+								wantB := JSDStriped(before, q, ns, seed, nil)
+								wantA := JSDStriped(after, q, ns, seed, nil)
+								for pi2, pool := range pools {
+									gotB, gotA := JSDPair(before, after, q, ns, seed, pool)
+									if math.Float64bits(gotB) != math.Float64bits(wantB) || math.Float64bits(gotA) != math.Float64bits(wantA) {
+										t.Fatalf("pi=%v q#%d n=%d pool#%d: JSDPair = (%v, %v), oracle (%v, %v)",
+											pi, qi, ns, pi2, gotB, gotA, wantB, wantA)
+									}
+								}
 							}
 						}
 					}
-				}
+				})
 			}
-		}
+		})
 	}
 }

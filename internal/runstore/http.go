@@ -33,17 +33,6 @@ func (l *LiveRun) Set(e Entry) {
 	l.mu.Unlock()
 }
 
-// SetRunID updates just the live entry's run id — it becomes known only
-// once the journal's first event lands. Nil-safe.
-func (l *LiveRun) SetRunID(id string) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.entry.RunID = id
-	l.mu.Unlock()
-}
-
 // Snapshot returns the live entry and whether one is active. Nil-safe.
 func (l *LiveRun) Snapshot() (Entry, bool) {
 	if l == nil {

@@ -117,7 +117,6 @@ func TestHandlerLiveRun(t *testing.T) {
 	// Nil receiver safety (registry off): all methods are no-ops.
 	var nilLive *LiveRun
 	nilLive.Set(Entry{})
-	nilLive.SetRunID("x")
 	if _, ok := nilLive.Snapshot(); ok {
 		t.Fatal("nil LiveRun reported active")
 	}
