@@ -71,7 +71,7 @@ type S2State struct {
 	SampledMatchPairs       []PairState
 	RejectedByDiscriminator int
 	RejectedByDistribution  int
-	// Rejections is the heartbeat counter (rejected attempts so far).
+	// Rejections counts the rejected attempts so far.
 	Rejections int
 	Dist       *DistSnap
 	Draws      uint64

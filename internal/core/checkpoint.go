@@ -51,7 +51,7 @@ func captureS2(synA, synB *dataset.Relation, sampled map[dataset.Pair]bool,
 
 // restoreS2 rebuilds the live S2 state from a checkpoint, filling the
 // caller's (empty) relations, maps and result. It returns the restored
-// rejection-heartbeat counter.
+// count of rejected attempts.
 func restoreS2(st *checkpoint.S2State, synA, synB *dataset.Relation, sampled map[dataset.Pair]bool,
 	matched map[*dataset.Relation]map[int]bool, res *Result, dist *distState) (int, error) {
 	if err := restoreEntities(synA, st.A); err != nil {

@@ -37,12 +37,6 @@ type Options struct {
 	// SizeA and SizeB are the synthesized table sizes n_a and n_b
 	// (default: the real table sizes, per the problem statement §II-D).
 	SizeA, SizeB int
-	// MatchFraction is the probability of drawing the sampled similarity
-	// vector from the M-distribution in step S2-2. The default,
-	// |M_real| / (SizeA + SizeB − 1), makes the expected number of sampled
-	// matching pairs equal the real match count, so E_syn reproduces the
-	// real dataset's labeled-match volume.
-	MatchFraction float64
 	// Learn controls S1 (ignored when Learned is set).
 	Learn generator.FitOptions
 	// Learned supplies a precomputed O_real, skipping S1.
@@ -82,16 +76,6 @@ type Options struct {
 	// candidate is accepted regardless (default 8; the paper instead tunes
 	// α/β to guarantee progress — the cap is a belt-and-braces bound).
 	MaxRejections int
-	// RejectionSample is t, the number of entities sampled from T_e when
-	// computing ΔX_syn (§V remark 1; default 25).
-	RejectionSample int
-	// JSDSamples is the Monte-Carlo sample count per JSD estimate
-	// (default 128).
-	JSDSamples int
-	// MinFitVectors is the number of labeled similarity vectors each of
-	// X+_syn and X−_syn must reach before distribution rejection activates
-	// (default 12; too few vectors cannot define O_syn).
-	MinFitVectors int
 	// S3Blocker, when set, restricts S3's posterior labeling to the
 	// blocker's candidate pairs; pairs outside the candidate set are
 	// assumed non-matching. Nil labels every pair (the paper's exact S3,
@@ -115,8 +99,8 @@ type Options struct {
 	Stream *dataset.StreamWriter
 	// Progress, when set, is called after each accepted entity with the
 	// number of entities synthesized so far and the total target — hook
-	// for CLI progress output on long runs. It also fires (with the same
-	// done count) on rejection-streak heartbeats; see HeartbeatEvery.
+	// for CLI progress output on long runs. Rejected attempts do not fire
+	// it; the core.s2.attempts and core.s2.rejected.* counters show them.
 	Progress func(done, total int)
 	// Metrics receives pipeline telemetry: S1/S2/S3 phase spans, per-attempt
 	// rejection counters, the JSD trajectory, EM iteration counts and
@@ -138,12 +122,6 @@ type Options struct {
 	// datasets and journals for the same seed, which is why it is excluded
 	// from the journaled configuration.
 	Workers int
-	// HeartbeatEvery emits a liveness heartbeat every N rejected attempts —
-	// a "core.s2.heartbeat" counter tick plus a Progress callback — so long
-	// rejection streaks (which add no entities and would otherwise stay
-	// silent) are distinguishable from a hang. Default 64; negative
-	// disables.
-	HeartbeatEvery int
 	// Checkpoint, when set, persists the pipeline state after S1 and every
 	// Checkpoint.Every() accepted S2 entities, and — when its interrupt
 	// flag is raised — writes a final checkpoint and returns
@@ -161,22 +139,38 @@ type Options struct {
 	Seed int64
 }
 
+// S2 rejection constants (§V).
+const (
+	// rejectionSample is t, the number of entities sampled from T_e when
+	// computing ΔX_syn (§V remark 1).
+	rejectionSample = 25
+	// jsdSamples is the Monte-Carlo sample count per JSD estimate.
+	jsdSamples = 128
+	// minFitVectors is the number of labeled similarity vectors each of
+	// X+_syn and X−_syn must reach before distribution rejection
+	// activates: too few vectors cannot define O_syn.
+	minFitVectors = 12
+)
+
+// matchFraction is the probability of drawing the sampled similarity
+// vector from the M-distribution in step S2-2: |M_real| / (sizeA + sizeB
+// − 1), capped at ½, makes the expected number of sampled matching pairs
+// equal the real match count, so E_syn reproduces the real dataset's
+// labeled-match volume.
+func matchFraction(real *dataset.ER, sizeA, sizeB int) float64 {
+	total := sizeA + sizeB - 1
+	if total < 1 {
+		total = 1
+	}
+	return math.Min(float64(len(real.Matches))/float64(total), 0.5)
+}
+
 func (o Options) withDefaults(real *dataset.ER) Options {
 	if o.SizeA == 0 {
 		o.SizeA = real.A.Len()
 	}
 	if o.SizeB == 0 {
 		o.SizeB = real.B.Len()
-	}
-	if o.MatchFraction == 0 {
-		total := o.SizeA + o.SizeB - 1
-		if total < 1 {
-			total = 1
-		}
-		o.MatchFraction = float64(len(real.Matches)) / float64(total)
-		if o.MatchFraction > 0.5 {
-			o.MatchFraction = 0.5
-		}
 	}
 	if o.Alpha == 0 {
 		o.Alpha = 1
@@ -187,42 +181,26 @@ func (o Options) withDefaults(real *dataset.ER) Options {
 	if o.MaxRejections == 0 {
 		o.MaxRejections = 8
 	}
-	if o.RejectionSample == 0 {
-		o.RejectionSample = 25
-	}
-	if o.JSDSamples == 0 {
-		o.JSDSamples = 128
-	}
-	if o.MinFitVectors == 0 {
-		o.MinFitVectors = 12
-	}
 	o.Metrics = telemetry.OrNop(o.Metrics)
 	o.Generator = generator.OrGMM(o.Generator)
-	if o.HeartbeatEvery == 0 {
-		o.HeartbeatEvery = 64
-	}
 	return o
 }
 
 // validate rejects the S2 rejection settings that withDefaults leaves
-// meaningless: a negative count, or an Eq. 10 slack that is negative or
-// NaN. (A negative HeartbeatEvery is documented: it disables heartbeats.)
+// meaningless: a negative attempt cap, or an Eq. 10 slack or
+// discriminator threshold that is negative or NaN (a negative or NaN β
+// would silently turn discriminator rejection off).
 func (o Options) validate() error {
+	if o.MaxRejections < 0 {
+		return fmt.Errorf("core: Options.MaxRejections = %d, want ≥ 0 (0 selects the default)", o.MaxRejections)
+	}
 	for _, f := range []struct {
 		name string
-		v    int
-	}{
-		{"MaxRejections", o.MaxRejections},
-		{"RejectionSample", o.RejectionSample},
-		{"JSDSamples", o.JSDSamples},
-		{"MinFitVectors", o.MinFitVectors},
-	} {
-		if f.v < 0 {
-			return fmt.Errorf("core: Options.%s = %d, want ≥ 0 (0 selects the default)", f.name, f.v)
+		v    float64
+	}{{"Alpha", o.Alpha}, {"Beta", o.Beta}} {
+		if f.v < 0 || math.IsNaN(f.v) {
+			return fmt.Errorf("core: Options.%s = %v, want ≥ 0 (0 selects the default)", f.name, f.v)
 		}
-	}
-	if o.Alpha < 0 || math.IsNaN(o.Alpha) {
-		return fmt.Errorf("core: Options.Alpha = %v, want ≥ 0 (0 selects the default)", o.Alpha)
 	}
 	return nil
 }

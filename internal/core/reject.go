@@ -49,13 +49,13 @@ func newDistState(oReal generator.Dist, opts Options, pool *parallel.Pool) *dist
 func (d *distState) deltaVectors(cand, te *dataset.Preps, r *rand.Rand) delta {
 	n := te.Len()
 	var idx []int
-	if n <= d.opts.RejectionSample {
+	if n <= rejectionSample {
 		idx = make([]int, n)
 		for i := range idx {
 			idx[i] = i
 		}
 	} else {
-		idx = partialPerm(r, n, d.opts.RejectionSample)
+		idx = partialPerm(r, n, rejectionSample)
 	}
 	xs := make([][]float64, len(idx))
 	match := make([]bool, len(idx))
@@ -136,7 +136,7 @@ func (d *distState) reject(dl delta, r *rand.Rand) bool {
 	// delta left unchanged is the same *Model in both joints, which
 	// JSDPair evaluates once. The striped estimator is bit-identical at
 	// any worker count.
-	jsdBefore, jsdAfter := gmm.JSDPair(before, after, d.oReal, d.opts.JSDSamples, r.Int63(), d.pool)
+	jsdBefore, jsdAfter := gmm.JSDPair(before, after, d.oReal, jsdSamples, r.Int63(), d.pool)
 	// The running JSD(O_syn, O_real) is the pipeline's convergence signal;
 	// expose it as a gauge so the live inspector shows the trajectory.
 	d.opts.Metrics.Set("core.s2.jsd", jsdBefore)
@@ -161,7 +161,7 @@ func (d *distState) commit(dl delta) {
 	d.pendingNeg = append(d.pendingNeg, dl.neg...)
 	d.nPos += len(dl.pos)
 	d.nNeg += len(dl.neg)
-	if len(d.pendingPos) < d.opts.MinFitVectors || len(d.pendingNeg) < d.opts.MinFitVectors {
+	if len(d.pendingPos) < minFitVectors || len(d.pendingNeg) < minFitVectors {
 		return
 	}
 	// After a failed fit, more of the same data usually fails the same
@@ -241,5 +241,5 @@ func (d *distState) finalJSD(r *rand.Rand) float64 {
 	if !ok {
 		return 0
 	}
-	return gmm.JSD(j, d.oReal, 2*d.opts.JSDSamples, r)
+	return gmm.JSD(j, d.oReal, 2*jsdSamples, r)
 }

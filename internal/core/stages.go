@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"strconv"
 	"time"
 
 	"serd/internal/blocking"
@@ -25,12 +27,13 @@ import (
 const s2BlockSpanEvery = 64
 
 // synthRun is the mutable state of one Synthesize call, shared by the
-// pipeline stages. Stage decomposition moves no RNG draws: every draw
-// happens in the same order, from the same stream position, as the
-// pre-engine inline pipeline.
+// pipeline stages.
 type synthRun struct {
 	real *dataset.ER
 	opts Options
+	// matchFraction is the probability of drawing S2-2's similarity
+	// vector from the M-distribution (see matchFraction).
+	matchFraction float64
 
 	src  *detrand.Source
 	r    *rand.Rand
@@ -52,14 +55,14 @@ type synthRun struct {
 	dist       *distState
 	sampled    map[dataset.Pair]bool
 	matched    map[*dataset.Relation]map[int]bool
-	rejections int
+	rejections int // rejected S2 attempts, for the checkpoint and S2's block spans
 	matches    []dataset.Pair
 }
 
 // Synthesize runs the full SERD pipeline (Figure 3) on the real dataset.
 //
-// Cancellation: ctx is checked between stages and, inside each stage, at
-// S2-entity / S3-chunk / EM-iteration granularity. A canceled run returns
+// Cancellation: ctx is checked inside each stage, at S2-entity /
+// S3-chunk / EM-iteration granularity. A canceled run returns
 // ctx.Err() wrapped in a *pipeline.StageError naming the interrupted
 // stage, after writing a final checkpoint at the stages that have one
 // (S2's entity pools, which also serve a mid-S3 cancel). A never-canceled
@@ -77,11 +80,12 @@ func Synthesize(ctx context.Context, real *dataset.ER, opts Options) (*Result, e
 		return nil, err
 	}
 	st := &synthRun{
-		real: real,
-		opts: opts,
-		src:  detrand.New(opts.Seed),
-		rec:  opts.Metrics,
-		cp:   opts.Checkpoint,
+		real:          real,
+		opts:          opts,
+		matchFraction: matchFraction(real, opts.SizeA, opts.SizeB),
+		src:           detrand.New(opts.Seed),
+		rec:           opts.Metrics,
+		cp:            opts.Checkpoint,
 	}
 	st.r = rand.New(st.src)
 	st.pool = parallel.New(opts.Workers, st.rec)
@@ -100,7 +104,7 @@ func Synthesize(ctx context.Context, real *dataset.ER, opts Options) (*Result, e
 		opts.Journal.Config("core.options", map[string]string{
 			"size_a":         fmt.Sprint(opts.SizeA),
 			"size_b":         fmt.Sprint(opts.SizeB),
-			"match_fraction": fmt.Sprintf("%.6g", opts.MatchFraction),
+			"match_fraction": fmt.Sprintf("%.6g", st.matchFraction),
 			"alpha":          fmt.Sprintf("%g", opts.Alpha),
 			"beta":           fmt.Sprintf("%g", opts.Beta),
 			"rejection":      fmt.Sprint(!opts.DisableRejection),
@@ -115,100 +119,118 @@ func Synthesize(ctx context.Context, real *dataset.ER, opts Options) (*Result, e
 			})
 		}
 	}
-	eng := pipeline.New(pipeline.Env{
-		Metrics:    st.rec,
-		Journal:    opts.Journal,
-		Checkpoint: st.cp,
-		Pool:       st.pool,
-	})
-	if err := eng.Run(ctx, st.stages()...); err != nil {
+	if err := st.run(ctx); err != nil {
 		return nil, err
 	}
 	return st.res, nil
 }
 
-// stages assembles the run's stage graph. The S1 stage takes one of three
-// shapes depending on the resume state; everything downstream is uniform,
-// with the S2 stage skipped entirely when the checkpoint already carries
-// full entity pools (a mid-S3 cancel), so no duplicate s2 phase events
-// are journaled on resume.
-func (st *synthRun) stages() []pipeline.Stage {
-	s1 := pipeline.Stage{
-		Name:    "core.s1",
-		Inputs:  []string{"real"},
-		Outputs: []string{"o_real"},
+// run executes the pipeline's stages in order: S1 (or, on resume, the
+// silent restore of O_real from the checkpoint), the post-S1 checkpoint,
+// the silent S2 setup, S2 unless the restored pools are already complete
+// (a mid-S3 cancel, where re-entering S2 would journal a duplicate phase
+// pair), S3 and the silent finalization.
+func (st *synthRun) run(ctx context.Context) error {
+	resumed := st.resS1 != nil || st.resS2 != nil
+	s1 := st.runS1
+	if resumed {
+		s1 = st.restoreS1
 	}
-	switch {
-	case st.resS2 != nil:
-		// The O-distribution rides in the S2 state; no span, no save — the
-		// journal prefix already holds the s1 phase events.
-		s1.Silent = true
-		s1.Run = func(context.Context, *pipeline.Env) error {
-			oReal, err := st.restoreDist(st.resS2.Backend, st.resS2.Gen)
-			if err != nil {
-				return err
-			}
-			st.oReal = oReal
-			return nil
-		}
-	case st.resS1 != nil:
-		s1.Silent = true
-		s1.Run = func(context.Context, *pipeline.Env) error {
-			oReal, err := st.restoreDist(st.resS1.Backend, st.resS1.Gen)
-			if err != nil {
-				return err
-			}
-			if err := st.src.SkipTo(st.resS1.Draws); err != nil {
-				return fmt.Errorf("core: resume: %w", err)
-			}
-			st.oReal = oReal
-			return nil
-		}
-	default:
-		s1.Run = st.runS1
-		if st.cp != nil {
-			// The save runs after the stage's span has ended, so the
-			// checkpoint's journal seam includes the s1 phase_end event.
-			s1.Save = func() error {
-				s := &checkpoint.S1State{Draws: st.src.Draws()}
-				var err error
-				if s.Backend, s.Gen, err = st.distSnapshot(); err != nil {
-					return err
-				}
-				return st.cp.SaveS1(s)
-			}
+	if err := st.stage(ctx, "core.s1", resumed, s1); err != nil {
+		return err
+	}
+	if !resumed && st.cp != nil {
+		// After the core.s1 span has ended, so the checkpoint's journal
+		// seam includes the s1 phase_end event (DESIGN §10).
+		if err := st.saveS1(); err != nil {
+			return pipeline.Interrupted("core.s1", fmt.Errorf("pipeline: stage %q save: %w", "core.s1", err))
 		}
 	}
-	return []pipeline.Stage{
-		s1,
-		{
-			Name:    "core.setup",
-			Silent:  true,
-			Inputs:  []string{"real", "o_real"},
-			Outputs: []string{"pools"},
-			Run:     st.runSetup,
-		},
-		{
-			Name:    "core.s2",
-			Inputs:  []string{"o_real", "pools"},
-			Outputs: []string{"pools", "sampled"},
-			Skip:    st.s2Complete,
-			Run:     st.runS2,
-		},
-		{
-			Name:    "core.s3",
-			Inputs:  []string{"o_real", "pools", "sampled"},
-			Outputs: []string{"matches"},
-			Run:     st.runS3,
-		},
-		{
-			Name:    "core.finalize",
-			Silent:  true,
-			Inputs:  []string{"pools", "matches"},
-			Outputs: []string{"result"},
-			Run:     st.runFinalize,
-		},
+	if err := st.stage(ctx, "core.setup", true, st.runSetup); err != nil {
+		return err
 	}
+	if !st.s2Complete() {
+		if err := st.stage(ctx, "core.s2", false, st.runS2); err != nil {
+			return err
+		}
+	}
+	if err := st.stage(ctx, "core.s3", false, st.runS3); err != nil {
+		return err
+	}
+	return st.stage(ctx, "core.finalize", true, st.runFinalize)
+}
+
+// stage runs one stage body. A non-silent stage runs inside its span,
+// which journal.Instrument turns into the journaled phase_start/phase_end
+// pair; a silent stage instead gets a trace-only phase, so the registry
+// and the journal never see it (the resume invariant of DESIGN §10) while
+// the trace tree still covers the run's full wall-clock. A failed body
+// leaves its span open — the journal then records phase_start without
+// phase_end, the shape journal.OpenPhases and InstrumentResumed expect on
+// resume — and a cancellation-class error comes back naming the stage.
+func (st *synthRun) stage(ctx context.Context, name string, silent bool, body func(context.Context) error) error {
+	var span telemetry.Span
+	var phase *trace.Phase
+	if silent {
+		phase = trace.FromRecorder(st.rec).StartPhase(name)
+	} else {
+		span = st.rec.StartSpan(name)
+		time.Sleep(stageSleep()) // inside the span: attributed to this stage
+	}
+	if err := body(ctx); err != nil {
+		return pipeline.Interrupted(name, err)
+	}
+	if span != nil {
+		span.End()
+	}
+	phase.End()
+	return nil
+}
+
+// stageSleep reads SERD_STAGE_SLEEP_MS: a test/CI hook that dwells inside
+// every non-silent stage's span for that many milliseconds. The sleep
+// lands between span start and the stage body, so the extra time is
+// attributed to the stage's phase timing (journal dur_s, trace span,
+// run-registry stage table) while dataset and stripped-journal bytes stay
+// untouched — durations are volatile, outside the hash chain. Used by the
+// CI runs-smoke job to manufacture a wall-clock regression that `serd
+// runs compare` must catch. Read at every stage, so tests can flip it
+// between in-process runs.
+func stageSleep() time.Duration {
+	ms, err := strconv.Atoi(os.Getenv("SERD_STAGE_SLEEP_MS"))
+	if err != nil || ms <= 0 {
+		return 0
+	}
+	return time.Duration(ms) * time.Millisecond
+}
+
+// restoreS1 is the S1 of a resumed run: O_real rides in the checkpoint,
+// and the journal prefix already holds the s1 phase events. An S1-only
+// state also fast-forwards the RNG stream past S1's draws; an S2 state
+// restores its own stream position in runSetup.
+func (st *synthRun) restoreS1(context.Context) error {
+	var err error
+	if st.resS2 != nil {
+		st.oReal, err = st.restoreDist(st.resS2.Backend, st.resS2.Gen)
+		return err
+	}
+	if st.oReal, err = st.restoreDist(st.resS1.Backend, st.resS1.Gen); err != nil {
+		return err
+	}
+	if err := st.src.SkipTo(st.resS1.Draws); err != nil {
+		return fmt.Errorf("core: resume: %w", err)
+	}
+	return nil
+}
+
+// saveS1 checkpoints the learned O_real with the RNG stream position.
+func (st *synthRun) saveS1() error {
+	s := &checkpoint.S1State{Draws: st.src.Draws()}
+	var err error
+	if s.Backend, s.Gen, err = st.distSnapshot(); err != nil {
+		return err
+	}
+	return st.cp.SaveS1(s)
 }
 
 // distSnapshot captures st.oReal for a checkpoint as the backend-tagged
@@ -242,7 +264,7 @@ func (st *synthRun) restoreDist(backend string, gen []byte) (generator.Dist, err
 
 // runS1 learns O_real (paper §IV-A) on a fresh run with the configured
 // generator backend.
-func (st *synthRun) runS1(ctx context.Context, _ *pipeline.Env) error {
+func (st *synthRun) runS1(ctx context.Context) error {
 	if st.opts.Learned != nil {
 		st.oReal = st.opts.Learned
 		return nil
@@ -275,7 +297,7 @@ func (st *synthRun) runS1(ctx context.Context, _ *pipeline.Env) error {
 // value synthesizers and the entity pools — restored from a mid-S2
 // checkpoint (with the RNG stream fast-forwarded) or bootstrapped with
 // the first fake A-entity — and their preps.
-func (st *synthRun) runSetup(context.Context, *pipeline.Env) error {
+func (st *synthRun) runSetup(context.Context) error {
 	if st.oReal.Dim() != st.real.Schema().Len() {
 		return fmt.Errorf("core: O_real dim %d does not match schema arity %d", st.oReal.Dim(), st.real.Schema().Len())
 	}
@@ -380,7 +402,7 @@ func (st *synthRun) saveS2() error {
 // cooperative-stop check (context + checkpoint interrupt) at the top of
 // every iteration, so cancellation returns within one entity's work and
 // always behind a final checkpoint.
-func (st *synthRun) runS2(ctx context.Context, _ *pipeline.Env) error {
+func (st *synthRun) runS2(ctx context.Context) error {
 	opts := st.opts
 	rec := st.rec
 	r := st.r
@@ -413,18 +435,6 @@ func (st *synthRun) runS2(ctx context.Context, _ *pipeline.Env) error {
 		every = st.cp.Every()
 	}
 	lastSaved := synA.Len() + synB.Len()
-	// heartbeat keeps the run observably alive through rejection streaks:
-	// every HeartbeatEvery-th rejected attempt ticks a counter and re-fires
-	// the legacy Progress callback with the unchanged done count.
-	heartbeat := func(done int) {
-		st.rejections++
-		if opts.HeartbeatEvery > 0 && st.rejections%opts.HeartbeatEvery == 0 {
-			rec.Add("core.s2.heartbeat", 1)
-			if opts.Progress != nil {
-				opts.Progress(done, totalTarget)
-			}
-		}
-	}
 
 	// S2 loop: one new entity per iteration.
 	for synA.Len() < opts.SizeA || synB.Len() < opts.SizeB {
@@ -447,7 +457,7 @@ func (st *synthRun) runS2(ctx context.Context, _ *pipeline.Env) error {
 		}
 		// Decide the pair label first (the draw is independent of the
 		// entity choice), so S2-1 can respect one-to-one matching.
-		matching := r.Float64() < opts.MatchFraction
+		matching := r.Float64() < st.matchFraction
 
 		// S2-1: sample a synthesized entity (respecting §III remark 1).
 		var src *dataset.Relation
@@ -495,7 +505,7 @@ func (st *synthRun) runS2(ctx context.Context, _ *pipeline.Env) error {
 			if check && opts.GAN != nil && opts.GAN.Discriminate(cand.Values) < opts.Beta {
 				res.RejectedByDiscriminator++
 				rec.Add("core.s2.rejected.discriminator", 1)
-				heartbeat(synA.Len() + synB.Len())
+				st.rejections++
 				continue
 			}
 			// e' is prepped once: its delta vectors read the preps, and
@@ -505,7 +515,7 @@ func (st *synthRun) runS2(ctx context.Context, _ *pipeline.Env) error {
 			if check && dist.reject(delta, r) {
 				res.RejectedByDistribution++
 				rec.Add("core.s2.rejected.distribution", 1)
-				heartbeat(synA.Len() + synB.Len())
+				st.rejections++
 				continue
 			}
 			dist.commit(delta)
@@ -558,7 +568,7 @@ func (st *synthRun) runS2(ctx context.Context, _ *pipeline.Env) error {
 // its labeling was going to skip. A cancel returns behind a checkpoint of
 // the completed S2 pools, from which a resume skips S2 and re-runs S3
 // only.
-func (st *synthRun) runS3(ctx context.Context, _ *pipeline.Env) error {
+func (st *synthRun) runS3(ctx context.Context) error {
 	var cands []dataset.Pair
 	blocked := st.opts.S3Blocker != nil
 	if blocked {
@@ -626,7 +636,7 @@ func (st *synthRun) journalBlocking(cands []dataset.Pair) {
 // runFinalize assembles the Result: the synthesized ER dataset, the final
 // JSD estimate (which draws from the main RNG stream) and the journaled
 // synthesis summary.
-func (st *synthRun) runFinalize(context.Context, *pipeline.Env) error {
+func (st *synthRun) runFinalize(context.Context) error {
 	st.rec.Set("core.s3.matches", float64(len(st.matches)))
 	syn, err := dataset.NewER(st.synA, st.synB, st.matches)
 	if err != nil {

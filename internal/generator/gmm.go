@@ -153,7 +153,7 @@ func FitGMM(ctx context.Context, real *dataset.ER, opts FitOptions) (*gmm.Joint,
 	}
 	journalGMMFit(opts.Journal, "s1.nonmatch", nModel, xn)
 	// π = |X+| / (|X+| + |X−|) over the learning sets (§II-B). Note that S2
-	// uses a separate sampling fraction (Options.MatchFraction) so that the
+	// uses a separate sampling fraction (core's match fraction) so that the
 	// synthesized dataset reproduces the real match count.
 	pi := float64(len(xp)) / float64(len(xp)+len(xn))
 	return gmm.NewJoint(mModel, nModel, pi)

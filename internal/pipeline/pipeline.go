@@ -1,111 +1,34 @@
-// Package pipeline is the explicit stage engine of the SERD pipeline.
+// Package pipeline holds the cancellation contract every long-running
+// phase of the SERD pipeline shares — S1's EM fits, per-bucket DP-SGD
+// transformer training, GAN training, S2 entity synthesis and S3 pair
+// labeling — plus the signal handling and terminal-status mapping the
+// binaries build on it.
 //
-// Every long-running phase — the S1 GMM joint fit, per-bucket DP-SGD
-// transformer training, GAN training, S2 entity synthesis, S3 pair
-// labeling, the audit metrics release — shares the same cross-cutting
-// wiring: a telemetry span opened at phase start and closed at phase end
-// (which, through journal.Instrument, also emits the journaled
-// phase_start/phase_end events), a checkpoint written at the phase
-// boundary, the shared parallel.Pool, and cooperative cancellation via
-// context.Context plus checkpoint.Checkpointer.Interrupt. Before this
-// package each phase re-implemented that wiring inline; here it is a
-// uniform Stage contract executed by Engine.Run.
-//
-// Cancellation semantics: stage bodies own the cooperative-stop checks —
-// each Run re-checks at chunk / minibatch / EM-iteration granularity via
+// Cancellation semantics: phase bodies own the cooperative-stop checks —
+// each re-checks at chunk / minibatch / EM-iteration granularity via
 // Stopped and, on a positive check, writes its final checkpoint before
 // returning the cause (context.Canceled, context.DeadlineExceeded, or
-// checkpoint.ErrInterrupted). The engine deliberately performs no
-// pre-stage check of its own: only the stage knows how to save its state,
-// and a stop raised before any work must still reach the first stage that
-// can persist a resumable position (pinned by the core interrupt tests).
-// The engine wraps the returned cause in a *StageError naming the
+// checkpoint.ErrInterrupted). Nothing checks for a stop before a stage
+// starts: only the stage knows how to save its state, and a stop raised
+// before any work must still reach the first stage that can persist a
+// resumable position (pinned by the core interrupt tests). The stage
+// sequence wraps the returned cause with Interrupted, naming the
 // interrupted stage; non-cancellation errors pass through unchanged.
 //
-// Journal/phase invariants the engine preserves (load-bearing for
-// checkpoint/resume — see DESIGN §10/§11):
-//
-//   - a stage that returns an error does NOT close its span: the phase
-//     stays open in the journal, which is exactly the state
-//     journal.OpenPhases / InstrumentResumed expect on resume;
-//   - the Save hook runs strictly AFTER the span is closed, so a
-//     checkpoint taken at the stage boundary embeds the journal seam
-//     including the phase_end event;
-//   - Skip'd and Silent stages open no span and emit no journal events,
-//     so resumed runs can elide already-complete phases without
-//     perturbing journal bytes.
-//
-// Determinism: the engine itself never touches an RNG stream — it only
-// sequences stage bodies — so decomposing a phase onto the engine moves
-// zero draws, and an untriggered context is a true no-op on dataset and
-// stripped-journal bytes.
+// core.Synthesize runs its stages as a direct sequence (DESIGN §11); the
+// journal/phase invariants it keeps — a failed stage leaves its span
+// open, the S1 checkpoint is written after the core.s1 span ends, silent
+// stages emit no journal events — are documented there.
 package pipeline
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
-	"time"
 
 	"serd/internal/checkpoint"
 	"serd/internal/journal"
-	"serd/internal/parallel"
-	"serd/internal/telemetry"
-	"serd/internal/trace"
 )
-
-// Env is the shared environment the engine hands to every stage: the
-// cross-cutting facilities that used to be threaded ad hoc through each
-// phase's options struct.
-type Env struct {
-	// Metrics receives spans and gauges. Engine.Run normalizes nil to
-	// telemetry.Nop. When the recorder is wrapped by journal.Instrument,
-	// the engine's span open/close also drives the journaled
-	// phase_start/phase_end events.
-	Metrics telemetry.Recorder
-	// Journal, when non-nil, is available to stages that emit their own
-	// structured events (config, fit summaries, lineage).
-	Journal *journal.Journal
-	// Checkpoint drives periodic and final checkpoint writes. Nil-safe:
-	// all Checkpointer methods tolerate a nil receiver.
-	Checkpoint *checkpoint.Checkpointer
-	// Pool is the shared deterministic worker pool.
-	Pool *parallel.Pool
-}
-
-// Stage is one pipeline phase under the engine's uniform contract.
-type Stage struct {
-	// Name is the canonical dotted phase name ("core.s1", "core.s2",
-	// "textsynth.train", ...). It doubles as the telemetry span name, the
-	// journal phase name (via journal.Instrument's allowlist), and the
-	// stage identifier in cancellation errors.
-	Name string
-	// Inputs and Outputs document the stage's dataflow (artifact names,
-	// e.g. "o_real" -> "pools"). The engine does not schedule on them —
-	// execution order is the argument order to Run — but they make the
-	// graph explicit for docs, tests and the run inspector.
-	Inputs, Outputs []string
-	// Silent suppresses the telemetry span (and therefore the journal
-	// phase events). Used for glue stages — validation, state setup,
-	// finalization — that existed between phases before the refactor and
-	// must not add phase events the journal never had.
-	Silent bool
-	// Skip, when non-nil and true, elides the stage entirely: no span,
-	// no Run, no Save. Used on resume when a phase's outputs are already
-	// restored from a checkpoint.
-	Skip func() bool
-	// Run is the stage body. It must check ctx (via Stopped or
-	// ctx.Err()) at chunk/minibatch/iteration granularity and return the
-	// cancellation cause after writing any final checkpoint.
-	Run func(ctx context.Context, env *Env) error
-	// Save, when non-nil, runs after the stage's span has ended — the
-	// checkpoint seam at the stage boundary. A Save error fails the
-	// stage (wrapped with the stage name) but does not reopen the span.
-	Save func() error
-}
 
 // StageError wraps a cancellation-class error with the name of the stage
 // that was interrupted.
@@ -120,14 +43,22 @@ func (e *StageError) Error() string {
 
 func (e *StageError) Unwrap() error { return e.Err }
 
-// cancellation reports whether err is one of the cooperative-stop causes
-// the engine annotates with a stage name. Everything else (validation
-// errors, I/O failures) passes through Run unwrapped so callers' error
-// handling is unchanged by the engine.
+// cancellation reports whether err is one of the cooperative-stop causes.
 func cancellation(err error) bool {
 	return errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, checkpoint.ErrInterrupted)
+}
+
+// Interrupted annotates a stage's error for its caller: a
+// cancellation-class err comes back as a *StageError naming stage;
+// everything else (validation errors, I/O failures) is returned
+// unchanged, so callers' errors.Is chains and messages are untouched.
+func Interrupted(stage string, err error) error {
+	if !cancellation(err) {
+		return err
+	}
+	return &StageError{Stage: stage, Err: err}
 }
 
 // Stopped is the uniform cooperative-stop check stage bodies call at
@@ -159,109 +90,4 @@ func TerminalStatus(err error) (status, msg string) {
 		return journal.StatusAborted, err.Error()
 	}
 	return journal.StatusFailed, err.Error()
-}
-
-// stageSleep reads SERD_STAGE_SLEEP_MS: a test/CI hook that dwells
-// inside every non-silent stage's span for that many milliseconds. The
-// sleep lands between span start and the stage body, so the extra time
-// is attributed to the stage's phase timing (journal dur_s, trace span,
-// run-registry stage table) while dataset and stripped-journal bytes
-// stay untouched — durations are volatile, outside the hash chain. Used
-// by the CI runs-smoke job to manufacture a wall-clock regression that
-// `serd runs compare` must catch. Re-read on every Engine.Run so tests
-// can flip it between in-process runs.
-func stageSleep() time.Duration {
-	ms, err := strconv.Atoi(os.Getenv("SERD_STAGE_SLEEP_MS"))
-	if err != nil || ms <= 0 {
-		return 0
-	}
-	return time.Duration(ms) * time.Millisecond
-}
-
-// Engine sequences stages over a shared Env.
-type Engine struct {
-	Env Env
-}
-
-// New returns an engine over env with a normalized recorder.
-func New(env Env) *Engine {
-	env.Metrics = telemetry.OrNop(env.Metrics)
-	return &Engine{Env: env}
-}
-
-// Run executes stages in order. Any cancellation-class error returned by
-// a stage body or Save hook is wrapped in a *StageError naming the stage
-// (unless the error already carries a stage name from a nested engine, in
-// which case the innermost name wins). The engine performs no pre-stage
-// stop check — stage bodies own stopping, so they can persist a resumable
-// checkpoint first (see the package comment).
-//
-// On stage error the span is deliberately left open: the journal then
-// records phase_start without phase_end, the exact shape the resume
-// machinery (journal.OpenPhases, InstrumentResumed) is built around.
-func (e *Engine) Run(ctx context.Context, stages ...Stage) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	rec := telemetry.OrNop(e.Env.Metrics)
-	tr := trace.FromRecorder(rec)
-	dwell := stageSleep()
-	for i := range stages {
-		st := &stages[i]
-		if st.Skip != nil && st.Skip() {
-			continue
-		}
-		var span telemetry.Span
-		var tspan *trace.Phase
-		if !st.Silent {
-			span = rec.StartSpan(st.Name)
-			if dwell > 0 {
-				time.Sleep(dwell) // inside the span: attributed to this stage
-			}
-		} else if tr != nil {
-			// Silent stages stay out of the registry and the journal (that
-			// invariant is load-bearing for resume), but the trace tree
-			// still covers them so summaries account for full wall-clock.
-			tspan = tr.StartPhase(st.Name)
-		}
-		if tr != nil && (len(st.Inputs) > 0 || len(st.Outputs) > 0) {
-			tr.AnnotateCurrent(
-				trace.Attr("inputs", strings.Join(st.Inputs, ",")),
-				trace.Attr("outputs", strings.Join(st.Outputs, ",")),
-			)
-		}
-		if st.Run != nil {
-			if err := st.Run(ctx, &e.Env); err != nil {
-				// Span left open on purpose — see Run doc comment. The
-				// trace-only phase mirrors it: the exporter truncates open
-				// phases at the trace's end.
-				return e.wrap(st.Name, err)
-			}
-		}
-		if span != nil {
-			span.End()
-		}
-		tspan.End()
-		if st.Save != nil {
-			// After span.End(): the checkpoint seam must include the
-			// phase_end event (DESIGN §10).
-			if err := st.Save(); err != nil {
-				return e.wrap(st.Name, fmt.Errorf("pipeline: stage %q save: %w", st.Name, err))
-			}
-		}
-	}
-	return nil
-}
-
-// wrap annotates cancellation-class errors with the stage name; other
-// errors (and errors already naming a stage) pass through unchanged.
-func (e *Engine) wrap(stage string, err error) error {
-	if !cancellation(err) {
-		return err
-	}
-	var se *StageError
-	if errors.As(err, &se) {
-		return err
-	}
-	return &StageError{Stage: stage, Err: err}
 }

@@ -22,8 +22,8 @@ const forceExitCode = 130
 // wedged worker) always has an out.
 //
 // The first signal is the graceful path: the returned context's
-// cancellation propagates through the stage engine, each stage writes
-// its final checkpoint, and the run journals a clean "aborted" status.
+// cancellation propagates through the pipeline's stages, each stage
+// writes its final checkpoint, and the run journals a clean "aborted" status.
 //
 // The returned stop function releases the signal handler and resources;
 // call it once the run is done (typically via defer). After stop, signals

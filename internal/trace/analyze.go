@@ -120,7 +120,6 @@ func Load(path string) (*Trace, error) {
 				if l.Dur > 0 {
 					s.StartNS = l.T - l.Dur
 				}
-				s.Attrs = l.Attrs
 			}
 		case "s":
 			tr.ByID[l.ID] = &Span{ID: l.ID, Parent: l.Par, Name: l.Name, StartNS: l.T, EndNS: l.T + l.Dur, Attrs: l.Attrs, Leaf: true}

@@ -40,7 +40,6 @@ func emitRun(t *testing.T, dir string, slow bool) string {
 		time.Sleep(nap)
 		c.End()
 	}
-	tr.AnnotateCurrent(Int("accepted", 100))
 	s2.End()
 
 	if err := exp.Close(); err != nil {
@@ -69,9 +68,6 @@ func TestExporterRoundTrip(t *testing.T) {
 	}
 	if n := len(tr.Roots[1].Children); n != 2 {
 		t.Errorf("s2 children = %d, want 2 chunks", n)
-	}
-	if tr.Roots[1].Attrs["accepted"] != "100" {
-		t.Errorf("s2 attrs = %v", tr.Roots[1].Attrs)
 	}
 	if tr.Events == 0 || tr.Dropped != 0 {
 		t.Errorf("footer: events=%d dropped=%d", tr.Events, tr.Dropped)

@@ -166,8 +166,8 @@ func (e *Exporter) consume(ev *telemetry.BusEvent) {
 		e.writeLine(jsonlLine{K: "ps", ID: ev.ID, Par: ev.Parent, Name: ev.Name, T: ev.T})
 	case "phase_end":
 		delete(e.open, ev.ID)
-		e.writeLine(jsonlLine{K: "pe", ID: ev.ID, Name: ev.Name, T: ev.T, Dur: ev.Dur, Attrs: attrMap(ev.Attrs)})
-		e.spans = append(e.spans, chromeSpan{name: ev.Name, t: ev.T - ev.Dur, dur: ev.Dur, args: attrMap(ev.Attrs)})
+		e.writeLine(jsonlLine{K: "pe", ID: ev.ID, Name: ev.Name, T: ev.T, Dur: ev.Dur})
+		e.spans = append(e.spans, chromeSpan{name: ev.Name, t: ev.T - ev.Dur, dur: ev.Dur})
 	case "span":
 		e.writeLine(jsonlLine{K: "s", ID: ev.ID, Par: ev.Parent, Name: ev.Name, T: ev.T, Dur: ev.Dur, Attrs: attrMap(ev.Attrs)})
 		args := attrMap(ev.Attrs)

@@ -28,9 +28,8 @@ type Tracer struct {
 	bus *telemetry.Bus
 	ids atomic.Uint64
 
-	mu      sync.Mutex
-	stack   []uint64 // open phase span ids, outermost first
-	pending map[uint64][]telemetry.Attr
+	mu    sync.Mutex
+	stack []uint64 // open phase span ids, outermost first
 }
 
 // New returns a Tracer publishing onto bus. A nil bus yields a nil
@@ -39,11 +38,8 @@ func New(bus *telemetry.Bus) *Tracer {
 	if bus == nil {
 		return nil
 	}
-	return &Tracer{bus: bus, pending: make(map[uint64][]telemetry.Attr)}
+	return &Tracer{bus: bus}
 }
-
-// Attr builds one span attribute.
-func Attr(key, val string) telemetry.Attr { return telemetry.Attr{Key: key, Val: val} }
 
 // Int builds an integer-valued attribute.
 func Int(key string, v int) telemetry.Attr {
@@ -66,8 +62,8 @@ type Phase struct {
 
 // StartPhase opens a phase span nested under the currently open phase and
 // publishes its start. Used by the recorder wrapper for every
-// Recorder.StartSpan, and directly by the pipeline engine for trace-only
-// coverage of silent stages.
+// Recorder.StartSpan, and directly by core's stage sequence for
+// trace-only coverage of silent stages.
 func (t *Tracer) StartPhase(name string) *Phase {
 	if t == nil {
 		return nil
@@ -87,8 +83,7 @@ func (t *Tracer) StartPhase(name string) *Phase {
 	return &Phase{tr: t, id: id, name: name, t0: now}
 }
 
-// End closes the phase, attaching any attributes annotated while it was
-// the current phase, and publishes the end event with its duration.
+// End closes the phase and publishes the end event with its duration.
 func (p *Phase) End() {
 	if p == nil {
 		return
@@ -101,28 +96,12 @@ func (p *Phase) End() {
 			break
 		}
 	}
-	attrs := t.pending[p.id]
-	delete(t.pending, p.id)
 	t.mu.Unlock()
 	now := time.Now()
 	t.bus.Publish(&telemetry.BusEvent{
 		Kind: "phase_end", Name: p.name, ID: p.id, T: now.UnixNano(),
-		Dur: now.Sub(p.t0).Nanoseconds(), Attrs: attrs,
+		Dur: now.Sub(p.t0).Nanoseconds(),
 	})
-}
-
-// AnnotateCurrent attaches attributes to the innermost open phase; they
-// are published with that phase's end event. No open phase → dropped.
-func (t *Tracer) AnnotateCurrent(attrs ...telemetry.Attr) {
-	if t == nil || len(attrs) == 0 {
-		return
-	}
-	t.mu.Lock()
-	if n := len(t.stack); n > 0 {
-		id := t.stack[n-1]
-		t.pending[id] = append(t.pending[id], attrs...)
-	}
-	t.mu.Unlock()
 }
 
 // Child is an open leaf span — a worker chunk, one EM iteration, one DP
