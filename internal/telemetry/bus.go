@@ -118,7 +118,8 @@ func (b *Bus) Poll(from uint64, max int) (events []*BusEvent, next uint64, dropp
 	if max <= 0 {
 		max = int(size)
 	}
-	for i := from; i < head && len(events) < max; i++ {
+	i := from
+	for ; i < head && len(events) < max; i++ {
 		ev := b.slots[i&b.mask].Load()
 		if ev == nil || ev.Seq != i {
 			// The slot was reused by a writer that lapped us mid-read (or
@@ -129,5 +130,7 @@ func (b *Bus) Poll(from uint64, max int) (events []*BusEvent, next uint64, dropp
 		}
 		events = append(events, ev)
 	}
-	return events, from + uint64(min(max, int(head-from))), dropped
+	// Lost slots do not count toward max, so the loop may pass from+max:
+	// resume exactly where it stopped.
+	return events, i, dropped
 }

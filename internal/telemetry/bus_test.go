@@ -72,6 +72,28 @@ func TestBusPollMax(t *testing.T) {
 	}
 }
 
+// TestBusPollMaxSkipsUnstoredSlot pins the cursor Poll returns when a
+// slot inside the range is lost (here: claimed by a producer that has not
+// stored yet): next must be past every sequence the call accounted for,
+// so a follow-up poll neither re-delivers an event nor counts one twice.
+func TestBusPollMaxSkipsUnstoredSlot(t *testing.T) {
+	b := NewBus(16)
+	b.Publish(&BusEvent{Kind: "span"})
+	b.Publish(&BusEvent{Kind: "span"})
+	b.seq.Add(1) // seq 2 claimed, never stored
+	for i := 0; i < 3; i++ {
+		b.Publish(&BusEvent{Kind: "span"})
+	}
+	evs, next, dropped := b.Poll(0, 3)
+	if len(evs) != 3 || dropped != 1 || next != 4 {
+		t.Fatalf("Poll(0,3) = %d events, next %d, dropped %d; want 3, 4, 1", len(evs), next, dropped)
+	}
+	evs, next, dropped = b.Poll(next, 3)
+	if len(evs) != 2 || dropped != 0 || next != 6 || evs[0].Seq != 4 {
+		t.Fatalf("Poll(4,3) = %v, next %d, dropped %d; want seqs 4 and 5, 6, 0", evs, next, dropped)
+	}
+}
+
 func TestBusNilSafe(t *testing.T) {
 	var b *Bus
 	b.Publish(&BusEvent{Kind: "span"}) // must not panic
