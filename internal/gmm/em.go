@@ -28,7 +28,7 @@ type FitOptions struct {
 	Metrics telemetry.Recorder
 	// Rand seeds the k-means++-style initialization. Required.
 	Rand *rand.Rand
-	// Pool, when set, parallelizes the E-step across sample rows and the
+	// Pool, when set, parallelizes the E-step across row pairs and the
 	// M-step across components, and FitAIC's candidates across component
 	// counts. The fit is bit-identical at any worker count: per-row
 	// responsibilities and log-densities land in index-addressed slots,
@@ -122,13 +122,8 @@ func em(ctx context.Context, xs [][]float64, model *Model, opts FitOptions) (*Mo
 		if tr != nil {
 			iterSpan = tr.Child("gmm.em.iter", trace.Int("iter", iter), trace.Int("g", g), trace.Int("n", len(xs)))
 		}
-		// E-step (Eq. 5), fanned out over rows; every worker writes only
-		// its own rows' slots, and the log-likelihood sums in index order,
-		// so the result is independent of the worker count.
-		m := model
-		opts.Pool.Run("gmm.em.estep", len(xs), func(i int) {
-			lls[i] = m.RespLogPDF(xs[i], gamma[i])
-		})
+		// E-step (Eq. 5); the log-likelihood sums in index order.
+		estep(model, xs, gamma, lls, opts.Pool)
 		ll = 0
 		for _, v := range lls {
 			ll += v
@@ -157,6 +152,20 @@ func em(ctx context.Context, xs [][]float64, model *Model, opts FitOptions) (*Mo
 	opts.Metrics.Add("gmm.em.iterations", float64(iters))
 	opts.Metrics.Observe("gmm.em.iterations_per_fit", float64(iters))
 	return model, ll, nil
+}
+
+// estep is EM's E-step (Eq. 5): it fills gamma[i] with the
+// responsibilities of xs[i] under m and lls[i] with log p(xs[i]), fanned
+// out over row pairs. Every worker writes only its own rows' slots, so
+// the result is independent of the worker count. An odd last row is
+// paired with itself: both halves compute the same values into the same
+// slots.
+func estep(m *Model, xs, gamma [][]float64, lls []float64, pool *parallel.Pool) {
+	n := len(xs)
+	pool.Run("gmm.em.estep", (n+1)/2, func(p int) {
+		i, j := 2*p, min(2*p+1, n-1)
+		lls[i], lls[j] = m.respLogPDF2(xs[i], xs[j], gamma[i], gamma[j])
+	})
 }
 
 // FitAIC fits mixtures with 1..maxG components and returns the one that
@@ -289,9 +298,14 @@ func maximize(xs [][]float64, gamma [][]float64, g int, ridge float64, pool *par
 	return New(comps)
 }
 
-// maximizeComponent re-estimates component k. Each row's centered vector
-// d = x − mean is computed once, and w·d[a] once per row and a, so every
-// covariance term is still (w·d[a])·d[b], summed over rows in order.
+// maximizeComponent re-estimates component k. Covariance entry (a, b) is
+// Σ (w·d[a])·d[b] over the rows with w ≠ 0, d = x − mean, added in
+// ascending row order. The rows go in groups of four: each row's centered
+// vector is computed once, and each entry is loaded once per group, takes
+// the group's four products in row order in a register and is stored
+// once, so every sum adds the same products in the same order as one
+// row at a time. Rows left over after the last full group are added one
+// at a time.
 func maximizeComponent(xs [][]float64, gamma [][]float64, k int, ridge float64) Component {
 	dim := len(xs[0])
 	n := len(xs)
@@ -317,24 +331,44 @@ func maximizeComponent(xs [][]float64, gamma [][]float64, k int, ridge float64) 
 		mean[j] /= nk
 	}
 	cov := stats.NewMat(dim, dim)
-	var buf [16]float64 // d stays on the stack up to 16 columns
-	d := buf[:]
-	if dim > len(buf) {
-		d = make([]float64, dim)
+	// d[r] and w[r] hold the group's centered rows and weights; d stays
+	// on the stack up to 16 columns.
+	var buf [4 * 16]float64
+	flat := buf[:]
+	if dim > 16 {
+		flat = make([]float64, 4*dim)
 	}
-	d = d[:dim]
+	d := [4][]float64{flat[:dim], flat[dim : 2*dim], flat[2*dim : 3*dim], flat[3*dim : 4*dim]}
+	var w [4]float64
+	p := 0
 	for i, x := range xs {
-		w := gamma[i][k]
-		if w == 0 {
+		wi := gamma[i][k]
+		if wi == 0 {
 			continue
 		}
-		for b := range d {
-			d[b] = x[b] - mean[b]
+		w[p] = wi
+		dp := d[p]
+		for b := range dp {
+			dp[b] = x[b] - mean[b]
 		}
-		for a, da := range d {
-			wa := w * da
+		if p++; p < len(d) {
+			continue
+		}
+		p = 0
+		d0, d1, d2, d3 := d[0], d[1], d[2], d[3]
+		for a := range d0 {
+			wa0, wa1, wa2, wa3 := w[0]*d0[a], w[1]*d1[a], w[2]*d2[a], w[3]*d3[a]
 			row := cov.Data[a*dim : (a+1)*dim]
-			for b, db := range d {
+			for b := range row {
+				row[b] = row[b] + wa0*d0[b] + wa1*d1[b] + wa2*d2[b] + wa3*d3[b]
+			}
+		}
+	}
+	for r := 0; r < p; r++ {
+		for a, da := range d[r] {
+			wa := w[r] * da
+			row := cov.Data[a*dim : (a+1)*dim]
+			for b, db := range d[r] {
 				row[b] += wa * db
 			}
 		}

@@ -47,12 +47,12 @@ func TestDensityKernelsAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := make([]float64, shape.k)
-		dst := make([]float64, shape.g)
+		x, y := make([]float64, shape.k), make([]float64, shape.k)
+		dx, dy := make([]float64, shape.g), make([]float64, shape.g)
 		for name, f := range map[string]func(){
-			"Model.LogPDF":     func() { m.LogPDF(x) },
-			"Joint.LogPDF":     func() { j.LogPDF(x) },
-			"Model.RespLogPDF": func() { m.RespLogPDF(x, dst) },
+			"Model.LogPDF":      func() { m.LogPDF(x) },
+			"Joint.LogPDF":      func() { j.LogPDF(x) },
+			"Model.respLogPDF2": func() { m.respLogPDF2(x, y, dx, dy) },
 		} {
 			if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
 				t.Errorf("g=%d k=%d: %s allocates %v times per call", shape.g, shape.k, name, allocs)
@@ -130,13 +130,11 @@ func BenchmarkJSDPair(b *testing.B) {
 	}
 }
 
-// dblpShapedVectors draws n four-column similarity vectors shaped like
-// S1's DBLP non-match learning set: mostly low similarities, a band of
-// hard negatives with high-similarity columns, clamped into [0, 1] so
-// that the boundaries carry point masses.
-func dblpShapedVectors(r *rand.Rand, n int) [][]float64 {
-	easy := [4]float64{0.1, 0.1, 0.2, 0.5}
-	hard := [4]float64{0.6, 0.3, 0.8, 0.9}
+// shapedVectors draws n similarity vectors shaped like an S1
+// non-match learning set: mostly low similarities around easy, a band of
+// hard negatives around hard, clamped into [0, 1] so that the boundaries
+// carry point masses.
+func shapedVectors(r *rand.Rand, n int, easy, hard []float64) [][]float64 {
 	xs := make([][]float64, n)
 	for i := range xs {
 		center, sd := easy, 0.08
@@ -153,23 +151,45 @@ func dblpShapedVectors(r *rand.Rand, n int) [][]float64 {
 	return xs
 }
 
+// dblpShapedVectors draws n four-column vectors shaped like DBLP's
+// non-match learning set.
+func dblpShapedVectors(r *rand.Rand, n int) [][]float64 {
+	return shapedVectors(r, n, []float64{0.1, 0.1, 0.2, 0.5}, []float64{0.6, 0.3, 0.8, 0.9})
+}
+
+// productsShapedVectors draws n five-column vectors shaped like
+// Walmart-Amazon's (modelno, title, descr, brand, price): low text
+// similarities and a high numeric price similarity, with hard negatives
+// that share most of a title and the brand.
+func productsShapedVectors(r *rand.Rand, n int) [][]float64 {
+	return shapedVectors(r, n, []float64{0.05, 0.15, 0.2, 0.1, 0.7}, []float64{0.2, 0.5, 0.5, 0.9, 0.9})
+}
+
 // BenchmarkFitAIC measures S1's N-distribution fit: the AIC search over
-// 1..4 components on 5,610 DBLP-shaped vectors, at one and two workers.
+// 1..4 components on 5,610 vectors, DBLP-shaped (dim 4) and
+// Products-shaped (dim 5), at one and two workers.
 func BenchmarkFitAIC(b *testing.B) {
-	xs := dblpShapedVectors(rand.New(rand.NewSource(35)), 5610)
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			pool := parallel.New(workers, nil)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m, err := FitAIC(context.Background(), xs, 4, FitOptions{Rand: rand.New(rand.NewSource(1)), Pool: pool})
-				if err != nil {
-					b.Fatal(err)
+	for _, shape := range []struct {
+		name string
+		xs   [][]float64
+	}{
+		{"dblp-dim4", dblpShapedVectors(rand.New(rand.NewSource(35)), 5610)},
+		{"products-dim5", productsShapedVectors(rand.New(rand.NewSource(36)), 5610)},
+	} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", shape.name, workers), func(b *testing.B) {
+				pool := parallel.New(workers, nil)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m, err := FitAIC(context.Background(), shape.xs, 4, FitOptions{Rand: rand.New(rand.NewSource(1)), Pool: pool})
+					if err != nil {
+						b.Fatal(err)
+					}
+					sinkModel = m
 				}
-				sinkModel = m
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -287,8 +307,8 @@ func TestLogSumExpMatchesExpFormula(t *testing.T) {
 
 	for name, m := range models {
 		logs := make([]float64, len(m.Comps))
-		dst := make([]float64, len(m.Comps))
-		for _, x := range xs {
+		dst, other := make([]float64, len(m.Comps)), make([]float64, len(m.Comps))
+		for xi, x := range xs {
 			hi := m.compLogs(x, logs)
 			wantLP := hi
 			want := make([]float64, len(logs))
@@ -306,8 +326,10 @@ func TestLogSumExpMatchesExpFormula(t *testing.T) {
 			if got := m.LogPDF(x); !sameFloat(got, wantLP) {
 				t.Fatalf("%s x=%v: LogPDF = %v, formula %v", name, x, got, wantLP)
 			}
-			if got := m.RespLogPDF(x, dst); !sameFloat(got, wantLP) {
-				t.Fatalf("%s x=%v: RespLogPDF = %v, formula %v", name, x, got, wantLP)
+			// The E-step kernel's first row; its second is pinned against
+			// these single-row forms by TestEStepPairMatchesSingleRow.
+			if got, _ := m.respLogPDF2(x, xs[(7*xi+3)%len(xs)], dst, other); !sameFloat(got, wantLP) {
+				t.Fatalf("%s x=%v: respLogPDF2 = %v, formula %v", name, x, got, wantLP)
 			}
 			gotR := m.Responsibilities(x)
 			for i := range want {

@@ -182,40 +182,46 @@ func clamp01(x []float64) {
 // Responsibilities returns γ_i = P(component i | x) for each component
 // (Eq. 5, evaluated at the current parameters).
 func (m *Model) Responsibilities(x []float64) []float64 {
+	out := make([]float64, len(m.Comps))
 	var buf [maxStackComps]float64
 	logs := logsBuf(&buf, len(m.Comps))
-	maxLog := m.compLogs(x, logs)
-	out := make([]float64, len(m.Comps))
-	if math.IsInf(maxLog, -1) {
-		for i := range out {
-			out[i] = 1 / float64(len(out))
-		}
-		return out
-	}
-	sum := 0.0
-	for i, l := range logs {
-		out[i] = expShift(l - maxLog)
-		sum += out[i]
-	}
-	for i := range out {
-		out[i] /= sum
-	}
+	normalize(logs, m.compLogs(x, logs), out)
 	return out
 }
 
-// RespLogPDF fills dst (length = component count) with the
-// responsibilities of x and returns log p(x) — the E-step's two per-row
-// quantities from a single pass over the component log-densities, bit
-// identical to Responsibilities followed by LogPDF.
-func (m *Model) RespLogPDF(x, dst []float64) float64 {
-	var buf [maxStackComps]float64
-	logs := logsBuf(&buf, len(m.Comps))
-	maxLog := m.compLogs(x, logs)
+// respLogPDF2 is the EM E-step kernel for two rows: it fills dst0 and
+// dst1 (length = component count) with the responsibilities of x0 and x1
+// and returns log p(x0) and log p(x1). Each component evaluates both rows
+// in one MVN.LogPDF2 call, and each row's values are bit-identical to
+// Responsibilities and LogPDF.
+func (m *Model) respLogPDF2(x0, x1, dst0, dst1 []float64) (float64, float64) {
+	var buf0, buf1 [maxStackComps]float64
+	logs0, logs1 := logsBuf(&buf0, len(m.Comps)), logsBuf(&buf1, len(m.Comps))
+	max0, max1 := math.Inf(-1), math.Inf(-1)
+	for i := range m.Comps {
+		c := &m.Comps[i]
+		l0, l1 := c.dist.LogPDF2(x0, x1)
+		logs0[i], logs1[i] = c.logW+l0, c.logW+l1
+		if logs0[i] > max0 {
+			max0 = logs0[i]
+		}
+		if logs1[i] > max1 {
+			max1 = logs1[i]
+		}
+	}
+	return addLog(max0, normalize(logs0, max0, dst0)), addLog(max1, normalize(logs1, max1, dst1))
+}
+
+// normalize fills dst with the responsibilities exp(l_i − max)/Σ that the
+// component log-densities logs with maximum maxLog give, and returns Σ,
+// so that addLog(maxLog, Σ) is log p(x). When every component is at −Inf
+// the responsibilities are uniform and Σ is 1, so log p(x) is −Inf + 0.
+func normalize(logs []float64, maxLog float64, dst []float64) float64 {
 	if math.IsInf(maxLog, -1) {
 		for i := range dst {
 			dst[i] = 1 / float64(len(dst))
 		}
-		return maxLog
+		return 1
 	}
 	sum := 0.0
 	for i, l := range logs {
@@ -225,7 +231,7 @@ func (m *Model) RespLogPDF(x, dst []float64) float64 {
 	for i := range dst {
 		dst[i] /= sum
 	}
-	return addLog(maxLog, sum)
+	return sum
 }
 
 // LogLikelihood returns Σ log p(x) over xs (Eq. 4).

@@ -100,37 +100,41 @@ func sameComponent(t *testing.T, label string, got, want Component) {
 }
 
 // TestMaximizeMatchesOracleAtAnyWorkerCount pins the M-step's contract:
-// the hoisted kernel equals the entry-by-entry oracle bit for bit, and a
-// pooled M-step equals the serial one, across component counts, a
-// high-dimensional (heap-buffered) case and a starved component.
+// the four-row kernel equals the entry-by-entry oracle bit for bit, and a
+// pooled M-step equals the serial one, across dims 1–6, a
+// high-dimensional (heap-buffered) case, component counts, row counts
+// with no full group of four and with rows left over after the last
+// group, and a starved component.
 func TestMaximizeMatchesOracleAtAnyWorkerCount(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
-	for _, dim := range []int{1, 4, 17} {
+	for _, dim := range []int{1, 2, 3, 4, 5, 6, 17} {
 		for g := 1; g <= 4; g++ {
 			for _, starve := range []bool{false, true} {
-				xs, gamma := mstepInput(r, 60, dim, g, starve)
-				serial, err := maximize(xs, gamma, g, DefaultRidge, nil)
-				if err != nil {
-					t.Fatalf("dim=%d g=%d: %v", dim, g, err)
-				}
-				comps := make([]Component, g)
-				for k := range comps {
-					comps[k] = oracleMaximizeComponent(xs, gamma, k, DefaultRidge)
-				}
-				want, err := New(comps)
-				if err != nil {
-					t.Fatalf("dim=%d g=%d: oracle: %v", dim, g, err)
-				}
-				for k := 0; k < g; k++ {
-					sameComponent(t, "serial vs oracle", serial.Comps[k], want.Comps[k])
-				}
-				for _, workers := range []int{1, 2, 4} {
-					pooled, err := maximize(xs, gamma, g, DefaultRidge, parallel.New(workers, nil))
+				for _, n := range []int{3, 60, 62} {
+					xs, gamma := mstepInput(r, n, dim, g, starve)
+					serial, err := maximize(xs, gamma, g, DefaultRidge, nil)
 					if err != nil {
-						t.Fatalf("dim=%d g=%d workers=%d: %v", dim, g, workers, err)
+						t.Fatalf("dim=%d g=%d n=%d: %v", dim, g, n, err)
+					}
+					comps := make([]Component, g)
+					for k := range comps {
+						comps[k] = oracleMaximizeComponent(xs, gamma, k, DefaultRidge)
+					}
+					want, err := New(comps)
+					if err != nil {
+						t.Fatalf("dim=%d g=%d n=%d: oracle: %v", dim, g, n, err)
 					}
 					for k := 0; k < g; k++ {
-						sameComponent(t, "pooled vs serial", pooled.Comps[k], serial.Comps[k])
+						sameComponent(t, "serial vs oracle", serial.Comps[k], want.Comps[k])
+					}
+					for _, workers := range []int{1, 2, 4} {
+						pooled, err := maximize(xs, gamma, g, DefaultRidge, parallel.New(workers, nil))
+						if err != nil {
+							t.Fatalf("dim=%d g=%d n=%d workers=%d: %v", dim, g, n, workers, err)
+						}
+						for k := 0; k < g; k++ {
+							sameComponent(t, "pooled vs serial", pooled.Comps[k], serial.Comps[k])
+						}
 					}
 				}
 			}

@@ -109,27 +109,3 @@ func TestFitPoolInvariant(t *testing.T) {
 		}
 	}
 }
-
-// TestRespLogPDFMatchesSeparateCalls pins the fused E-step kernel to the
-// two calls it replaces, bit for bit.
-func TestRespLogPDFMatchesSeparateCalls(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	xs := twoClusterData(r, 100)
-	m, err := Fit(context.Background(), xs, 2, FitOptions{Rand: r})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float64, len(m.Comps))
-	for _, x := range xs {
-		ll := m.RespLogPDF(x, dst)
-		if want := m.LogPDF(x); ll != want {
-			t.Fatalf("RespLogPDF log-density %v != LogPDF %v", ll, want)
-		}
-		want := m.Responsibilities(x)
-		for k := range dst {
-			if dst[k] != want[k] {
-				t.Fatalf("responsibility[%d] = %v, want %v", k, dst[k], want[k])
-			}
-		}
-	}
-}

@@ -75,14 +75,52 @@ func (d *MVN) LogPDF(x []float64) float64 {
 	return -0.5 * (d.norm + quad)
 }
 
+// LogPDF2 returns the log densities at x0 and x1, each bit-identical to
+// LogPDF's. Both forward solves run in one loop, each row's operations in
+// LogPDF's order, so the two rows' independent division chains overlap.
+// It allocates nothing for k ≤ 16; larger k calls LogPDF twice.
+func (d *MVN) LogPDF2(x0, x1 []float64) (float64, float64) {
+	k := len(d.mean)
+	if len(x0) != k || len(x1) != k {
+		panic(fmt.Sprintf("stats: LogPDF2 dims %d and %d, want %d", len(x0), len(x1), k))
+	}
+	var y0, y1 [16]float64
+	if k > len(y0) {
+		return d.LogPDF(x0), d.LogPDF(x1)
+	}
+	l := d.chol
+	q0, q1 := 0.0, 0.0
+	for i := 0; i < k; i++ {
+		s0 := x0[i] - d.mean[i]
+		s1 := x1[i] - d.mean[i]
+		for j, lij := range l.Data[i*k : i*k+i] {
+			s0 -= lij * y0[j]
+			s1 -= lij * y1[j]
+		}
+		lii := l.Data[i*k+i]
+		y0[i] = s0 / lii
+		y1[i] = s1 / lii
+		q0 += y0[i] * y0[i]
+		q1 += y1[i] * y1[i]
+	}
+	return -0.5 * (d.norm + q0), -0.5 * (d.norm + q1)
+}
+
 // PDF returns the density at x.
 func (d *MVN) PDF(x []float64) float64 { return math.Exp(d.LogPDF(x)) }
 
 // Sample draws one vector from the distribution using r: Dim standard
-// normal draws mapped through FromStandard.
+// normal draws mapped through FromStandard. The draws live in a stack
+// buffer for k ≤ 16, so the returned vector is the only allocation.
 func (d *MVN) Sample(r *rand.Rand) []float64 {
 	k := len(d.mean)
-	z := make([]float64, k)
+	var buf [16]float64
+	var z []float64
+	if k <= len(buf) {
+		z = buf[:k]
+	} else {
+		z = make([]float64, k)
+	}
 	for i := range z {
 		z[i] = r.NormFloat64()
 	}

@@ -83,6 +83,92 @@ func TestMVNLogPDFAllocFree(t *testing.T) {
 	}
 }
 
+// TestMVNLogPDF2MatchesLogPDF pins the two-point kernel bit for bit to
+// two LogPDF calls, with NaN and ±Inf coordinates mixed in, across dims
+// that use the stack buffers (k ≤ 16) and the LogPDF fallback.
+func TestMVNLogPDF2MatchesLogPDF(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200}
+	for k := 1; k <= 20; k++ {
+		mean := make([]float64, k)
+		for i := range mean {
+			mean[i] = r.Float64()
+		}
+		d, err := NewMVN(mean, randomSPD(r, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 40; trial++ {
+			x0, x1 := make([]float64, k), make([]float64, k)
+			for i := range x0 {
+				x0[i], x1[i] = 3*r.NormFloat64(), 3*r.NormFloat64()
+			}
+			if trial%4 == 0 {
+				x1[r.Intn(k)] = specials[trial/4%len(specials)]
+			}
+			got0, got1 := d.LogPDF2(x0, x1)
+			want0, want1 := d.LogPDF(x0), d.LogPDF(x1)
+			if math.Float64bits(got0) != math.Float64bits(want0) || math.Float64bits(got1) != math.Float64bits(want1) {
+				t.Fatalf("k=%d x0=%v x1=%v: LogPDF2 = %v, %v; LogPDF = %v, %v", k, x0, x1, got0, got1, want0, want1)
+			}
+		}
+	}
+}
+
+// TestMVNLogPDF2AllocFree pins the two-point kernel allocation-free up to
+// dimension 16.
+func TestMVNLogPDF2AllocFree(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
+	for _, k := range []int{1, 4, 16} {
+		d, err := NewMVN(make([]float64, k), randomSPD(r, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x0, x1 := make([]float64, k), make([]float64, k)
+		if n := testing.AllocsPerRun(100, func() { d.LogPDF2(x0, x1) }); n != 0 {
+			t.Errorf("k=%d: LogPDF2 allocates %v times per call", k, n)
+		}
+	}
+}
+
+// TestMVNSampleDrawsAndAllocs pins Sample to Dim NormFloat64 draws mapped
+// through FromStandard, bit for bit and leaving the stream where those
+// draws do, and to one allocation per draw (the returned vector) up to
+// dimension 16; larger dims also allocate the draws.
+func TestMVNSampleDrawsAndAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	for _, k := range []int{1, 4, 16, 17} {
+		d, err := NewMVN(make([]float64, k), randomSPD(r, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra, rb := rand.New(rand.NewSource(int64(k))), rand.New(rand.NewSource(int64(k)))
+		for trial := 0; trial < 10; trial++ {
+			got := d.Sample(ra)
+			z, want := make([]float64, k), make([]float64, k)
+			for i := range z {
+				z[i] = rb.NormFloat64()
+			}
+			d.FromStandard(z, want)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("k=%d: Sample[%d] = %v, FromStandard of the same draws %v", k, i, got[i], want[i])
+				}
+			}
+		}
+		if ra.Int63() != rb.Int63() {
+			t.Fatalf("k=%d: Sample left the stream elsewhere than %d draws per call", k, k)
+		}
+		want := 1.0
+		if k > 16 {
+			want = 2
+		}
+		if n := testing.AllocsPerRun(100, func() { d.Sample(ra) }); n != want {
+			t.Errorf("k=%d: Sample allocates %v times per call, want %v", k, n, want)
+		}
+	}
+}
+
 var sinkFloat float64
 
 func BenchmarkMVNLogPDF(b *testing.B) {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -145,6 +146,60 @@ func TestSSEStreamAndGracefulShutdown(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
+}
+
+// TestSSEEventRightAfterPreamble opens several dozen streams, and each
+// client publishes an event as soon as it has read the stream preamble:
+// every client must receive its own event. An event published between
+// the preamble and the server taking its bus cursor would be lost.
+func TestSSEEventRightAfterPreamble(t *testing.T) {
+	const clients = 48
+	bus := NewBus(4 * clients)
+	srv, err := ServeWithExtra("127.0.0.1:0", NewRegistry(), bus, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		go func() {
+			errs <- probeSSE(ctx, srv.Addr(), bus, fmt.Sprintf("probe-%d", c))
+		}()
+	}
+	for c := 0; c < clients; c++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// probeSSE opens one stream, publishes an event named name once the
+// preamble has arrived, and reads until that event comes back.
+func probeSSE(ctx context.Context, addr string, bus *Bus, name string) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/events", nil)
+	if err != nil {
+		return err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	if !sc.Scan() || sc.Text() != ": serd event stream" {
+		return fmt.Errorf("%s: stream preamble = %q (%v)", name, sc.Text(), sc.Err())
+	}
+	bus.Publish(&BusEvent{Kind: "span", Name: name, T: time.Now().UnixNano()})
+	want := `"name":"` + name + `"`
+	for sc.Scan() {
+		if strings.Contains(sc.Text(), want) {
+			return nil
+		}
+	}
+	return fmt.Errorf("%s: stream ended without the event published after the preamble: %v", name, sc.Err())
 }
 
 // TestHTTPConcurrentSnapshot hammers the JSON endpoint while the registry

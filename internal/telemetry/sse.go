@@ -31,6 +31,10 @@ func serveSSE(w http.ResponseWriter, r *http.Request, bus *Bus, closing <-chan s
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	// The cursor is taken before the response starts: a client may
+	// publish as soon as it sees the stream open, and that event must
+	// not fall between the preamble and the cursor.
+	cursor := bus.Head()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
@@ -38,7 +42,6 @@ func serveSSE(w http.ResponseWriter, r *http.Request, bus *Bus, closing <-chan s
 	w.Write([]byte(": serd event stream\n\n")) //nolint:errcheck
 	fl.Flush()
 
-	cursor := bus.Head()
 	poll := time.NewTicker(ssePollInterval)
 	defer poll.Stop()
 	keepalive := time.NewTicker(sseKeepalive)
