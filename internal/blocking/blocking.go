@@ -9,13 +9,11 @@ package blocking
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
 	"serd/internal/dataset"
-	"serd/internal/simfn"
-	"serd/internal/stats"
+	"serd/internal/parallel"
 )
 
 // Blocker proposes candidate pairs between two relations.
@@ -27,6 +25,23 @@ type Blocker interface {
 	// Describe names the blocker and its resolved parameters — the string
 	// journaled as the blocking configuration in audit trails.
 	Describe() string
+}
+
+// CandidatesOn returns bl's candidates between a and b, probing A in
+// contiguous chunks on pool's workers where bl can: a QGram, and each QGram
+// member of a Union. The pairs, and their order, are bl.Candidates(a, b)'s
+// at any worker count. A nil or one-worker pool runs on the caller, and any
+// other blocker is called as bl.Candidates(a, b).
+func CandidatesOn(pool *parallel.Pool, bl Blocker, a, b *dataset.Relation) ([]dataset.Pair, error) {
+	if pb, ok := bl.(pooledBlocker); ok {
+		return pb.candidatesOn(pool, a, b)
+	}
+	return bl.Candidates(a, b)
+}
+
+// pooledBlocker is a Blocker that can spread its work over a pool.
+type pooledBlocker interface {
+	candidatesOn(pool *parallel.Pool, a, b *dataset.Relation) ([]dataset.Pair, error)
 }
 
 // checkColumn validates a blocker's key column against both relations'
@@ -55,185 +70,6 @@ func checkParams(blocker string, ps ...param) error {
 		}
 	}
 	return nil
-}
-
-// QGram blocks on shared character q-grams of one key column: two entities
-// are candidates when their key values share at least MinShared q-grams.
-type QGram struct {
-	// Column is the key column index.
-	Column int
-	// Q is the gram size (default 3).
-	Q int
-	// MinShared is the number of shared grams required (default 2).
-	MinShared int
-	// MaxPerEntity caps candidates per A-entity, keeping frequent grams
-	// from exploding the candidate set (default 64; 0 = default).
-	MaxPerEntity int
-}
-
-func (g QGram) defaults() QGram {
-	if g.Q == 0 {
-		g.Q = 3
-	}
-	if g.MinShared == 0 {
-		g.MinShared = 2
-	}
-	if g.MaxPerEntity == 0 {
-		g.MaxPerEntity = 64
-	}
-	return g
-}
-
-// Describe implements Blocker.
-func (g QGram) Describe() string {
-	d := g.defaults()
-	return fmt.Sprintf("qgram(col=%d,q=%d,min_shared=%d,max_per=%d)", d.Column, d.Q, d.MinShared, d.MaxPerEntity)
-}
-
-// Candidates implements Blocker. B's key grams are interned to dense ids
-// and indexed as ascending []int32 posting lists; each A-entity counts its
-// overlaps in one reused per-B counter. When more than MaxPerEntity
-// B-entities share MinShared grams, the strongest overlaps are kept —
-// count descending, ties to the lower index — before anything is sorted,
-// and the survivors are emitted by ascending index.
-func (g QGram) Candidates(a, b *dataset.Relation) ([]dataset.Pair, error) {
-	d := g.defaults()
-	if err := checkColumn("qgram", d.Column, a, b); err != nil {
-		return nil, err
-	}
-	if err := checkParams("qgram", param{"Q", d.Q}, param{"MinShared", d.MinShared}, param{"MaxPerEntity", d.MaxPerEntity}); err != nil {
-		return nil, err
-	}
-	grams := gramInterner{q: d.Q, ids: make(map[string]int32)}
-	// CSR inverted index: gram id → ascending B indices.
-	var ids []int32
-	bOff := make([]int, b.Len()+1)
-	for j, e := range b.Entities {
-		ids = grams.appendIDs(ids, e.Values[d.Column], true)
-		bOff[j+1] = len(ids)
-	}
-	n := len(grams.stamp)
-	start := make([]int32, n+1)
-	for _, id := range ids {
-		start[id+1]++
-	}
-	for id := 0; id < n; id++ {
-		start[id+1] += start[id]
-	}
-	postings := make([]int32, len(ids))
-	fill := slices.Clone(start[:n])
-	for j := range b.Entities {
-		for _, id := range ids[bOff[j]:bOff[j+1]] {
-			postings[fill[id]] = int32(j)
-			fill[id]++
-		}
-	}
-
-	var out []dataset.Pair
-	shared := make([]int32, b.Len())
-	var touched, cands, hist, tied []int32
-	for i, e := range a.Entities {
-		ids = grams.appendIDs(ids[:0], e.Values[d.Column], false)
-		for _, id := range ids {
-			for _, j := range postings[start[id]:start[id+1]] {
-				if shared[j] == 0 {
-					touched = append(touched, j)
-				}
-				shared[j]++
-			}
-		}
-		cands = cands[:0]
-		for _, j := range touched {
-			if int(shared[j]) >= d.MinShared {
-				cands = append(cands, j)
-			}
-		}
-		if len(cands) > d.MaxPerEntity {
-			cands, hist, tied = keepStrongest(cands, shared, d.MaxPerEntity, len(ids), hist, tied)
-		}
-		slices.Sort(cands)
-		for _, j := range cands {
-			out = append(out, dataset.Pair{A: i, B: int(j)})
-		}
-		for _, j := range touched {
-			shared[j] = 0
-		}
-		touched = touched[:0]
-	}
-	return out, nil
-}
-
-// keepStrongest cuts cands, in any order, to the max entries with the
-// highest shared counts, ties going to the lower index — the entries a
-// count-descending, index-ascending sort truncated to max would keep — and
-// returns them unordered. Counts are at most maxCount; a histogram finds
-// the threshold count t, every count above t is kept, and of the ties at
-// t the lowest indices that fit are found by selection rather than
-// sorting. hist and tied are reusable scratch.
-func keepStrongest(cands, shared []int32, max, maxCount int, hist, tied []int32) ([]int32, []int32, []int32) {
-	hist = slices.Grow(hist[:0], maxCount+1)[:maxCount+1]
-	clear(hist)
-	for _, j := range cands {
-		hist[shared[j]]++
-	}
-	t, above := maxCount, 0
-	for ; above+int(hist[t]) < max; t-- {
-		above += int(hist[t])
-	}
-	ties := max - above
-	kept := cands[:0]
-	tied = tied[:0]
-	for _, j := range cands {
-		switch c := int(shared[j]); {
-		case c > t:
-			kept = append(kept, j)
-		case c == t:
-			tied = append(tied, j)
-		}
-	}
-	// Indices are distinct, so exactly ties of them are at most the
-	// ties-th smallest.
-	last := stats.Select(tied, ties-1)
-	for _, j := range tied {
-		if j <= last {
-			kept = append(kept, j)
-		}
-	}
-	return kept, hist, tied
-}
-
-// gramInterner maps key-column values to dense ids of their case-folded
-// q-gram sets, the grams of simfn.QGrams(strings.ToLower(v), q).
-type gramInterner struct {
-	q     int
-	ids   map[string]int32
-	stamp []int32 // per id: the last call that emitted it
-	call  int32
-	grams []string // scratch
-}
-
-// appendIDs appends the distinct ids of v's grams to dst. With intern set,
-// unseen grams get fresh ids; otherwise they are skipped (no B-entity has
-// them).
-func (x *gramInterner) appendIDs(dst []int32, v string, intern bool) []int32 {
-	x.call++
-	x.grams = simfn.AppendQGrams(x.grams[:0], strings.ToLower(v), x.q)
-	for _, gram := range x.grams {
-		id, ok := x.ids[gram]
-		if !ok {
-			if !intern {
-				continue
-			}
-			id = int32(len(x.stamp))
-			x.ids[gram] = id
-			x.stamp = append(x.stamp, 0)
-		}
-		if x.stamp[id] != x.call {
-			x.stamp[id] = x.call
-			dst = append(dst, id)
-		}
-	}
-	return dst
 }
 
 // Token blocks on shared lower-cased tokens of one key column.
@@ -376,9 +212,14 @@ func (u Union) Describe() string {
 // deterministic for a fixed member list. Repeats are dropped once, over
 // the members' concatenated output (see dataset.UniquePairs).
 func (u Union) Candidates(a, b *dataset.Relation) ([]dataset.Pair, error) {
+	return u.candidatesOn(nil, a, b)
+}
+
+// candidatesOn is Candidates with each member run through CandidatesOn.
+func (u Union) candidatesOn(pool *parallel.Pool, a, b *dataset.Relation) ([]dataset.Pair, error) {
 	var all []dataset.Pair
 	for _, bl := range u {
-		cands, err := bl.Candidates(a, b)
+		cands, err := CandidatesOn(pool, bl, a, b)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,8 @@
 package blocking
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
 	"strconv"
@@ -9,6 +11,7 @@ import (
 
 	"serd/internal/datagen"
 	"serd/internal/dataset"
+	"serd/internal/parallel"
 	"serd/internal/simfn"
 )
 
@@ -73,18 +76,126 @@ func oneColumn(t testing.TB, name string, values []string) *dataset.Relation {
 	return rel
 }
 
+// testPools are the pool widths the pooled entry point is checked at:
+// nil, one worker, and chunked probes at two and four.
+var testPools = []*parallel.Pool{nil, parallel.New(1, nil), parallel.New(2, nil), parallel.New(4, nil)}
+
+// mustCandsOn is mustCands through CandidatesOn.
+func mustCandsOn(t *testing.T, pool *parallel.Pool, bl Blocker, a, b *dataset.Relation) []dataset.Pair {
+	t.Helper()
+	cands, err := CandidatesOn(pool, bl, a, b)
+	if err != nil {
+		t.Fatalf("%s at %d workers: %v", bl.Describe(), pool.Workers(), err)
+	}
+	return cands
+}
+
+// foldFixture rewrites the fixture's key values so that folding matters
+// beyond ASCII: every third value is upper-cased behind an upper-case
+// non-ASCII prefix, and every fifth carries invalid UTF-8 bytes, which
+// strings.ToLower rewrites to U+FFFD.
+func foldFixture(t *testing.T, g *datagen.Generated, col int) (a, b *dataset.Relation) {
+	t.Helper()
+	values := func(rel *dataset.Relation) []string {
+		out := make([]string, rel.Len())
+		for i, e := range rel.Entities {
+			v := e.Values[col]
+			if i%3 == 0 {
+				v = "ÀÉÎ " + strings.ToUpper(v)
+			}
+			if i%5 == 0 && len(v) > 2 {
+				v = v[:2] + "\xff\xfe" + v[2:] + "\xc3"
+			}
+			out[i] = v
+		}
+		return out
+	}
+	return oneColumn(t, "A", values(g.ER.A)), oneColumn(t, "B", values(g.ER.B))
+}
+
+// sparseFixture builds relations whose values share few grams: B holds
+// 600 random six-letter words, A 80 words of which every other one is a
+// B word with one letter changed. Each A value's posting lists then sum
+// to far fewer than |B| entries, so the probe tracks the B entities it
+// touches instead of sweeping every counter.
+func sparseFixture(t *testing.T) (a, b *dataset.Relation) {
+	t.Helper()
+	r := rand.New(rand.NewSource(3))
+	word := func() []byte {
+		w := make([]byte, 6)
+		for i := range w {
+			w[i] = byte('a' + r.Intn(26))
+		}
+		return w
+	}
+	bv := make([]string, 600)
+	for j := range bv {
+		bv[j] = string(word())
+	}
+	av := make([]string, 80)
+	for i := range av {
+		w := word()
+		if i%2 == 0 {
+			w = []byte(bv[r.Intn(len(bv))])
+			w[r.Intn(len(w))] = byte('A' + r.Intn(26))
+		}
+		av[i] = string(w)
+	}
+	return oneColumn(t, "A", av), oneColumn(t, "B", bv)
+}
+
 func TestQGramMatchesOracleOnFixture(t *testing.T) {
 	g := fixture(t)
 	col := titleCol(t, g)
-	for _, q := range []int{1, 2, 3, 4, 5} {
-		for _, minShared := range []int{1, 2, 3} {
-			for _, maxPer := range []int{1, 3, 6, 64} {
-				bl := QGram{Column: col, Q: q, MinShared: minShared, MaxPerEntity: maxPer}
-				got := mustCands(t, bl, g.ER.A, g.ER.B)
-				if want := oracleQGramCandidates(bl, g.ER.A, g.ER.B); !slices.Equal(got, want) {
-					t.Fatalf("%s: %d pairs, oracle %d (first difference at %d)", bl.Describe(), len(got), len(want), firstDiff(got, want))
+	fa, fb := foldFixture(t, g, col)
+	sa, sb := sparseFixture(t)
+	for _, rel := range []struct {
+		name string
+		col  int
+		a, b *dataset.Relation
+	}{{"fixture", col, g.ER.A, g.ER.B}, {"folded", 0, fa, fb}, {"sparse", 0, sa, sb}} {
+		for _, q := range []int{1, 2, 3, 4, 5} {
+			for _, minShared := range []int{1, 2, 3} {
+				for _, maxPer := range []int{1, 3, 6, 64} {
+					bl := QGram{Column: rel.col, Q: q, MinShared: minShared, MaxPerEntity: maxPer}
+					want := oracleQGramCandidates(bl, rel.a, rel.b)
+					if got := mustCands(t, bl, rel.a, rel.b); !slices.Equal(got, want) {
+						t.Fatalf("%s %s: %d pairs, oracle %d (first difference at %d)", rel.name, bl.Describe(), len(got), len(want), firstDiff(got, want))
+					}
+					for _, pool := range testPools {
+						if got := mustCandsOn(t, pool, bl, rel.a, rel.b); !slices.Equal(got, want) {
+							t.Fatalf("%s %s at %d workers: %d pairs, oracle %d (first difference at %d)", rel.name, bl.Describe(), pool.Workers(), len(got), len(want), firstDiff(got, want))
+						}
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestUnionCandidatesOnMatchesSerial checks a pooled Union — q-gram
+// members on both gram paths, next to members without a pooled path —
+// against the serial one, pair for pair and in order.
+func TestUnionCandidatesOnMatchesSerial(t *testing.T) {
+	g := fixture(t)
+	col := titleCol(t, g)
+	u := Union{QGram{Column: col}, Token{Column: col}, QGram{Column: col, Q: 4, MinShared: 3, MaxPerEntity: 5}, SortedNeighborhood{Column: col}, QGram{Column: 0, Q: 2}}
+	want := mustCands(t, u, g.ER.A, g.ER.B)
+	for _, pool := range testPools {
+		if got := mustCandsOn(t, pool, u, g.ER.A, g.ER.B); !slices.Equal(got, want) {
+			t.Fatalf("%d workers: %d pairs, serial %d (first difference at %d)", pool.Workers(), len(got), len(want), firstDiff(got, want))
+		}
+	}
+}
+
+// TestCandidatesOnReportsErrors checks that the pooled path validates
+// like Candidates, and that a blocker without a pooled path is called.
+func TestCandidatesOnReportsErrors(t *testing.T) {
+	g := fixture(t)
+	pool := parallel.New(2, nil)
+	for _, bl := range []Blocker{QGram{Column: 99}, QGram{Q: -1}, Union{Token{}, QGram{Column: 99}}, Token{Column: 99}} {
+		if _, err := CandidatesOn(pool, bl, g.ER.A, g.ER.B); err == nil {
+			t.Errorf("%s: no error", bl.Describe())
 		}
 	}
 }
@@ -98,19 +209,23 @@ func firstDiff(a, b []dataset.Pair) int {
 	return min(len(a), len(b))
 }
 
-// FuzzQGramCandidates differentially checks the dense q-gram blocker
-// against the string-keyed oracle. Each input string is split on '|' into
-// one relation's key values; Q, MinShared and MaxPerEntity sweep small
+// FuzzQGramCandidates differentially checks the dense q-gram blocker,
+// serial and through CandidatesOn at every test pool width, against the
+// string-keyed oracle. Each input string is split on '|' into one
+// relation's key values; Q sweeps 1–5, so both the packed (q ≤ 3) and the
+// substring (q > 3) grams run, and MinShared and MaxPerEntity sweep small
 // ranges so the MaxPerEntity cut lands on ties.
 func FuzzQGramCandidates(f *testing.F) {
 	seeds := []struct{ a, b string }{
 		{"Apple iPad|apple ipad 2|APPLE", "apple ipad|Apple iPad Air|ipad|pad"},
 		{"ÀÉ|àé|ÀÉÎ", "àé|ÀÉ|àéî|aei"},
 		{"İstanbul|istanbul", "i̇stanbul|İSTANBUL|stanbul"},
+		{"ΣΑΣ|σας|ΣΟΦΙΑ", "σας|Σας|σοφια|ΣΟΦΊΑ"},
 		{"ab\xffcd|\xff\xfe|caf\xc3", "ab\uFFFDcd|\uFFFD\uFFFD|café|CAF\xc3"},
 		{"|a||ab", "a|ab||abc|"},
 		{"aaaa|abab|abcabc", "aa|aaa|ab|ba|abc|cab|bca"},
 		{"x|y|z", "x|x|y|y|z|z|xyz"},
+		{"q|r|s|t|u|v", "q|r|s|t|u|v|qr|rs"},
 	}
 	for _, s := range seeds {
 		for q := uint8(0); q < 5; q++ {
@@ -121,34 +236,34 @@ func FuzzQGramCandidates(f *testing.F) {
 		a := oneColumn(t, "A", strings.Split(as, "|"))
 		b := oneColumn(t, "B", strings.Split(bs, "|"))
 		bl := QGram{Q: 1 + int(q%5), MinShared: 1 + int(minShared%3), MaxPerEntity: 1 + int(maxPer%6)}
+		want := oracleQGramCandidates(bl, a, b)
 		got, err := bl.Candidates(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := oracleQGramCandidates(bl, a, b); !slices.Equal(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("%s on A=%q B=%q:\n got %v\nwant %v", bl.Describe(), as, bs, got, want)
+		}
+		for _, pool := range testPools {
+			if got := mustCandsOn(t, pool, bl, a, b); !slices.Equal(got, want) {
+				t.Fatalf("%s at %d workers on A=%q B=%q:\n got %v\nwant %v", bl.Describe(), pool.Workers(), as, bs, got, want)
+			}
 		}
 	})
 }
 
+// benchWorkers are the pool widths the blocker benchmarks run at.
+var benchWorkers = []int{1, 2}
+
 // BenchmarkQGramCandidates blocks Products-shaped relations (80 × 690) on
 // the long description column — the hard-negative mining pass of a
-// Walmart-Amazon S1 fit.
+// Walmart-Amazon S1 fit — through CandidatesOn at each bench pool width.
 func BenchmarkQGramCandidates(b *testing.B) {
 	gen, err := datagen.Products(datagen.Config{Seed: 1, SizeA: 80, SizeB: 690, Matches: 36, BackgroundPerColumn: 60})
 	if err != nil {
 		b.Fatal(err)
 	}
-	bl := QGram{Column: gen.ER.Schema().ColumnIndex("descr")}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cands, err := bl.Candidates(gen.ER.A, gen.ER.B)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkPairs = cands
-	}
+	benchCandidatesOn(b, QGram{Column: gen.ER.Schema().ColumnIndex("descr")}, gen.ER)
 }
 
 var sinkPairs []dataset.Pair
@@ -168,13 +283,21 @@ func BenchmarkUnionCandidates(b *testing.B) {
 			bl = append(bl, QGram{Column: i})
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cands, err := bl.Candidates(gen.ER.A, gen.ER.B)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkPairs = cands
+	benchCandidatesOn(b, bl, gen.ER)
+}
+
+func benchCandidatesOn(b *testing.B, bl Blocker, e *dataset.ER) {
+	for _, w := range benchWorkers {
+		pool := parallel.New(w, nil)
+		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cands, err := CandidatesOn(pool, bl, e.A, e.B)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkPairs = cands
+			}
+		})
 	}
 }

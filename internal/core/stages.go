@@ -573,7 +573,7 @@ func (st *synthRun) runS3(ctx context.Context) error {
 	blocked := st.opts.S3Blocker != nil
 	if blocked {
 		var err error
-		cands, err = st.opts.S3Blocker.Candidates(st.synA, st.synB)
+		cands, err = blocking.CandidatesOn(st.pool, st.opts.S3Blocker, st.synA, st.synB)
 		if err != nil {
 			return fmt.Errorf("core: s3 blocking: %w", err)
 		}

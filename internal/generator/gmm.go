@@ -12,6 +12,7 @@ import (
 	"serd/internal/gmm"
 	"serd/internal/journal"
 	"serd/internal/telemetry"
+	"serd/internal/trace"
 )
 
 // GMM is the paper's own S1 backend: X+/X− construction with hard-negative
@@ -93,7 +94,8 @@ func (o FitOptions) WithDefaults(matches int) FitOptions {
 // density model, never the data. Both relations are prepped once on
 // opts.Pool, and all three sets score positionally against those preps;
 // the uniform sample is drawn serially, so the random stream is the same
-// at any worker count.
+// at any worker count. The blocker runs through blocking.CandidatesOn on
+// opts.Pool, under a trace-only "generator.candidates" span.
 func LearningVectors(real *dataset.ER, opts FitOptions) (xp, xn [][]float64, err error) {
 	if real == nil {
 		return nil, nil, fmt.Errorf("core: nil dataset")
@@ -116,10 +118,12 @@ func LearningVectors(real *dataset.ER, opts FitOptions) (xp, xn [][]float64, err
 		if hardN == 0 {
 			hardN = 2 * len(real.Matches)
 		}
-		cands, err := blocker.Candidates(real.A, real.B)
+		span := trace.FromRecorder(opts.Metrics).Child("generator.candidates")
+		cands, err := blocking.CandidatesOn(opts.Pool, blocker, real.A, real.B)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: hard-negative mining: %w", err)
 		}
+		span.End(trace.Int("candidates", len(cands)))
 		for _, lp := range dataset.HardestNonMatches(real, cands, hardN, a, b, opts.Pool) {
 			xn = append(xn, lp.Vector)
 		}

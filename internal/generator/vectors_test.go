@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"serd/internal/parallel"
+	"serd/internal/telemetry"
+	"serd/internal/trace"
 )
 
 func sameVectors(a, b [][]float64) error {
@@ -76,5 +79,50 @@ func TestLearningVectorsPoolInvariant(t *testing.T) {
 				t.Errorf("noHard=%t workers=%d: random stream moved (next draw %d, serial %d)", noHard, workers, got, next)
 			}
 		}
+	}
+}
+
+// TestLearningVectorsCandidatesSpan checks the trace of S1's
+// hard-negative mining: a "generator.candidates" span carrying the
+// blocker's candidate count, and the pooled probe's chunks under their
+// own pool phase, one per worker.
+func TestLearningVectorsCandidatesSpan(t *testing.T) {
+	real := fixture(t)
+	want, err := DefaultBlocker(real.Schema()).Candidates(real.A, real.B)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := telemetry.NewBus(1 << 12)
+	reg := telemetry.NewRegistry()
+	rec := trace.Wrap(trace.New(bus), reg)
+	opts := FitOptions{Rand: rand.New(rand.NewSource(9)), Metrics: rec, Pool: parallel.New(2, rec)}
+	if _, _, err := LearningVectors(real, opts.WithDefaults(len(real.Matches))); err != nil {
+		t.Fatal(err)
+	}
+	evs, _, _ := bus.Poll(0, int(bus.Cap()))
+	spans, chunks := 0, map[string]bool{}
+	for _, ev := range evs {
+		switch ev.Name {
+		case "generator.candidates":
+			spans++
+			if len(ev.Attrs) != 1 || ev.Attrs[0].Key != "candidates" || ev.Attrs[0].Val != strconv.Itoa(len(want)) {
+				t.Errorf("generator.candidates attrs = %+v, want candidates=%d", ev.Attrs, len(want))
+			}
+		case "blocking.qgram.chunk":
+			for _, a := range ev.Attrs {
+				if a.Key == "worker" {
+					chunks[a.Val] = true
+				}
+			}
+		}
+	}
+	if spans != 1 {
+		t.Errorf("%d generator.candidates spans, want 1", spans)
+	}
+	if len(chunks) != 2 {
+		t.Errorf("blocking.qgram chunks ran on workers %v, want 0 and 1", chunks)
+	}
+	if _, ok := reg.Snapshot().Gauges["blocking.qgram.parallel.utilization"]; !ok {
+		t.Error("no blocking.qgram.parallel.utilization gauge")
 	}
 }

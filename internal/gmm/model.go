@@ -193,14 +193,17 @@ func (m *Model) Responsibilities(x []float64) []float64 {
 // dst1 (length = component count) with the responsibilities of x0 and x1
 // and returns log p(x0) and log p(x1). Each component evaluates both rows
 // in one MVN.LogPDF2 call, and each row's values are bit-identical to
-// Responsibilities and LogPDF.
+// Responsibilities and LogPDF. Every component's solves share one
+// scratch buffer, zeroed once per row pair; past 16 dims LogPDF2 falls
+// back to LogPDF.
 func (m *Model) respLogPDF2(x0, x1, dst0, dst1 []float64) (float64, float64) {
 	var buf0, buf1 [maxStackComps]float64
+	var solve [2 * 16]float64
 	logs0, logs1 := logsBuf(&buf0, len(m.Comps)), logsBuf(&buf1, len(m.Comps))
 	max0, max1 := math.Inf(-1), math.Inf(-1)
 	for i := range m.Comps {
 		c := &m.Comps[i]
-		l0, l1 := c.dist.LogPDF2(x0, x1)
+		l0, l1 := c.dist.LogPDF2(x0, x1, solve[:])
 		logs0[i], logs1[i] = c.logW+l0, c.logW+l1
 		if logs0[i] > max0 {
 			max0 = logs0[i]

@@ -1,16 +1,12 @@
 package simfn
 
-import (
-	"unicode"
-	"unicode/utf8"
-)
-
 // qgramMatcher is QGramJaccard{Q ≤ 3} bound to a fixed left value a. It
 // holds a's packed gram set (the Prep result) in an open-addressing table
-// and streams each b's packed grams through a reusable scratch table, so a
-// call allocates nothing and sorts nothing. Jaccard is an integer ratio of
-// set sizes, so sim equals SimPrepped(Prep(a), Prep(b)) bit for bit. The
-// scratch table makes a matcher single-goroutine.
+// and streams each b's packed grams (AppendPackedQGrams) through a
+// reusable scratch table, so a call allocates nothing and sorts nothing.
+// Jaccard is an integer ratio of set sizes, so sim equals
+// SimPrepped(Prep(a), Prep(b)) bit for bit. The scratch buffers make a
+// matcher single-goroutine.
 type qgramMatcher struct {
 	q     int
 	fold  bool
@@ -18,6 +14,7 @@ type qgramMatcher struct {
 	setA  []uint64 // a's grams; emptySlot marks a free slot
 	bitsA uint
 
+	grams []uint64   // b's grams, in position order
 	seen  []seenSlot // b's distinct grams: the slots stamped with gen
 	bitsB uint
 	gen   uint32
@@ -76,26 +73,6 @@ func (m *qgramMatcher) inA(g uint64) bool {
 	}
 }
 
-// unit decodes the gram unit at b[i:] and its width in bytes: gramUnit of
-// the value Prep sees, which under Fold is strings.ToLower(b). ToLower
-// maps ASCII A–Z to a–z, every other valid rune through unicode.ToLower,
-// and rewrites each invalid byte to U+FFFD — so a folded invalid byte is
-// the unit 0xFFFD, not gramUnit's 0x110000|byte.
-func (m *qgramMatcher) unit(b string, i int) (uint64, int) {
-	c := b[i]
-	if c < utf8.RuneSelf {
-		if m.fold && 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		return uint64(c), 1
-	}
-	if !m.fold {
-		return gramUnit(b, i)
-	}
-	r, size := utf8.DecodeRuneInString(b[i:])
-	return uint64(unicode.ToLower(r)), size
-}
-
 // reset starts a new generation of the scratch table, sized for up to n
 // grams. A wrapped generation counter clears the stamps once.
 func (m *qgramMatcher) reset(n int) {
@@ -138,34 +115,15 @@ func (m *qgramMatcher) sim(b string) float64 {
 	if m.nA == 0 {
 		return 0
 	}
-	n := utf8.RuneCountInString(b) // ToLower keeps one rune per unit
-	inter, distinct := 0, 1
-	if n < m.q {
-		// One short gram, packed as packedQGrams does.
-		key := uint64(1)<<63 | uint64(n)<<61
-		for i, shift := 0, 0; i < len(b); shift += 21 {
-			u, size := m.unit(b, i)
-			key |= u << shift
-			i += size
-		}
-		if m.inA(key) {
-			inter = 1
-		}
-	} else {
-		m.reset(n - m.q + 1)
-		distinct = 0
-		mask := uint64(1)<<(21*m.q) - 1
-		var g uint64
-		for i, k := 0, 1; i < len(b); k++ {
-			u, size := m.unit(b, i)
-			g = (g<<21 | u) & mask
-			if k >= m.q && m.add(g) {
-				distinct++
-				if m.inA(g) {
-					inter++
-				}
+	m.grams = AppendPackedQGrams(m.grams[:0], b, m.q, m.fold)
+	m.reset(len(m.grams))
+	inter, distinct := 0, 0
+	for _, g := range m.grams {
+		if m.add(g) {
+			distinct++
+			if m.inA(g) {
+				inter++
 			}
-			i += size
 		}
 	}
 	return float64(inter) / float64(m.nA+distinct-inter)

@@ -15,6 +15,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unicode"
 	"unicode/utf8"
 )
 
@@ -50,7 +51,7 @@ type Preprocessor interface {
 // scratch state between calls, so the returned function must be called
 // from one goroutine at a time; bind once per goroutine.
 func Bind(f Func, a string) func(b string) float64 {
-	if qg, ok := f.(QGramJaccard); ok && qg.q() <= maxPackedQ {
+	if qg, ok := f.(QGramJaccard); ok && qg.q() <= MaxPackedQ {
 		return newQGramMatcher(qg, a).sim
 	}
 	if pp, ok := f.(Preprocessor); ok {
@@ -96,76 +97,103 @@ func (f QGramJaccard) Sim(a, b string) float64 {
 }
 
 // Prep implements Preprocessor: the case-folded, sorted q-gram set — packed
-// uint64 keys for q ≤ 3 (see packedQGrams), gram substrings above that.
-// The representation depends on Q alone, so any two Prep results of one
-// QGramJaccard compare.
+// uint64 keys for q ≤ MaxPackedQ (see AppendPackedQGrams), gram substrings
+// above that. The representation depends on Q alone, so any two Prep
+// results of one QGramJaccard compare.
 func (f QGramJaccard) Prep(v string) any {
-	if f.Fold {
-		v = strings.ToLower(v)
-	}
 	q := f.q()
-	if q > maxPackedQ {
+	if q > MaxPackedQ {
+		if f.Fold {
+			v = strings.ToLower(v)
+		}
 		return sortedQGrams(v, q)
 	}
-	return packedQGrams(v, q)
+	if v == "" {
+		return []uint64(nil)
+	}
+	// len(v) bytes bound the unit count from above.
+	grams := AppendPackedQGrams(make([]uint64, 0, max(len(v)-q+1, 1)), v, q, f.Fold)
+	slices.Sort(grams)
+	return slices.Compact(grams)
 }
 
 // SimPrepped implements Preprocessor.
 func (f QGramJaccard) SimPrepped(a, b any) float64 {
-	if f.q() > maxPackedQ {
+	if f.q() > MaxPackedQ {
 		return jaccardSorted(a.([]string), b.([]string))
 	}
 	return jaccardSorted(a.([]uint64), b.([]uint64))
 }
 
-// maxPackedQ is the largest q whose grams pack into one uint64 key: three
+// MaxPackedQ is the largest q whose grams pack into one uint64 key: three
 // 21-bit units use bits 0–62.
-const maxPackedQ = 3
+const MaxPackedQ = 3
 
-// packedQGrams returns the q-gram set of s (q ≤ maxPackedQ) as sorted,
-// deduplicated uint64 keys, gram for gram equal exactly when the
-// substrings sortedQGrams yields are equal — so the Jaccard ratio, an
-// integer ratio of set sizes, is bit-identical. Each gram packs its q
-// units at 21 bits apiece. A unit is a decoded rune; an invalid UTF-8 byte
-// b, which sortedQGrams slices as a one-byte "rune", becomes its own unit
-// 0x110000|b, above every rune, so a literal U+FFFD stays distinct from
-// the bytes it replaces. A non-empty value shorter than q is one gram with
-// bit 63 set and its unit count in bits 61–62: it never equals a full
-// gram, and the count keeps "a" apart from "a\x00".
-func packedQGrams(s string, q int) []uint64 {
-	if s == "" {
-		return nil
-	}
-	n := utf8.RuneCountInString(s) // counts each invalid byte as one unit
-	if n < q {
-		key := uint64(1)<<63 | uint64(n)<<61
-		for i, shift := 0, 0; i < len(s); shift += 21 {
-			u, size := gramUnit(s, i)
-			key |= u << shift
-			i += size
-		}
-		return []uint64{key}
-	}
+// AppendPackedQGrams appends the packed key of every q-gram of s
+// (1 ≤ q ≤ MaxPackedQ) to dst, in position order and with repeats. Two
+// keys are equal exactly when the gram substrings AppendQGrams yields for
+// the same value are equal, so any set measure over the keys — Jaccard, a
+// shared-gram count — equals the one over substrings. It is the one
+// packing rule behind QGramJaccard's Prep, the bound matcher and the
+// q-gram blocker.
+//
+// Each gram packs its q units at 21 bits apiece, the first unit highest.
+// A unit is a decoded rune; an invalid UTF-8 byte b, which AppendQGrams
+// slices as a one-byte "rune", becomes its own unit 0x110000|b, above
+// every rune, so a literal U+FFFD stays distinct from the bytes it
+// replaces. With fold set the units are those of strings.ToLower(s),
+// computed without building it: ASCII A–Z map to a–z, every other rune
+// through unicode.ToLower, and an invalid byte — which ToLower rewrites
+// to U+FFFD — is the unit 0xFFFD. A non-empty value shorter than q is one
+// gram with bit 63 set, its unit count in bits 61–62 and its units from
+// bit 0 up: it never equals a full gram, and the count keeps "a" apart
+// from "a\x00". No key is ^uint64(0).
+func AppendPackedQGrams(dst []uint64, s string, q int, fold bool) []uint64 {
 	mask := uint64(1)<<(21*q) - 1
-	out := make([]uint64, 0, n-q+1)
 	var g uint64
-	for i, k := 0, 1; i < len(s); k++ {
-		u, size := gramUnit(s, i)
+	k := 0 // units read
+	for i := 0; i < len(s); k++ {
+		// ASCII inline; packUnit does the rest.
+		u, size := uint64(s[i]), 1
+		if u >= utf8.RuneSelf {
+			u, size = packUnit(s, i, fold)
+		} else if fold && 'A' <= u && u <= 'Z' {
+			u += 'a' - 'A'
+		}
 		g = (g<<21 | u) & mask
-		if k >= q {
-			out = append(out, g)
+		if k+1 >= q {
+			dst = append(dst, g)
 		}
 		i += size
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	if k == 0 || k >= q {
+		return dst
+	}
+	key := uint64(1)<<63 | uint64(k)<<61
+	for i, shift := 0, 0; i < len(s); shift += 21 {
+		u, size := packUnit(s, i, fold)
+		key |= u << shift
+		i += size
+	}
+	return append(dst, key)
 }
 
-// gramUnit decodes the unit at s[i:] and its width in bytes.
-func gramUnit(s string, i int) (uint64, int) {
+// packUnit decodes the gram unit at s[i:] and its width in bytes (see
+// AppendPackedQGrams).
+func packUnit(s string, i int, fold bool) (uint64, int) {
+	c := s[i]
+	if c < utf8.RuneSelf {
+		if fold && 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		return uint64(c), 1
+	}
 	r, size := utf8.DecodeRuneInString(s[i:])
+	if fold {
+		return uint64(unicode.ToLower(r)), size
+	}
 	if r == utf8.RuneError && size == 1 {
-		return 0x110000 | uint64(s[i]), 1
+		return 0x110000 | uint64(c), 1
 	}
 	return uint64(r), size
 }
@@ -193,7 +221,7 @@ func QGrams(s string, q int) map[string]struct{} {
 // deduplicated slice of rune-aligned substrings of s (no per-gram copy).
 // For valid UTF-8 it has the semantics of QGrams; an invalid byte, which
 // QGrams decodes to U+FFFD, stays a distinct one-byte "rune" here. It is
-// QGramJaccard's representation for q > maxPackedQ and the oracle the
+// QGramJaccard's representation for q > MaxPackedQ and the oracle the
 // packed grams are tested against.
 func sortedQGrams(s string, q int) []string {
 	out := AppendQGrams(nil, s, q)

@@ -78,16 +78,19 @@ func (d *MVN) LogPDF(x []float64) float64 {
 // LogPDF2 returns the log densities at x0 and x1, each bit-identical to
 // LogPDF's. Both forward solves run in one loop, each row's operations in
 // LogPDF's order, so the two rows' independent division chains overlap.
-// It allocates nothing for k ≤ 16; larger k calls LogPDF twice.
-func (d *MVN) LogPDF2(x0, x1 []float64) (float64, float64) {
+// They run in y, the caller's scratch: its contents are ignored and
+// overwritten, so a caller evaluating many components hands every call
+// the same buffer and zeroes it once. With len(y) < 2·Dim it calls LogPDF
+// twice instead. It allocates nothing.
+func (d *MVN) LogPDF2(x0, x1, y []float64) (float64, float64) {
 	k := len(d.mean)
 	if len(x0) != k || len(x1) != k {
 		panic(fmt.Sprintf("stats: LogPDF2 dims %d and %d, want %d", len(x0), len(x1), k))
 	}
-	var y0, y1 [16]float64
-	if k > len(y0) {
+	if len(y) < 2*k {
 		return d.LogPDF(x0), d.LogPDF(x1)
 	}
+	y0, y1 := y[:k], y[k:2*k]
 	l := d.chol
 	q0, q1 := 0.0, 0.0
 	for i := 0; i < k; i++ {

@@ -85,10 +85,16 @@ func TestMVNLogPDFAllocFree(t *testing.T) {
 
 // TestMVNLogPDF2MatchesLogPDF pins the two-point kernel bit for bit to
 // two LogPDF calls, with NaN and ±Inf coordinates mixed in, across dims
-// that use the stack buffers (k ≤ 16) and the LogPDF fallback.
+// 1–20. The solves run in a reused scratch buffer left dirty by earlier
+// calls and seeded with NaN, and in one too short, which takes the LogPDF
+// fallback.
 func TestMVNLogPDF2MatchesLogPDF(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200}
+	scratch := make([]float64, 40)
+	for i := range scratch {
+		scratch[i] = math.NaN()
+	}
 	for k := 1; k <= 20; k++ {
 		mean := make([]float64, k)
 		for i := range mean {
@@ -106,17 +112,19 @@ func TestMVNLogPDF2MatchesLogPDF(t *testing.T) {
 			if trial%4 == 0 {
 				x1[r.Intn(k)] = specials[trial/4%len(specials)]
 			}
-			got0, got1 := d.LogPDF2(x0, x1)
 			want0, want1 := d.LogPDF(x0), d.LogPDF(x1)
-			if math.Float64bits(got0) != math.Float64bits(want0) || math.Float64bits(got1) != math.Float64bits(want1) {
-				t.Fatalf("k=%d x0=%v x1=%v: LogPDF2 = %v, %v; LogPDF = %v, %v", k, x0, x1, got0, got1, want0, want1)
+			for _, y := range [][]float64{scratch[:2*k], scratch[:2*k-1]} {
+				got0, got1 := d.LogPDF2(x0, x1, y)
+				if math.Float64bits(got0) != math.Float64bits(want0) || math.Float64bits(got1) != math.Float64bits(want1) {
+					t.Fatalf("k=%d len(y)=%d x0=%v x1=%v: LogPDF2 = %v, %v; LogPDF = %v, %v", k, len(y), x0, x1, got0, got1, want0, want1)
+				}
 			}
 		}
 	}
 }
 
-// TestMVNLogPDF2AllocFree pins the two-point kernel allocation-free up to
-// dimension 16.
+// TestMVNLogPDF2AllocFree pins the two-point kernel allocation-free given
+// its scratch.
 func TestMVNLogPDF2AllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
 	for _, k := range []int{1, 4, 16} {
@@ -124,8 +132,8 @@ func TestMVNLogPDF2AllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x0, x1 := make([]float64, k), make([]float64, k)
-		if n := testing.AllocsPerRun(100, func() { d.LogPDF2(x0, x1) }); n != 0 {
+		x0, x1, y := make([]float64, k), make([]float64, k), make([]float64, 2*k)
+		if n := testing.AllocsPerRun(100, func() { d.LogPDF2(x0, x1, y) }); n != 0 {
 			t.Errorf("k=%d: LogPDF2 allocates %v times per call", k, n)
 		}
 	}

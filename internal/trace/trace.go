@@ -189,8 +189,14 @@ func (t *tracedRecorder) Observe(name string, v float64) {
 	t.inner.Observe(name, v)
 }
 
+// StartSpan opens the trace phase before the inner span and tracedSpan.End
+// closes it after, so the phase encloses whatever the inner chain does at
+// the boundary — the journal tee's durable phase_start and phase_end
+// writes, each an fsync — and no stage boundary falls outside the trace's
+// stages.
 func (t *tracedRecorder) StartSpan(name string) telemetry.Span {
-	return &tracedSpan{inner: t.inner.StartSpan(name), ph: t.tr.StartPhase(name)}
+	ph := t.tr.StartPhase(name)
+	return &tracedSpan{inner: t.inner.StartSpan(name), ph: ph}
 }
 
 type tracedSpan struct {
@@ -199,6 +205,6 @@ type tracedSpan struct {
 }
 
 func (s *tracedSpan) End() {
-	s.ph.End()
 	s.inner.End()
+	s.ph.End()
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"testing"
+	"time"
 
 	"serd/internal/telemetry"
 )
@@ -139,5 +140,51 @@ func TestWrapAndFromRecorder(t *testing.T) {
 	evs := drain(bus)
 	if len(evs) != 2 || evs[0].Kind != "phase_start" || evs[1].Kind != "phase_end" {
 		t.Errorf("trace events = %+v", evs)
+	}
+}
+
+// slowRecorder is an inner recorder whose span boundaries take time, as
+// the journal tee's fsynced phase_start and phase_end writes do. It notes
+// when its StartSpan was entered and when its span's End returned.
+type slowRecorder struct {
+	telemetry.Recorder
+	dwell        time.Duration
+	entered, out time.Time
+}
+
+func (r *slowRecorder) StartSpan(string) telemetry.Span {
+	r.entered = time.Now()
+	time.Sleep(r.dwell)
+	return slowSpan{r}
+}
+
+type slowSpan struct{ r *slowRecorder }
+
+func (s slowSpan) End() {
+	time.Sleep(s.r.dwell)
+	s.r.out = time.Now()
+}
+
+// TestPhaseEnclosesInnerSpan pins the wrapper's order at a stage
+// boundary: the trace phase opens before the inner span starts and closes
+// after it ends, so time the inner chain spends there (an fsync) counts
+// inside the stage.
+func TestPhaseEnclosesInnerSpan(t *testing.T) {
+	bus := telemetry.NewBus(64)
+	inner := &slowRecorder{Recorder: telemetry.Nop, dwell: 20 * time.Millisecond}
+	Wrap(New(bus), inner).StartSpan("core.s1").End()
+
+	evs := drain(bus)
+	if len(evs) != 2 || evs[0].Kind != "phase_start" || evs[1].Kind != "phase_end" {
+		t.Fatalf("trace events = %+v", evs)
+	}
+	if start := evs[0].T; start > inner.entered.UnixNano() {
+		t.Errorf("phase starts %v after the inner StartSpan was entered", time.Duration(start-inner.entered.UnixNano()))
+	}
+	if end := evs[1].T; end < inner.out.UnixNano() {
+		t.Errorf("phase ends %v before the inner span's End returned", time.Duration(inner.out.UnixNano()-end))
+	}
+	if min := 2 * inner.dwell; time.Duration(evs[1].Dur) < min {
+		t.Errorf("phase lasts %v, want at least the inner span's two dwells (%v)", time.Duration(evs[1].Dur), min)
 	}
 }
