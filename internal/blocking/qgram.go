@@ -67,11 +67,11 @@ func (g QGram) candidatesOn(pool *parallel.Pool, a, b *dataset.Relation) ([]data
 	if err := checkParams("qgram", param{"Q", d.Q}, param{"MinShared", d.MinShared}, param{"MaxPerEntity", d.MaxPerEntity}); err != nil {
 		return nil, err
 	}
-	var grams interner = &substringGrams{q: d.Q, ids: make(map[string]int32)}
+	newGrams := func() interner { return &substringGrams{q: d.Q, ids: make(map[string]int32)} }
 	if d.Q <= simfn.MaxPackedQ {
-		grams = newPackedGrams(d.Q)
+		newGrams = func() interner { return newPackedGrams(d.Q) }
 	}
-	ix := newGramIndex(grams, b, d.Column)
+	ix := newGramIndex(pool, newGrams, b, d.Column)
 	n := a.Len()
 	w := min(pool.Workers(), n)
 	chunks := make([][]dataset.Pair, w)
@@ -93,19 +93,46 @@ type gramIndex struct {
 	nB              int
 }
 
-func newGramIndex(grams interner, b *dataset.Relation, col int) *gramIndex {
-	var sc gramScratch
-	bytes := 0 // a value has at most one gram per byte
-	for _, e := range b.Entities {
-		bytes += len(e.Values[col])
+// newGramIndex indexes B's values in column col. B is cut into contiguous
+// chunks, one per worker of pool (phase "blocking.qgram"), and each chunk
+// interns its values' grams into an interner of its own from newGrams, in
+// B order. The chunk interners are then merged into the first, serially
+// and in chunk order, and each chunk's ids are rewritten to the merged
+// ones. So a gram's id is its rank by first occurrence in B, as one serial
+// pass numbers them, and ids and postings are the same at any worker
+// count.
+func newGramIndex(pool *parallel.Pool, newGrams func() interner, b *dataset.Relation, col int) *gramIndex {
+	nB := b.Len()
+	w := max(min(pool.Workers(), nB), 1)
+	grams := make([]interner, w)
+	chunks := make([][]int32, w) // each chunk's entities' distinct ids
+	bOff := make([]int, nB+1)    // entity j's ids end at bOff[j+1] in its chunk, then in ids
+	pool.Run("blocking.qgram", w, func(c int) {
+		lo, hi := c*nB/w, (c+1)*nB/w
+		bytes := 0 // a value has at most one gram per byte
+		for _, e := range b.Entities[lo:hi] {
+			bytes += len(e.Values[col])
+		}
+		g, ids := newGrams(), make([]int32, 0, bytes)
+		var sc gramScratch
+		for j := lo; j < hi; j++ {
+			ids = sc.appendDistinct(ids, g, b.Entities[j].Values[col], true)
+			bOff[j+1] = len(ids)
+		}
+		grams[c], chunks[c] = g, ids
+	})
+	ids := chunks[0]
+	for c := 1; c < w; c++ {
+		remap := grams[0].merge(grams[c])
+		for k, id := range chunks[c] {
+			chunks[c][k] = remap[id]
+		}
+		for j := c * nB / w; j < (c+1)*nB/w; j++ {
+			bOff[j+1] += len(ids)
+		}
+		ids = append(ids, chunks[c]...)
 	}
-	ids := make([]int32, 0, bytes)
-	bOff := make([]int, b.Len()+1)
-	for j, e := range b.Entities {
-		ids = sc.appendDistinct(ids, grams, e.Values[col], true)
-		bOff[j+1] = len(ids)
-	}
-	n := grams.len()
+	n := grams[0].len()
 	start := make([]int32, n+1)
 	for _, id := range ids {
 		start[id+1]++
@@ -115,13 +142,13 @@ func newGramIndex(grams interner, b *dataset.Relation, col int) *gramIndex {
 	}
 	postings := make([]int32, len(ids))
 	fill := slices.Clone(start[:n])
-	for j := range b.Entities {
+	for j := 0; j < nB; j++ {
 		for _, id := range ids[bOff[j]:bOff[j+1]] {
 			postings[fill[id]] = int32(j)
 			fill[id]++
 		}
 	}
-	return &gramIndex{grams: grams, start: start, postings: postings, nB: b.Len()}
+	return &gramIndex{grams: grams[0], start: start, postings: postings, nB: nB}
 }
 
 // probe returns the candidate pairs of the A-entities as, which start at
@@ -266,6 +293,10 @@ type interner interface {
 	appendIDs(dst []int32, v string, intern bool, sc *gramScratch) []int32
 	// len is the number of ids handed out.
 	len() int
+	// merge interns other's grams, which must come from an interner of the
+	// same kind, in other's id order, and returns the id here of each of
+	// other's ids.
+	merge(other interner) []int32
 }
 
 // gramScratch is one goroutine's buffers for interning and deduplicating
@@ -303,7 +334,7 @@ type packedGrams struct {
 	q     int
 	slots []packedSlot // len is a power of two
 	shift uint         // 64 − log2(len(slots))
-	n     int32
+	keys  []uint64     // by id
 }
 
 type packedSlot struct {
@@ -315,14 +346,12 @@ func newPackedGrams(q int) *packedGrams {
 	return &packedGrams{q: q, slots: make([]packedSlot, 8), shift: 64 - 3}
 }
 
-func (x *packedGrams) len() int { return int(x.n) }
+func (x *packedGrams) len() int { return len(x.keys) }
 
 func (x *packedGrams) appendIDs(dst []int32, v string, intern bool, sc *gramScratch) []int32 {
 	sc.keys = simfn.AppendPackedQGrams(sc.keys[:0], v, x.q, true)
 	if intern {
-		for 2*(int(x.n)+len(sc.keys)) > len(x.slots) {
-			x.grow()
-		}
+		x.reserve(len(sc.keys))
 	}
 	for _, k := range sc.keys {
 		s := &x.slots[x.find(k)]
@@ -330,12 +359,38 @@ func (x *packedGrams) appendIDs(dst []int32, v string, intern bool, sc *gramScra
 			if !intern {
 				continue
 			}
-			x.n++
-			s.key, s.id1 = k, x.n
+			x.add(s, k)
 		}
 		dst = append(dst, s.id1-1)
 	}
 	return dst
+}
+
+func (x *packedGrams) merge(other interner) []int32 {
+	keys := other.(*packedGrams).keys
+	x.reserve(len(keys))
+	remap := make([]int32, len(keys))
+	for id, k := range keys {
+		s := &x.slots[x.find(k)]
+		if s.id1 == 0 {
+			x.add(s, k)
+		}
+		remap[id] = s.id1 - 1
+	}
+	return remap
+}
+
+// reserve grows the table until n more keys keep it at most half full.
+func (x *packedGrams) reserve(n int) {
+	for 2*(len(x.keys)+n) > len(x.slots) {
+		x.grow()
+	}
+}
+
+// add gives k, which belongs in the free slot s, the next id.
+func (x *packedGrams) add(s *packedSlot, k uint64) {
+	x.keys = append(x.keys, k)
+	s.key, s.id1 = k, int32(len(x.keys))
 }
 
 // find returns the slot holding k, or the free slot where it belongs.
@@ -367,11 +422,12 @@ func (x *packedGrams) grow() {
 // substrings of the lower-cased value: such a gram does not fit one
 // uint64 key.
 type substringGrams struct {
-	q   int
-	ids map[string]int32
+	q     int
+	ids   map[string]int32
+	grams []string // by id
 }
 
-func (x *substringGrams) len() int { return len(x.ids) }
+func (x *substringGrams) len() int { return len(x.grams) }
 
 func (x *substringGrams) appendIDs(dst []int32, v string, intern bool, sc *gramScratch) []int32 {
 	sc.subs = simfn.AppendQGrams(sc.subs[:0], strings.ToLower(v), x.q)
@@ -381,10 +437,30 @@ func (x *substringGrams) appendIDs(dst []int32, v string, intern bool, sc *gramS
 			if !intern {
 				continue
 			}
-			id = int32(len(x.ids))
-			x.ids[gram] = id
+			id = x.add(gram)
 		}
 		dst = append(dst, id)
 	}
 	return dst
+}
+
+func (x *substringGrams) merge(other interner) []int32 {
+	grams := other.(*substringGrams).grams
+	remap := make([]int32, len(grams))
+	for id, gram := range grams {
+		to, ok := x.ids[gram]
+		if !ok {
+			to = x.add(gram)
+		}
+		remap[id] = to
+	}
+	return remap
+}
+
+// add gives gram the next id and returns it.
+func (x *substringGrams) add(gram string) int32 {
+	id := int32(len(x.grams))
+	x.ids[gram] = id
+	x.grams = append(x.grams, gram)
+	return id
 }

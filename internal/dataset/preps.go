@@ -73,15 +73,57 @@ func (p *Preps) SimVector(i int, q *Preps, j int) []float64 {
 // SimVectorInto writes SimVector(i, q, j) into x (one slot per column)
 // and returns it.
 func (p *Preps) SimVectorInto(x []float64, i int, q *Preps, j int) []float64 {
+	return p.vectorInto(x, i, q, j, -1)
+}
+
+// vectorInto is SimVectorInto, except that column bounded's slot holds
+// the bounder's bound on its similarity rather than the similarity; -1
+// bounds no column.
+func (p *Preps) vectorInto(x []float64, i int, q *Preps, j int, bounded int) []float64 {
 	a, b := p.ents[i], q.ents[j]
 	for c, pp := range p.pps {
-		if pp != nil {
+		switch {
+		case c == bounded:
+			x[c] = pp.(bounder).SimBound(p.cols[c][i], q.cols[c][j])
+		case pp != nil:
 			x[c] = pp.SimPrepped(p.cols[c][i], q.cols[c][j])
-		} else {
+		default:
 			x[c] = p.schema.Cols[c].Sim.Sim(a.Values[c], b.Values[c])
 		}
 	}
 	return x
+}
+
+// bounder is a Preprocessor whose similarity has an upper bound cheaper
+// than SimPrepped (simfn.QGramJaccard): SimPrepped(a, b) ≤ SimBound(a, b)
+// for all prepped a and b, and neither is NaN. PrepSize is a prepped
+// value's size, the measure of what SimPrepped costs on it.
+type bounder interface {
+	SimBound(a, b any) float64
+	PrepSize(p any) int
+}
+
+// boundColumn returns the bounder column whose preps in p and q are the
+// largest in total, the lowest index on ties, or -1 if no column is a
+// bounder.
+func (p *Preps) boundColumn(q *Preps) int {
+	best, bestSize := -1, -1
+	for c, pp := range p.pps {
+		bd, ok := pp.(bounder)
+		if !ok {
+			continue
+		}
+		size := 0
+		for _, side := range [...][]any{p.cols[c], q.cols[c]} {
+			for _, v := range side {
+				size += bd.PrepSize(v)
+			}
+		}
+		if size > bestSize {
+			best, bestSize = c, size
+		}
+	}
+	return best
 }
 
 // Prep preps both relations under the dataset's schema, on pool under
@@ -99,11 +141,23 @@ func (e *ER) Prep(pool *parallel.Pool) (a, b *Preps) {
 // length.
 func PairVectors(pairs []Pair, a, b *Preps, pool *parallel.Pool) [][]float64 {
 	dim := len(a.pps)
-	flat := make([]float64, len(pairs)*dim)
+	flat := a.vectors(pairs, b, pool, -1)
 	out := make([][]float64, len(pairs))
-	pool.Run("generator.vectors", len(pairs), func(i int) {
-		p := pairs[i]
-		out[i] = a.SimVectorInto(flat[i*dim:(i+1)*dim:(i+1)*dim], p.A, b, p.B)
-	})
+	for i := range out {
+		out[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+	}
 	return out
+}
+
+// vectors scores pairs into one array, dim floats per pair in pair order,
+// on pool under the "generator.vectors" phase; column bounded holds its
+// bound (see vectorInto).
+func (p *Preps) vectors(pairs []Pair, q *Preps, pool *parallel.Pool, bounded int) []float64 {
+	dim := len(p.pps)
+	flat := make([]float64, len(pairs)*dim)
+	pool.Run("generator.vectors", len(pairs), func(i int) {
+		pr := pairs[i]
+		p.vectorInto(flat[i*dim:(i+1)*dim:(i+1)*dim], pr.A, q, pr.B, bounded)
+	})
+	return flat
 }

@@ -46,6 +46,47 @@ func mixedER(t testing.TB) *ER {
 	return er
 }
 
+// TestBoundColumnPicksLargestPreps checks that hard-negative pruning
+// bounds the q-gram column with the most grams over both relations, the
+// one whose merges cost most, wherever it sits among other q-gram and
+// non-q-gram columns, and that a schema without a q-gram column has
+// nothing to bound.
+func TestBoundColumnPicksLargestPreps(t *testing.T) {
+	short, long := simfn.QGramJaccard{Q: 3, Fold: true}, simfn.QGramJaccard{Q: 4}
+	for _, tc := range []struct {
+		sims []simfn.Func
+		want int
+	}{
+		{[]simfn.Func{short, simfn.Exact{}, long, simfn.TokenJaccard{}}, 2},
+		{[]simfn.Func{long, simfn.Exact{}, short}, 0},
+		{[]simfn.Func{simfn.Exact{}, simfn.TokenJaccard{}}, -1},
+	} {
+		cols := make([]Column, len(tc.sims))
+		for c, sim := range tc.sims {
+			cols[c] = Column{Name: fmt.Sprint("c", c), Kind: Textual, Sim: sim}
+		}
+		s, err := NewSchema(cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ents := make([]*Entity, 6)
+		for i := range ents {
+			v := make([]string, len(cols))
+			for c, sim := range tc.sims {
+				v[c] = fmt.Sprint("ab", i)
+				if sim == long {
+					v[c] = fmt.Sprint("a long description of item ", i)
+				}
+			}
+			ents[i] = &Entity{ID: fmt.Sprint(i), Values: v}
+		}
+		a, b := NewPreps(s, ents[:3], nil, ""), NewPreps(s, ents[3:], nil, "")
+		if got := a.boundColumn(b); got != tc.want {
+			t.Errorf("%v: bounded column %d, want %d", tc.sims, got, tc.want)
+		}
+	}
+}
+
 // TestPrepsMatchSchemaSimVector is the positional preps' correctness
 // contract: every pair vector read from preps — built in one batch, on a
 // pool, or one entity at a time by Append as S2 grows its pools — equals
@@ -88,52 +129,5 @@ func TestPrepsAppendLeavesCallerSliceAlone(t *testing.T) {
 	p.Append(NewPreps(er.Schema(), er.A.Entities[1:2], nil, ""))
 	if spare := ents[:2][1]; spare != nil {
 		t.Fatalf("Append wrote %v into the caller's spare capacity", spare)
-	}
-}
-
-var sinkPairs []LabeledPair
-
-// BenchmarkHardestNonMatches scores every pair of a 60×60 relation: each
-// entity recurs in 60 candidates, the reuse the positional preps serve.
-func BenchmarkHardestNonMatches(b *testing.B) {
-	s, err := NewSchema([]Column{
-		{Name: "name", Kind: Textual, Sim: simfn.QGramJaccard{Q: 3, Fold: true}},
-		{Name: "city", Kind: Categorical, Sim: simfn.QGramJaccard{Q: 3, Fold: true}},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(5))
-	word := func() string {
-		w := make([]byte, 4+r.Intn(8))
-		for i := range w {
-			w[i] = byte('a' + r.Intn(26))
-		}
-		return string(w)
-	}
-	rel := func(name string) *Relation {
-		out := NewRelation(name, s)
-		for i := 0; i < 60; i++ {
-			if err := out.Append(&Entity{ID: fmt.Sprintf("%s%d", name, i), Values: []string{word() + " " + word(), word()}}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return out
-	}
-	er, err := NewER(rel("a"), rel("b"), []Pair{{0, 0}, {1, 1}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var cands []Pair
-	for i := 0; i < 60; i++ {
-		for j := 0; j < 60; j++ {
-			cands = append(cands, Pair{A: i, B: j})
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pa, pb := er.Prep(nil)
-		sinkPairs = HardestNonMatches(er, cands, 120, pa, pb, nil)
 	}
 }

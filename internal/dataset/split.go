@@ -86,39 +86,133 @@ func LabeledPairsMixed(e *ER, negPerPos int, candidates []Pair, r *rand.Rand) []
 	return out
 }
 
-// HardestNonMatches scores every candidate pair and returns the top-n
+// HardestNonMatches scores the candidate pairs and returns the top-n
 // non-matching pairs by mean similarity — the boundary cases that make a
 // matcher workload meaningful. a and b are the dataset's relations
 // prepped under its schema (see ER.Prep). Candidates are deduplicated
-// serially in candidate order, then scored on pool (see PairVectors; nil
-// is fine), so the selection is the same at any worker count. The order
-// is a stable sort's by mean descending: ties in mean keep candidate
-// order.
+// serially in candidate order, then scored on pool under the
+// "generator.vectors" phase (nil is fine), so the selection is the same
+// at any worker count. The order is a stable sort's by mean descending:
+// ties in mean keep candidate order. Candidates that provably rank below
+// the n-th are never scored in full (see hardestPruned); the result is
+// the one scoring every candidate would give, bit for bit.
 func HardestNonMatches(e *ER, candidates []Pair, n int, a, b *Preps, pool *parallel.Pool) []LabeledPair {
+	out, _ := hardestNonMatches(e, candidates, n, a, b, pool)
+	return out
+}
+
+// hardestNonMatches is HardestNonMatches that also returns how many
+// candidates it scored in full.
+func hardestNonMatches(e *ER, candidates []Pair, n int, a, b *Preps, pool *parallel.Pool) ([]LabeledPair, int) {
 	if n <= 0 {
-		return nil
+		return nil, 0
 	}
 	pairs := UniquePairs(candidates, e.Matches, e.A.Len(), e.B.Len())
-	xs := PairVectors(pairs, a, b, pool)
-	means := make([]float64, len(xs))
-	for i, x := range xs {
-		mean := 0.0
-		for _, v := range x {
-			mean += v
+	dim := len(a.pps)
+	var xs []float64
+	var order []int32
+	scored := len(pairs)
+	if c := a.boundColumn(b); c >= 0 && n < len(pairs) {
+		xs, order, scored = hardestPruned(pairs, n, c, a, b, pool)
+	} else {
+		xs = a.vectors(pairs, b, pool, -1)
+		means := make([]float64, len(pairs))
+		for i := range means {
+			means[i] = mean(xs[i*dim : (i+1)*dim])
 		}
-		means[i] = mean / float64(len(x))
+		order = hardestOrder(means, n)
 	}
-	order := hardestOrder(means, n)
 	// Copy the kept vectors out of the scoring array, so callers that hold
 	// the result do not keep every candidate's vector alive.
-	dim := e.Schema().Len()
 	flat := make([]float64, 0, len(order)*dim)
 	out := make([]LabeledPair, len(order))
 	for k, i := range order {
-		flat = append(flat, xs[i]...)
+		flat = append(flat, xs[int(i)*dim:(int(i)+1)*dim]...)
 		out[k] = LabeledPair{Pair: pairs[i], Vector: flat[k*dim : (k+1)*dim : (k+1)*dim]}
 	}
-	return out
+	return out, scored
+}
+
+// hardestPruned returns the vectors of pairs, dim floats each in one
+// array, and hardestOrder's order of their means, scoring column bounded,
+// a bounder, only for the pairs that can reach the top n (n <
+// len(pairs)); the other vectors hold the bound in that slot. It also
+// returns how many pairs it scored in full.
+//
+// Every pair first gets its bounded mean: the other columns scored
+// exactly and the bound in column bounded, summed in column order and
+// divided as the mean is. IEEE addition and division round monotonically,
+// so a bounded mean is never below the mean. The pairs with the n largest
+// bounded means are scored in full, and the least of their means, L, is
+// at most the n-th largest mean t. A pair whose bounded mean is below L
+// has a mean below t, so hardestOrder neither keeps it nor counts it as
+// a tie at t; hardestOrder over the rest, in index order, keeps the same
+// pairs in the same order. A NaN bounded mean, which comes from a NaN
+// similarity in another column, keeps every pair, so hardestOrder's NaN
+// handling sees the full list.
+func hardestPruned(pairs []Pair, n, bounded int, a, b *Preps, pool *parallel.Pool) ([]float64, []int32, int) {
+	dim := len(a.pps)
+	xs := a.vectors(pairs, b, pool, bounded)
+	row := func(i int32) []float64 { return xs[int(i)*dim : (int(i)+1)*dim] }
+	bounds := make([]float64, len(pairs))
+	for i := range bounds {
+		bounds[i] = mean(row(int32(i)))
+	}
+	score := func(idx []int32) {
+		pp := a.pps[bounded]
+		pool.Run("generator.vectors", len(idx), func(k int) {
+			p := pairs[idx[k]]
+			row(idx[k])[bounded] = pp.SimPrepped(a.cols[bounded][p.A], b.cols[bounded][p.B])
+		})
+	}
+	var keep []int32 // the pairs that can reach the top n, in index order
+	if slices.ContainsFunc(bounds, math.IsNaN) {
+		keep = make([]int32, len(pairs))
+		for i := range keep {
+			keep[i] = int32(i)
+		}
+		score(keep)
+	} else {
+		tb := stats.Select(slices.Clone(bounds), len(bounds)-n)
+		var top, rest []int32
+		for i, m := range bounds {
+			if m >= tb {
+				top = append(top, int32(i))
+			}
+		}
+		score(top)
+		lo := math.Inf(1)
+		for _, i := range top {
+			lo = min(lo, mean(row(i)))
+		}
+		for i, m := range bounds {
+			if m >= lo {
+				keep = append(keep, int32(i))
+				if m < tb {
+					rest = append(rest, int32(i))
+				}
+			}
+		}
+		score(rest)
+	}
+	means := make([]float64, len(keep))
+	for k, i := range keep {
+		means[k] = mean(row(i))
+	}
+	order := hardestOrder(means, n)
+	for k, i := range order {
+		order[k] = keep[i]
+	}
+	return xs, order, len(keep)
+}
+
+// mean is a similarity vector's mean, summed in column order.
+func mean(x []float64) float64 {
+	s := 0.0
+	for _, v := range x {
+		s += v
+	}
+	return s / float64(len(x))
 }
 
 // hardestOrder returns the indices of the first n entries of means in a

@@ -192,22 +192,29 @@ func (nanSim) Sim(a, b string) float64 {
 	return 0
 }
 
-// FuzzHardestNonMatches pins HardestNonMatches' select-then-sort to the
-// full stable-sort oracle. Each '|'-separated field of as and bs is one
-// entity's value in a q-gram column and a NaN-capable exact column; byte
-// pairs of cands and matches index candidate and match pairs, so inputs
-// carry repeats, true matches among the candidates, equal means (few
-// distinct values), NaN means ("?") and budgets n at and past the
-// candidate count.
+// FuzzHardestNonMatches pins HardestNonMatches' bound pruning and
+// select-then-sort to the full stable-sort oracle. Each '|'-separated
+// field of as and bs is one entity's value in a 2-gram column and a
+// NaN-capable exact column; a 3-gram column holds the value repeated 0–2
+// times by entity index, plus the index, so either q-gram column can be
+// the larger and so the bounded one. Byte pairs of cands and matches
+// index candidate and match pairs, so inputs carry repeats, true matches
+// among the candidates, equal means (few distinct values), NaN means
+// ("?", which disables pruning) and budgets n at and past the candidate
+// count.
 func FuzzHardestNonMatches(f *testing.F) {
 	f.Add("ab|abc|?|ab", "ab|abd|b|?|ab", []byte{0, 0, 1, 1, 0, 0, 2, 3, 3, 4, 1, 2, 0, 4}, []byte{1, 1}, uint8(3))
 	f.Add("x|x|x|x", "x|x|x", []byte{0, 0, 0, 1, 1, 0, 1, 1, 2, 2, 3, 0, 0, 1}, []byte{0, 0}, uint8(2))
 	f.Add("new york|york|?", "york new|new|yorkshire", []byte{0, 0, 0, 1, 0, 2, 1, 0, 1, 1, 1, 2, 2, 0, 2, 1, 2, 2}, []byte{}, uint8(40))
 	f.Add("caf\xc3|café|CAFÉ", "café|caf|\xff", []byte{0, 1, 1, 0, 2, 2, 0, 1, 2, 0}, []byte{2, 2, 0, 1}, uint8(1))
+	// Every pair of six distinct values, budget 3: most pairs are pruned.
+	f.Add("alpha|alphabet|beta|gamma|delta|epsilon", "alphabet|alpha|bet|gamm|delt|eps", []byte{0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 1, 0, 1, 1, 1, 2, 1, 3, 1, 4, 1, 5, 2, 0, 2, 1, 2, 2, 2, 3, 2, 4, 2, 5, 3, 0, 3, 1, 3, 2, 3, 3, 3, 4, 3, 5, 4, 0, 4, 1, 4, 2, 4, 3, 4, 4, 4, 5, 5, 0, 5, 1, 5, 2, 5, 3, 5, 4, 5, 5}, []byte{0, 1}, uint8(3))
+	f.Add("ab|cd", "ab|cd", []byte{0, 1, 1, 0}, []byte{}, uint8(2)) // budget = candidate count
 	f.Fuzz(func(t *testing.T, as, bs string, cands, matches []byte, n uint8) {
 		s, err := NewSchema([]Column{
 			{Name: "name", Kind: Textual, Sim: simfn.QGramJaccard{Q: 2, Fold: true}},
 			{Name: "flag", Kind: Categorical, Sim: nanSim{}},
+			{Name: "descr", Kind: Textual, Sim: simfn.QGramJaccard{Q: 3}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -218,7 +225,8 @@ func FuzzHardestNonMatches(f *testing.F) {
 				if i == 16 {
 					break
 				}
-				if err := out.Append(&Entity{ID: fmt.Sprint(name, i), Values: []string{v, v}}); err != nil {
+				descr := strings.Repeat(v, i%3) + fmt.Sprint(i)
+				if err := out.Append(&Entity{ID: fmt.Sprint(name, i), Values: []string{v, v, descr}}); err != nil {
 					t.Fatal(err)
 				}
 			}

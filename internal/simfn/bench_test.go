@@ -1,6 +1,10 @@
 package simfn
 
-import "testing"
+import (
+	"math/rand"
+	"strings"
+	"testing"
+)
 
 var (
 	sinkPrep any
@@ -23,16 +27,48 @@ func BenchmarkQGramJaccardPrep(b *testing.B) {
 	}
 }
 
+// longValues returns n Products-style descriptions of about 110 bytes,
+// drawn from a fixed vocabulary: the long column that dominates the merge
+// work of S1's hard negatives. Many distinct values keep the branch
+// predictor from learning the merges, as it cannot on real relations.
+func longValues(n int) []string {
+	words := strings.Fields("seagate logitech samsung canon sony dell headset mouse ssd camera monitor " +
+		"compact travel edition wireless ergonomic portable optical noise cancelling includes quad core " +
+		"8gb ram 256gb 1tb warranty mechanical rgb backlit support battery bluetooth usb-c storage zoom " +
+		"sensor stabilization display stand hub charge touch controls aluminum housing encryption")
+	r := rand.New(rand.NewSource(1))
+	out := make([]string, n)
+	for i := range out {
+		var sb strings.Builder
+		for sb.Len() < 110 {
+			if sb.Len() > 0 {
+				sb.WriteByte(' ')
+			}
+			sb.WriteString(words[r.Intn(len(words))])
+		}
+		out[i] = sb.String()
+	}
+	return out
+}
+
+// BenchmarkQGramJaccardSimPrepped scores prepped pairs: of ten short
+// restaurant-style values, and of 256 long Products-style descriptions.
 func BenchmarkQGramJaccardSimPrepped(b *testing.B) {
 	f := QGramJaccard{Q: 3, Fold: true}
-	prepped := make([]any, len(benchValues))
-	for i, v := range benchValues {
-		prepped[i] = f.Prep(v)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkSim = f.SimPrepped(prepped[i%len(prepped)], prepped[(i/len(prepped))%len(prepped)])
+	for _, bc := range []struct {
+		name   string
+		values []string
+	}{{"short", benchValues}, {"long", longValues(256)}} {
+		prepped := make([]any, len(bc.values))
+		for i, v := range bc.values {
+			prepped[i] = f.Prep(v)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkSim = f.SimPrepped(prepped[i%len(prepped)], prepped[(i/len(prepped))%len(prepped)])
+			}
+		})
 	}
 }
 

@@ -18,7 +18,8 @@ func oracleQGramJaccard(f QGramJaccard, a, b string) float64 {
 }
 
 // FuzzQGramJaccard differentially checks Sim and SimPrepped against the
-// string-set oracle for Q in {1, 2, 3, 4} with and without folding.
+// string-set oracle for Q in {1, 2, 3, 4} with and without folding, and
+// that SimBound is a symmetric upper bound on the oracle's value.
 func FuzzQGramJaccard(f *testing.F) {
 	long := strings.Repeat("abcdefgh", 9) // 72 runes
 	seeds := []struct{ a, b string }{
@@ -47,8 +48,12 @@ func FuzzQGramJaccard(f *testing.F) {
 		if got := fn.Sim(a, b); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s fold=%t: Sim(%q, %q) = %v, oracle %v", fn.Name(), fold, a, b, got, want)
 		}
-		if got := fn.SimPrepped(fn.Prep(a), fn.Prep(b)); math.Float64bits(got) != math.Float64bits(want) {
+		pa, pb := fn.Prep(a), fn.Prep(b)
+		if got := fn.SimPrepped(pa, pb); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s fold=%t: SimPrepped(%q, %q) = %v, oracle %v", fn.Name(), fold, a, b, got, want)
+		}
+		if bound := fn.SimBound(pa, pb); !(want <= bound) || bound != fn.SimBound(pb, pa) {
+			t.Fatalf("%s fold=%t: SimBound(%q, %q) = %v, not a symmetric bound on %v", fn.Name(), fold, a, b, bound, want)
 		}
 	})
 }
