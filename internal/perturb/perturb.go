@@ -135,11 +135,19 @@ type span struct{ start, end int }
 
 // appendFields appends the tokens of s to dst, split as strings.Fields
 // splits: a rune separates when unicode.IsSpace holds, and an invalid
-// UTF-8 byte never does.
+// UTF-8 byte never does. ASCII bytes are tested inline; spaceAt decodes
+// the rest.
 func appendFields(dst []span, s string) []span {
 	i := 0
 	for {
 		for i < len(s) {
+			if c := s[i]; c < utf8.RuneSelf {
+				if !asciiSpace[c] {
+					break
+				}
+				i++
+				continue
+			}
 			space, w := spaceAt(s, i)
 			if !space {
 				break
@@ -151,6 +159,13 @@ func appendFields(dst []span, s string) []span {
 		}
 		start := i
 		for i < len(s) {
+			if c := s[i]; c < utf8.RuneSelf {
+				if asciiSpace[c] {
+					break
+				}
+				i++
+				continue
+			}
 			space, w := spaceAt(s, i)
 			if space {
 				break
@@ -164,12 +179,10 @@ func appendFields(dst []span, s string) []span {
 // asciiSpace marks the ASCII bytes unicode.IsSpace holds for.
 var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
-// spaceAt reports whether the rune at byte offset i of s is white space,
-// and its width in bytes (1 for an invalid byte).
+// spaceAt reports whether the rune at byte offset i of s, where a
+// non-ASCII byte starts, is white space, and its width in bytes (1 for an
+// invalid byte).
 func spaceAt(s string, i int) (bool, int) {
-	if c := s[i]; c < utf8.RuneSelf {
-		return asciiSpace[c], 1
-	}
 	c, w := utf8.DecodeRuneInString(s[i:])
 	return unicode.IsSpace(c), w
 }
@@ -193,12 +206,17 @@ func LowerCase(s string, _ *rand.Rand) string { return strings.ToLower(s) }
 
 // TitleCase upper-cases the first letter of every token, splitting and
 // rejoining as DropToken does. A token that is not valid UTF-8 comes out
-// with every invalid byte rewritten to U+FFFD, as Typo's does.
+// with every invalid byte rewritten to U+FFFD, as Typo's does. Input that
+// the rebuild would reproduce comes back as it is, without a copy.
 func TitleCase(s string, _ *rand.Rand) string {
 	var buf [16]span
+	t := appendFields(buf[:0], s)
+	if titled(s, t) {
+		return s
+	}
 	var b strings.Builder
 	b.Grow(len(s))
-	for k, f := range appendFields(buf[:0], s) {
+	for k, f := range t {
 		if k > 0 {
 			b.WriteByte(' ')
 		}
@@ -214,6 +232,28 @@ func TitleCase(s string, _ *rand.Rand) string {
 		b.WriteString(w[size:])
 	}
 	return b.String()
+}
+
+// titled reports whether TitleCase would rebuild s, whose tokens are t,
+// byte for byte: the tokens cover s apart from single ' ' separators,
+// every token starts with a rune unicode.ToUpper keeps, and s is valid
+// UTF-8.
+func titled(s string, t []span) bool {
+	end := 0 // the end of the previous token
+	for k, f := range t {
+		if k == 0 && f.start != 0 || k > 0 && (f.start != end+1 || s[end] != ' ') {
+			return false
+		}
+		if c := s[f.start]; c < utf8.RuneSelf {
+			if 'a' <= c && c <= 'z' {
+				return false
+			}
+		} else if c, _ := utf8.DecodeRuneInString(s[f.start:]); unicode.ToUpper(c) != c {
+			return false
+		}
+		end = f.end
+	}
+	return end == len(s) && utf8.ValidString(s)
 }
 
 // AbbreviateFirstNames shortens every token except the last of each
@@ -269,22 +309,32 @@ func Apply(s string, ops []Op, n int, r *rand.Rand) string {
 	return s
 }
 
-// TowardSimilarity perturbs s repeatedly until sim(s, s') is within tol of
-// target (or maxSteps edits have been applied), returning the closest
-// variant found. sim must be symmetric in its arguments. This is the
-// workhorse behind similarity-bucketed training-pair construction.
+// TowardSimilarity edits s until its similarity to a reference value is
+// within tol of target (or maxSteps edits have been applied), returning
+// the closest variant found and its similarity. sim scores one value
+// against the reference, which the caller fixes: s itself when a corpus
+// string is walked into a training pair, the value being synthesized when
+// a blend is polished toward it. This is the workhorse behind
+// similarity-bucketed training-pair construction and the rule
+// synthesizer's edit candidates.
 //
-// sim must also be pure: the same arguments always give the same float
-// bits. An edit that leaves the walk's current string unchanged (LowerCase
-// on lower-case text, a token op on one token) reuses that string's known
-// similarity instead of calling sim again.
+// sim must be pure: the same argument always gives the same float bits.
+// same(a, b) reports that sim cannot tell a from b, so it must imply that
+// sim(a) and sim(b) have the same bits (simfn.Equivalence gives such a
+// test for a similarity function); nil means string equality. An edit whose result is the same as the walk's current string
+// — LowerCase on lower-case text, a token op on one token, a case op under
+// a case-folding similarity — reuses that string's score instead of
+// calling sim again.
 //
 // The walk uses token- and character-level ops but not name abbreviation:
 // "T. S. O." artifacts on non-name text read as obviously fake, and
 // callers that want abbreviation apply it directly.
-func TowardSimilarity(s string, target, tol float64, sim func(a, b string) float64, maxSteps int, r *rand.Rand) (string, float64) {
+func TowardSimilarity(s string, target, tol float64, sim func(string) float64, same func(a, b string) bool, maxSteps int, r *rand.Rand) (string, float64) {
+	if same == nil {
+		same = func(a, b string) bool { return a == b }
+	}
 	ops := []Op{Typo, DeleteChar, DropToken, SwapTokens, LowerCase, TitleCase}
-	sSim := sim(s, s)
+	sSim := sim(s)
 	best, bestSim := s, sSim
 	cur, curSim := s, sSim
 	for i := 0; i < maxSteps; i++ {
@@ -293,8 +343,8 @@ func TowardSimilarity(s string, target, tol float64, sim func(a, b string) float
 		}
 		cand := Apply(cur, ops, 1, r)
 		cs := curSim
-		if cand != cur {
-			cs = sim(s, cand)
+		if !same(cand, cur) {
+			cs = sim(cand)
 		}
 		if abs(cs-target) < abs(bestSim-target) {
 			best, bestSim = cand, cs

@@ -136,7 +136,7 @@ func TestTowardSimilarityHitsBuckets(t *testing.T) {
 	f := simfn.QGramJaccard{Q: 3}
 	s := "Adaptable Query Optimization and Evaluation in Temporal Middleware"
 	for _, target := range []float64{0.9, 0.7, 0.5, 0.3} {
-		got, sim := TowardSimilarity(s, target, 0.05, f.Sim, 400, r)
+		got, sim := TowardSimilarity(s, target, 0.05, simfn.Bind(f, s), nil, 400, r)
 		if got == "" {
 			t.Fatalf("empty output for target %v", target)
 		}
@@ -149,7 +149,7 @@ func TestTowardSimilarityHitsBuckets(t *testing.T) {
 func TestTowardSimilarityIdentityTarget(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	f := simfn.QGramJaccard{Q: 3}
-	got, sim := TowardSimilarity("hello world", 1.0, 0.01, f.Sim, 10, r)
+	got, sim := TowardSimilarity("hello world", 1.0, 0.01, simfn.Bind(f, "hello world"), nil, 10, r)
 	if got != "hello world" || sim != 1 {
 		t.Errorf("target 1.0 should return the input unchanged, got %q (%v)", got, sim)
 	}
@@ -165,7 +165,7 @@ var towardValues = []string{
 // Jaccard.
 func BenchmarkTowardSimilarity(b *testing.B) {
 	f := simfn.QGramJaccard{Q: 3, Fold: true}
-	bound := make([]func(string) float64, len(towardValues))
+	bound, same := make([]func(string) float64, len(towardValues)), simfn.Equivalence(f)
 	for i, v := range towardValues {
 		bound[i] = simfn.Bind(f, v)
 	}
@@ -174,9 +174,7 @@ func BenchmarkTowardSimilarity(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % len(towardValues)
-		sim := bound[k]
-		sinkWalk, _ = TowardSimilarity(towardValues[k], float64(i%11)/10, 0.02,
-			func(_, c string) float64 { return sim(c) }, 200, r)
+		sinkWalk, _ = TowardSimilarity(towardValues[k], float64(i%11)/10, 0.02, bound[k], same, 200, r)
 	}
 }
 

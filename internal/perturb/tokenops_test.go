@@ -94,18 +94,49 @@ var tokenValues = []string{
 	"effective query processing in distributed databases",
 }
 
+// TestTitleCaseTitledAllocFree checks that TitleCase hands back input it
+// would rebuild unchanged, without allocating, and still rebuilds input
+// one byte away from titled as its Fields oracle does.
+func TestTitleCaseTitledAllocFree(t *testing.T) {
+	for _, s := range []string{"", "Hotel Bel-Air", "435 S. La Cienega Blvd.", "Ǆemal", "東京 タワー", "Crème Brûlée", "`Quoted` {Braced}"} {
+		if got := TitleCase(s, nil); got != s {
+			t.Errorf("TitleCase(%q) = %q, want it unchanged", s, got)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { sinkWalk = TitleCase(s, nil) }); allocs != 0 {
+			t.Errorf("TitleCase(%q) allocates %v times, want 0", s, allocs)
+		}
+	}
+	for _, s := range []string{
+		" Hotel", "Hotel ", "Hotel  Bel", "Hotel\tBel", "Hotel\u00a0Bel", "hotel Bel", "Hotel bel",
+		"ǅemal", "ıi", "Ab\xff", "\xff", " ", "Crème brûlée", "a", "zoo", "Zoo zoo",
+	} {
+		if got, want := TitleCase(s, nil), titleCaseFields(s, nil); got != want {
+			t.Errorf("TitleCase(%q) = %q, Fields oracle %q", s, got, want)
+		}
+	}
+}
+
 // BenchmarkTokenOps runs each token op over restaurant- and
-// bibliography-style values.
+// bibliography-style values, and TitleCase also over the same values
+// already titled, which it hands back without rebuilding.
 func BenchmarkTokenOps(b *testing.B) {
+	titled := make([]string, len(tokenValues))
+	for i, v := range tokenValues {
+		titled[i] = titleCaseFields(v, nil)
+	}
 	for _, op := range []struct {
-		name string
-		fn   Op
-	}{{"TitleCase", TitleCase}, {"DropToken", DropToken}, {"SwapTokens", SwapTokens}} {
+		name   string
+		fn     Op
+		values []string
+	}{
+		{"TitleCase", TitleCase, tokenValues}, {"TitleCaseTitled", TitleCase, titled},
+		{"DropToken", DropToken, tokenValues}, {"SwapTokens", SwapTokens, tokenValues},
+	} {
 		b.Run(op.name, func(b *testing.B) {
 			r := rand.New(rand.NewSource(1))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkWalk = op.fn(tokenValues[i%len(tokenValues)], r)
+				sinkWalk = op.fn(op.values[i%len(op.values)], r)
 			}
 		})
 	}

@@ -73,12 +73,31 @@ func BenchmarkQGramJaccardSimPrepped(b *testing.B) {
 }
 
 // BenchmarkBindQGram is the edit walk's inner call: one value bound, a
-// stream of candidates scored against it.
+// stream of candidates scored against it. short binds one restaurant
+// value and scores the ten; long binds each of 256 Products-style
+// descriptions and scores a one-edit variant of it, as the walk does.
 func BenchmarkBindQGram(b *testing.B) {
 	f := QGramJaccard{Q: 3, Fold: true}
-	bound := Bind(f, benchValues[0])
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkSim = bound(benchValues[i%len(benchValues)])
+	b.Run("short", func(b *testing.B) {
+		bound := Bind(f, benchValues[0])
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkSim = bound(benchValues[i%len(benchValues)])
+		}
+	})
+	long := longValues(256)
+	bound := make([]func(string) float64, len(long))
+	variants := make([]string, len(long))
+	for i, v := range long {
+		bound[i] = Bind(f, v)
+		j := i * 37 % len(v)
+		variants[i] = v[:j] + string(rune('a'+i%26)) + v[j+1:]
 	}
+	b.Run("long", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := i % len(long)
+			sinkSim = bound[k](variants[k])
+		}
+	})
 }

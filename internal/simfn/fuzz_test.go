@@ -2,6 +2,7 @@ package simfn
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -91,6 +92,71 @@ func FuzzBindQGram(f *testing.F) {
 			want := oracleQGramJaccard(fn, a, v)
 			if got := bound(v); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s fold=%t: Bind(%q)(%q) = %v, oracle %v", fn.Name(), fold, a, v, got, want)
+			}
+		}
+	})
+}
+
+// flipCase returns s with the case of every ASCII letter at a byte offset
+// i whose bit i%64 of mask is set swapped.
+func flipCase(s string, mask uint64) string {
+	b := []byte(s)
+	for i, c := range b {
+		if l := c | 0x20; 'a' <= l && l <= 'z' && mask>>(i%64)&1 == 1 {
+			b[i] = c ^ 0x20
+		}
+	}
+	return string(b)
+}
+
+// FuzzEquivalence checks Equivalence for folding QGramJaccard: every
+// value is equivalent to itself and to a copy with ASCII letter cases
+// flipped, and equivalent values a and c have equal packed folded grams
+// for q = 1–3 and bit-equal bound scores, Bind(f, x)(a) against
+// Bind(f, x)(c) and Bind(f, a)(x) against Bind(f, c)(x), for q = 1–4.
+func FuzzEquivalence(f *testing.F) {
+	seeds := []struct{ a, b, x string }{
+		{"Hotel Bel-Air", "HOTEL bel-air", "hotel bel air"},
+		{"dsc-w830", "DSC-W830", "dsc w830"},
+		{"ab\xff", "AB\xff", "ab\uFFFD"},
+		{"caf\xc3", "CAF\xc3", "café"},
+		{"\u212Aelvin", "\u212AELVIN", "kelvin"},
+		{"ǅemal", "Ǆemal", "ǆemal"},
+		{"a\tb", "A B", "a b"},
+		{"", "", "x"},
+		{"ab", "Ab", ""},
+	}
+	for _, s := range seeds {
+		f.Add(s.a, s.b, s.x, uint64(0))
+		f.Add(s.a, s.b, s.x, ^uint64(0))
+		f.Add(s.a, s.b, s.x, uint64(0x5555555555555555))
+	}
+	same := Equivalence(QGramJaccard{Q: 3, Fold: true})
+	f.Fuzz(func(t *testing.T, a, b, x string, mask uint64) {
+		if !same(a, a) {
+			t.Fatalf("%q is not equivalent to itself", a)
+		}
+		flipped := flipCase(a, mask)
+		if !same(a, flipped) {
+			t.Fatalf("%q is not equivalent to its case flip %q", a, flipped)
+		}
+		for _, c := range []string{b, flipped} {
+			if !same(a, c) {
+				continue
+			}
+			for q := 1; q <= 4; q++ {
+				if q <= MaxPackedQ {
+					if ka, kc := AppendPackedQGrams(nil, a, q, true), AppendPackedQGrams(nil, c, q, true); !slices.Equal(ka, kc) {
+						t.Fatalf("q=%d: %q and %q are equivalent but pack to %x and %x", q, a, c, ka, kc)
+					}
+				}
+				fn := QGramJaccard{Q: q, Fold: true}
+				if sa, sc := Bind(fn, x)(a), Bind(fn, x)(c); math.Float64bits(sa) != math.Float64bits(sc) {
+					t.Fatalf("%s: Bind(%q) scores equivalent %q and %q as %v and %v", fn.Name(), x, a, c, sa, sc)
+				}
+				if sa, sc := Bind(fn, a)(x), Bind(fn, c)(x); math.Float64bits(sa) != math.Float64bits(sc) {
+					t.Fatalf("%s: equivalent Bind(%q) and Bind(%q) score %q as %v and %v", fn.Name(), a, c, x, sa, sc)
+				}
 			}
 		}
 	})

@@ -112,27 +112,73 @@ func TestAppendQGramsPositions(t *testing.T) {
 }
 
 // TestBindQGramAllocFree pins the bound matcher's steady state: once its
-// scratch table has grown to fit, a call on ASCII input with capitals (the
-// folding path) allocates nothing.
+// scratch table has grown to fit, a call allocates nothing, on ASCII input
+// with capitals (the folding path), non-ASCII input, a value shorter than
+// q and the empty value.
 func TestBindQGramAllocFree(t *testing.T) {
 	bound := Bind(QGramJaccard{Q: 3, Fold: true}, "Arnie Morton's of Chicago")
-	b := "ARNIE Mortons of CHICAGO Steakhouse"
-	bound(b)
-	if allocs := testing.AllocsPerRun(100, func() { bound(b) }); allocs != 0 {
+	values := []string{"ARNIE Mortons of CHICAGO Steakhouse", "Crème Brûlée Café", "ab", "", "Arnie Morton's of Chicago"}
+	for _, b := range values {
+		bound(b)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() { bound(values[i%len(values)]); i++ }); allocs != 0 {
 		t.Errorf("bound q-gram call allocates %v times, want 0", allocs)
 	}
 }
 
 // TestQGramMatcherGenerationWrap runs the matcher across a wrap of its
-// scratch table's generation counter: stale stamps must not read as live.
+// generation counter: no stamp of a call before the wrap may read as live
+// after it, on a's table or on the scratch table.
 func TestQGramMatcherGenerationWrap(t *testing.T) {
+	const a = "Hotel Bel-Air"
 	f := QGramJaccard{Q: 3, Fold: true}
-	m := newQGramMatcher(f, "Hotel Bel-Air")
-	m.sim("Hotel Bel Air")
-	m.gen = ^uint32(0) - 1
-	for _, b := range []string{"Hotel Bel-Air", "Cafe Bizou", "hotel bel-air", "Campanile"} {
-		if got, want := m.sim(b), f.Sim("Hotel Bel-Air", b); got != want {
-			t.Errorf("gen %d: sim(%q) = %v, want %v", m.gen, b, got, want)
+	m := newQGramMatcher(f, a)
+	// Generation 1 stamps the grams of "Hotel Bel Air" inside a on a's
+	// table and those outside it on the scratch table. The call after the
+	// wrap is generation 1 again and scores the same value, so a stamp
+	// that survived the wrap on either table would hide a gram from it.
+	for i, b := range []string{"Hotel Bel Air", "Campanile", "Hotel Bel Air", "Cafe Bizou", "hotel bel-air"} {
+		if i == 1 {
+			m.gen = ^uint32(0) - 1
+		}
+		if got, want := m.sim(b), f.Sim(a, b); got != want {
+			t.Errorf("call %d, gen %d: sim(%q) = %v, want %v", i, m.gen, b, got, want)
+		}
+		if i == 2 && m.gen != 1 {
+			t.Fatalf("call %d ran at gen %d, want the wrap to restart at 1", i, m.gen)
+		}
+	}
+}
+
+// TestEquivalence pins which values Equivalence calls the same: ASCII
+// letter case alone under a folding QGramJaccard, and nothing but string
+// equality (a nil test) for every other Func.
+func TestEquivalence(t *testing.T) {
+	for _, f := range []Func{QGramJaccard{Q: 3}, EditSim{}, TokenJaccard{}, Exact{}, Numeric{Max: 1}} {
+		if Equivalence(f) != nil {
+			t.Errorf("Equivalence(%s) is not nil", f.Name())
+		}
+	}
+	same := Equivalence(QGramJaccard{Q: 3, Fold: true})
+	for _, tc := range []struct {
+		a, b string
+		want bool
+	}{
+		{"", "", true},
+		{"Hotel Bel-Air", "HOTEL bel-air", true},
+		{"dsc-w830", "DSC-W830", true},
+		{"crème", "CRèME", true},
+		{"ab", "abc", false},
+		{"@[", "`{", false},    // bit 5 alone, not letters
+		{"a b", "a\tb", false}, // a tab for a space
+		{"ǅ", "Ǆ", false},      // a non-ASCII case pair
+		{"k", "\u212A", false}, // the Kelvin sign folds to k but is longer
+		{"ab\xff", "ab\uFFFD", false},
+		{"\xe9", "\xc9", false}, // bytes above ASCII that differ in bit 5
+	} {
+		if got := same(tc.a, tc.b); got != tc.want {
+			t.Errorf("same(%q, %q) = %t, want %t", tc.a, tc.b, got, tc.want)
 		}
 	}
 }

@@ -45,10 +45,13 @@ type Preprocessor interface {
 
 // Bind returns sim(a, ·) with a's preprocessing hoisted out of the loop:
 // when f is a Preprocessor, a is prepped once and every call pays only for
-// b. The returned function equals f.Sim(a, b) exactly. For QGramJaccard
-// with q ≤ 3 it is a sort-free matcher (see qgramMatcher) that keeps
-// scratch state between calls, so the returned function must be called
-// from one goroutine at a time; bind once per goroutine.
+// b. The returned function equals f.Sim(a, b) exactly; it is the
+// one-argument scorer against a fixed reference that the edit walk
+// (perturb.TowardSimilarity) takes, with Equivalence(f) as its test for
+// values it need not score again. For QGramJaccard with q ≤ 3 it is a
+// sort-free matcher (see qgramMatcher) that keeps scratch state between
+// calls, so the returned function must be called from one goroutine at a
+// time; bind once per goroutine.
 func Bind(f Func, a string) func(b string) float64 {
 	if qg, ok := f.(QGramJaccard); ok && qg.q() <= MaxPackedQ {
 		return newQGramMatcher(qg, a).sim
@@ -58,6 +61,41 @@ func Bind(f Func, a string) func(b string) float64 {
 		return func(b string) float64 { return pp.SimPrepped(pa, pp.Prep(b)) }
 	}
 	return func(b string) float64 { return f.Sim(a, b) }
+}
+
+// Equivalence returns a test under which f cannot tell two values apart:
+// when it holds for a and b, f.Sim(x, a) and f.Sim(x, b) have the same
+// bits for every x, and so do Bind(f, x)(a) and Bind(f, x)(b). It returns
+// nil when string equality is the only such test it knows, which is so
+// for every Func but QGramJaccard with Fold. That one compares values
+// case-folded, and two values of equal length whose bytes differ only in
+// ASCII letter case fold to the same units: an ASCII byte is never part
+// of a multi-byte sequence, so both decode at the same boundaries, and
+// A–Z fold to a–z. Any other byte difference (a non-ASCII case pair such
+// as "ǅ"/"Ǆ", a tab for a space, a length change) is not equivalent, even
+// where it happens to score the same.
+func Equivalence(f Func) func(a, b string) bool {
+	if qg, ok := f.(QGramJaccard); ok && qg.Fold {
+		return equalFoldASCII
+	}
+	return nil
+}
+
+// equalFoldASCII reports whether a and b have equal length and equal
+// bytes up to ASCII letter case.
+func equalFoldASCII(a, b string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := 0; i < len(a); i++ {
+		if x, y := a[i], b[i]; x != y {
+			// Only a letter and its other case agree once bit 5 is set.
+			if c := x | 0x20; c != y|0x20 || c < 'a' || c > 'z' {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Inverter is implemented by similarity functions that can synthesize a
@@ -190,13 +228,19 @@ func AppendPackedQGrams(dst []uint64, s string, q int, fold bool) []uint64 {
 	if k == 0 || k >= q {
 		return dst
 	}
+	return append(dst, shortPackedKey(s, k, fold))
+}
+
+// shortPackedKey is the one key of a non-empty value s of k < q units
+// (see AppendPackedQGrams).
+func shortPackedKey(s string, k int, fold bool) uint64 {
 	key := uint64(1)<<63 | uint64(k)<<61
 	for i, shift := 0, 0; i < len(s); shift += 21 {
 		u, size := packUnit(s, i, fold)
 		key |= u << shift
 		i += size
 	}
-	return append(dst, key)
+	return key
 }
 
 // packUnit decodes the gram unit at s[i:] and its width in bytes (see

@@ -170,7 +170,7 @@ func (rs *RuleSynthesizer) Synthesize(s string, target float64, r *rand.Rand) (s
 	}
 	// Every similarity in this search keeps s fixed on one side, so prep s
 	// once (q-gram/token set extraction) and reuse it for every candidate.
-	simS := simfn.Bind(rs.Sim, s)
+	simS, same := simfn.Bind(rs.Sim, s), simfn.Equivalence(rs.Sim)
 	best, bestSim := s, simS(s)
 	bestScore := math.Abs(bestSim - target)
 	consider := func(c string, penalty float64) {
@@ -191,7 +191,7 @@ func (rs *RuleSynthesizer) Synthesize(s string, target float64, r *rand.Rand) (s
 		case 0:
 			// Walk edits from s toward the target, then snap stray tokens
 			// back into the background vocabulary.
-			c, _ := perturb.TowardSimilarity(s, target, 0.02, func(_, b string) float64 { return simS(b) }, maxSteps, r)
+			c, _ := perturb.TowardSimilarity(s, target, 0.02, simS, same, maxSteps, r)
 			consider(rs.repairTokens(c), walkPenalty)
 		case 1:
 			// An unrelated in-domain string usually lands near zero — the
@@ -199,10 +199,10 @@ func (rs *RuleSynthesizer) Synthesize(s string, target float64, r *rand.Rand) (s
 			consider(rs.Corpus[r.Intn(len(rs.Corpus))], 0)
 		default:
 			// Token blend of s and a donor lands mid-range; polish with a
-			// short edit walk.
+			// short edit walk from the blend, still scored against s.
 			donor := rs.Corpus[r.Intn(len(rs.Corpus))]
 			c := blend(s, donor, target, r)
-			c, _ = perturb.TowardSimilarity(c, target, 0.02, func(_, b string) float64 { return simS(b) }, maxSteps/4, r)
+			c, _ = perturb.TowardSimilarity(c, target, 0.02, simS, same, maxSteps/4, r)
 			consider(rs.repairTokens(c), 0.02)
 		}
 	}

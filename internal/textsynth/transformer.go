@@ -152,7 +152,7 @@ func BuildPairs(corpus []string, sim simfn.Func, buckets, perBucket int, r *rand
 		for len(out[bk]) < perBucket && attempts < perBucket*20 {
 			attempts++
 			a := corpus[r.Intn(len(corpus))]
-			b, s := perturb.TowardSimilarity(a, center, 0.05, sim.Sim, 150, r)
+			b, s := perturb.TowardSimilarity(a, center, 0.05, simfn.Bind(sim, a), simfn.Equivalence(sim), 150, r)
 			if Bucket(s, buckets) == bk && a != b {
 				out[bk] = append(out[bk], Pair{S: a, T: b, Sim: s})
 			}
