@@ -27,9 +27,9 @@ func TestMain(m *testing.M) {
 		switch {
 		case err == nil:
 			os.Exit(0)
-		case errors.Is(err, checkpoint.ErrInterrupted), errors.Is(err, context.Canceled):
-			// Both stop paths — the legacy interrupt flag and a signal
-			// canceling the run's context — are the clean aborted exit.
+		case errors.Is(err, context.Canceled):
+			// A signal canceling the run's context is the clean aborted
+			// exit.
 			os.Exit(3)
 		default:
 			fmt.Fprintln(os.Stderr, "serd:", err)
@@ -157,7 +157,7 @@ func killAndResume(t *testing.T, args []string, k int, match func(m checkpoint.M
 				nth++
 				if nth == k {
 					killed = true
-					return checkpoint.ErrInterrupted
+					return context.Canceled
 				}
 			}
 			return nil
@@ -168,8 +168,8 @@ func killAndResume(t *testing.T, args []string, k int, match func(m checkpoint.M
 	if !killed {
 		t.Fatalf("fault hook never hit (err = %v)", err)
 	}
-	if !errors.Is(err, checkpoint.ErrInterrupted) {
-		t.Fatalf("killed run: err = %v, want ErrInterrupted", err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed run: err = %v, want context.Canceled", err)
 	}
 	sum, err := loadSummary(filepath.Join("out", journal.DefaultName))
 	if err != nil {
@@ -293,14 +293,14 @@ func TestRunResumeRejectsMismatchedFlags(t *testing.T) {
 	testHookCheckpointer = func(cp *checkpoint.Checkpointer) {
 		cp.FaultHook = func(m checkpoint.Meta) error {
 			if m.Phase == "s2" {
-				return checkpoint.ErrInterrupted
+				return context.Canceled
 			}
 			return nil
 		}
 	}
 	err := run(args, io.Discard)
 	testHookCheckpointer = oldHook
-	if !errors.Is(err, checkpoint.ErrInterrupted) {
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("killed run: %v", err)
 	}
 
@@ -355,14 +355,14 @@ func TestRunResumeRejectsGeneratorMismatch(t *testing.T) {
 	testHookCheckpointer = func(cp *checkpoint.Checkpointer) {
 		cp.FaultHook = func(m checkpoint.Meta) error {
 			if m.Phase == "s2" {
-				return checkpoint.ErrInterrupted
+				return context.Canceled
 			}
 			return nil
 		}
 	}
 	err := run(args, io.Discard)
 	testHookCheckpointer = oldHook
-	if !errors.Is(err, checkpoint.ErrInterrupted) {
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("killed run: %v", err)
 	}
 

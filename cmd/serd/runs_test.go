@@ -73,16 +73,16 @@ func TestRunsEndToEnd(t *testing.T) {
 		t.Fatalf("run A did not announce registration:\n%s", out.String())
 	}
 
-	// A slowed twin: the stage-dwell hook stretches every non-silent
-	// stage inside its span, so the slowdown lands in the journaled phase
-	// durations the registry distills — a manufactured, deterministic
-	// wall-clock regression (the same trick the CI runs-smoke job uses).
-	t.Setenv("SERD_STAGE_SLEEP_MS", "200")
+	// A slower twin: ten times the entities from the same input, so S2
+	// and S3 do real extra work that lands in the journaled phase
+	// durations the registry distills (the CI runs-smoke job does the
+	// same). At this seed and size its jsd is no better than run A's, so
+	// the reverse compare below stays an improvement on every axis.
 	out.Reset()
-	if err := run(synthArgs(inDir, filepath.Join(dir, "outB"), storeDir, 8), &out); err != nil {
+	bArgs := append(synthArgs(inDir, filepath.Join(dir, "outB"), storeDir, 8), "-size-a", "300", "-size-b", "300")
+	if err := run(bArgs, &out); err != nil {
 		t.Fatalf("run B: %v\n%s", err, out.String())
 	}
-	t.Setenv("SERD_STAGE_SLEEP_MS", "")
 
 	// list: both runs, oldest first; -q emits bare ids for scripting.
 	out.Reset()
@@ -131,8 +131,8 @@ func TestRunsEndToEnd(t *testing.T) {
 		t.Fatalf("self-compare output:\n%s", out.String())
 	}
 
-	// compare fast vs slowed: the per-stage dwell must trip the gate and
-	// surface as the sentinel the CLI maps to exit code 3.
+	// compare fast vs slower: the per-stage wall growth must trip the gate
+	// and surface as the sentinel the CLI maps to exit code 3.
 	out.Reset()
 	err := run([]string{"runs", "compare", "-store", storeDir, idA, idB}, &out)
 	if !errors.Is(err, runstore.ErrRegression) {

@@ -67,11 +67,11 @@ func (g QGram) candidatesOn(pool *parallel.Pool, a, b *dataset.Relation) ([]data
 	if err := checkParams("qgram", param{"Q", d.Q}, param{"MinShared", d.MinShared}, param{"MaxPerEntity", d.MaxPerEntity}); err != nil {
 		return nil, err
 	}
-	newGrams := func() interner { return &substringGrams{q: d.Q, ids: make(map[string]int32)} }
+	var grams interner = &substringGrams{q: d.Q, ids: make(map[string]int32)}
 	if d.Q <= simfn.MaxPackedQ {
-		newGrams = func() interner { return newPackedGrams(d.Q) }
+		grams = newPackedGrams(d.Q)
 	}
-	ix := newGramIndex(pool, newGrams, b, d.Column)
+	ix := newGramIndex(grams, b, d.Column)
 	n := a.Len()
 	w := min(pool.Workers(), n)
 	chunks := make([][]dataset.Pair, w)
@@ -93,46 +93,23 @@ type gramIndex struct {
 	nB              int
 }
 
-// newGramIndex indexes B's values in column col. B is cut into contiguous
-// chunks, one per worker of pool (phase "blocking.qgram"), and each chunk
-// interns its values' grams into an interner of its own from newGrams, in
-// B order. The chunk interners are then merged into the first, serially
-// and in chunk order, and each chunk's ids are rewritten to the merged
-// ones. So a gram's id is its rank by first occurrence in B, as one serial
-// pass numbers them, and ids and postings are the same at any worker
-// count.
-func newGramIndex(pool *parallel.Pool, newGrams func() interner, b *dataset.Relation, col int) *gramIndex {
+// newGramIndex indexes B's values in column col, interning their grams
+// into grams in one pass in B order: a gram's id is its rank by first
+// occurrence in B.
+func newGramIndex(grams interner, b *dataset.Relation, col int) *gramIndex {
 	nB := b.Len()
-	w := max(min(pool.Workers(), nB), 1)
-	grams := make([]interner, w)
-	chunks := make([][]int32, w) // each chunk's entities' distinct ids
-	bOff := make([]int, nB+1)    // entity j's ids end at bOff[j+1] in its chunk, then in ids
-	pool.Run("blocking.qgram", w, func(c int) {
-		lo, hi := c*nB/w, (c+1)*nB/w
-		bytes := 0 // a value has at most one gram per byte
-		for _, e := range b.Entities[lo:hi] {
-			bytes += len(e.Values[col])
-		}
-		g, ids := newGrams(), make([]int32, 0, bytes)
-		var sc gramScratch
-		for j := lo; j < hi; j++ {
-			ids = sc.appendDistinct(ids, g, b.Entities[j].Values[col], true)
-			bOff[j+1] = len(ids)
-		}
-		grams[c], chunks[c] = g, ids
-	})
-	ids := chunks[0]
-	for c := 1; c < w; c++ {
-		remap := grams[0].merge(grams[c])
-		for k, id := range chunks[c] {
-			chunks[c][k] = remap[id]
-		}
-		for j := c * nB / w; j < (c+1)*nB/w; j++ {
-			bOff[j+1] += len(ids)
-		}
-		ids = append(ids, chunks[c]...)
+	bytes := 0 // a value has at most one gram per byte
+	for _, e := range b.Entities {
+		bytes += len(e.Values[col])
 	}
-	n := grams[0].len()
+	ids := make([]int32, 0, bytes)
+	bOff := make([]int, nB+1) // entity j's distinct ids are ids[bOff[j]:bOff[j+1]]
+	var sc gramScratch
+	for j, e := range b.Entities {
+		ids = sc.appendDistinct(ids, grams, e.Values[col], true)
+		bOff[j+1] = len(ids)
+	}
+	n := grams.len()
 	start := make([]int32, n+1)
 	for _, id := range ids {
 		start[id+1]++
@@ -148,7 +125,7 @@ func newGramIndex(pool *parallel.Pool, newGrams func() interner, b *dataset.Rela
 			fill[id]++
 		}
 	}
-	return &gramIndex{grams: grams[0], start: start, postings: postings, nB: nB}
+	return &gramIndex{grams: grams, start: start, postings: postings, nB: nB}
 }
 
 // probe returns the candidate pairs of the A-entities as, which start at
@@ -293,10 +270,6 @@ type interner interface {
 	appendIDs(dst []int32, v string, intern bool, sc *gramScratch) []int32
 	// len is the number of ids handed out.
 	len() int
-	// merge interns other's grams, which must come from an interner of the
-	// same kind, in other's id order, and returns the id here of each of
-	// other's ids.
-	merge(other interner) []int32
 }
 
 // gramScratch is one goroutine's buffers for interning and deduplicating
@@ -366,20 +339,6 @@ func (x *packedGrams) appendIDs(dst []int32, v string, intern bool, sc *gramScra
 	return dst
 }
 
-func (x *packedGrams) merge(other interner) []int32 {
-	keys := other.(*packedGrams).keys
-	x.reserve(len(keys))
-	remap := make([]int32, len(keys))
-	for id, k := range keys {
-		s := &x.slots[x.find(k)]
-		if s.id1 == 0 {
-			x.add(s, k)
-		}
-		remap[id] = s.id1 - 1
-	}
-	return remap
-}
-
 // reserve grows the table until n more keys keep it at most half full.
 func (x *packedGrams) reserve(n int) {
 	for 2*(len(x.keys)+n) > len(x.slots) {
@@ -442,19 +401,6 @@ func (x *substringGrams) appendIDs(dst []int32, v string, intern bool, sc *gramS
 		dst = append(dst, id)
 	}
 	return dst
-}
-
-func (x *substringGrams) merge(other interner) []int32 {
-	grams := other.(*substringGrams).grams
-	remap := make([]int32, len(grams))
-	for id, gram := range grams {
-		to, ok := x.ids[gram]
-		if !ok {
-			to = x.add(gram)
-		}
-		remap[id] = to
-	}
-	return remap
 }
 
 // add gives gram the next id and returns it.

@@ -173,42 +173,6 @@ func TestQGramMatchesOracleOnFixture(t *testing.T) {
 	}
 }
 
-// TestGramIndexSameAtAnyWorkerCount checks that the index over B — the
-// gram of every id, the offsets and the posting lists — built from B
-// interned in chunks on a pool is the one a serial pass builds, on both
-// interners (q = 1–5) and on the folded and sparse fixtures.
-func TestGramIndexSameAtAnyWorkerCount(t *testing.T) {
-	g := fixture(t)
-	col := titleCol(t, g)
-	_, fb := foldFixture(t, g, col)
-	_, sb := sparseFixture(t)
-	for _, rel := range []struct {
-		name string
-		col  int
-		b    *dataset.Relation
-	}{{"fixture", col, g.ER.B}, {"folded", 0, fb}, {"sparse", 0, sb}} {
-		for q := 1; q <= 5; q++ {
-			newGrams := func() interner { return &substringGrams{q: q, ids: make(map[string]int32)} }
-			if q <= simfn.MaxPackedQ {
-				newGrams = func() interner { return newPackedGrams(q) }
-			}
-			byID := func(ix *gramIndex) any {
-				if x, ok := ix.grams.(*packedGrams); ok {
-					return x.keys
-				}
-				return ix.grams.(*substringGrams).grams
-			}
-			want := newGramIndex(nil, newGrams, rel.b, rel.col)
-			for _, pool := range testPools[1:] {
-				got := newGramIndex(pool, newGrams, rel.b, rel.col)
-				if fmt.Sprint(byID(got)) != fmt.Sprint(byID(want)) || !slices.Equal(got.start, want.start) || !slices.Equal(got.postings, want.postings) {
-					t.Fatalf("%s q=%d: index at %d workers differs from the serial one", rel.name, q, pool.Workers())
-				}
-			}
-		}
-	}
-}
-
 // TestUnionCandidatesOnMatchesSerial checks a pooled Union — q-gram
 // members on both gram paths, next to members without a pooled path —
 // against the serial one, pair for pair and in order.

@@ -17,6 +17,10 @@
 // contract is byte-for-byte equivalence: a run killed and resumed from any
 // checkpoint produces the same output dataset SHA-256 as the uninterrupted
 // run (pinned by the fault-injection tests in core and cmd/serd).
+//
+// A Checkpointer never stops a run: a stage stops when its context is
+// canceled, saves its final checkpoint and returns the context's error
+// (package pipeline).
 package checkpoint
 
 import (
@@ -37,12 +41,6 @@ import (
 
 // Version is the envelope format version; readers reject anything else.
 const Version = 1
-
-// ErrInterrupted is wrapped by pipeline stages that stopped at a clean
-// checkpoint boundary because Interrupt was called (SIGINT/SIGTERM). The
-// work up to the final checkpoint is durable; the run's journal closes with
-// status "aborted", and a later -resume continues from where it stopped.
-var ErrInterrupted = errors.New("checkpoint: interrupted")
 
 // Meta identifies what a checkpoint file covers and where the journal stood
 // when it was written.
@@ -96,7 +94,6 @@ type Checkpointer struct {
 	seed    int64
 	journal *journal.Journal
 	saved   atomic.Uint64
-	stop    atomic.Bool
 
 	// Metrics, when set, receives "checkpoint.save" spans and counters.
 	Metrics telemetry.Recorder
@@ -166,19 +163,6 @@ func (c *Checkpointer) Clear() error {
 	c.saved.Store(0)
 	return nil
 }
-
-// Interrupt requests a clean stop: pipeline stages check Interrupted at
-// their next checkpoint boundary, write a final checkpoint and return
-// ErrInterrupted. Safe to call from a signal handler goroutine.
-func (c *Checkpointer) Interrupt() {
-	if c != nil {
-		c.stop.Store(true)
-	}
-}
-
-// Interrupted reports whether Interrupt was called. Nil-safe, so pipeline
-// loops can poll without a checkpointer configured.
-func (c *Checkpointer) Interrupted() bool { return c != nil && c.stop.Load() }
 
 // SaveS1 checkpoints the post-S1 state (the learned O_real).
 func (c *Checkpointer) SaveS1(st *S1State) error {

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -205,28 +206,13 @@ func TestJournalSeamRecorded(t *testing.T) {
 	j2.Close()
 }
 
-func TestInterruptFlag(t *testing.T) {
-	var c *Checkpointer
-	if c.Interrupted() {
-		t.Fatal("nil checkpointer reports interrupted")
-	}
-	c = newTestCheckpointer(t, t.TempDir(), nil)
-	if c.Interrupted() {
-		t.Fatal("fresh checkpointer reports interrupted")
-	}
-	c.Interrupt()
-	if !c.Interrupted() {
-		t.Fatal("Interrupt not observed")
-	}
-}
-
 // TestFaultHookAborts pins the fault-injection seam used by the e2e kill
 // tests: a hook error surfaces from the save.
 func TestFaultHookAborts(t *testing.T) {
 	c := newTestCheckpointer(t, t.TempDir(), nil)
 	c.FaultHook = func(m Meta) error {
 		if m.Phase == "s2" {
-			return ErrInterrupted
+			return context.Canceled
 		}
 		return nil
 	}

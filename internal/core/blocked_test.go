@@ -41,7 +41,7 @@ func TestLabelAllPairsBlockedSampledOverlap(t *testing.T) {
 		cands = append(cands, p)
 	}
 	pa, pb := gen.ER.Prep(nil)
-	matches, err := labelAllPairs(context.Background(), nil, j, pa, pb, sampled, cands, true, nil)
+	matches, err := labelAllPairs(context.Background(), j, pa, pb, sampled, cands, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,6 @@ import (
 	"serd/internal/gmm"
 	"serd/internal/journal"
 	"serd/internal/parallel"
-	"serd/internal/pipeline"
 	"serd/internal/telemetry"
 	"serd/internal/textsynth"
 )
@@ -61,9 +60,6 @@ type Options struct {
 	GAN *gan.GAN
 	// GANDecode supplies decode candidates for GAN cold start.
 	GANDecode gan.DecodeOptions
-	// ColdStart supplies the manually prepared bootstrap entity of S2,
-	// overriding both GAN and per-column cold start.
-	ColdStart *dataset.Entity
 	// Alpha is the distribution-rejection slack of Eq. 10 (default 1).
 	Alpha float64
 	// Beta is the discriminator rejection threshold (default 0.6, the
@@ -123,11 +119,10 @@ type Options struct {
 	// from the journaled configuration.
 	Workers int
 	// Checkpoint, when set, persists the pipeline state after S1 and every
-	// Checkpoint.Every() accepted S2 entities, and — when its interrupt
-	// flag is raised — writes a final checkpoint and returns
-	// checkpoint.ErrInterrupted instead of continuing. Checkpointing never
-	// touches the RNG stream: runs with and without it produce identical
-	// datasets.
+	// Checkpoint.Every() accepted S2 entities, and writes a final
+	// checkpoint when the context is canceled mid-S2 or mid-S3.
+	// Checkpointing never touches the RNG stream: runs with and without it
+	// produce identical datasets.
 	Checkpoint *checkpoint.Checkpointer
 	// Resume continues a checkpointed run: with an S2 state the whole
 	// pipeline position (entity pools, sampled labels, rejection state, RNG
@@ -245,17 +240,9 @@ func sampleEntity(rel *dataset.Relation, matching bool, matchedIdx map[int]bool,
 	}
 }
 
-// bootstrap produces the first fake A-entity (§IV-B2): a manually prepared
-// entity when given, else a GAN sample, else per-column cold start.
+// bootstrap produces the first fake A-entity (§IV-B2): a GAN sample when
+// a GAN is given, else per-column cold start.
 func bootstrap(vs *valueSynth, real *dataset.ER, opts Options, r *rand.Rand) (*dataset.Entity, error) {
-	if opts.ColdStart != nil {
-		if len(opts.ColdStart.Values) != real.Schema().Len() {
-			return nil, fmt.Errorf("core: cold-start entity has %d values, schema has %d columns", len(opts.ColdStart.Values), real.Schema().Len())
-		}
-		e := opts.ColdStart.Clone()
-		e.ID = "sa1"
-		return e, nil
-	}
 	if opts.GAN != nil {
 		e, err := opts.GAN.SampleEntity("sa1", opts.GANDecode, r)
 		if err == nil {
@@ -280,12 +267,9 @@ func bootstrap(vs *valueSynth, real *dataset.ER, opts Options, r *rand.Rand) (*d
 // skip remaining slots once the run is stopped, the partial labeling is
 // discarded, and the stop cause is returned. An untriggered context adds
 // one flag read per slot and changes nothing else.
-func labelAllPairs(ctx context.Context, cp *checkpoint.Checkpointer, oReal generator.Dist, a, b *dataset.Preps, sampled map[dataset.Pair]bool, cands []dataset.Pair, blocked bool, pool *parallel.Pool) ([]dataset.Pair, error) {
-	if err := pipeline.Stopped(ctx, cp); err != nil {
+func labelAllPairs(ctx context.Context, oReal generator.Dist, a, b *dataset.Preps, sampled map[dataset.Pair]bool, cands []dataset.Pair, blocked bool, pool *parallel.Pool) ([]dataset.Pair, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	stopped := func() bool {
-		return (ctx != nil && ctx.Err() != nil) || cp.Interrupted()
 	}
 	var matches []dataset.Pair
 	for p, m := range sampled {
@@ -302,12 +286,12 @@ func labelAllPairs(ctx context.Context, cp *checkpoint.Checkpointer, oReal gener
 	if blocked {
 		hit := make([]bool, len(cands))
 		pool.Run("core.s3.label", len(cands), func(i int) {
-			if stopped() {
+			if ctx.Err() != nil {
 				return
 			}
 			hit[i] = score(cands[i])
 		})
-		if err := pipeline.Stopped(ctx, cp); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		for i, p := range cands {
@@ -320,7 +304,7 @@ func labelAllPairs(ctx context.Context, cp *checkpoint.Checkpointer, oReal gener
 	}
 	rows := make([][]dataset.Pair, a.Len())
 	pool.Run("core.s3.label", a.Len(), func(i int) {
-		if stopped() {
+		if ctx.Err() != nil {
 			return
 		}
 		var local []dataset.Pair
@@ -331,7 +315,7 @@ func labelAllPairs(ctx context.Context, cp *checkpoint.Checkpointer, oReal gener
 		}
 		rows[i] = local
 	})
-	if err := pipeline.Stopped(ctx, cp); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	for _, row := range rows {

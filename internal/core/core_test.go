@@ -238,27 +238,6 @@ func TestSynthesizeRejectsNegativeOptions(t *testing.T) {
 	}
 }
 
-func TestSynthesizeWithManualColdStart(t *testing.T) {
-	gen, synths := fixture(t, 25, 25, 10)
-	cold := &dataset.Entity{ID: "manual", Values: []string{
-		"A Manually Prepared Fake Paper Title", "Jane Doe", "VLDB", "2001",
-	}}
-	res, err := Synthesize(context.Background(), gen.ER, Options{Synthesizers: synths, ColdStart: cold, Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Syn.A.Entities[0].Values[0]; got != cold.Values[0] {
-		t.Errorf("first entity = %q, want the manual cold start", got)
-	}
-	if res.Syn.A.Entities[0].ID != "sa1" {
-		t.Errorf("cold-start ID = %q, want sa1", res.Syn.A.Entities[0].ID)
-	}
-	// Manual cold start with wrong arity must error.
-	if _, err := Synthesize(context.Background(), gen.ER, Options{Synthesizers: synths, ColdStart: &dataset.Entity{Values: []string{"x"}}, Seed: 10}); err == nil {
-		t.Error("wrong-arity cold start accepted")
-	}
-}
-
 func TestSERDMinusSkipsRejection(t *testing.T) {
 	gen, synths := fixture(t, 40, 40, 20)
 	res, err := Synthesize(context.Background(), gen.ER, Options{Synthesizers: synths, DisableRejection: true, Seed: 11})
@@ -334,7 +313,7 @@ func TestLabelAllPairsUsesPosterior(t *testing.T) {
 	// Label the REAL dataset's pairs with S3: the recovered matches should
 	// largely agree with ground truth (M and N are well separated).
 	pa, pb := gen.ER.Prep(nil)
-	matches, err := labelAllPairs(context.Background(), nil, j, pa, pb, nil, nil, false, nil)
+	matches, err := labelAllPairs(context.Background(), j, pa, pb, nil, nil, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func TestSynthesizeKillAndResumeBitIdentical(t *testing.T) {
 		cp.FaultHook = func(m checkpoint.Meta) error {
 			if m.Saved == k {
 				killed = true
-				return checkpoint.ErrInterrupted
+				return context.Canceled
 			}
 			return nil
 		}
@@ -97,8 +97,8 @@ func TestSynthesizeKillAndResumeBitIdentical(t *testing.T) {
 			}
 			return
 		}
-		if !errors.Is(err, checkpoint.ErrInterrupted) {
-			t.Fatalf("kill %d: err = %v, want ErrInterrupted", k, err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("kill %d: err = %v, want context.Canceled", k, err)
 		}
 
 		snap, err := checkpoint.ReadDir(dir)
@@ -123,47 +123,6 @@ func TestSynthesizeKillAndResumeBitIdentical(t *testing.T) {
 		sameSynthesis(t, latest.Meta.Phase, got, want)
 	}
 	t.Fatal("fault sweep never ran to completion; raise the kill cap")
-}
-
-// TestSynthesizeInterruptWritesFinalCheckpoint pins the SIGINT path: a
-// raised interrupt flag stops S2 after a final checkpoint, the error wraps
-// checkpoint.ErrInterrupted, and resuming completes bit-identically.
-func TestSynthesizeInterruptWritesFinalCheckpoint(t *testing.T) {
-	opts, er := resumeFixtureOptions(t)
-	want, err := Synthesize(context.Background(), er, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	cp, err := checkpoint.New(checkpoint.Config{Dir: dir, Every: 10, Tool: "serd", Seed: opts.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Interrupt()
-	iopts := opts
-	iopts.Checkpoint = cp
-	if _, err := Synthesize(context.Background(), er, iopts); !errors.Is(err, checkpoint.ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
-	}
-	snap, err := checkpoint.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.S2 == nil {
-		t.Fatal("interrupt did not leave a final S2 checkpoint")
-	}
-	rcp, err := checkpoint.New(checkpoint.Config{Dir: dir, Every: 10, Tool: "serd", Seed: opts.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ropts := opts
-	ropts.Checkpoint = rcp
-	ropts.Resume = &checkpoint.CoreState{S2: snap.S2.S2}
-	got, err := Synthesize(context.Background(), er, ropts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSynthesis(t, "interrupt", got, want)
 }
 
 // TestResumeRefusesUntaggedCheckpoint pins the old-artifact contract: a
@@ -200,14 +159,14 @@ func TestResumedThroughputCountsOnlyNewEntities(t *testing.T) {
 	// Saves: #1 after S1, then S2 at 10, 20, 30, 40 entities.
 	cp.FaultHook = func(m checkpoint.Meta) error {
 		if m.Saved == 5 {
-			return checkpoint.ErrInterrupted
+			return context.Canceled
 		}
 		return nil
 	}
 	kopts := opts
 	kopts.Checkpoint = cp
-	if _, err := Synthesize(context.Background(), er, kopts); !errors.Is(err, checkpoint.ErrInterrupted) {
-		t.Fatalf("kill: err = %v, want ErrInterrupted", err)
+	if _, err := Synthesize(context.Background(), er, kopts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("kill: err = %v, want context.Canceled", err)
 	}
 	snap, err := checkpoint.ReadDir(dir)
 	if err != nil {

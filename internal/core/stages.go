@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
 	"time"
 
 	"serd/internal/blocking"
@@ -71,6 +69,9 @@ type synthRun struct {
 func Synthesize(ctx context.Context, real *dataset.ER, opts Options) (*Result, error) {
 	if real == nil {
 		return nil, errors.New("core: nil dataset")
+	}
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	opts = opts.withDefaults(real)
 	if opts.SizeA < 1 || opts.SizeB < 1 {
@@ -175,7 +176,6 @@ func (st *synthRun) stage(ctx context.Context, name string, silent bool, body fu
 		phase = trace.FromRecorder(st.rec).StartPhase(name)
 	} else {
 		span = st.rec.StartSpan(name)
-		time.Sleep(stageSleep()) // inside the span: attributed to this stage
 	}
 	if err := body(ctx); err != nil {
 		return pipeline.Interrupted(name, err)
@@ -185,23 +185,6 @@ func (st *synthRun) stage(ctx context.Context, name string, silent bool, body fu
 	}
 	phase.End()
 	return nil
-}
-
-// stageSleep reads SERD_STAGE_SLEEP_MS: a test/CI hook that dwells inside
-// every non-silent stage's span for that many milliseconds. The sleep
-// lands between span start and the stage body, so the extra time is
-// attributed to the stage's phase timing (journal dur_s, trace span,
-// run-registry stage table) while dataset and stripped-journal bytes stay
-// untouched — durations are volatile, outside the hash chain. Used by the
-// CI runs-smoke job to manufacture a wall-clock regression that `serd
-// runs compare` must catch. Read at every stage, so tests can flip it
-// between in-process runs.
-func stageSleep() time.Duration {
-	ms, err := strconv.Atoi(os.Getenv("SERD_STAGE_SLEEP_MS"))
-	if err != nil || ms <= 0 {
-		return 0
-	}
-	return time.Duration(ms) * time.Millisecond
 }
 
 // restoreS1 is the S1 of a resumed run: O_real rides in the checkpoint,
@@ -443,7 +426,7 @@ func (st *synthRun) runS2(ctx context.Context) error {
 			blockFrom, blockRejFrom = done, st.rejections
 			block = tr.Child("core.s2.block", trace.Int("from", done))
 		}
-		if stopErr := pipeline.Stopped(ctx, st.cp); stopErr != nil {
+		if stopErr := ctx.Err(); stopErr != nil {
 			if err := st.saveS2(); err != nil {
 				return err
 			}
@@ -579,7 +562,7 @@ func (st *synthRun) runS3(ctx context.Context) error {
 		}
 		st.journalBlocking(cands)
 	}
-	matches, err := labelAllPairs(ctx, st.cp, st.oReal, st.preps[st.synA], st.preps[st.synB], st.sampled, cands, blocked, st.pool)
+	matches, err := labelAllPairs(ctx, st.oReal, st.preps[st.synA], st.preps[st.synB], st.sampled, cands, blocked, st.pool)
 	if err != nil {
 		if serr := st.saveS2(); serr != nil {
 			return serr

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"testing"
-	"time"
 
 	"serd/internal/checkpoint"
 	"serd/internal/telemetry"
@@ -186,29 +185,5 @@ func TestFailedStageLeavesSpanOpen(t *testing.T) {
 	}
 	if fmt.Sprint(rec.events) != "[start:core.s1 end:core.s1 start:core.s2]" {
 		t.Errorf("spans = %v; the canceled core.s2 span must stay open", rec.events)
-	}
-}
-
-// TestStageSleepHook: SERD_STAGE_SLEEP_MS dwells inside each non-silent
-// stage's span, so the slowdown is attributed to stage phase timings;
-// silent stages do not dwell.
-func TestStageSleepHook(t *testing.T) {
-	const dwell = 150 * time.Millisecond
-	t.Setenv("SERD_STAGE_SLEEP_MS", fmt.Sprint(dwell.Milliseconds()))
-	reg, evs := tracedSynthesize(t)
-	for name, ph := range reg.Snapshot().Phases {
-		if ph.TotalSeconds < dwell.Seconds() {
-			t.Errorf("phase %s took %vs, want at least the %v dwell", name, ph.TotalSeconds, dwell)
-		}
-	}
-	for _, ev := range evs {
-		if ev.Kind == "phase_end" && (ev.Name == "core.setup" || ev.Name == "core.finalize") && ev.Dur >= dwell.Nanoseconds() {
-			t.Errorf("silent stage %s took %v; it must not dwell", ev.Name, time.Duration(ev.Dur))
-		}
-	}
-
-	t.Setenv("SERD_STAGE_SLEEP_MS", "not-a-number")
-	if d := stageSleep(); d != 0 {
-		t.Errorf("garbage env value gave a %v dwell, want none", d)
 	}
 }

@@ -1,8 +1,7 @@
 // Package dp implements the differential-privacy machinery of the paper:
 // the DP-SGD update of Algorithm 1 (per-example gradient clipping plus
 // Gaussian noise), an RDP-based privacy accountant for reporting the
-// (ε, δ) guarantee of a training run, and the scalar Laplace and Gaussian
-// mechanisms.
+// (ε, δ) guarantee of a training run, and the scalar Laplace mechanism.
 package dp
 
 import (
@@ -144,20 +143,6 @@ func (a Accountant) Epsilon(steps int, delta float64) float64 {
 	return best
 }
 
-// RecordEpsilon publishes the (ε, δ) spent after the given number of noisy
-// steps to the recorder as the "dp.epsilon" and "dp.delta" gauges — called
-// after each Step, it turns the accountant into a live privacy-budget
-// trajectory on the run inspector. δ is published before ε: journal-backed
-// recorders treat each "dp.epsilon" update as an ε checkpoint and pair it
-// with the most recent δ.
-func (a Accountant) RecordEpsilon(rec telemetry.Recorder, steps int, delta float64) {
-	if !telemetry.Enabled(rec) {
-		return // skip the ε search when nobody is listening
-	}
-	rec.Set("dp.delta", delta)
-	rec.Set("dp.epsilon", a.Epsilon(steps, delta))
-}
-
 // EpsilonForLots returns the ε of (ε, δ)-DP for a DP-SGD run of steps
 // noisy updates at sampling ratio q plus tailSteps updates at tailQ — the
 // accounting shape of epoch-wise training over a dataset whose size is not
@@ -227,7 +212,12 @@ func (a *RDPAccountant) Epsilon(delta float64) float64 {
 	return best
 }
 
-// RecordEpsilon publishes the current (ε, δ) like Accountant.RecordEpsilon.
+// RecordEpsilon publishes the (ε, δ) spent so far to the recorder as the
+// "dp.epsilon" and "dp.delta" gauges — called after each Step, it turns
+// the accountant into a live privacy-budget trajectory on the run
+// inspector. δ is published before ε: journal-backed recorders treat each
+// "dp.epsilon" update as an ε checkpoint and pair it with the most recent
+// δ.
 func (a *RDPAccountant) RecordEpsilon(rec telemetry.Recorder, delta float64) {
 	if !telemetry.Enabled(rec) {
 		return
@@ -283,58 +273,9 @@ func LaplaceMechanism(value, sensitivity, epsilon float64, r *rand.Rand) float64
 	return value - b*sign(u)*math.Log(1-2*math.Abs(u))
 }
 
-// GaussianMechanism releases value + N(0, σ²) with
-// σ = sensitivity·sqrt(2·ln(1.25/δ))/ε, which is (ε, δ)-DP for a query with
-// the given L2 sensitivity (Dwork & Roth, Thm 3.22).
-func GaussianMechanism(value, sensitivity, epsilon, delta float64, r *rand.Rand) float64 {
-	sigma := sensitivity * math.Sqrt(2*math.Log(1.25/delta)) / epsilon
-	return value + sigma*r.NormFloat64()
-}
-
 func sign(v float64) float64 {
 	if v < 0 {
 		return -1
 	}
 	return 1
 }
-
-// Ledger accumulates the privacy cost of a sequence of mechanism
-// invocations against the same dataset. DP-SGD runs compose via the RDP
-// accountant; scalar Laplace/Gaussian releases compose additively on ε (the
-// basic composition bound — conservative but always valid).
-//
-// Ledger is the in-memory tally only. Pipeline runs should prefer
-// journal.Ledger (internal/journal), which additionally journals every
-// expenditure with its mechanism parameters, supports parallel-composition
-// groups, and enforces an ε budget.
-type Ledger struct {
-	entries []ledgerEntry
-}
-
-type ledgerEntry struct {
-	label      string
-	eps, delta float64
-}
-
-// RecordSGD adds a DP-SGD run's (ε, δ) as computed by the accountant.
-func (l *Ledger) RecordSGD(label string, a Accountant, steps int, delta float64) {
-	l.entries = append(l.entries, ledgerEntry{label: label, eps: a.Epsilon(steps, delta), delta: delta})
-}
-
-// RecordMechanism adds a scalar mechanism release.
-func (l *Ledger) RecordMechanism(label string, epsilon, delta float64) {
-	l.entries = append(l.entries, ledgerEntry{label: label, eps: epsilon, delta: delta})
-}
-
-// Total returns the basic-composition bound over everything recorded:
-// ε values and δ values both add.
-func (l *Ledger) Total() (epsilon, delta float64) {
-	for _, e := range l.entries {
-		epsilon += e.eps
-		delta += e.delta
-	}
-	return epsilon, delta
-}
-
-// Len returns the number of recorded releases.
-func (l *Ledger) Len() int { return len(l.entries) }

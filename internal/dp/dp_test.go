@@ -168,58 +168,6 @@ func TestLaplaceMechanismDistribution(t *testing.T) {
 	}
 }
 
-func TestGaussianMechanismDistribution(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	const n = 20000
-	eps, delta := 1.0, 1e-5
-	wantSigma := math.Sqrt(2 * math.Log(1.25/delta))
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := GaussianMechanism(0, 1, eps, delta, r)
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	sd := math.Sqrt(sumSq/n - mean*mean)
-	if math.Abs(mean) > 0.15 {
-		t.Errorf("Gaussian mean = %v", mean)
-	}
-	if math.Abs(sd-wantSigma)/wantSigma > 0.05 {
-		t.Errorf("Gaussian sd = %v, want %v", sd, wantSigma)
-	}
-}
-
-func TestLedgerComposes(t *testing.T) {
-	var l Ledger
-	a := Accountant{Q: 0.05, Noise: 1.1}
-	l.RecordSGD("bucket-1", a, 100, 1e-5)
-	l.RecordSGD("bucket-2", a, 100, 1e-5)
-	l.RecordMechanism("pi-release", 0.5, 0)
-	eps, delta := l.Total()
-	single := a.Epsilon(100, 1e-5)
-	if math.Abs(eps-(2*single+0.5)) > 1e-9 {
-		t.Errorf("eps = %v, want %v", eps, 2*single+0.5)
-	}
-	if math.Abs(delta-2e-5) > 1e-12 {
-		t.Errorf("delta = %v, want 2e-5", delta)
-	}
-	if l.Len() != 3 {
-		t.Errorf("Len = %d", l.Len())
-	}
-}
-
-func TestLedgerEmpty(t *testing.T) {
-	var l Ledger
-	if e, d := l.Total(); e != 0 || d != 0 {
-		t.Errorf("empty ledger total = %v, %v", e, d)
-	}
-}
-
-// TestPartialLotEpsilonRegression pins the fix for accounting the partial
-// final minibatch at the full-lot sampling ratio. N=10, B=4, 3 epochs of
-// without-replacement batching: per epoch two full lots at q=0.4 plus one
-// partial lot of 2 examples at its true q=0.2. The old fixed-q accounting
-// charged all 9 steps at q=0.4, overstating ε.
 func TestPartialLotEpsilonRegression(t *testing.T) {
 	const (
 		noise = 1.1

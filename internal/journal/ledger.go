@@ -40,7 +40,9 @@ func (m BudgetMode) String() string {
 type Entry struct {
 	// Label names the component ("textsynth.bucket03", "privacy_audit.dcr").
 	Label string `json:"label"`
-	// Kind is the mechanism: "dp_sgd", "laplace" or "gaussian".
+	// Kind is the mechanism: "dp_sgd" or "laplace". Journals written by
+	// older versions may also hold "gaussian"; Recompute treats every
+	// kind but "dp_sgd" alike, so they still verify.
 	Kind string `json:"kind"`
 	// Group, when non-empty, marks entries that compose in parallel
 	// (disjoint training sets — e.g. the transformer bank's buckets): the
@@ -166,14 +168,6 @@ func (l *Ledger) ChargeLaplace(label string, epsilon float64) error {
 		return nil
 	}
 	return l.charge(Entry{Label: label, Kind: "laplace", Epsilon: epsilon})
-}
-
-// ChargeGaussian registers a scalar Gaussian release of the given (ε, δ).
-func (l *Ledger) ChargeGaussian(label string, epsilon, delta float64) error {
-	if l == nil {
-		return nil
-	}
-	return l.charge(Entry{Label: label, Kind: "gaussian", Epsilon: epsilon, Delta: delta})
 }
 
 // BudgetData is the payload of a budget enforcement event.

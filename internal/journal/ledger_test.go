@@ -139,7 +139,7 @@ func TestFinishAndSummary(t *testing.T) {
 	if err := l.ChargeSGD("bk0", "bank", 0.25, 1.1, 12, 1e-5); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.ChargeGaussian("release", 0.3, 1e-6); err != nil {
+	if err := l.ChargeSGD("release", "", 0.3, 1.5, 5, 1e-6); err != nil {
 		t.Fatal(err)
 	}
 	eps, delta := l.Finish()

@@ -22,11 +22,11 @@ var DefaultPhases = map[string]bool{
 // Instrument wraps a telemetry.Recorder so that the journal receives the
 // durable subset of the metric stream alongside it: coarse phase spans
 // become phase_start/phase_end events, and the live "dp.epsilon" gauge
-// (published by dp.Accountant.RecordEpsilon after every noisy step) becomes
-// epsilon_checkpoint events. Everything still reaches inner unchanged, so
-// the live inspector and run report see exactly what they would without a
-// journal. The wrapper does no RNG work — instrumented and bare runs with
-// the same seed produce identical datasets.
+// (published by dp.RDPAccountant.RecordEpsilon after every noisy step)
+// becomes epsilon_checkpoint events. Everything still reaches inner
+// unchanged, so the live inspector and run report see exactly what they
+// would without a journal. The wrapper does no RNG work — instrumented and
+// bare runs with the same seed produce identical datasets.
 func Instrument(j *Journal, inner telemetry.Recorder) telemetry.Recorder {
 	inner = telemetry.OrNop(inner)
 	if j == nil {

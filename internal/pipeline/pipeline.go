@@ -4,14 +4,15 @@
 // labeling — plus the signal handling and terminal-status mapping the
 // binaries build on it.
 //
-// Cancellation semantics: phase bodies own the cooperative-stop checks —
-// each re-checks at chunk / minibatch / EM-iteration granularity via
-// Stopped and, on a positive check, writes its final checkpoint before
-// returning the cause (context.Canceled, context.DeadlineExceeded, or
-// checkpoint.ErrInterrupted). Nothing checks for a stop before a stage
+// Cancellation semantics: a run stops only when its context is canceled
+// (SignalContext cancels it on SIGINT/SIGTERM). Phase bodies own the
+// cooperative-stop checks — each re-checks ctx.Err() at chunk /
+// minibatch / EM-iteration granularity and, on a positive check, writes
+// its final checkpoint before returning the cause (context.Canceled or
+// context.DeadlineExceeded). Nothing checks for a stop before a stage
 // starts: only the stage knows how to save its state, and a stop raised
 // before any work must still reach the first stage that can persist a
-// resumable position (pinned by the core interrupt tests). The stage
+// resumable position (pinned by the core cancel tests). The stage
 // sequence wraps the returned cause with Interrupted, naming the
 // interrupted stage; non-cancellation errors pass through unchanged.
 //
@@ -26,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 
-	"serd/internal/checkpoint"
 	"serd/internal/journal"
 )
 
@@ -46,8 +46,7 @@ func (e *StageError) Unwrap() error { return e.Err }
 // cancellation reports whether err is one of the cooperative-stop causes.
 func cancellation(err error) bool {
 	return errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, checkpoint.ErrInterrupted)
+		errors.Is(err, context.DeadlineExceeded)
 }
 
 // Interrupted annotates a stage's error for its caller: a
@@ -61,27 +60,11 @@ func Interrupted(stage string, err error) error {
 	return &StageError{Stage: stage, Err: err}
 }
 
-// Stopped is the uniform cooperative-stop check stage bodies call at
-// chunk / minibatch / EM-iteration granularity. It returns the context's
-// error if the context is done, checkpoint.ErrInterrupted if the
-// checkpointer's interrupt flag is set (nil-safe), and nil otherwise.
-func Stopped(ctx context.Context, cp *checkpoint.Checkpointer) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if cp.Interrupted() {
-		return checkpoint.ErrInterrupted
-	}
-	return nil
-}
-
 // TerminalStatus maps a run's final error to its journaled terminal
 // status plus message — the single definition of "which errors are a
 // clean abort vs a failure", shared by every binary's RunEnd call.
-// Budget exhaustion, checkpoint interrupts and context cancellation are
-// deliberate stops (StatusAborted); anything else failed.
+// Budget exhaustion and context cancellation are deliberate stops
+// (StatusAborted); anything else failed.
 func TerminalStatus(err error) (status, msg string) {
 	if err == nil {
 		return journal.StatusDone, ""

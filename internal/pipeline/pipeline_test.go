@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"testing"
 
-	"serd/internal/checkpoint"
 	"serd/internal/journal"
 )
 
@@ -17,7 +16,6 @@ func TestInterruptedWrapsCancellationWithStageName(t *testing.T) {
 	for _, cause := range []error{
 		context.Canceled,
 		context.DeadlineExceeded,
-		checkpoint.ErrInterrupted,
 		fmt.Errorf("core: s2 interrupted at 5/48 entities: %w", context.Canceled),
 	} {
 		err := Interrupted("core.s2", cause)
@@ -43,36 +41,6 @@ func TestInterruptedDoesNotWrapOrdinaryErrors(t *testing.T) {
 	}
 }
 
-func TestStopped(t *testing.T) {
-	if err := Stopped(context.Background(), nil); err != nil {
-		t.Fatalf("Stopped(background, nil) = %v", err)
-	}
-	if err := Stopped(nil, nil); err != nil {
-		t.Fatalf("Stopped(nil, nil) = %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := Stopped(ctx, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Stopped(canceled, nil) = %v", err)
-	}
-	cp, err := checkpoint.New(checkpoint.Config{Dir: t.TempDir(), Tool: "test"})
-	if err != nil {
-		t.Fatalf("checkpoint.New: %v", err)
-	}
-	if err := Stopped(context.Background(), cp); err != nil {
-		t.Fatalf("Stopped(background, fresh cp) = %v", err)
-	}
-	cp.Interrupt()
-	if err := Stopped(context.Background(), cp); !errors.Is(err, checkpoint.ErrInterrupted) {
-		t.Fatalf("Stopped(background, interrupted cp) = %v", err)
-	}
-	// Context takes precedence when both fire: the context is the outer
-	// cause (the signal handler cancels it AND interrupts the checkpointer).
-	if err := Stopped(ctx, cp); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Stopped(canceled, interrupted cp) = %v", err)
-	}
-}
-
 func TestTerminalStatus(t *testing.T) {
 	cases := []struct {
 		err    error
@@ -81,7 +49,6 @@ func TestTerminalStatus(t *testing.T) {
 		{nil, journal.StatusDone},
 		{errors.New("disk full"), journal.StatusFailed},
 		{fmt.Errorf("wrapped: %w", journal.ErrBudgetExceeded), journal.StatusAborted},
-		{checkpoint.ErrInterrupted, journal.StatusAborted},
 		{context.Canceled, journal.StatusAborted},
 		{context.DeadlineExceeded, journal.StatusAborted},
 		{&StageError{Stage: "core.s2", Err: context.Canceled}, journal.StatusAborted},

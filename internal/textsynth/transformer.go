@@ -14,7 +14,6 @@ import (
 	"serd/internal/journal"
 	"serd/internal/nn"
 	"serd/internal/perturb"
-	"serd/internal/pipeline"
 	"serd/internal/simfn"
 	"serd/internal/telemetry"
 	"serd/internal/trace"
@@ -58,7 +57,7 @@ type TransformerOptions struct {
 	// Metrics receives training telemetry: per-bucket training spans, the
 	// loss histogram ("textsynth.train.loss"), throughput
 	// ("textsynth.train.chars_per_sec") and — with DP — the live privacy
-	// budget via dp.Accountant.RecordEpsilon. Nil disables recording.
+	// budget via dp.RDPAccountant.RecordEpsilon. Nil disables recording.
 	Metrics telemetry.Recorder
 	// Privacy, when set with DP training, registers each bucket model's
 	// DP-SGD expenditure with the privacy ledger BEFORE that bucket trains
@@ -181,8 +180,7 @@ type TransformerSynthesizer struct {
 //
 // Cancellation is checked per minibatch (immediate return, discarding the
 // partial epoch — the last epoch-boundary save stays the resume point) and
-// at bucket/epoch boundaries together with the checkpointer's interrupt
-// flag. A nil context disables the per-minibatch checks.
+// at bucket/epoch boundaries. A nil context never cancels.
 func TrainTransformer(ctx context.Context, corpus []string, sim simfn.Func, opts TransformerOptions) (*TransformerSynthesizer, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -292,7 +290,7 @@ func TrainTransformer(ctx context.Context, corpus []string, sim simfn.Func, opts
 		if len(pairs) < opts.BatchSize {
 			continue // too few examples to train a model for this interval
 		}
-		if stopErr := pipeline.Stopped(ctx, cp); stopErr != nil {
+		if stopErr := ctx.Err(); stopErr != nil {
 			// The last save (previous bucket's final epoch) already covers
 			// everything done so far; nothing new to persist.
 			return nil, fmt.Errorf("textsynth: interrupted before bucket %d: %w", bk, stopErr)
@@ -304,7 +302,6 @@ func TrainTransformer(ctx context.Context, corpus []string, sim simfn.Func, opts
 			save: func(epochsDone int, mState *transformer.State, eps float64, acct dp.RDPState, optSteps int) error {
 				return save(bk, epochsDone, mState, eps, acct, optSteps)
 			},
-			stop: func() error { return pipeline.Stopped(ctx, cp) },
 		}
 		if opts.DP != nil {
 			bt.acct.Noise = opts.DP.Noise
@@ -365,12 +362,13 @@ func TrainTransformer(ctx context.Context, corpus []string, sim simfn.Func, opts
 	return nil, errors.New("textsynth: no bucket had enough training pairs")
 }
 
-// bucketTrain carries one bucket's resume position, cancellation hooks
-// and checkpoint hooks into trainOne.
+// bucketTrain carries one bucket's resume position, cancellation context
+// and checkpoint hook into trainOne.
 type bucketTrain struct {
 	// ctx is checked per minibatch: a canceled context returns
 	// immediately, discarding the partial epoch (the last epoch-boundary
-	// save remains the resume point). Nil disables the check.
+	// save remains the resume point). It is checked again at each epoch
+	// boundary, after the save. Nil disables the checks.
 	ctx context.Context
 	// startEpoch is the first epoch still to run (0 on a fresh bucket).
 	startEpoch int
@@ -380,9 +378,6 @@ type bucketTrain struct {
 	acct dp.RDPState
 	// save persists the state after each completed epoch; nil disables.
 	save func(epochsDone int, mState *transformer.State, eps float64, acct dp.RDPState, optSteps int) error
-	// stop is polled at epoch boundaries, after the save; it returns the
-	// cooperative-stop cause (context or interrupt flag) or nil.
-	stop func() error
 }
 
 // canceled reports the context's error, tolerating a nil context.
@@ -391,14 +386,6 @@ func (bt bucketTrain) canceled() error {
 		return nil
 	}
 	return bt.ctx.Err()
-}
-
-// stopped reports the epoch-boundary stop cause, tolerating a nil hook.
-func (bt bucketTrain) stopped() error {
-	if bt.stop == nil {
-		return nil
-	}
-	return bt.stop()
 }
 
 // trainOne trains a single bucket model (Algorithm 1 when DP is enabled)
@@ -476,7 +463,7 @@ func trainOne(m *transformer.Model, pairs []Pair, opts TransformerOptions, r *ra
 				}
 			}
 			if epoch+1 < opts.Epochs {
-				if cause := bt.stopped(); cause != nil {
+				if cause := bt.canceled(); cause != nil {
 					return 0, fmt.Errorf("textsynth: interrupted after epoch %d/%d: %w", epoch+1, opts.Epochs, cause)
 				}
 			}

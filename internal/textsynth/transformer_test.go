@@ -186,13 +186,13 @@ func TestTrainResumeBitIdentical(t *testing.T) {
 		}
 		cp.FaultHook = func(m checkpoint.Meta) error {
 			if m.Saved == killAt {
-				return checkpoint.ErrInterrupted
+				return context.Canceled
 			}
 			return nil
 		}
 		opts.Checkpoint = cp
-		if _, err := TrainTransformer(context.Background(), corpus, sim, opts); !errors.Is(err, checkpoint.ErrInterrupted) {
-			t.Fatalf("killAt=%d: err = %v, want ErrInterrupted", killAt, err)
+		if _, err := TrainTransformer(context.Background(), corpus, sim, opts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("killAt=%d: err = %v, want context.Canceled", killAt, err)
 		}
 		preCharges := opts.Privacy.Entries()
 
