@@ -109,7 +109,7 @@ func run(args []string, stdout io.Writer) error {
 		OnServing:   testHookServing,
 	}, stdout, func(rec telemetry.Recorder) (session.Result, error) {
 		summary, err := generate(ctx, flags, gens, jr, rec, stdout)
-		return session.Result{Summary: summary, RunEnd: summary}, err
+		return session.Result{Summary: summary}, err
 	})
 }
 

@@ -7,7 +7,7 @@
 //	            [-sizecap N] [-matchcap N] [-seed S] [-transformer] \
 //	            [-metrics-addr :9090] [-report path] [-trace out.json]
 //	experiments [-bench core|scale|dp] [-bench-out path] \
-//	            [-bench-against baseline] [-bench-threshold F] \
+//	            [-bench-against baseline] \
 //	            [-bench-scale-sizes N,N] [-bench-dp-eps E,E]
 //
 // The default run uses the generators' CPU-scaled dataset sizes and the
@@ -33,9 +33,9 @@
 // -bench selects the suite; it defaults to the suite of the
 // -bench-against file, else core. -bench-out writes the report, and
 // -bench-against compares the fresh run against a baseline report of the
-// same suite and workload, exiting non-zero when any gated metric
-// regresses past -bench-threshold (default 30%) — the CI perf gate. Bench
-// runs register their rows in the run registry.
+// same suite and workload, exiting non-zero when any metric regresses
+// past its rule in the suite's gate table (runstore.BenchRules) — the CI
+// perf gate. Bench runs register their rows in the run registry.
 //
 // SIGINT/SIGTERM cancels the running suite at the next synthesis chunk,
 // training minibatch or fit iteration; a second signal force-exits with
@@ -318,11 +318,11 @@ func runBench(ctx context.Context, cfg experiments.Config, flags *config.Experim
 		if err != nil {
 			return fmt.Errorf("%s bench baseline: %w", flags.Bench, err)
 		}
-		if problems := runstore.CompareBench(baseline, rep, flags.BenchThreshold); len(problems) > 0 {
-			return fmt.Errorf("%s bench regressed against %s (threshold %.0f%%):\n  %s",
-				flags.Bench, flags.BenchAgainst, 100*flags.BenchThreshold, strings.Join(problems, "\n  "))
+		if problems := runstore.CompareBench(baseline, rep); len(problems) > 0 {
+			return fmt.Errorf("%s bench regressed against %s:\n  %s",
+				flags.Bench, flags.BenchAgainst, strings.Join(problems, "\n  "))
 		}
-		fmt.Fprintf(stdout, "%s bench holds the %s baseline (threshold %.0f%%)\n", flags.Bench, flags.BenchAgainst, 100*flags.BenchThreshold)
+		fmt.Fprintf(stdout, "%s bench holds the %s baseline\n", flags.Bench, flags.BenchAgainst)
 	}
 	return nil
 }

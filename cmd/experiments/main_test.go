@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"maps"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -41,30 +43,48 @@ func TestBenchWriteThenGate(t *testing.T) {
 	}
 
 	// The rerun exercises the gate's plumbing: timings of a sub-second
-	// toy run swing far more than any production threshold, so the
-	// threshold here is loose enough that only a broken path fails.
+	// toy run swing far more than any production threshold, so the rerun
+	// is held to a copy of the baseline whose gated metrics only a broken
+	// path misses — a hundredth of the throughput, a hundred times the
+	// peak RSS and GC pause.
+	loose := withMetrics(rep, func(m map[string]float64) {
+		m["entities_per_sec"] /= 100
+		m["peak_rss_bytes"] *= 100
+		m["gc_pause_seconds"] *= 100
+	})
+	loosePath := filepath.Join(dir, "BENCH_loose.json")
+	if err := runstore.WriteBench(loosePath, loose); err != nil {
+		t.Fatal(err)
+	}
 	stdout.Reset()
-	if err := run(benchArgs(store, "-bench-against", out, "-bench-threshold", "1000"), &stdout); err != nil {
-		t.Fatalf("rerun against its own baseline: %v\n%s", err, stdout.String())
+	if err := run(benchArgs(store, "-bench-against", loosePath), &stdout); err != nil {
+		t.Fatalf("rerun against the loosened baseline: %v\n%s", err, stdout.String())
 	}
 	if !strings.Contains(stdout.String(), "core bench holds the") {
 		t.Errorf("no hold line:\n%s", stdout.String())
 	}
 
-	fast := rep
-	fast.Rows = []runstore.Row{{Key: "Restaurant", Metrics: map[string]float64{}}}
-	for k, v := range rep.Rows[0].Metrics {
-		fast.Rows[0].Metrics[k] = v
-	}
-	fast.Rows[0].Metrics["entities_per_sec"] *= 10
+	fast := withMetrics(rep, func(m map[string]float64) { m["entities_per_sec"] *= 10 })
 	fastPath := filepath.Join(dir, "BENCH_fast.json")
 	if err := runstore.WriteBench(fastPath, fast); err != nil {
 		t.Fatal(err)
 	}
-	err = run(benchArgs(store, "-bench-against", fastPath, "-bench-threshold", "0.5"), &stdout)
+	err = run(benchArgs(store, "-bench-against", fastPath), &stdout)
 	if err == nil || !strings.Contains(err.Error(), "row Restaurant: entities_per_sec") {
 		t.Fatalf("10x baseline: error %v, want one naming the Restaurant throughput row", err)
 	}
+
+	if err := run(benchArgs(store, "-bench-against", out, "-bench-threshold", "0.3"), io.Discard); err == nil || !strings.Contains(err.Error(), "bench-threshold") {
+		t.Fatalf("-bench-threshold: error %v, want the flag refused", err)
+	}
+}
+
+// withMetrics copies a one-row report with mut applied to the row's metrics.
+func withMetrics(rep runstore.Report, mut func(map[string]float64)) runstore.Report {
+	m := maps.Clone(rep.Rows[0].Metrics)
+	mut(m)
+	rep.Rows = []runstore.Row{{Key: rep.Rows[0].Key, Metrics: m}}
+	return rep
 }
 
 // TestBenchSuiteMismatchRefused: the suite named by -bench must match the

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"serd/internal/journal"
 )
@@ -188,7 +187,7 @@ func auditShow(path string, stdout io.Writer) error {
 	}
 	for _, l := range sum.Logs {
 		fmt.Fprintf(stdout, "log [%s] %s", l.Level, l.Msg)
-		for _, k := range sortedAnyKeys(l.Attrs) {
+		for _, k := range sortedKeys(l.Attrs) {
 			fmt.Fprintf(stdout, " %s=%v", k, l.Attrs[k])
 		}
 		fmt.Fprintln(stdout)
@@ -261,22 +260,4 @@ func shortHash(h string) string {
 		return h[:12] + "…"
 	}
 	return h
-}
-
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedAnyKeys(m map[string]any) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

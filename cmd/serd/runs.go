@@ -26,8 +26,9 @@ commands:
   list                     registered runs, oldest first
                            (-tool, -status filters; -n last N; -q ids only)
   show      <id>           one run in full (unique id prefixes accepted)
-  compare   <A> <B>        attribute wall-clock, peak-RSS, ε and fidelity
-                           deltas between two runs; exit 3 past thresholds
+  compare   <A> <B>        wall-clock, stage, peak-RSS, ε and fidelity
+                           deltas between two runs; exit 3 when B breaks
+                           a gate rule
   burn-down                cumulative ε spend per dataset group
   gc        -keep N        delete all but the newest N entries
   serve     -addr :9091    the /runs JSON+HTML dashboard, standalone
@@ -136,12 +137,6 @@ func runRuns(args []string, stdout io.Writer) error {
 		return nil
 
 	case "compare":
-		opts := runstore.CompareOptions{}
-		fs.Float64Var(&opts.WallThreshold, "wall-threshold", 0.25, "allowed fractional wall-clock growth per stage and in total")
-		fs.Float64Var(&opts.EpsThreshold, "eps-threshold", 0.01, "allowed fractional ε growth per group and in total")
-		fs.Float64Var(&opts.MetricThreshold, "metric-threshold", 0.25, "allowed fractional fidelity (jsd) drift")
-		fs.Float64Var(&opts.RSSThreshold, "rss-threshold", 0.50, "allowed fractional peak-RSS growth")
-		fs.Float64Var(&opts.MinSeconds, "min-seconds", 0.05, "absolute wall-clock growth below which a stage never regresses")
 		if err := fs.Parse(args[1:]); err != nil {
 			return err
 		}
@@ -160,11 +155,12 @@ func runRuns(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		cmp := runstore.Compare(a, b, opts)
-		printComparison(stdout, cmp)
-		if cmp.Regressed() {
-			return fmt.Errorf("%w: %d axis(es) past threshold between %s and %s",
-				runstore.ErrRegression, len(cmp.Regressions), a.ShortID(), b.ShortID())
+		ra, rb := a.Row(), b.Row()
+		problems := runstore.Gate(ra, rb, runstore.RunRules)
+		printComparison(stdout, a, b, ra, rb, problems)
+		if len(problems) > 0 {
+			return fmt.Errorf("%w: %d metric(s) past their rule between %s and %s",
+				runstore.ErrRegression, len(problems), a.ShortID(), b.ShortID())
 		}
 		return nil
 
@@ -297,12 +293,7 @@ func printRun(w io.Writer, e runstore.Entry) {
 	}
 	if len(e.Config) > 0 {
 		fmt.Fprintln(w, "  config:")
-		keys := make([]string, 0, len(e.Config))
-		for k := range e.Config {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range sortedKeys(e.Config) {
 			fmt.Fprintf(w, "    %-16s %s\n", k, e.Config[k])
 		}
 	}
@@ -331,12 +322,7 @@ func printRun(w io.Writer, e runstore.Entry) {
 	}
 	if len(e.Summary) > 0 {
 		fmt.Fprintln(w, "  summary:")
-		keys := make([]string, 0, len(e.Summary))
-		for k := range e.Summary {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range sortedKeys(e.Summary) {
 			fmt.Fprintf(w, "    %-28s %g\n", k, e.Summary[k])
 		}
 	}
@@ -357,54 +343,46 @@ func printRun(w io.Writer, e runstore.Entry) {
 	}
 }
 
-func printComparison(w io.Writer, c *runstore.Comparison) {
+// printComparison prints B's run row against A's as one metric table,
+// marking each metric Gate flagged, then the config diff, the trace
+// attribution and the regressions.
+func printComparison(w io.Writer, a, b runstore.Entry, ra, rb runstore.Row, problems map[string]string) {
 	fmt.Fprintf(w, "comparing %s (%s, %s) -> %s (%s, %s)\n",
-		c.A.ShortID(), c.A.Tool, c.A.Status, c.B.ShortID(), c.B.Tool, c.B.Status)
-	if c.A.Generator != "" || c.B.Generator != "" {
+		a.ShortID(), a.Tool, a.Status, b.ShortID(), b.Tool, b.Status)
+	if a.Generator != "" || b.Generator != "" {
 		// A cross-backend comparison is a deliberate trade-off study, not
 		// drift — name both backends up front so the ε/fidelity deltas
 		// below read as "privbayes vs gmm", not as a regression mystery.
-		fmt.Fprintf(w, "generator: %s -> %s\n", orDash(c.A.Generator), orDash(c.B.Generator))
+		fmt.Fprintf(w, "generator: %s -> %s\n", orDash(a.Generator), orDash(b.Generator))
 	}
-	fmt.Fprintf(w, "wall: %.3fs -> %.3fs (%+.3fs)%s\n", c.Wall.A, c.Wall.B, c.Wall.Diff(), regressedMark(c.Wall))
-	if len(c.Stages) > 0 {
-		fmt.Fprintf(w, "\n%-28s %10s %10s %9s\n", "stage", "A s", "B s", "delta")
-		for _, d := range c.Stages {
-			fmt.Fprintf(w, "%-28s %10.3f %10.3f %+8.3f%s\n", d.Name, d.A, d.B, d.Diff(), regressedMark(d))
+	fmt.Fprintf(w, "\n%-32s %14s %14s %14s\n", "metric", "A", "B", "Δ")
+	for _, name := range sortedKeys(ra.Metrics, rb.Metrics) {
+		va, inA := ra.Metrics[name]
+		vb, inB := rb.Metrics[name]
+		delta := "-"
+		if inA && inB {
+			delta = runstore.FormatMetric(vb - va)
+			if vb >= va {
+				delta = "+" + delta
+			}
 		}
-	}
-	if c.PeakRSS.A > 0 || c.PeakRSS.B > 0 {
-		fmt.Fprintf(w, "\npeak RSS: %.1f MiB -> %.1f MiB%s\n", c.PeakRSS.A/(1<<20), c.PeakRSS.B/(1<<20), regressedMark(c.PeakRSS))
-	}
-	if c.Epsilon.A != 0 || c.Epsilon.B != 0 {
-		fmt.Fprintf(w, "\ncomposed ε: %.6g -> %.6g%s\n", c.Epsilon.A, c.Epsilon.B, regressedMark(c.Epsilon))
-		for _, d := range c.Groups {
-			fmt.Fprintf(w, "  group %-20s %.6g -> %.6g%s\n", d.Name, d.A, d.B, regressedMark(d))
+		mark := ""
+		if _, bad := problems[name]; bad {
+			mark = "  ✗"
 		}
+		fmt.Fprintf(w, "%-32s %14s %14s %14s%s\n", name, metricValue(va, inA), metricValue(vb, inB), delta, mark)
 	}
-	if len(c.Metrics) > 0 {
-		fmt.Fprintf(w, "\n%-28s %12s %12s\n", "metric", "A", "B")
-		for _, d := range c.Metrics {
-			fmt.Fprintf(w, "%-28s %12g %12g%s\n", d.Name, d.A, d.B, regressedMark(d))
-		}
-	}
-	if len(c.ConfigDiff) > 0 {
+	if diff := configDiff(a.Config, b.Config); len(diff) > 0 {
 		fmt.Fprintln(w, "\nconfig differences:")
-		keys := make([]string, 0, len(c.ConfigDiff))
-		for k := range c.ConfigDiff {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			v := c.ConfigDiff[k]
-			fmt.Fprintf(w, "  %-16s %q -> %q\n", k, v[0], v[1])
+		for _, k := range sortedKeys(diff) {
+			fmt.Fprintf(w, "  %-16s %q -> %q\n", k, diff[k][0], diff[k][1])
 		}
 	}
 	// Opportunistic trace attribution: when both runs kept their .jsonl
 	// traces, the diff pins the wall-clock delta to chunk groups too.
-	if c.A.Artifacts.Trace != "" && c.B.Artifacts.Trace != "" {
-		if ta, err := trace.Load(c.A.Artifacts.Trace); err == nil {
-			if tb, err := trace.Load(c.B.Artifacts.Trace); err == nil {
+	if a.Artifacts.Trace != "" && b.Artifacts.Trace != "" {
+		if ta, err := trace.Load(a.Artifacts.Trace); err == nil {
+			if tb, err := trace.Load(b.Artifacts.Trace); err == nil {
 				d := trace.DiffTraces(ta, tb)
 				if len(d.Children) > 0 {
 					fmt.Fprintf(w, "\ntrace attribution (top chunk groups):\n")
@@ -418,19 +396,55 @@ func printComparison(w io.Writer, c *runstore.Comparison) {
 			}
 		}
 	}
-	if c.Regressed() {
+	if len(problems) > 0 {
 		fmt.Fprintln(w, "\nREGRESSIONS:")
-		for _, r := range c.Regressions {
-			fmt.Fprintln(w, "  ✗", r)
+		for _, name := range sortedKeys(problems) {
+			fmt.Fprintln(w, "  ✗", problems[name])
 		}
 	} else {
-		fmt.Fprintln(w, "\nno regressions: B holds A on every gated axis")
+		fmt.Fprintln(w, "\nno regressions: B holds A on every gated metric")
 	}
 }
 
-func regressedMark(d runstore.Delta) string {
-	if d.Regressed {
-		return "   ✗ REGRESSED"
+// metricValue renders a metric for the compare table, "-" when the run
+// lacks it.
+func metricValue(v float64, present bool) string {
+	if !present {
+		return "-"
 	}
-	return ""
+	return runstore.FormatMetric(v)
+}
+
+// configDiff maps each config key whose value differs between two runs,
+// or that only one run sets, to its A and B values ("" where unset); nil
+// when the configs agree.
+func configDiff(a, b map[string]string) map[string][2]string {
+	var diff map[string][2]string
+	for _, k := range sortedKeys(a, b) {
+		va, inA := a[k]
+		vb, inB := b[k]
+		if inA != inB || va != vb {
+			if diff == nil {
+				diff = map[string][2]string{}
+			}
+			diff[k] = [2]string{va, vb}
+		}
+	}
+	return diff
+}
+
+// sortedKeys returns the union of the maps' keys in order.
+func sortedKeys[V any](ms ...map[string]V) []string {
+	seen := map[string]bool{}
+	var keys []string
+	for _, m := range ms {
+		for k := range m {
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }

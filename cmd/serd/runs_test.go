@@ -15,6 +15,7 @@ import (
 
 	"serd/internal/journal"
 	"serd/internal/runstore"
+	"serd/internal/telemetry"
 )
 
 func httpGetAccept(t *testing.T, url, accept string) string {
@@ -436,6 +437,76 @@ func TestRunsCLIErrors(t *testing.T) {
 	}
 	if err := run([]string{"runs", "list", "-store", "off"}, &out); err == nil {
 		t.Fatal("-store off accepted by the CLI")
+	}
+}
+
+func TestCompareConfigDiff(t *testing.T) {
+	a := map[string]string{"seed": "1"}
+	diff := configDiff(a, map[string]string{"seed": "2", "workers": "4"})
+	if diff["seed"] != [2]string{"1", "2"} {
+		t.Fatalf("seed diff = %v", diff["seed"])
+	}
+	if diff["workers"] != [2]string{"", "4"} {
+		t.Fatalf("workers diff = %v", diff["workers"])
+	}
+	if configDiff(a, a) != nil {
+		t.Fatal("identical config should have nil diff")
+	}
+}
+
+// TestRunsCompareAbsentMetric pins the compare table and the absent-metric
+// rule at the CLI: a run that lost the peak RSS its baseline sampled
+// regresses naming the metric, and the removed threshold flags are refused.
+func TestRunsCompareAbsentMetric(t *testing.T) {
+	storeDir := t.TempDir()
+	s, err := runstore.Open(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := runstore.Entry{
+		RunID: "aaaa111122223333", Tool: "serd", Status: "done", WallSeconds: 10,
+		Stages:  []runstore.StageTime{{Name: "core.s2", Count: 1, Seconds: 6}},
+		Runtime: &telemetry.RuntimeStats{PeakRSSBytes: 100 << 20},
+		Summary: map[string]float64{"jsd": 0.05},
+	}
+	b := a
+	b.RunID, b.Runtime = "bbbb111122223333", nil
+	for _, e := range []runstore.Entry{a, b} {
+		if err := s.Put(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out bytes.Buffer
+	if err := run([]string{"runs", "compare", "-store", storeDir, "aaaa11", "aaaa11"}, &out); err != nil {
+		t.Fatalf("self-compare: %v\n%s", err, out.String())
+	}
+	for _, want := range []string{
+		"stage:core.s2                                 6              6             +0\n",
+		"peak_rss_bytes                        104857600      104857600             +0\n",
+		"wall_seconds                                 10             10             +0\n",
+		"no regressions",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("self-compare output lacks %q:\n%s", want, out.String())
+		}
+	}
+	out.Reset()
+	err = run([]string{"runs", "compare", "-store", storeDir, "aaaa11", "bbbb11"}, &out)
+	if !errors.Is(err, runstore.ErrRegression) {
+		t.Fatalf("compare err = %v, want ErrRegression\n%s", err, out.String())
+	}
+	for _, want := range []string{
+		"peak_rss_bytes                        104857600              -              -  ✗\n",
+		"REGRESSIONS:\n  ✗ peak_rss_bytes measured 1.04858e+08 in the baseline but is absent now\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("compare output lacks %q:\n%s", want, out.String())
+		}
+	}
+	for _, flag := range []string{"-wall-threshold", "-eps-threshold", "-metric-threshold", "-rss-threshold", "-min-seconds"} {
+		if err := run([]string{"runs", "compare", "-store", storeDir, flag, "1", "aaaa11", "bbbb11"}, io.Discard); err == nil || errors.Is(err, runstore.ErrRegression) {
+			t.Errorf("runs compare %s: err = %v, want the flag refused", flag, err)
+		}
 	}
 }
 

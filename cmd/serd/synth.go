@@ -227,7 +227,7 @@ func synth(ctx context.Context, cfg synthConfig, rec telemetry.Recorder, real *s
 	}
 	// The journal's run_end carries the summary too: the run registry
 	// reads it from there, and `serd runs compare` gates on its jsd.
-	out := session.Result{Summary: summary, RunEnd: summary}
+	out := session.Result{Summary: summary}
 	if len(cfg.ledger.Entries()) > 0 {
 		out.Privacy = cfg.ledger.Summary()
 	}

@@ -269,19 +269,18 @@ func (c *Serd) JournaledConfig() map[string]string {
 
 // Experiments holds the parsed flags of cmd/experiments.
 type Experiments struct {
-	Exp            string
-	Datasets       string
-	SizeCap        int
-	MatchCap       int
-	Seed           int64
-	Workers        int
-	Transformer    bool
-	Bench          string
-	BenchOut       string
-	BenchAgainst   string
-	BenchThreshold float64
-	ScaleSizes     string
-	DPBenchEps     string
+	Exp          string
+	Datasets     string
+	SizeCap      int
+	MatchCap     int
+	Seed         int64
+	Workers      int
+	Transformer  bool
+	Bench        string
+	BenchOut     string
+	BenchAgainst string
+	ScaleSizes   string
+	DPBenchEps   string
 	// BenchSizes and BenchEpsilons are ScaleSizes and DPBenchEps parsed
 	// by Validate.
 	BenchSizes    []int
@@ -305,7 +304,6 @@ func RegisterExperiments(fs *flag.FlagSet) *Experiments {
 	fs.StringVar(&c.Bench, "bench", "", "run a bench suite instead of the tables: core (per-dataset S2 throughput, JSD, rejections, memory), scale (throughput, pairs scored and peak RSS per size, unblocked and blocked S3) or dp (gmm vs privbayes matcher F1, JSD, spent ε, wall and peak RSS per dataset × ε); default: the -bench-against file's suite, else core")
 	fs.StringVar(&c.BenchOut, "bench-out", "", "run the bench and write its report (the BENCH_*.json format) to this path")
 	fs.StringVar(&c.BenchAgainst, "bench-against", "", "run the bench and compare it against this baseline report, exiting non-zero on any gated regression; the suite is taken from the file")
-	fs.Float64Var(&c.BenchThreshold, "bench-threshold", 0.30, "allowed fractional regression of each gated bench metric for -bench-against")
 	fs.StringVar(&c.ScaleSizes, "bench-scale-sizes", "1000,10000", "comma-separated per-relation entity counts (each >= 2) for -bench scale, run in increasing order (VmHWM is a process-lifetime high-water mark)")
 	fs.StringVar(&c.DPBenchEps, "bench-dp-eps", "0.5,2", "comma-separated ε values (each > 0) for the -bench dp matrix")
 	c.Observe.register(b)
@@ -321,9 +319,6 @@ func RegisterExperiments(fs *flag.FlagSet) *Experiments {
 // Bench is empty exactly when no bench flag asks for a bench run; a bench
 // run refuses -trace, -metrics-addr and -report.
 func (c *Experiments) Validate() error {
-	if c.BenchThreshold < 0 {
-		return fmt.Errorf("-bench-threshold must be >= 0, got %g", c.BenchThreshold)
-	}
 	c.BenchSizes, c.BenchEpsilons = nil, nil
 	for _, s := range splitList(c.ScaleSizes) {
 		n, err := strconv.Atoi(s)

@@ -196,7 +196,7 @@ func TestExperimentsValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := func(mut func(*Experiments)) Experiments {
-		c := Experiments{BenchThreshold: 0.3, ScaleSizes: "1000,10000", DPBenchEps: "0.5,2"}
+		c := Experiments{ScaleSizes: "1000,10000", DPBenchEps: "0.5,2"}
 		if mut != nil {
 			mut(&c)
 		}
@@ -210,7 +210,6 @@ func TestExperimentsValidate(t *testing.T) {
 	}{
 		{name: "valid", c: base(nil)},
 		{name: "zero value", c: Experiments{}},
-		{name: "negative threshold", c: base(func(c *Experiments) { c.BenchThreshold = -1 }), wantErr: "-bench-threshold"},
 		{name: "unknown suite", c: base(func(c *Experiments) { c.Bench = "speed" }), wantErr: "unknown suite"},
 		{name: "size does not parse", c: base(func(c *Experiments) { c.ScaleSizes = "1000,lots" }), wantErr: "-bench-scale-sizes"},
 		{name: "size below 2", c: base(func(c *Experiments) { c.ScaleSizes = "0" }), wantErr: "below 2"},

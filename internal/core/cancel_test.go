@@ -3,11 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"serd/internal/blocking"
 	"serd/internal/checkpoint"
+	"serd/internal/dataset"
+	"serd/internal/generator"
 	"serd/internal/pipeline"
 	"serd/internal/telemetry"
 )
@@ -173,6 +177,68 @@ func TestSynthesizeCancelMidS3(t *testing.T) {
 	}
 	if n := rec.count("core.s3"); n != 1 {
 		t.Fatalf("resume ran core.s3 %d times, want 1", n)
+	}
+}
+
+// cancelInS3 is the GMM backend with an O_real whose IsMatch cancels the
+// run once armed is set — armed by Progress after S2's last entity, so the
+// cancel lands inside S3's labeling fan-out.
+type cancelInS3 struct {
+	generator.GMM
+	armed  *bool
+	cancel context.CancelFunc
+}
+
+func (g cancelInS3) Fit(ctx context.Context, real *dataset.ER, opts generator.FitOptions) (generator.Dist, error) {
+	d, err := g.GMM.Fit(ctx, real, opts)
+	if err != nil {
+		return nil, err
+	}
+	return cancelingDist{Dist: d, armed: g.armed, cancel: g.cancel}, nil
+}
+
+type cancelingDist struct {
+	generator.Dist
+	armed  *bool
+	cancel context.CancelFunc
+}
+
+func (d cancelingDist) IsMatch(x []float64) bool {
+	if *d.armed {
+		d.cancel()
+	}
+	return d.Dist.IsMatch(x)
+}
+
+// TestSynthesizeCancelInsideS3Labeling cancels from inside labelAllPairs'
+// pool fan-out, after the stage boundary has passed: the pairs left
+// unscored must not come back as a finished match set, so the run returns
+// a *pipeline.StageError naming core.s3 that wraps context.Canceled.
+func TestSynthesizeCancelInsideS3Labeling(t *testing.T) {
+	for _, blocked := range []bool{false, true} {
+		t.Run(fmt.Sprintf("blocked=%v", blocked), func(t *testing.T) {
+			opts, er := resumeFixtureOptions(t)
+			if blocked {
+				opts.S3Blocker = blocking.QGram{Column: er.Schema().ColumnIndex("title")}
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			armed := false
+			opts.Workers = 1
+			opts.Generator = cancelInS3{armed: &armed, cancel: cancel}
+			opts.Progress = func(done, total int) { armed = done == total }
+			_, err := Synthesize(ctx, er, opts)
+			if !armed {
+				t.Fatal("S2 never reported its last entity")
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			var se *pipeline.StageError
+			if !errors.As(err, &se) || se.Stage != "core.s3" {
+				t.Fatalf("err = %v, want *pipeline.StageError for core.s3", err)
+			}
+		})
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // so a resumed run continues bit-for-bit.
 
 // captureS2 snapshots the mid-S2 pipeline position, except the
-// O-distribution payload — the caller fills Joint or Backend/Gen from
+// O-distribution payload — the caller fills Backend/Gen from
 // synthRun.distSnapshot, which knows which backend produced it.
 // Map-derived fields (sampled labels, matched index sets) are sorted so
 // the serialized payload — and therefore the checkpoint's SHA — is

@@ -382,9 +382,8 @@ func (st *synthRun) saveS2() error {
 }
 
 // runS2 is the S2 synthesis loop: one new entity per iteration, with the
-// cooperative-stop check (context + checkpoint interrupt) at the top of
-// every iteration, so cancellation returns within one entity's work and
-// always behind a final checkpoint.
+// context's cancel check at the top of every iteration, so cancellation
+// returns within one entity's work and always behind a final checkpoint.
 func (st *synthRun) runS2(ctx context.Context) error {
 	opts := st.opts
 	rec := st.rec

@@ -44,7 +44,7 @@ func TestCoreBenchReportRoundTrip(t *testing.T) {
 	if back.Rows[0].Metrics["entities_per_sec"] != m["entities_per_sec"] {
 		t.Errorf("round trip changed the row: %v vs %v", back.Rows[0], rows[0])
 	}
-	if p := runstore.CompareBench(back, rep, 0); len(p) != 0 {
+	if p := runstore.CompareBench(back, rep); len(p) != 0 {
 		t.Errorf("round-tripped report does not hold itself: %v", p)
 	}
 }
@@ -73,17 +73,17 @@ func coreBenchReport(eps float64, extra map[string]float64) runstore.Report {
 func TestCompareCoreBench(t *testing.T) {
 	base := coreBenchReport(100, nil)
 
-	if p := runstore.CompareBench(base, coreBenchReport(100, nil), 0.30); len(p) != 0 {
+	if p := runstore.CompareBench(base, coreBenchReport(100, nil)); len(p) != 0 {
 		t.Errorf("identical runs flagged: %v", p)
 	}
-	if p := runstore.CompareBench(base, coreBenchReport(80, nil), 0.30); len(p) != 0 {
+	if p := runstore.CompareBench(base, coreBenchReport(80, nil)); len(p) != 0 {
 		t.Errorf("20%% drop within the 30%% threshold flagged: %v", p)
 	}
-	if p := runstore.CompareBench(base, coreBenchReport(500, nil), 0.30); len(p) != 0 {
+	if p := runstore.CompareBench(base, coreBenchReport(500, nil)); len(p) != 0 {
 		t.Errorf("speedup flagged: %v", p)
 	}
 
-	p := runstore.CompareBench(base, coreBenchReport(60, nil), 0.30) // 40% drop on every dataset
+	p := runstore.CompareBench(base, coreBenchReport(60, nil)) // 40% drop on every dataset
 	if len(p) != 2 {
 		t.Fatalf("40%% drop: got %d problems, want 2: %v", len(p), p)
 	}
@@ -93,13 +93,13 @@ func TestCompareCoreBench(t *testing.T) {
 
 	missing := coreBenchReport(100, nil)
 	missing.Rows = missing.Rows[:1]
-	if p := runstore.CompareBench(base, missing, 0.30); len(p) != 1 || !strings.Contains(p[0], "DBLP-ACM") {
+	if p := runstore.CompareBench(base, missing); len(p) != 1 || !strings.Contains(p[0], "DBLP-ACM") {
 		t.Errorf("missing dataset: %v", p)
 	}
 
 	otherWorkload := coreBenchReport(100, nil)
 	otherWorkload.Workload = map[string]string{"seed": "1", "sizecap": "999", "matchcap": "12"}
-	p = runstore.CompareBench(base, otherWorkload, 0.30)
+	p = runstore.CompareBench(base, otherWorkload)
 	if len(p) != 1 || !strings.Contains(p[0], "workload mismatch") {
 		t.Errorf("cap mismatch: %v", p)
 	}
@@ -107,17 +107,18 @@ func TestCompareCoreBench(t *testing.T) {
 
 // TestCompareCoreBenchOldSchema pins the cross-version contract: a baseline
 // without the memory axis holds a run that has it to throughput alone, and
-// the reverse is not rejected either. A document written before the shared
+// the reverse — a run that lost the memory axis its baseline measured —
+// regresses on each lost metric. A document written before the shared
 // schema is refused by ReadBench, while its flat rows still decode with the
 // memory axis absent rather than invented.
 func TestCompareCoreBenchOldSchema(t *testing.T) {
 	oldBase := coreBenchReport(100, nil)
 	current := coreBenchReport(100, map[string]float64{"peak_rss_bytes": 1 << 28, "gc_pause_seconds": 0.012})
-	if p := runstore.CompareBench(oldBase, current, 0.30); len(p) != 0 {
+	if p := runstore.CompareBench(oldBase, current); len(p) != 0 {
 		t.Errorf("baseline without memory axis vs run with it flagged: %v", p)
 	}
-	if p := runstore.CompareBench(current, oldBase, 0.30); len(p) != 0 {
-		t.Errorf("baseline with memory axis vs run without it flagged: %v", p)
+	if p := runstore.CompareBench(current, oldBase); len(p) != 4 || !strings.Contains(strings.Join(p, "\n"), "row Restaurant: peak_rss_bytes measured") {
+		t.Errorf("baseline with memory axis vs run without it: %v, want the lost peak_rss_bytes and gc_pause_seconds of both rows", p)
 	}
 
 	data := []byte(`{"seed":1,"size_cap":40,"match_cap":12,"rows":[{"dataset":"Restaurant","entities":80,"entities_per_sec":100}]}`)
@@ -144,7 +145,7 @@ func TestCompareCoreBenchOldSchema(t *testing.T) {
 		}
 	}
 	decoded := runstore.Report{Suite: "core", Workload: current.Workload, Rows: old.Rows}
-	if p := runstore.CompareBench(decoded, current, 0.30); len(p) != 0 {
+	if p := runstore.CompareBench(decoded, current); len(p) != 0 {
 		t.Errorf("decoded old baseline flagged: %v", p)
 	}
 }
@@ -158,17 +159,17 @@ func TestCompareCoreBenchMemoryAxis(t *testing.T) {
 	}
 	base := mem(100, 100<<20, 0.010)
 
-	if p := runstore.CompareBench(base, mem(100, 100<<20, 0.010), 0.30); len(p) != 0 {
+	if p := runstore.CompareBench(base, mem(100, 100<<20, 0.010)); len(p) != 0 {
 		t.Errorf("identical memory profile flagged: %v", p)
 	}
-	if p := runstore.CompareBench(base, mem(100, 120<<20, 0.012), 0.30); len(p) != 0 {
+	if p := runstore.CompareBench(base, mem(100, 120<<20, 0.012)); len(p) != 0 {
 		t.Errorf("20%% growth within the 30%% threshold flagged: %v", p)
 	}
-	if p := runstore.CompareBench(base, mem(100, 50<<20, 0.002), 0.30); len(p) != 0 {
+	if p := runstore.CompareBench(base, mem(100, 50<<20, 0.002)); len(p) != 0 {
 		t.Errorf("memory improvement flagged: %v", p)
 	}
 
-	p := runstore.CompareBench(base, mem(100, 200<<20, 0.010), 0.30) // 2x RSS on both datasets
+	p := runstore.CompareBench(base, mem(100, 200<<20, 0.010)) // 2x RSS on both datasets
 	if len(p) != 2 {
 		t.Fatalf("RSS blowup: got %d problems, want 2: %v", len(p), p)
 	}
@@ -176,13 +177,13 @@ func TestCompareCoreBenchMemoryAxis(t *testing.T) {
 		t.Errorf("RSS problem text: %q", p[0])
 	}
 
-	p = runstore.CompareBench(base, mem(100, 100<<20, 0.025), 0.30) // 2.5x GC pause
+	p = runstore.CompareBench(base, mem(100, 100<<20, 0.025)) // 2.5x GC pause
 	if len(p) != 2 || !strings.Contains(p[0], "gc_pause_seconds") {
 		t.Errorf("GC pause blowup: %v", p)
 	}
 
 	// Both axes regressing on both datasets stack with the throughput gate.
-	if p := runstore.CompareBench(base, mem(10, 200<<20, 0.025), 0.30); len(p) != 6 {
+	if p := runstore.CompareBench(base, mem(10, 200<<20, 0.025)); len(p) != 6 {
 		t.Errorf("full regression: got %d problems, want 6: %v", len(p), p)
 	}
 }

@@ -107,7 +107,7 @@ func DPBench(ctx context.Context, opts DPBenchOptions) ([]runstore.Row, error) {
 // dpBenchTestSplit builds the dataset's real matcher workload and returns
 // the held-out test vectors.
 func dpBenchTestSplit(er *dataset.ER, opts DPBenchOptions) ([][]float64, []bool, error) {
-	cands, err := textualBlocker(er.Schema()).Candidates(er.A, er.B)
+	cands, err := generator.DefaultBlocker(er.Schema()).Candidates(er.A, er.B)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -140,7 +140,7 @@ func dpBenchRun(ctx context.Context, g *datagen.Generated, synths map[string]tex
 	wall := time.Since(start).Seconds()
 	spent, _ := ledger.Total()
 
-	cands, err := textualBlocker(res.Syn.Schema()).Candidates(res.Syn.A, res.Syn.B)
+	cands, err := generator.DefaultBlocker(res.Syn.Schema()).Candidates(res.Syn.A, res.Syn.B)
 	if err != nil {
 		return runstore.Row{}, err
 	}

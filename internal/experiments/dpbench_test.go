@@ -65,7 +65,7 @@ func TestDPBenchMatrixAndRoundTrip(t *testing.T) {
 	if len(back.Rows) != len(rep.Rows) || back.Workload["seed"] != "7" {
 		t.Fatalf("round trip mangled the report: %+v", back)
 	}
-	if problems := runstore.CompareBench(back, rep, 0.3); len(problems) != 0 {
+	if problems := runstore.CompareBench(back, rep); len(problems) != 0 {
 		t.Errorf("self-compare found problems: %v", problems)
 	}
 }
@@ -84,28 +84,28 @@ func dpBenchReport(seed string, spent, f1, jsd, wall, rss float64) runstore.Repo
 func TestCompareDPBenchFlagsRegressions(t *testing.T) {
 	base := dpBenchReport("7", 1.99, 0.8, 0.1, 2, 100<<20)
 
-	if p := runstore.CompareBench(base, dpBenchReport("7", 1.99, 0.4, 0.1, 2, 100<<20), 0.1); len(p) != 1 {
+	if p := runstore.CompareBench(base, dpBenchReport("7", 1.99, 0.4, 0.1, 2, 100<<20)); len(p) != 1 {
 		t.Errorf("F1 collapse: got %d problems (%v), want 1", len(p), p)
 	}
-	if p := runstore.CompareBench(base, dpBenchReport("7", 2.5, 0.8, 0.1, 2, 100<<20), 0.1); len(p) != 1 {
+	if p := runstore.CompareBench(base, dpBenchReport("7", 2.5, 0.8, 0.1, 2, 100<<20)); len(p) != 1 {
 		t.Errorf("budget overshoot: got %d problems (%v), want 1", len(p), p)
 	}
-	if p := runstore.CompareBench(base, dpBenchReport("7", 1.99, 0.8, 0.5, 2, 100<<20), 0.1); len(p) != 1 {
+	if p := runstore.CompareBench(base, dpBenchReport("7", 1.99, 0.8, 0.5, 2, 100<<20)); len(p) != 1 {
 		t.Errorf("JSD blowup: got %d problems (%v), want 1", len(p), p)
 	}
 
 	empty := dpBenchReport("7", 1.99, 0.8, 0.1, 2, 100<<20)
 	empty.Rows = nil
-	if p := runstore.CompareBench(base, empty, 0.1); len(p) != 1 {
+	if p := runstore.CompareBench(base, empty); len(p) != 1 {
 		t.Errorf("missing cell: got %d problems (%v), want 1", len(p), p)
 	}
 
-	if p := runstore.CompareBench(base, dpBenchReport("8", 1.99, 0.8, 0.1, 2, 100<<20), 0.1); len(p) != 1 {
+	if p := runstore.CompareBench(base, dpBenchReport("8", 1.99, 0.8, 0.1, 2, 100<<20)); len(p) != 1 {
 		t.Errorf("workload mismatch: got %d problems (%v), want 1", len(p), p)
 	}
 
 	// Better cells are not regressions.
-	if p := runstore.CompareBench(base, dpBenchReport("7", 1.9, 0.9, 0.05, 1, 90<<20), 0.1); len(p) != 0 {
+	if p := runstore.CompareBench(base, dpBenchReport("7", 1.9, 0.9, 0.05, 1, 90<<20)); len(p) != 0 {
 		t.Errorf("improvement flagged as regression: %v", p)
 	}
 }

@@ -4,32 +4,16 @@ import (
 	"fmt"
 	"math/rand"
 
-	"serd/internal/blocking"
 	"serd/internal/dataset"
+	"serd/internal/generator"
 	"serd/internal/matcher"
 	"serd/internal/userstudy"
 )
 
-// textualBlocker unions q-gram blocking over every textual column —
-// Magellan-style multi-attribute blocking, so near-miss pairs on ANY
-// identifying attribute (name, address, title, …) surface as candidates.
-func textualBlocker(schema *dataset.Schema) blocking.Blocker {
-	var union blocking.Union
-	for i, col := range schema.Cols {
-		if col.Kind == dataset.Textual {
-			union = append(union, blocking.QGram{Column: i})
-		}
-	}
-	if len(union) == 0 {
-		return blocking.QGram{Column: 0}
-	}
-	return union
-}
-
 // workload materializes a labeled matcher workload with blocking-derived
 // hard negatives mixed in (the Magellan labeling regime).
 func (s *Suite) workload(er *dataset.ER, salt int64) ([]dataset.LabeledPair, error) {
-	cands, err := textualBlocker(er.Schema()).Candidates(er.A, er.B)
+	cands, err := generator.DefaultBlocker(er.Schema()).Candidates(er.A, er.B)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +160,7 @@ func (s *Suite) DataEvaluation(kind MatcherKind) ([]EvalRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			cands, err := textualBlocker(syn.Schema()).Candidates(syn.A, syn.B)
+			cands, err := generator.DefaultBlocker(syn.Schema()).Candidates(syn.A, syn.B)
 			if err != nil {
 				return nil, err
 			}

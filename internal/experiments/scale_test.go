@@ -57,7 +57,7 @@ func TestScaleBenchSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := runstore.CompareBench(back, rep, 0.0); len(p) != 0 {
+	if p := runstore.CompareBench(back, rep); len(p) != 0 {
 		t.Errorf("round-tripped report does not hold itself: %v", p)
 	}
 
@@ -95,21 +95,24 @@ func scaleBenchReport(eps float64) runstore.Report {
 func TestCompareScaleBench(t *testing.T) {
 	base := scaleBenchReport(100)
 
-	if p := runstore.CompareBench(base, scaleBenchReport(100), 0.30); len(p) != 0 {
+	if p := runstore.CompareBench(base, scaleBenchReport(100)); len(p) != 0 {
 		t.Errorf("identical runs flagged: %v", p)
 	}
-	if p := runstore.CompareBench(base, scaleBenchReport(500), 0.30); len(p) != 0 {
+	if p := runstore.CompareBench(base, scaleBenchReport(500)); len(p) != 0 {
 		t.Errorf("speedup flagged: %v", p)
 	}
-	if p := runstore.CompareBench(base, scaleBenchReport(60), 0.30); len(p) != 2 {
-		t.Errorf("40%% drop: got %v, want 2 problems", p)
+	if p := runstore.CompareBench(base, scaleBenchReport(60)); len(p) != 0 {
+		t.Errorf("40%% drop within the 50%% slack flagged: %v", p)
+	}
+	if p := runstore.CompareBench(base, scaleBenchReport(40)); len(p) != 2 {
+		t.Errorf("60%% drop: got %v, want 2 problems", p)
 	}
 
 	// Dropping the blocked twin is a regression even though the unblocked
 	// row of the same size is still present.
 	missing := scaleBenchReport(100)
 	missing.Rows = missing.Rows[:1]
-	p := runstore.CompareBench(base, missing, 0.30)
+	p := runstore.CompareBench(base, missing)
 	if len(p) != 1 || !strings.Contains(p[0], "100/blocked") {
 		t.Errorf("missing blocked row: %v", p)
 	}
@@ -117,7 +120,7 @@ func TestCompareScaleBench(t *testing.T) {
 	// The memory axis: RSS blowup past the threshold fails the gate.
 	fat := scaleBenchReport(100)
 	fat.Rows[1].Metrics["peak_rss_bytes"] = 1 << 28
-	p = runstore.CompareBench(base, fat, 0.30)
+	p = runstore.CompareBench(base, fat)
 	if len(p) != 1 || !strings.Contains(p[0], "peak_rss_bytes") {
 		t.Errorf("RSS blowup: %v", p)
 	}
@@ -126,13 +129,13 @@ func TestCompareScaleBench(t *testing.T) {
 	for _, r := range noRSS.Rows {
 		delete(r.Metrics, "peak_rss_bytes")
 	}
-	if p := runstore.CompareBench(noRSS, fat, 0.30); len(p) != 0 {
+	if p := runstore.CompareBench(noRSS, fat); len(p) != 0 {
 		t.Errorf("RSS held against a baseline that never measured it: %v", p)
 	}
 
 	other := scaleBenchReport(100)
 	other.Workload = map[string]string{"seed": "1", "dataset": "DBLP-ACM"}
-	p = runstore.CompareBench(base, other, 0.30)
+	p = runstore.CompareBench(base, other)
 	if len(p) != 1 || !strings.Contains(p[0], "workload mismatch") {
 		t.Errorf("dataset mismatch: %v", p)
 	}

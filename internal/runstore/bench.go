@@ -58,20 +58,24 @@ func (r *Row) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// String renders the row as its key followed by its metrics in name order:
-// whole numbers (counts, bytes) in full, the rest to six significant digits.
+// String renders the row as its key followed by its metrics in name order,
+// each as FormatMetric renders it.
 func (r Row) String() string {
 	var b strings.Builder
 	b.WriteString(r.Key)
 	for _, name := range sortedKeys(r.Metrics) {
-		v := r.Metrics[name]
-		if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-			fmt.Fprintf(&b, "  %s=%.0f", name, v)
-		} else {
-			fmt.Fprintf(&b, "  %s=%.6g", name, v)
-		}
+		fmt.Fprintf(&b, "  %s=%s", name, FormatMetric(r.Metrics[name]))
 	}
 	return b.String()
+}
+
+// FormatMetric renders a metric value: whole numbers (counts, bytes) in
+// full, the rest to six significant digits.
+func FormatMetric(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return fmt.Sprintf("%.0f", v)
+	}
+	return fmt.Sprintf("%.6g", v)
 }
 
 // Better is the direction in which a gated value improves.
@@ -82,17 +86,15 @@ const (
 	Higher Better = iota + 1
 	// Lower gates a rise above the baseline by more than the slack.
 	Lower
-	// AtMost gates a rise above the baseline by more than Abs alone: the
-	// relative threshold does not apply.
-	AtMost
 )
 
 // Rule is how one metric is held to its baseline value. The slack is the
-// larger of the relative threshold times the baseline and Abs, so Abs is
-// the absolute floor that keeps a small baseline from gating noise. A
-// baseline below MinBase gates nothing.
+// larger of Rel times the baseline and Abs, so Abs is the absolute floor
+// that keeps a small baseline from gating noise. A baseline below MinBase
+// gates nothing.
 type Rule struct {
 	Better  Better
+	Rel     float64
 	Abs     float64
 	MinBase float64
 }
@@ -102,14 +104,11 @@ type Rule struct {
 // is base > 0.
 const positive = math.SmallestNonzeroFloat64
 
-// Check holds cur to base at relative threshold rel. It returns the floor
-// (Higher) or ceiling (Lower, AtMost) cur was held to and whether cur is
-// past it; a baseline below MinBase is never regressed.
-func (r Rule) Check(base, cur, rel float64) (bound float64, regressed bool) {
-	if r.Better == AtMost {
-		rel = 0
-	}
-	slack := math.Max(rel*base, r.Abs)
+// Check holds cur to base. It returns the floor (Higher) or ceiling (Lower)
+// cur was held to and whether cur is past it; a baseline below MinBase is
+// never regressed.
+func (r Rule) Check(base, cur float64) (bound float64, regressed bool) {
+	slack := math.Max(r.Rel*base, r.Abs)
 	if r.Better == Higher {
 		bound = base - slack
 		return bound, base >= r.MinBase && cur < bound
@@ -120,44 +119,102 @@ func (r Rule) Check(base, cur, rel float64) (bound float64, regressed bool) {
 
 // BenchRules is the gate table of CompareBench: per suite, the rule for
 // each gated metric. Metrics a suite records beyond these are kept and
-// printed but never gated.
+// printed but never gated. Each suite's relative slack fits its run
+// length: a 5 s core run on shared hardware swings less than a minutes-long
+// scale ladder.
 var BenchRules = map[string]map[string]Rule{
 	"core": {
-		"entities_per_sec": {Better: Higher, MinBase: positive},
-		"peak_rss_bytes":   {Better: Lower, MinBase: positive},
-		"gc_pause_seconds": {Better: Lower, MinBase: positive},
+		"entities_per_sec": {Better: Higher, Rel: 0.25, MinBase: positive},
+		"peak_rss_bytes":   {Better: Lower, Rel: 0.25, MinBase: positive},
+		"gc_pause_seconds": {Better: Lower, Rel: 0.25, MinBase: positive},
 	},
 	"scale": {
-		"entities_per_sec": {Better: Higher, MinBase: positive},
-		"peak_rss_bytes":   {Better: Lower, MinBase: positive},
+		"entities_per_sec": {Better: Higher, Rel: 0.5, MinBase: positive},
+		"peak_rss_bytes":   {Better: Lower, Rel: 0.5, MinBase: positive},
 	},
 	// The [0,1] quality axes get an absolute slack so benign float drift
 	// on a near-zero baseline does not gate; wall-clock gates only cells
 	// slow enough to time; the spent ε may not grow at all.
 	"dp": {
-		"f1":             {Better: Higher, Abs: 0.02},
-		"jsd":            {Better: Lower, Abs: 0.02},
-		"wall_seconds":   {Better: Lower, MinBase: 0.5},
-		"peak_rss_bytes": {Better: Lower, MinBase: positive},
-		"epsilon_spent":  {Better: AtMost, Abs: 1e-9},
+		"f1":             {Better: Higher, Rel: 0.3, Abs: 0.02},
+		"jsd":            {Better: Lower, Rel: 0.3, Abs: 0.02},
+		"wall_seconds":   {Better: Lower, Rel: 0.3, MinBase: 0.5},
+		"peak_rss_bytes": {Better: Lower, Rel: 0.3, MinBase: positive},
+		"epsilon_spent":  {Better: Lower, Abs: 1e-9},
 	},
+}
+
+// RunRules is the gate table of `serd runs compare`, over the metrics
+// Entry.Row flattens a run into. A stage needs an absolute growth of
+// 0.05 s to count, since millisecond stages jitter far beyond any
+// fraction; so does the total wall, which gates only against a measured
+// baseline, as do peak RSS and jsd. ε is recomputed, not measured, so any
+// growth past 1% means the run's mechanisms changed.
+var RunRules = map[string]Rule{
+	"wall_seconds":   {Better: Lower, Rel: 0.25, Abs: 0.05, MinBase: positive},
+	"stage":          {Better: Lower, Rel: 0.25, Abs: 0.05},
+	"peak_rss_bytes": {Better: Lower, Rel: 0.5, MinBase: positive},
+	"epsilon":        {Better: Lower, Rel: 0.01},
+	"jsd":            {Better: Lower, Rel: 0.25, MinBase: positive},
+}
+
+// Gate holds a current row to a baseline row under a rule table and
+// returns one problem per regressed metric, keyed by the metric's name. A
+// metric's rule is its exact name's, else its family's: the prefix before
+// ":" ("stage" for "stage:core.s2"). A metric absent from the baseline is
+// held against 0, so its rule's MinBase decides whether it gates; a gated
+// metric the baseline measured but the current row lacks is a regression.
+// Ungated metrics never gate.
+func Gate(base, cur Row, rules map[string]Rule) map[string]string {
+	problems := map[string]string{}
+	check := func(name string) {
+		rule, gated := rules[name]
+		if !gated {
+			family, _, _ := strings.Cut(name, ":")
+			rule, gated = rules[family]
+		}
+		if !gated {
+			return
+		}
+		b, measured := base.Metrics[name]
+		c, present := cur.Metrics[name]
+		if measured && !present {
+			problems[name] = fmt.Sprintf("%s measured %.6g in the baseline but is absent now", name, b)
+			return
+		}
+		if bound, regressed := rule.Check(b, c); regressed {
+			side, limit := "above", "ceiling"
+			if rule.Better == Higher {
+				side, limit = "below", "floor"
+			}
+			problems[name] = fmt.Sprintf("%s %.6g is %s the %.6g baseline (%s %.6g at the %.0f%% threshold)",
+				name, c, side, b, limit, bound, 100*rule.Rel)
+		}
+	}
+	for name := range base.Metrics {
+		check(name)
+	}
+	for name := range cur.Metrics {
+		if _, seen := base.Metrics[name]; !seen {
+			check(name)
+		}
+	}
+	return problems
 }
 
 // CompareBench checks a fresh bench run against a baseline of the same
 // suite and returns one human-readable problem per regression: a differing
 // suite or workload (reported alone — the rows would not be comparable),
-// a baseline row missing from the current run, or a metric past its
-// BenchRules bound at the relative threshold. A metric absent from the
-// baseline gates nothing; one absent from the current run counts as 0.
-// Better values and extra rows are not problems. An empty result means the
-// run holds the baseline.
-func CompareBench(baseline, current Report, threshold float64) []string {
+// a baseline row missing from the current run, or a metric of a matched
+// row that Gate flags under the suite's BenchRules. Better values and
+// extra rows are not problems. An empty result means the run holds the
+// baseline.
+func CompareBench(baseline, current Report) []string {
 	if baseline.Suite != current.Suite || !maps.Equal(baseline.Workload, current.Workload) {
 		return []string{fmt.Sprintf(
 			"workload mismatch: baseline %s %v vs current %s %v; regenerate the baseline with the same flags",
 			baseline.Suite, baseline.Workload, current.Suite, current.Workload)}
 	}
-	rules := BenchRules[baseline.Suite]
 	cur := make(map[string]Row, len(current.Rows))
 	for _, r := range current.Rows {
 		cur[r.Key] = r
@@ -169,21 +226,9 @@ func CompareBench(baseline, current Report, threshold float64) []string {
 			problems = append(problems, fmt.Sprintf("row %s present in the baseline but not benched now", base.Key))
 			continue
 		}
-		for _, name := range sortedKeys(base.Metrics) {
-			rule, gated := rules[name]
-			if !gated {
-				continue
-			}
-			b, c := base.Metrics[name], now.Metrics[name]
-			if bound, regressed := rule.Check(b, c, threshold); regressed {
-				side, limit := "above", "ceiling"
-				if rule.Better == Higher {
-					side, limit = "below", "floor"
-				}
-				problems = append(problems, fmt.Sprintf(
-					"row %s: %s %.6g is %s the %.6g baseline (%s %.6g at the %.0f%% threshold)",
-					base.Key, name, c, side, b, limit, bound, 100*threshold))
-			}
+		gate := Gate(base, now, BenchRules[baseline.Suite])
+		for _, name := range sortedKeys(gate) {
+			problems = append(problems, fmt.Sprintf("row %s: %s", base.Key, gate[name]))
 		}
 	}
 	return problems

@@ -48,6 +48,8 @@ func TestCompareBench(t *testing.T) {
 	coreOtherCaps.Workload = map[string]string{"seed": "1", "sizecap": "999", "matchcap": "12"}
 	coreFullRegression := coreReport(10, mem(200<<20, 0.025))
 	coreNoisyUngated := coreReport(100, map[string]float64{"attempts": 1000})
+	coreNoThroughput := coreReport(100, nil)
+	delete(coreNoThroughput.Rows[1].Metrics, "entities_per_sec")
 	coreAsScale := coreReport(100, nil)
 	coreAsScale.Suite = "scale"
 	scaleMissing := scaleReport(100, 1<<25)
@@ -73,70 +75,79 @@ func TestCompareBench(t *testing.T) {
 	cases := []struct {
 		name      string
 		base, cur Report
-		threshold float64
 		// want lists one substring per expected problem (each must
 		// appear in some problem; the problem count must match).
 		want []string
 	}{
-		{name: "core identical", base: coreReport(100, nil), cur: coreReport(100, nil), threshold: 0.3},
-		{name: "core 20% drop within threshold", base: coreReport(100, nil), cur: coreReport(80, nil), threshold: 0.3},
-		{name: "core speedup", base: coreReport(100, nil), cur: coreReport(500, nil), threshold: 0.3},
-		{name: "core 40% drop", base: coreReport(100, nil), cur: coreReport(60, nil), threshold: 0.3,
+		{name: "core identical", base: coreReport(100, nil), cur: coreReport(100, nil)},
+		{name: "core 20% drop within threshold", base: coreReport(100, nil), cur: coreReport(80, nil)},
+		{name: "core 30% drop", base: coreReport(100, nil), cur: coreReport(70, nil),
+			want: []string{"row Restaurant: entities_per_sec 70 is below the 100 baseline (floor 75 at the 25% threshold)", "row DBLP-ACM: entities_per_sec"}},
+		{name: "core speedup", base: coreReport(100, nil), cur: coreReport(500, nil)},
+		{name: "core 40% drop", base: coreReport(100, nil), cur: coreReport(60, nil),
 			want: []string{"row Restaurant: entities_per_sec", "row DBLP-ACM: entities_per_sec"}},
-		{name: "core missing dataset", base: coreReport(100, nil), cur: coreMissing, threshold: 0.3,
+		{name: "core missing dataset", base: coreReport(100, nil), cur: coreMissing,
 			want: []string{"DBLP-ACM present in the baseline"}},
-		{name: "core cap mismatch", base: coreReport(100, nil), cur: coreOtherCaps, threshold: 0.3,
+		{name: "core cap mismatch", base: coreReport(100, nil), cur: coreOtherCaps,
 			want: []string{"workload mismatch"}},
-		{name: "metric absent from the baseline gates nothing", base: coreReport(100, nil), cur: coreReport(100, mem(1<<28, 0.012)), threshold: 0.3},
-		{name: "metric absent from the current run gates nothing lower-better", base: coreReport(100, mem(1<<28, 0.012)), cur: coreReport(100, nil), threshold: 0.3},
-		{name: "core memory identical", base: coreReport(100, mem(100<<20, 0.010)), cur: coreReport(100, mem(100<<20, 0.010)), threshold: 0.3},
-		{name: "core memory 20% growth", base: coreReport(100, mem(100<<20, 0.010)), cur: coreReport(100, mem(120<<20, 0.012)), threshold: 0.3},
-		{name: "core memory improvement", base: coreReport(100, mem(100<<20, 0.010)), cur: coreReport(100, mem(50<<20, 0.002)), threshold: 0.3},
-		{name: "core RSS blowup", base: coreReport(100, mem(100<<20, 0.010)), cur: coreReport(100, mem(200<<20, 0.010)), threshold: 0.3,
+		{name: "metric absent from the baseline gates nothing", base: coreReport(100, nil), cur: coreReport(100, mem(1<<28, 0.012))},
+		{name: "gated metric absent from the current run regresses", base: coreReport(100, mem(1<<28, 0.012)), cur: coreReport(100, nil),
+			want: []string{"row Restaurant: gc_pause_seconds measured 0.012 in the baseline but is absent now",
+				"row Restaurant: peak_rss_bytes measured 2.68435e+08 in the baseline but is absent now",
+				"row DBLP-ACM: gc_pause_seconds", "row DBLP-ACM: peak_rss_bytes"}},
+		{name: "throughput absent from the current run regresses", base: coreReport(100, nil), cur: coreNoThroughput,
+			want: []string{"row DBLP-ACM: entities_per_sec measured 200 in the baseline but is absent now"}},
+		{name: "ungated metric absent from the current run gates nothing", base: coreReport(100, map[string]float64{"attempts": 80}), cur: coreReport(100, nil)},
+		{name: "core memory identical", base: coreReport(100, mem(100<<20, 0.010)), cur: coreReport(100, mem(100<<20, 0.010))},
+		{name: "core memory 20% growth", base: coreReport(100, mem(100<<20, 0.010)), cur: coreReport(100, mem(120<<20, 0.012))},
+		{name: "core memory improvement", base: coreReport(100, mem(100<<20, 0.010)), cur: coreReport(100, mem(50<<20, 0.002))},
+		{name: "core RSS blowup", base: coreReport(100, mem(100<<20, 0.010)), cur: coreReport(100, mem(200<<20, 0.010)),
 			want: []string{"row Restaurant: peak_rss_bytes", "row DBLP-ACM: peak_rss_bytes"}},
-		{name: "core GC pause blowup", base: coreReport(100, mem(100<<20, 0.010)), cur: coreReport(100, mem(100<<20, 0.025)), threshold: 0.3,
+		{name: "core GC pause blowup", base: coreReport(100, mem(100<<20, 0.010)), cur: coreReport(100, mem(100<<20, 0.025)),
 			want: []string{"row Restaurant: gc_pause_seconds", "row DBLP-ACM: gc_pause_seconds"}},
-		{name: "core full regression", base: coreReport(100, mem(100<<20, 0.010)), cur: coreFullRegression, threshold: 0.3,
+		{name: "core full regression", base: coreReport(100, mem(100<<20, 0.010)), cur: coreFullRegression,
 			want: []string{"entities_per_sec", "entities_per_sec", "peak_rss_bytes", "peak_rss_bytes", "gc_pause_seconds", "gc_pause_seconds"}},
-		{name: "metric outside the table never gates", base: coreReport(100, map[string]float64{"attempts": 80}), cur: coreNoisyUngated, threshold: 0.3},
-		{name: "suite mismatch", base: coreReport(100, nil), cur: coreAsScale, threshold: 0.3,
+		{name: "metric outside the table never gates", base: coreReport(100, map[string]float64{"attempts": 80}), cur: coreNoisyUngated},
+		{name: "suite mismatch", base: coreReport(100, nil), cur: coreAsScale,
 			want: []string{"workload mismatch"}},
 
-		{name: "scale identical", base: scaleReport(100, 1<<25), cur: scaleReport(100, 1<<25), threshold: 0.3},
-		{name: "scale speedup", base: scaleReport(100, 1<<25), cur: scaleReport(500, 1<<25), threshold: 0.3},
-		{name: "scale 40% drop", base: scaleReport(100, 1<<25), cur: scaleReport(60, 1<<25), threshold: 0.3,
+		{name: "scale identical", base: scaleReport(100, 1<<25), cur: scaleReport(100, 1<<25)},
+		{name: "scale speedup", base: scaleReport(100, 1<<25), cur: scaleReport(500, 1<<25)},
+		{name: "scale 40% drop within threshold", base: scaleReport(100, 1<<25), cur: scaleReport(60, 1<<25)},
+		{name: "scale 60% drop", base: scaleReport(100, 1<<25), cur: scaleReport(40, 1<<25),
 			want: []string{"row 100/unblocked: entities_per_sec", "row 100/blocked: entities_per_sec"}},
-		{name: "scale missing blocked twin", base: scaleReport(100, 1<<25), cur: scaleMissing, threshold: 0.3,
+		{name: "scale missing blocked twin", base: scaleReport(100, 1<<25), cur: scaleMissing,
 			want: []string{"row 100/blocked present in the baseline"}},
-		{name: "scale RSS blowup", base: scaleReport(100, 1<<25), cur: scaleFat, threshold: 0.3,
+		{name: "scale RSS blowup", base: scaleReport(100, 1<<25), cur: scaleFat,
 			want: []string{"row 100/blocked: peak_rss_bytes"}},
-		{name: "scale RSS absent from the baseline", base: scaleNoRSS, cur: scaleFat, threshold: 0.3},
-		{name: "scale dataset mismatch", base: scaleReport(100, 1<<25), cur: scaleOtherDataset, threshold: 0.3,
+		{name: "scale RSS absent from the baseline", base: scaleNoRSS, cur: scaleFat},
+		{name: "scale dataset mismatch", base: scaleReport(100, 1<<25), cur: scaleOtherDataset,
 			want: []string{"workload mismatch"}},
 
-		{name: "dp F1 collapse", base: dpBase, cur: dpReport(1.99, 0.4, 0.1, 2, 100<<20), threshold: 0.1,
+		{name: "dp F1 collapse", base: dpBase, cur: dpReport(1.99, 0.4, 0.1, 2, 100<<20),
 			want: []string{"f1 0.4 is below"}},
-		{name: "dp budget overshoot", base: dpBase, cur: dpReport(2.5, 0.8, 0.1, 2, 100<<20), threshold: 0.1,
+		{name: "dp budget overshoot", base: dpBase, cur: dpReport(2.5, 0.8, 0.1, 2, 100<<20),
 			want: []string{"epsilon_spent 2.5 is above"}},
-		{name: "dp JSD blowup", base: dpBase, cur: dpReport(1.99, 0.8, 0.5, 2, 100<<20), threshold: 0.1,
+		{name: "dp JSD blowup", base: dpBase, cur: dpReport(1.99, 0.8, 0.5, 2, 100<<20),
 			want: []string{"jsd 0.5 is above"}},
-		{name: "dp missing cell", base: dpBase, cur: dpMissing, threshold: 0.1,
+		{name: "dp missing cell", base: dpBase, cur: dpMissing,
 			want: []string{"Restaurant/privbayes/eps=2 present in the baseline"}},
-		{name: "dp workload mismatch", base: dpBase, cur: dpOtherSeed, threshold: 0.1,
+		{name: "dp workload mismatch", base: dpBase, cur: dpOtherSeed,
 			want: []string{"workload mismatch"}},
-		{name: "dp improvement", base: dpBase, cur: dpReport(1.9, 0.9, 0.05, 1, 90<<20), threshold: 0.1},
-		{name: "dp wall and RSS blowup", base: dpBase, cur: dpReport(1.99, 0.8, 0.1, 3, 200<<20), threshold: 0.1,
+		{name: "dp improvement", base: dpBase, cur: dpReport(1.9, 0.9, 0.05, 1, 90<<20)},
+		{name: "dp 20% wall growth within threshold", base: dpBase, cur: dpReport(1.99, 0.8, 0.1, 2.4, 100<<20)},
+		{name: "dp wall and RSS blowup", base: dpBase, cur: dpReport(1.99, 0.8, 0.1, 3, 200<<20),
 			want: []string{"wall_seconds 3 is above", "peak_rss_bytes"}},
-		{name: "dp fast cell wall never gates", base: dpReport(1.99, 0.8, 0.1, 0.4, 100<<20), cur: dpReport(1.99, 0.8, 0.1, 4, 100<<20), threshold: 0.1},
-		{name: "dp JSD slack on a zero baseline", base: dpReport(1.99, 0.8, 0, 2, 100<<20), cur: dpReport(1.99, 0.8, 0.019, 2, 100<<20), threshold: 0.1},
-		{name: "dp spent ε gets no relative slack", base: dpReport(2, 0.8, 0.1, 2, 100<<20), cur: dpReport(2.1, 0.8, 0.1, 2, 100<<20), threshold: 0.1,
+		{name: "dp fast cell wall never gates", base: dpReport(1.99, 0.8, 0.1, 0.4, 100<<20), cur: dpReport(1.99, 0.8, 0.1, 4, 100<<20)},
+		{name: "dp JSD slack on a zero baseline", base: dpReport(1.99, 0.8, 0, 2, 100<<20), cur: dpReport(1.99, 0.8, 0.019, 2, 100<<20)},
+		{name: "dp spent ε gets no relative slack", base: dpReport(2, 0.8, 0.1, 2, 100<<20), cur: dpReport(2.1, 0.8, 0.1, 2, 100<<20),
 			want: []string{"epsilon_spent 2.1 is above"}},
-		{name: "dp gmm must keep spending nothing", base: gmmRow(0), cur: gmmRow(0.5), threshold: 0.3,
+		{name: "dp gmm must keep spending nothing", base: gmmRow(0), cur: gmmRow(0.5),
 			want: []string{"row Restaurant/gmm/eps=2: epsilon_spent"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := CompareBench(tc.base, tc.cur, tc.threshold)
+			p := CompareBench(tc.base, tc.cur)
 			if len(p) != len(tc.want) {
 				t.Fatalf("got %d problems, want %d: %v", len(p), len(tc.want), p)
 			}
@@ -150,6 +161,24 @@ func TestCompareBench(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBenchRulesSlack pins each suite's relative slack: every gated metric
+// of core at 25%, scale at 50% and dp at 30%, except the spent ε, which may
+// not grow at all.
+func TestBenchRulesSlack(t *testing.T) {
+	want := map[string]float64{"core": 0.25, "scale": 0.5, "dp": 0.3}
+	for suite, rules := range BenchRules {
+		for name, r := range rules {
+			rel := want[suite]
+			if name == "epsilon_spent" {
+				rel = 0
+			}
+			if r.Rel != rel {
+				t.Errorf("%s %s: Rel %g, want %g", suite, name, r.Rel, rel)
+			}
+		}
 	}
 }
 
@@ -228,7 +257,7 @@ func TestPinnedBaselinesLoad(t *testing.T) {
 				t.Errorf("%s: workload[%s] = %q, want %q", tc.file, k, rep.Workload[k], v)
 			}
 		}
-		if p := CompareBench(rep, rep, 0); len(p) != 0 {
+		if p := CompareBench(rep, rep); len(p) != 0 {
 			t.Errorf("%s does not hold itself: %v", tc.file, p)
 		}
 	}

@@ -28,14 +28,24 @@ func baseEntry() Entry {
 	}
 }
 
+// gate holds run b to run a the way `serd runs compare` does.
+func gate(a, b Entry) map[string]string {
+	return Gate(a.Row(), b.Row(), RunRules)
+}
+
 func TestCompareIdenticalHolds(t *testing.T) {
 	a, b := baseEntry(), baseEntry()
-	c := Compare(a, b, CompareOptions{})
-	if c.Regressed() {
-		t.Fatalf("identical runs regressed: %v", c.Regressions)
+	if p := gate(a, b); len(p) != 0 {
+		t.Fatalf("identical runs regressed: %v", p)
 	}
-	if len(c.Stages) != 2 || len(c.Groups) != 2 {
-		t.Fatalf("joined axes: %d stages, %d groups", len(c.Stages), len(c.Groups))
+	row := a.Row()
+	for _, name := range []string{"wall_seconds", "stage:core.s1", "stage:core.s2", "peak_rss_bytes", "epsilon", "epsilon:name", "epsilon:addr", "jsd", "entities"} {
+		if _, ok := row.Metrics[name]; !ok {
+			t.Errorf("run row lacks %s: %v", name, row.Metrics)
+		}
+	}
+	if len(row.Metrics) != 9 {
+		t.Fatalf("run row holds %d metrics, want 9: %v", len(row.Metrics), row.Metrics)
 	}
 }
 
@@ -45,26 +55,17 @@ func TestCompareImprovementHolds(t *testing.T) {
 	b.Stages[1].Seconds = 2
 	b.Summary["jsd"] = 0.02
 	b.Runtime = &telemetry.RuntimeStats{PeakRSSBytes: 50 << 20}
-	if c := Compare(a, b, CompareOptions{}); c.Regressed() {
-		t.Fatalf("improvement flagged as regression: %v", c.Regressions)
+	if p := gate(a, b); len(p) != 0 {
+		t.Fatalf("improvement flagged as regression: %v", p)
 	}
 }
 
 func TestCompareWallRegression(t *testing.T) {
 	a, b := baseEntry(), baseEntry()
 	b.WallSeconds = 20
-	c := Compare(a, b, CompareOptions{})
-	if !c.Wall.Regressed || !c.Regressed() {
-		t.Fatalf("2x wall-clock not flagged: %+v", c.Wall)
-	}
-	found := false
-	for _, r := range c.Regressions {
-		if strings.Contains(r, "wall-clock") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no wall-clock line in %v", c.Regressions)
+	p := gate(a, b)
+	if len(p) != 1 || !strings.Contains(p["wall_seconds"], "wall_seconds 20 is above") {
+		t.Fatalf("2x wall-clock not flagged alone: %v", p)
 	}
 }
 
@@ -75,8 +76,8 @@ func TestCompareMinSecondsFloor(t *testing.T) {
 	a.WallSeconds, b.WallSeconds = 0.010, 0.040
 	a.Stages, b.Stages = nil, nil
 	a.Runtime, b.Runtime = nil, nil
-	if c := Compare(a, b, CompareOptions{}); c.Regressed() {
-		t.Fatalf("sub-MinSeconds jitter flagged: %v", c.Regressions)
+	if p := gate(a, b); len(p) != 0 {
+		t.Fatalf("sub-0.05s jitter flagged: %v", p)
 	}
 }
 
@@ -86,23 +87,14 @@ func TestCompareStageRegression(t *testing.T) {
 		{Name: "core.s1", Count: 1, Seconds: 4},
 		{Name: "core.s2", Count: 1, Seconds: 12}, // 2x
 	}
-	c := Compare(a, b, CompareOptions{})
-	if !c.Regressed() {
-		t.Fatal("stage slowdown not flagged")
-	}
-	var hit bool
-	for _, d := range c.Stages {
-		if d.Name == "core.s2" && d.Regressed {
-			hit = true
-		}
-	}
-	if !hit {
-		t.Fatalf("core.s2 delta not marked regressed: %+v", c.Stages)
+	p := gate(a, b)
+	if len(p) != 1 || p["stage:core.s2"] == "" {
+		t.Fatalf("core.s2 slowdown not flagged alone: %v", p)
 	}
 	// A brand-new expensive stage (A side 0) regresses too.
-	b.Stages = append(b.Stages, StageTime{Name: "core.s4", Count: 1, Seconds: 1})
-	if c := Compare(a, b, CompareOptions{}); !c.Regressed() {
-		t.Fatal("new expensive stage not flagged")
+	b.Stages = []StageTime{a.Stages[0], a.Stages[1], {Name: "core.s4", Count: 1, Seconds: 1}}
+	if p := gate(a, b); len(p) != 1 || p["stage:core.s4"] == "" {
+		t.Fatalf("new expensive stage not flagged alone: %v", p)
 	}
 }
 
@@ -112,24 +104,24 @@ func TestCompareEpsilonRegression(t *testing.T) {
 		{Group: "name", Charges: 1, Epsilon: 0.8},
 		{Group: "addr", Charges: 1, Epsilon: 0.4},
 	}}
-	c := Compare(a, b, CompareOptions{})
-	if !c.Epsilon.Regressed {
-		t.Fatalf("ε growth 1.0 -> 1.2 not flagged: %+v", c.Epsilon)
+	p := gate(a, b)
+	if p["epsilon"] == "" {
+		t.Fatalf("ε growth 1.0 -> 1.2 not flagged: %v", p)
 	}
-	var groupHit bool
-	for _, g := range c.Groups {
-		if g.Name == "name" && g.Regressed {
-			groupHit = true
-		}
-	}
-	if !groupHit {
-		t.Fatalf("per-group ε growth not flagged: %+v", c.Groups)
+	if p["epsilon:name"] == "" || p["epsilon:addr"] != "" {
+		t.Fatalf("per-group ε growth not flagged on name alone: %v", p)
 	}
 	// ε within 1% holds.
 	b.Privacy.Epsilon = 1.005
 	b.Privacy.Groups = a.Privacy.Groups
-	if c := Compare(a, b, CompareOptions{}); c.Epsilon.Regressed {
-		t.Fatalf("ε within threshold flagged: %v", c.Regressions)
+	if p := gate(a, b); len(p) != 0 {
+		t.Fatalf("ε within threshold flagged: %v", p)
+	}
+	// A run that spends ε where the baseline kept no ledger regresses.
+	a.Privacy = nil
+	b.Privacy = &Privacy{Epsilon: 0.5}
+	if p := gate(a, b); p["epsilon"] == "" {
+		t.Fatalf("ε spent over a ledger-less baseline not flagged: %v", p)
 	}
 }
 
@@ -137,44 +129,36 @@ func TestCompareRSSAndJSD(t *testing.T) {
 	a, b := baseEntry(), baseEntry()
 	b.Runtime = &telemetry.RuntimeStats{PeakRSSBytes: 250 << 20} // 2.5x
 	b.Summary = map[string]float64{"jsd": 0.10, "entities": 100}
-	c := Compare(a, b, CompareOptions{})
-	if !c.PeakRSS.Regressed {
-		t.Fatalf("2.5x RSS not flagged: %+v", c.PeakRSS)
+	p := gate(a, b)
+	if p["peak_rss_bytes"] == "" {
+		t.Fatalf("2.5x RSS not flagged: %v", p)
 	}
-	var jsdHit, entitiesHit bool
-	for _, d := range c.Metrics {
-		if d.Name == "jsd" && d.Regressed {
-			jsdHit = true
-		}
-		if d.Name == "entities" && d.Regressed {
-			entitiesHit = true
-		}
+	if p["jsd"] == "" {
+		t.Fatalf("jsd doubling not flagged: %v", p)
 	}
-	if !jsdHit {
-		t.Fatalf("jsd doubling not flagged: %+v", c.Metrics)
-	}
-	if entitiesHit {
+	if p["entities"] != "" {
 		t.Fatal("entities count must never gate (no known direction)")
 	}
 	// Missing baseline RSS asserts nothing.
 	a.Runtime = nil
-	if c := Compare(a, b, CompareOptions{}); c.PeakRSS.Regressed {
+	if p := gate(a, b); p["peak_rss_bytes"] != "" {
 		t.Fatal("RSS without baseline flagged")
 	}
 }
 
-func TestCompareConfigDiff(t *testing.T) {
+// TestCompareAbsentMetricRegresses: a gated metric the baseline run
+// measured but the current run lacks is a regression that names it.
+func TestCompareAbsentMetricRegresses(t *testing.T) {
 	a, b := baseEntry(), baseEntry()
-	b.Config = map[string]string{"seed": "2", "workers": "4"}
-	c := Compare(a, b, CompareOptions{})
-	if c.ConfigDiff["seed"] != [2]string{"1", "2"} {
-		t.Fatalf("seed diff = %v", c.ConfigDiff["seed"])
+	b.Runtime = nil
+	p := gate(a, b)
+	if len(p) != 1 || !strings.Contains(p["peak_rss_bytes"], "peak_rss_bytes measured 1.04858e+08 in the baseline but is absent now") {
+		t.Fatalf("RSS lost by the current run not flagged alone: %v", p)
 	}
-	if c.ConfigDiff["workers"] != [2]string{"", "4"} {
-		t.Fatalf("workers diff = %v", c.ConfigDiff["workers"])
-	}
-	if Compare(a, a, CompareOptions{}).ConfigDiff != nil {
-		t.Fatal("identical config should have nil diff")
+	delete(b.Summary, "jsd")
+	delete(b.Summary, "entities")
+	if p := gate(a, b); len(p) != 2 || p["jsd"] == "" {
+		t.Fatalf("jsd lost by the current run not flagged: %v", p)
 	}
 }
 

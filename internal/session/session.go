@@ -60,12 +60,11 @@ type Spec struct {
 	OnServing func(addr string)
 }
 
-// Result is what a run's body hands back: the report's headline scalars
-// and privacy block, and the summary its journal's run_end event carries.
+// Result is what a run's body hands back: the summary scalars the report
+// and the journal's run_end event carry, and the report's privacy block.
 type Result struct {
 	Summary map[string]float64
 	Privacy *telemetry.LedgerSummary
-	RunEnd  map[string]float64
 }
 
 // run is the state Run holds between arming a run and ending it.
@@ -188,7 +187,7 @@ func (r *run) end(res Result, err error) error {
 	}
 	if jr := r.spec.Journal; jr != nil {
 		status, msg := pipeline.TerminalStatus(err)
-		jr.RunEnd(status, msg, res.RunEnd, time.Since(r.start).Seconds())
+		jr.RunEnd(status, msg, res.Summary, time.Since(r.start).Seconds())
 		if jerr := jr.Close(); err == nil && jerr != nil {
 			return jerr
 		}

@@ -462,11 +462,6 @@ func trainOne(m *transformer.Model, pairs []Pair, opts TransformerOptions, r *ra
 					return 0, err
 				}
 			}
-			if epoch+1 < opts.Epochs {
-				if cause := bt.canceled(); cause != nil {
-					return 0, fmt.Errorf("textsynth: interrupted after epoch %d/%d: %w", epoch+1, opts.Epochs, cause)
-				}
-			}
 		}
 		finish()
 		return acct.Epsilon(opts.DP.Delta), nil

@@ -122,7 +122,7 @@ func synthesizeRow(t *testing.T, out string, row invarianceRow) []byte {
 		err = session.Run(spec, &r.stdout, func(rec telemetry.Recorder) (session.Result, error) {
 			r.opts.Metrics = rec
 			summary, err := synthesize()
-			return session.Result{RunEnd: summary}, err
+			return session.Result{Summary: summary}, err
 		})
 	} else {
 		var summary map[string]float64
