@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzLetterOpsMatchRunes checks the slicing forms of Typo and DeleteChar
-// against their []rune oracles: from equal seeds both give
+// FuzzLetterOpsMatchRunes checks the slicing forms of Typo, DeleteChar and
+// DuplicateChar against their []rune oracles: from equal seeds both give
 // the same output and leave the generator at the same next draw.
 func FuzzLetterOpsMatchRunes(f *testing.F) {
 	for _, s := range []string{
@@ -24,6 +24,7 @@ func FuzzLetterOpsMatchRunes(f *testing.F) {
 	}{
 		{"Typo", Typo, typoRunes},
 		{"DeleteChar", DeleteChar, deleteCharRunes},
+		{"DuplicateChar", DuplicateChar, duplicateCharRunes},
 	}
 	f.Fuzz(func(t *testing.T, s string, seed int64) {
 		for _, op := range ops {

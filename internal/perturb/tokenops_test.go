@@ -43,8 +43,9 @@ func titleCaseFields(s string, _ *rand.Rand) string {
 }
 
 // FuzzTokenOps checks the single-pass token ops against their
-// strings.Fields oracles: from equal seeds both give the same output and
-// leave the generator at the same next draw.
+// strings.Fields oracles, and LowerCase against strings.ToLower: from
+// equal seeds both give the same output and leave the generator at the
+// same next draw.
 func FuzzTokenOps(f *testing.F) {
 	for _, s := range []string{
 		"", "solo", "one two three", "  lead", "trail  ", "  a   b\t\n c  ", "\t\n",
@@ -63,6 +64,7 @@ func FuzzTokenOps(f *testing.F) {
 		{"TitleCase", TitleCase, titleCaseFields},
 		{"DropToken", DropToken, dropTokenFields},
 		{"SwapTokens", SwapTokens, swapTokensFields},
+		{"LowerCase", LowerCase, func(s string, _ *rand.Rand) string { return strings.ToLower(s) }},
 	}
 	f.Fuzz(func(t *testing.T, s string, seed int64) {
 		for _, op := range ops {

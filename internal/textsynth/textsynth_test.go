@@ -229,25 +229,68 @@ func BenchmarkRuleSynthesizeProducts(b *testing.B) {
 // benchRuleSynthesize synthesizes the first 8 background values of each
 // column, cycling through them and through targets 0, 0.1, …, 1.
 func benchRuleSynthesize(b *testing.B, gen *datagen.Generated, cols ...string) {
-	sim := simfn.QGramJaccard{Q: 3, Fold: true}
-	var values []string
-	synths := map[string]*RuleSynthesizer{}
-	for _, col := range cols {
-		rs, err := NewRuleSynthesizer(sim, gen.Background[col])
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, v := range gen.Background[col][:8] {
-			values = append(values, v)
-			synths[v] = rs
-		}
-	}
+	values, synths := ruleSynthesizeInputs(b, gen, cols...)
 	r := rand.New(rand.NewSource(3))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := values[i%len(values)]
 		sinkSynth, _ = synths[v].Synthesize(v, float64(i%11)/10, r)
+	}
+}
+
+// ruleSynthesizeInputs returns the first 8 background values of each
+// column and a synthesizer over each value's column, under 3-gram Jaccard
+// with folding.
+func ruleSynthesizeInputs(tb testing.TB, gen *datagen.Generated, cols ...string) ([]string, map[string]*RuleSynthesizer) {
+	sim := simfn.QGramJaccard{Q: 3, Fold: true}
+	var values []string
+	synths := map[string]*RuleSynthesizer{}
+	for _, col := range cols {
+		rs, err := NewRuleSynthesizer(sim, gen.Background[col])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, v := range gen.Background[col][:8] {
+			values = append(values, v)
+			synths[v] = rs
+		}
+	}
+	return values, synths
+}
+
+// TestRuleSynthesizeAllocs pins the allocations of one Synthesize call on
+// the BenchmarkRuleSynthesize and BenchmarkRuleSynthesizeProducts inputs
+// at 40 or fewer: the edit walk allocates nothing per step, so an op or
+// scorer that starts to fails here rather than in a benchmark.
+func TestRuleSynthesizeAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		gen  func(datagen.Config) (*datagen.Generated, error)
+		cols []string
+	}{
+		{"Restaurant", datagen.Restaurant, []string{"name", "address"}},
+		{"Products", datagen.Products, []string{"modelno", "title", "descr"}},
+	} {
+		gen, err := tc.gen(datagen.Config{Seed: 1, SizeA: 40, SizeB: 40, Matches: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		values, synths := ruleSynthesizeInputs(t, gen, tc.cols...)
+		r := rand.New(rand.NewSource(3))
+		calls := 0
+		allocs := testing.AllocsPerRun(1, func() {
+			for _, v := range values {
+				for ti := 0; ti <= 10; ti++ {
+					sinkSynth, _ = synths[v].Synthesize(v, float64(ti)/10, r)
+					calls++
+				}
+			}
+		})
+		// AllocsPerRun runs the function once to warm up, then once measured.
+		if perCall := allocs / float64(calls/2); perCall > 40 {
+			t.Errorf("%s: %.1f allocations per Synthesize call, want ≤ 40", tc.name, perCall)
+		}
 	}
 }
 

@@ -145,13 +145,14 @@ func BuildPairs(corpus []string, sim simfn.Func, buckets, perBucket int, r *rand
 		}
 	}
 	// Pass 2: fill sparse buckets with perturbation-derived pairs.
+	var w perturb.Walker
 	for bk := range out {
 		center := BucketCenter(bk, buckets)
 		attempts := 0
 		for len(out[bk]) < perBucket && attempts < perBucket*20 {
 			attempts++
 			a := corpus[r.Intn(len(corpus))]
-			b, s := perturb.TowardSimilarity(a, center, 0.05, simfn.Bind(sim, a), simfn.Equivalence(sim), 150, r)
+			b, s := w.Walk(a, center, 0.05, simfn.BindScorer(sim, a), 150, r)
 			if Bucket(s, buckets) == bk && a != b {
 				out[bk] = append(out[bk], Pair{S: a, T: b, Sim: s})
 			}
