@@ -136,7 +136,7 @@ func TestTowardSimilarityHitsBuckets(t *testing.T) {
 	f := simfn.QGramJaccard{Q: 3}
 	s := "Adaptable Query Optimization and Evaluation in Temporal Middleware"
 	for _, target := range []float64{0.9, 0.7, 0.5, 0.3} {
-		got, sim := TowardSimilarity(s, target, 0.05, simfn.Bind(f, s), nil, 400, r)
+		got, sim := new(Walker).Walk(s, target, 0.05, simfn.FuncScorer(simfn.Bind(f, s), nil), 400, r)
 		if got == "" {
 			t.Fatalf("empty output for target %v", target)
 		}
@@ -149,7 +149,7 @@ func TestTowardSimilarityHitsBuckets(t *testing.T) {
 func TestTowardSimilarityIdentityTarget(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	f := simfn.QGramJaccard{Q: 3}
-	got, sim := TowardSimilarity("hello world", 1.0, 0.01, simfn.Bind(f, "hello world"), nil, 10, r)
+	got, sim := new(Walker).Walk("hello world", 1.0, 0.01, simfn.FuncScorer(simfn.Bind(f, "hello world"), nil), 10, r)
 	if got != "hello world" || sim != 1 {
 		t.Errorf("target 1.0 should return the input unchanged, got %q (%v)", got, sim)
 	}
@@ -160,9 +160,9 @@ var towardValues = []string{
 	"12224 Ventura Blvd.", "Hotel Bel-Air", "701 Stone Canyon Rd.",
 }
 
-// BenchmarkTowardSimilarity is the rule synthesizer's edit walk: perturb
-// restaurant-style values toward targets across [0, 1] under bound 3-gram
-// Jaccard.
+// BenchmarkTowardSimilarity is the edit walk scoring every step from
+// scratch: perturb restaurant-style values toward targets across [0, 1]
+// over a FuncScorer of bound 3-gram Jaccard.
 func BenchmarkTowardSimilarity(b *testing.B) {
 	f := simfn.QGramJaccard{Q: 3, Fold: true}
 	bound, same := make([]func(string) float64, len(towardValues)), simfn.Equivalence(f)
@@ -174,7 +174,7 @@ func BenchmarkTowardSimilarity(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % len(towardValues)
-		sinkWalk, _ = TowardSimilarity(towardValues[k], float64(i%11)/10, 0.02, bound[k], same, 200, r)
+		sinkWalk, _ = new(Walker).Walk(towardValues[k], float64(i%11)/10, 0.02, simfn.FuncScorer(bound[k], same), 200, r)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"serd/internal/simfn"
 )
 
-// towardSimilarityOracle is TowardSimilarity calling sim on every step,
+// towardSimilarityOracle is Walk over simfn.FuncScorer calling sim on every step,
 // no-op and equivalent edits included: the oracle the walk is tested
 // against. It also returns how many steps were no-ops (cand == cur) and
 // how many were equivalent under same without being equal.
@@ -81,7 +81,7 @@ func TestTowardSimilarityMatchesOracle(t *testing.T) {
 					seed := int64(oi*1000 + maxSteps + ti)
 					r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 					calls = 0
-					got, gotSim := TowardSimilarity(o, target, 0.02, counting, same, maxSteps, r1)
+					got, gotSim := new(Walker).Walk(o, target, 0.02, simfn.FuncScorer(counting, same), maxSteps, r1)
 					gotCalls := calls
 					calls = 0
 					want, wantSim, n, e := towardSimilarityOracle(o, target, 0.02, counting, same, maxSteps, r2)
