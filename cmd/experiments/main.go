@@ -53,7 +53,6 @@ import (
 	"time"
 
 	"serd/internal/config"
-	"serd/internal/datagen"
 	"serd/internal/experiments"
 	"serd/internal/journal"
 	"serd/internal/pipeline"
@@ -350,19 +349,7 @@ func produceBench(ctx context.Context, cfg experiments.Config, flags *config.Exp
 			opts.Dataset = cfg.Datasets[0]
 		}
 		if flags.Blocking.Enabled() {
-			// Resolve the -s3-blocker flags against the generator's schema
-			// (a minimal generation is the cheapest way to obtain it).
-			gen, err := datagen.ByName(opts.Dataset)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			probe, err := gen.Gen(datagen.Config{Seed: flags.Seed, SizeA: 2, SizeB: 2, Matches: 1})
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			if opts.Blocker, err = flags.Blocking.Build(probe.ER.Schema()); err != nil {
-				return nil, nil, nil, err
-			}
+			opts.Blocker = flags.Blocking.Build
 		}
 		rows, err := experiments.ScaleBench(ctx, opts)
 		return map[string]string{"seed": seed, "dataset": opts.Dataset}, []string{opts.Dataset}, rows, err

@@ -55,57 +55,44 @@ func checkColumn(blocker string, col int, a, b *dataset.Relation) error {
 	return nil
 }
 
-// param is one numeric blocker parameter, named as its struct field.
-type param struct {
-	field string
-	v     int
-}
+// The blockers' parameters. Each Describe string records the ones its
+// blocker uses, so a journal names the exact blocker that ran.
+const (
+	// gramQ is the q-gram blocker's gram size.
+	gramQ = 3
+	// gramMinShared is how many distinct grams a pair must share to be a
+	// q-gram candidate.
+	gramMinShared = 2
+	// gramMaxPer caps the q-gram candidates of one A-entity, keeping
+	// frequent grams from exploding the candidate set.
+	gramMaxPer = 64
+	// tokenMaxPer is the token blocker's stop-word guard: a token found in
+	// more than this many B-entities proposes no pairs.
+	tokenMaxPer = 50
+	// snWindow is the sorted neighborhood's half-width.
+	snWindow = 5
+)
 
-// checkParams validates numeric blocker parameters after defaults: a zero
-// field takes its default, so a value left below 1 was set negative.
-func checkParams(blocker string, ps ...param) error {
-	for _, p := range ps {
-		if p.v < 1 {
-			return fmt.Errorf("blocking: %s blocker: %s = %d, want at least 1", blocker, p.field, p.v)
-		}
-	}
-	return nil
-}
-
-// Token blocks on shared lower-cased tokens of one key column.
+// Token blocks on shared lower-cased tokens of one key column, skipping
+// tokens found in more than tokenMaxPer B-entities.
 type Token struct {
 	// Column is the key column index.
 	Column int
-	// MaxPerToken skips tokens appearing in more than this many B-entities
-	// (stop-word guard, default 50).
-	MaxPerToken int
-}
-
-func (t Token) defaults() Token {
-	if t.MaxPerToken == 0 {
-		t.MaxPerToken = 50
-	}
-	return t
 }
 
 // Describe implements Blocker.
 func (t Token) Describe() string {
-	d := t.defaults()
-	return fmt.Sprintf("token(col=%d,max_per_token=%d)", d.Column, d.MaxPerToken)
+	return fmt.Sprintf("token(col=%d,max_per_token=%d)", t.Column, tokenMaxPer)
 }
 
 // Candidates implements Blocker.
 func (t Token) Candidates(a, b *dataset.Relation) ([]dataset.Pair, error) {
-	d := t.defaults()
-	if err := checkColumn("token", d.Column, a, b); err != nil {
-		return nil, err
-	}
-	if err := checkParams("token", param{"MaxPerToken", d.MaxPerToken}); err != nil {
+	if err := checkColumn("token", t.Column, a, b); err != nil {
 		return nil, err
 	}
 	index := make(map[string][]int)
 	for j, e := range b.Entities {
-		for _, tok := range strings.Fields(strings.ToLower(e.Values[d.Column])) {
+		for _, tok := range strings.Fields(strings.ToLower(e.Values[t.Column])) {
 			index[tok] = append(index[tok], j)
 		}
 	}
@@ -113,9 +100,9 @@ func (t Token) Candidates(a, b *dataset.Relation) ([]dataset.Pair, error) {
 	seen := make(map[int]bool)
 	for i, e := range a.Entities {
 		clear(seen)
-		for _, tok := range strings.Fields(strings.ToLower(e.Values[d.Column])) {
+		for _, tok := range strings.Fields(strings.ToLower(e.Values[t.Column])) {
 			js := index[tok]
-			if len(js) > d.MaxPerToken {
+			if len(js) > tokenMaxPer {
 				continue // stop word
 			}
 			for _, j := range js {
@@ -130,35 +117,21 @@ func (t Token) Candidates(a, b *dataset.Relation) ([]dataset.Pair, error) {
 }
 
 // SortedNeighborhood sorts both relations by a key column and pairs
-// entities whose rank distance is within Window — the classic
+// entities whose rank distance is within snWindow — the classic
 // sorted-neighborhood method.
 type SortedNeighborhood struct {
 	// Column is the key column index.
 	Column int
-	// Window is the neighborhood half-width (default 5).
-	Window int
-}
-
-func (s SortedNeighborhood) defaults() SortedNeighborhood {
-	if s.Window == 0 {
-		s.Window = 5
-	}
-	return s
 }
 
 // Describe implements Blocker.
 func (s SortedNeighborhood) Describe() string {
-	d := s.defaults()
-	return fmt.Sprintf("sn(col=%d,window=%d)", d.Column, d.Window)
+	return fmt.Sprintf("sn(col=%d,window=%d)", s.Column, snWindow)
 }
 
 // Candidates implements Blocker.
 func (s SortedNeighborhood) Candidates(a, b *dataset.Relation) ([]dataset.Pair, error) {
-	d := s.defaults()
-	if err := checkColumn("sorted-neighborhood", d.Column, a, b); err != nil {
-		return nil, err
-	}
-	if err := checkParams("sorted-neighborhood", param{"Window", d.Window}); err != nil {
+	if err := checkColumn("sorted-neighborhood", s.Column, a, b); err != nil {
 		return nil, err
 	}
 	type keyed struct {
@@ -168,16 +141,16 @@ func (s SortedNeighborhood) Candidates(a, b *dataset.Relation) ([]dataset.Pair, 
 	}
 	all := make([]keyed, 0, a.Len()+b.Len())
 	for i, e := range a.Entities {
-		all = append(all, keyed{key: strings.ToLower(e.Values[d.Column]), idx: i, side: 0})
+		all = append(all, keyed{key: strings.ToLower(e.Values[s.Column]), idx: i, side: 0})
 	}
 	for j, e := range b.Entities {
-		all = append(all, keyed{key: strings.ToLower(e.Values[d.Column]), idx: j, side: 1})
+		all = append(all, keyed{key: strings.ToLower(e.Values[s.Column]), idx: j, side: 1})
 	}
 	sort.SliceStable(all, func(x, y int) bool { return all[x].key < all[y].key })
 	seen := make(map[dataset.Pair]bool)
 	var out []dataset.Pair
 	for x := range all {
-		for y := x + 1; y < len(all) && y <= x+d.Window; y++ {
+		for y := x + 1; y < len(all) && y <= x+snWindow; y++ {
 			if all[x].side == all[y].side {
 				continue
 			}

@@ -62,7 +62,7 @@ func TestTokenBlockingRecall(t *testing.T) {
 
 func TestSortedNeighborhoodRecall(t *testing.T) {
 	g := fixture(t)
-	bl := SortedNeighborhood{Column: titleCol(t, g), Window: 8}
+	bl := SortedNeighborhood{Column: titleCol(t, g)}
 	q := Evaluate(g.ER, mustCands(t, bl, g.ER.A, g.ER.B))
 	// Sorted neighborhood keys on the title prefix; case-folded duplicate
 	// titles sort adjacently. (Typo'd first characters can escape the
@@ -78,9 +78,9 @@ func TestSortedNeighborhoodRecall(t *testing.T) {
 func TestUnionImprovesRecall(t *testing.T) {
 	g := fixture(t)
 	col := titleCol(t, g)
-	single := Evaluate(g.ER, mustCands(t, SortedNeighborhood{Column: col, Window: 3}, g.ER.A, g.ER.B))
+	single := Evaluate(g.ER, mustCands(t, SortedNeighborhood{Column: col}, g.ER.A, g.ER.B))
 	union := Evaluate(g.ER, mustCands(t, Union{
-		SortedNeighborhood{Column: col, Window: 3},
+		SortedNeighborhood{Column: col},
 		QGram{Column: col},
 	}, g.ER.A, g.ER.B))
 	if union.Recall < single.Recall {
@@ -111,15 +111,29 @@ func TestCandidatesAreUniqueAndInRange(t *testing.T) {
 	}
 }
 
+// TestQGramMaxPerEntityCaps checks that no A-entity keeps more candidates
+// than the cut allows: at a small cap, and at the shipped cap, which binds
+// on this fixture.
 func TestQGramMaxPerEntityCaps(t *testing.T) {
 	g := fixture(t)
-	bl := QGram{Column: titleCol(t, g), MaxPerEntity: 3}
-	cands := mustCands(t, bl, g.ER.A, g.ER.B)
-	perA := map[int]int{}
-	for _, p := range cands {
-		perA[p.A]++
-		if perA[p.A] > 3 {
-			t.Fatalf("entity %d has %d candidates, cap 3", p.A, perA[p.A])
+	col := titleCol(t, g)
+	small, err := qgramCut{minShared: gramMinShared, max: 3}.candidatesOn(nil, col, g.ER.A, g.ER.B)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		cands []dataset.Pair
+		max   int
+	}{"cap 3": {small, 3}, "shipped": {mustCands(t, QGram{Column: col}, g.ER.A, g.ER.B), gramMaxPer}} {
+		perA := map[int]int{}
+		for _, p := range tc.cands {
+			perA[p.A]++
+			if perA[p.A] > tc.max {
+				t.Fatalf("%s: entity %d has %d candidates, cap %d", name, p.A, perA[p.A], tc.max)
+			}
+		}
+		if perA[0] != tc.max {
+			t.Errorf("%s: entity 0 has %d candidates, want the cap %d to bind", name, perA[0], tc.max)
 		}
 	}
 }
@@ -129,39 +143,6 @@ func TestEvaluateEmpty(t *testing.T) {
 	q := Evaluate(g.ER, nil)
 	if q.Recall != 0 || q.Candidates != 0 || q.ReductionRatio != 1 {
 		t.Errorf("empty candidates: %+v", q)
-	}
-}
-
-func TestMinHashRecallAndDeterminism(t *testing.T) {
-	g := fixture(t)
-	bl := MinHash{Column: titleCol(t, g)}
-	a := mustCands(t, bl, g.ER.A, g.ER.B)
-	q := Evaluate(g.ER, a)
-	// Near-duplicate titles have Jaccard ~0.8+; with 8 bands of 4 rows the
-	// collision probability at s=0.8 is ~0.97, so recall must be high.
-	if q.Recall < 0.9 {
-		t.Errorf("minhash recall = %v", q.Recall)
-	}
-	if q.ReductionRatio < 0.5 {
-		t.Errorf("minhash reduction = %v (candidates %d)", q.ReductionRatio, q.Candidates)
-	}
-	b := mustCands(t, bl, g.ER.A, g.ER.B)
-	if len(a) != len(b) {
-		t.Fatal("minhash not deterministic")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("minhash candidate order not deterministic")
-		}
-	}
-}
-
-func TestMinHashBandRounding(t *testing.T) {
-	g := fixture(t)
-	// Hashes not divisible by Bands must not panic.
-	bl := MinHash{Column: titleCol(t, g), Hashes: 30, Bands: 8}
-	if cands := mustCands(t, bl, g.ER.A, g.ER.B); len(cands) == 0 {
-		t.Error("no candidates")
 	}
 }
 
@@ -212,12 +193,11 @@ func TestOutOfRangeColumnErrors(t *testing.T) {
 	g := fixture(t)
 	bad := g.ER.Schema().Len() // one past the last column
 	for name, bl := range map[string]Blocker{
-		"qgram":   QGram{Column: bad},
-		"token":   Token{Column: bad},
-		"snm":     SortedNeighborhood{Column: bad},
-		"minhash": MinHash{Column: bad},
-		"union":   Union{QGram{Column: 0}, Token{Column: bad}},
-		"neg":     QGram{Column: -1},
+		"qgram": QGram{Column: bad},
+		"token": Token{Column: bad},
+		"snm":   SortedNeighborhood{Column: bad},
+		"union": Union{QGram{Column: 0}, Token{Column: bad}},
+		"neg":   QGram{Column: -1},
 	} {
 		cands, err := bl.Candidates(g.ER.A, g.ER.B)
 		if err == nil {
@@ -231,36 +211,6 @@ func TestOutOfRangeColumnErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "blocking:") {
 			t.Errorf("%s: error %q does not name the package/blocker", name, err)
-		}
-	}
-}
-
-func TestInvalidParametersError(t *testing.T) {
-	g := fixture(t)
-	for _, tc := range []struct {
-		bl          Blocker
-		name, field string
-	}{
-		{QGram{Q: -1}, "qgram", "Q"},
-		{QGram{MinShared: -1}, "qgram", "MinShared"},
-		{QGram{MaxPerEntity: -1}, "qgram", "MaxPerEntity"},
-		{MinHash{Q: -1}, "minhash", "Q"},
-		{MinHash{Hashes: -5}, "minhash", "Hashes"},
-		{MinHash{Bands: -2}, "minhash", "Bands"},
-		{Token{MaxPerToken: -1}, "token", "MaxPerToken"},
-		{SortedNeighborhood{Window: -1}, "sorted-neighborhood", "Window"},
-		{Union{QGram{}, Token{MaxPerToken: -3}}, "token", "MaxPerToken"},
-	} {
-		cands, err := tc.bl.Candidates(g.ER.A, g.ER.B)
-		if err == nil {
-			t.Errorf("%s: no error for invalid %s", tc.bl.Describe(), tc.field)
-			continue
-		}
-		if cands != nil {
-			t.Errorf("%s: candidates returned alongside error", tc.bl.Describe())
-		}
-		if msg := err.Error(); !strings.Contains(msg, "blocking: "+tc.name+" blocker") || !strings.Contains(msg, tc.field+" = ") {
-			t.Errorf("%s: error %q does not name the blocker %q and field %s", tc.bl.Describe(), msg, tc.name, tc.field)
 		}
 	}
 }
@@ -292,10 +242,9 @@ func TestUnionDedupDeterminism(t *testing.T) {
 
 func TestDescribeNamesBlockerAndParams(t *testing.T) {
 	for want, bl := range map[string]Blocker{
-		"qgram(col=2,q=3,min_shared=2,max_per=64)":                                      QGram{Column: 2},
-		"token(col=1,max_per_token=50)":                                                 Token{Column: 1},
-		"sn(col=0,window=5)":                                                            SortedNeighborhood{},
-		"minhash(col=0,q=3,hashes=32,bands=8,seed=0)":                                   MinHash{},
+		"qgram(col=2,q=3,min_shared=2,max_per=64)": QGram{Column: 2},
+		"token(col=1,max_per_token=50)":            Token{Column: 1},
+		"sn(col=0,window=5)":                       SortedNeighborhood{},
 		"union(qgram(col=0,q=3,min_shared=2,max_per=64),token(col=0,max_per_token=50))": Union{QGram{}, Token{}},
 	} {
 		if got := bl.Describe(); got != want {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"serd/internal/dataset"
 	"serd/internal/parallel"
@@ -12,43 +11,24 @@ import (
 	"serd/internal/stats"
 )
 
-// QGram blocks on shared character q-grams of one key column: two entities
-// are candidates when their key values share at least MinShared q-grams.
+// QGram blocks on shared character q-grams of one key column: two
+// entities are candidates when their case-folded key values share at
+// least gramMinShared distinct q-grams (q = gramQ), and each A-entity
+// keeps at most gramMaxPer of its candidates.
 type QGram struct {
 	// Column is the key column index.
 	Column int
-	// Q is the gram size (default 3).
-	Q int
-	// MinShared is the number of shared grams required (default 2).
-	MinShared int
-	// MaxPerEntity caps candidates per A-entity, keeping frequent grams
-	// from exploding the candidate set (default 64; 0 = default).
-	MaxPerEntity int
-}
-
-func (g QGram) defaults() QGram {
-	if g.Q == 0 {
-		g.Q = 3
-	}
-	if g.MinShared == 0 {
-		g.MinShared = 2
-	}
-	if g.MaxPerEntity == 0 {
-		g.MaxPerEntity = 64
-	}
-	return g
 }
 
 // Describe implements Blocker.
 func (g QGram) Describe() string {
-	d := g.defaults()
-	return fmt.Sprintf("qgram(col=%d,q=%d,min_shared=%d,max_per=%d)", d.Column, d.Q, d.MinShared, d.MaxPerEntity)
+	return fmt.Sprintf("qgram(col=%d,q=%d,min_shared=%d,max_per=%d)", g.Column, gramQ, gramMinShared, gramMaxPer)
 }
 
 // Candidates implements Blocker. B's case-folded key grams are interned to
 // dense ids and indexed as ascending []int32 posting lists; each A-entity
 // counts its overlaps in one reused per-B counter. When more than
-// MaxPerEntity B-entities share MinShared grams, the strongest overlaps
+// gramMaxPer B-entities share gramMinShared grams, the strongest overlaps
 // are kept — count descending, ties to the lower index — before anything
 // is sorted, and the survivors are emitted by ascending index.
 func (g QGram) Candidates(a, b *dataset.Relation) ([]dataset.Pair, error) {
@@ -60,24 +40,27 @@ func (g QGram) Candidates(a, b *dataset.Relation) ([]dataset.Pair, error) {
 // chunks' pairs are concatenated in A order, so the list is the same at
 // any worker count.
 func (g QGram) candidatesOn(pool *parallel.Pool, a, b *dataset.Relation) ([]dataset.Pair, error) {
-	d := g.defaults()
-	if err := checkColumn("qgram", d.Column, a, b); err != nil {
+	return qgramCut{minShared: gramMinShared, max: gramMaxPer}.candidatesOn(pool, g.Column, a, b)
+}
+
+// qgramCut is the rule that turns an A-entity's shared-gram counts into
+// its candidates: every B-entity sharing at least minShared grams, cut to
+// the max strongest. QGram runs the shipped cut; tests run smaller ones so
+// that the cut lands on ties.
+type qgramCut struct{ minShared, max int }
+
+// candidatesOn is QGram.candidatesOn on key column col under cut c.
+func (c qgramCut) candidatesOn(pool *parallel.Pool, col int, a, b *dataset.Relation) ([]dataset.Pair, error) {
+	if err := checkColumn("qgram", col, a, b); err != nil {
 		return nil, err
 	}
-	if err := checkParams("qgram", param{"Q", d.Q}, param{"MinShared", d.MinShared}, param{"MaxPerEntity", d.MaxPerEntity}); err != nil {
-		return nil, err
-	}
-	var grams interner = &substringGrams{q: d.Q, ids: make(map[string]int32)}
-	if d.Q <= simfn.MaxPackedQ {
-		grams = newPackedGrams(d.Q)
-	}
-	ix := newGramIndex(grams, b, d.Column)
+	ix := newGramIndex(b, col)
 	n := a.Len()
 	w := min(pool.Workers(), n)
 	chunks := make([][]dataset.Pair, w)
-	pool.Run("blocking.qgram", w, func(c int) {
-		lo, hi := c*n/w, (c+1)*n/w
-		chunks[c] = ix.probe(d, a.Entities[lo:hi], lo)
+	pool.Run("blocking.qgram", w, func(k int) {
+		lo, hi := k*n/w, (k+1)*n/w
+		chunks[k] = ix.probe(c, col, a.Entities[lo:hi], lo)
 	})
 	if w == 1 {
 		return chunks[0], nil
@@ -88,15 +71,16 @@ func (g QGram) candidatesOn(pool *parallel.Pool, a, b *dataset.Relation) ([]data
 // gramIndex is the CSR inverted index over B's key grams: the B indices
 // holding gram id are postings[start[id]:start[id+1]], ascending.
 type gramIndex struct {
-	grams           interner
+	grams           *packedGrams
 	start, postings []int32
 	nB              int
 }
 
 // newGramIndex indexes B's values in column col, interning their grams
-// into grams in one pass in B order: a gram's id is its rank by first
-// occurrence in B.
-func newGramIndex(grams interner, b *dataset.Relation, col int) *gramIndex {
+// in one pass in B order: a gram's id is its rank by first occurrence in
+// B.
+func newGramIndex(b *dataset.Relation, col int) *gramIndex {
+	grams := newPackedGrams()
 	nB := b.Len()
 	bytes := 0 // a value has at most one gram per byte
 	for _, e := range b.Entities {
@@ -136,13 +120,13 @@ func newGramIndex(grams interner, b *dataset.Relation, col int) *gramIndex {
 // sweepStrongest cuts the counters in index order. Shorter walks track
 // the touched entities, so a large B is never swept per A-entity, and
 // cut their qualifiers with keepStrongest.
-func (ix *gramIndex) probe(d QGram, as []*dataset.Entity, base int) []dataset.Pair {
+func (ix *gramIndex) probe(c qgramCut, col int, as []*dataset.Entity, base int) []dataset.Pair {
 	sc := gramScratch{stamp: make([]int32, ix.grams.len())}
 	var out []dataset.Pair
 	shared := make([]int32, ix.nB)
 	var ids, touched, cands, hist, tied []int32
 	for k, e := range as {
-		ids = sc.appendDistinct(ids[:0], ix.grams, e.Values[d.Column], false)
+		ids = sc.appendDistinct(ids[:0], ix.grams, e.Values[col], false)
 		walk := 0
 		for _, id := range ids {
 			walk += int(ix.start[id+1] - ix.start[id])
@@ -153,7 +137,7 @@ func (ix *gramIndex) probe(d QGram, as []*dataset.Entity, base int) []dataset.Pa
 					shared[j]++
 				}
 			}
-			cands, hist = sweepStrongest(cands[:0], shared, d.MinShared, d.MaxPerEntity, len(ids), hist)
+			cands, hist = sweepStrongest(cands[:0], shared, c.minShared, c.max, len(ids), hist)
 			clear(shared)
 		} else {
 			for _, id := range ids {
@@ -166,12 +150,12 @@ func (ix *gramIndex) probe(d QGram, as []*dataset.Entity, base int) []dataset.Pa
 			}
 			cands = cands[:0]
 			for _, j := range touched {
-				if int(shared[j]) >= d.MinShared {
+				if int(shared[j]) >= c.minShared {
 					cands = append(cands, j)
 				}
 			}
-			if len(cands) > d.MaxPerEntity {
-				cands, hist, tied = keepStrongest(cands, shared, d.MaxPerEntity, len(ids), hist, tied)
+			if len(cands) > c.max {
+				cands, hist, tied = keepStrongest(cands, shared, c.max, len(ids), hist, tied)
 			}
 			slices.Sort(cands)
 			for _, j := range touched {
@@ -260,30 +244,17 @@ func keepStrongest(cands, shared []int32, max, maxCount int, hist, tied []int32)
 	return kept, hist, tied
 }
 
-// interner maps key values to dense ids of their case-folded q-grams, the
-// grams of simfn.QGrams(strings.ToLower(v), q).
-type interner interface {
-	// appendIDs appends the id of each of v's grams to dst, in position
-	// order and with repeats. With intern set, an unseen gram gets the
-	// next id; otherwise it is skipped (no B-entity has it) and the
-	// interner is only read, so such calls may run concurrently.
-	appendIDs(dst []int32, v string, intern bool, sc *gramScratch) []int32
-	// len is the number of ids handed out.
-	len() int
-}
-
 // gramScratch is one goroutine's buffers for interning and deduplicating
 // the grams of a value.
 type gramScratch struct {
 	keys  []uint64 // packedGrams' keys
-	subs  []string // substringGrams' substrings
 	stamp []int32  // per id: the last call that emitted it
 	call  int32
 }
 
 // appendDistinct appends the distinct ids of v's grams to dst, in first
 // occurrence order.
-func (sc *gramScratch) appendDistinct(dst []int32, grams interner, v string, intern bool) []int32 {
+func (sc *gramScratch) appendDistinct(dst []int32, grams *packedGrams, v string, intern bool) []int32 {
 	sc.call++
 	n := len(dst)
 	dst = grams.appendIDs(dst, v, intern, sc)
@@ -300,11 +271,11 @@ func (sc *gramScratch) appendDistinct(dst []int32, grams interner, v string, int
 	return out
 }
 
-// packedGrams interns q ≤ simfn.MaxPackedQ grams as their packed uint64
-// keys (simfn.AppendPackedQGrams with folding) in an open-addressing table
-// with linear probing, kept at most half full.
+// packedGrams interns the case-folded gramQ-grams of key values, the
+// grams of simfn.QGrams(strings.ToLower(v), gramQ), as dense ids. It keys
+// each gram by its packed uint64 (simfn.AppendPackedQGrams with folding)
+// in an open-addressing table with linear probing, kept at most half full.
 type packedGrams struct {
-	q     int
 	slots []packedSlot // len is a power of two
 	shift uint         // 64 − log2(len(slots))
 	keys  []uint64     // by id
@@ -315,14 +286,22 @@ type packedSlot struct {
 	id1 int32 // id + 1; 0 marks a free slot
 }
 
-func newPackedGrams(q int) *packedGrams {
-	return &packedGrams{q: q, slots: make([]packedSlot, 8), shift: 64 - 3}
+// A gram must fit one packed key.
+const _ = uint(simfn.MaxPackedQ - gramQ)
+
+func newPackedGrams() *packedGrams {
+	return &packedGrams{slots: make([]packedSlot, 8), shift: 64 - 3}
 }
 
+// len is the number of ids handed out.
 func (x *packedGrams) len() int { return len(x.keys) }
 
+// appendIDs appends the id of each of v's grams to dst, in position order
+// and with repeats. With intern set, an unseen gram gets the next id;
+// otherwise it is skipped (no B-entity has it) and x is only read, so such
+// calls may run concurrently.
 func (x *packedGrams) appendIDs(dst []int32, v string, intern bool, sc *gramScratch) []int32 {
-	sc.keys = simfn.AppendPackedQGrams(sc.keys[:0], v, x.q, true)
+	sc.keys = simfn.AppendPackedQGrams(sc.keys[:0], v, gramQ, true)
 	if intern {
 		x.reserve(len(sc.keys))
 	}
@@ -375,38 +354,4 @@ func (x *packedGrams) grow() {
 			x.slots[x.find(s.key)] = s
 		}
 	}
-}
-
-// substringGrams interns q > simfn.MaxPackedQ grams as the rune-aligned
-// substrings of the lower-cased value: such a gram does not fit one
-// uint64 key.
-type substringGrams struct {
-	q     int
-	ids   map[string]int32
-	grams []string // by id
-}
-
-func (x *substringGrams) len() int { return len(x.grams) }
-
-func (x *substringGrams) appendIDs(dst []int32, v string, intern bool, sc *gramScratch) []int32 {
-	sc.subs = simfn.AppendQGrams(sc.subs[:0], strings.ToLower(v), x.q)
-	for _, gram := range sc.subs {
-		id, ok := x.ids[gram]
-		if !ok {
-			if !intern {
-				continue
-			}
-			id = x.add(gram)
-		}
-		dst = append(dst, id)
-	}
-	return dst
-}
-
-// add gives gram the next id and returns it.
-func (x *substringGrams) add(gram string) int32 {
-	id := int32(len(x.grams))
-	x.ids[gram] = id
-	x.grams = append(x.grams, gram)
-	return id
 }

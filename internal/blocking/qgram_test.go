@@ -16,15 +16,14 @@ import (
 )
 
 // oracleQGramCandidates is the string-keyed reference implementation of
-// QGram.Candidates: a map[string][]int index over simfn.QGrams of the
-// lower-cased values, per-entity overlap counts in a map, and a
-// count-descending, index-ascending sort.Slice truncation. The dense
-// blocker must reproduce its pair list exactly.
-func oracleQGramCandidates(g QGram, a, b *dataset.Relation) []dataset.Pair {
-	d := g.defaults()
+// the q-gram blocker on key column col under cut c: a map[string][]int
+// index over simfn.QGrams of the lower-cased values, per-entity overlap
+// counts in a map, and a count-descending, index-ascending sort.Slice
+// truncation. The dense blocker must reproduce its pair list exactly.
+func oracleQGramCandidates(col int, c qgramCut, a, b *dataset.Relation) []dataset.Pair {
 	index := make(map[string][]int)
 	for j, e := range b.Entities {
-		for gram := range simfn.QGrams(strings.ToLower(e.Values[d.Column]), d.Q) {
+		for gram := range simfn.QGrams(strings.ToLower(e.Values[col]), gramQ) {
 			index[gram] = append(index[gram], j)
 		}
 	}
@@ -32,25 +31,25 @@ func oracleQGramCandidates(g QGram, a, b *dataset.Relation) []dataset.Pair {
 	shared := make(map[int]int)
 	for i, e := range a.Entities {
 		clear(shared)
-		for gram := range simfn.QGrams(strings.ToLower(e.Values[d.Column]), d.Q) {
+		for gram := range simfn.QGrams(strings.ToLower(e.Values[col]), gramQ) {
 			for _, j := range index[gram] {
 				shared[j]++
 			}
 		}
 		cands := make([]int, 0, len(shared))
 		for j, n := range shared {
-			if n >= d.MinShared {
+			if n >= c.minShared {
 				cands = append(cands, j)
 			}
 		}
-		if len(cands) > d.MaxPerEntity {
+		if len(cands) > c.max {
 			sort.Slice(cands, func(x, y int) bool {
 				if shared[cands[x]] != shared[cands[y]] {
 					return shared[cands[x]] > shared[cands[y]]
 				}
 				return cands[x] < cands[y]
 			})
-			cands = cands[:d.MaxPerEntity]
+			cands = cands[:c.max]
 		}
 		sort.Ints(cands)
 		for _, j := range cands {
@@ -79,6 +78,17 @@ func oneColumn(t testing.TB, name string, values []string) *dataset.Relation {
 // testPools are the pool widths the pooled entry point is checked at:
 // nil, one worker, and chunked probes at two and four.
 var testPools = []*parallel.Pool{nil, parallel.New(1, nil), parallel.New(2, nil), parallel.New(4, nil)}
+
+// mustCutOn is the q-gram blocker's candidates on key column col under
+// cut c, serial when pool is nil.
+func mustCutOn(t *testing.T, pool *parallel.Pool, col int, c qgramCut, a, b *dataset.Relation) []dataset.Pair {
+	t.Helper()
+	cands, err := c.candidatesOn(pool, col, a, b)
+	if err != nil {
+		t.Fatalf("cut %+v at %d workers: %v", c, pool.Workers(), err)
+	}
+	return cands
+}
 
 // mustCandsOn is mustCands through CandidatesOn.
 func mustCandsOn(t *testing.T, pool *parallel.Pool, bl Blocker, a, b *dataset.Relation) []dataset.Pair {
@@ -154,32 +164,37 @@ func TestQGramMatchesOracleOnFixture(t *testing.T) {
 		col  int
 		a, b *dataset.Relation
 	}{{"fixture", col, g.ER.A, g.ER.B}, {"folded", 0, fa, fb}, {"sparse", 0, sa, sb}} {
-		for _, q := range []int{1, 2, 3, 4, 5} {
-			for _, minShared := range []int{1, 2, 3} {
-				for _, maxPer := range []int{1, 3, 6, 64} {
-					bl := QGram{Column: rel.col, Q: q, MinShared: minShared, MaxPerEntity: maxPer}
-					want := oracleQGramCandidates(bl, rel.a, rel.b)
-					if got := mustCands(t, bl, rel.a, rel.b); !slices.Equal(got, want) {
-						t.Fatalf("%s %s: %d pairs, oracle %d (first difference at %d)", rel.name, bl.Describe(), len(got), len(want), firstDiff(got, want))
-					}
-					for _, pool := range testPools {
-						if got := mustCandsOn(t, pool, bl, rel.a, rel.b); !slices.Equal(got, want) {
-							t.Fatalf("%s %s at %d workers: %d pairs, oracle %d (first difference at %d)", rel.name, bl.Describe(), pool.Workers(), len(got), len(want), firstDiff(got, want))
-						}
+		for _, minShared := range []int{1, 2, 3} {
+			for _, maxPer := range []int{1, 3, 6, gramMaxPer} {
+				c := qgramCut{minShared: minShared, max: maxPer}
+				want := oracleQGramCandidates(rel.col, c, rel.a, rel.b)
+				for _, pool := range testPools {
+					if got := mustCutOn(t, pool, rel.col, c, rel.a, rel.b); !slices.Equal(got, want) {
+						t.Fatalf("%s cut %+v at %d workers: %d pairs, oracle %d (first difference at %d)", rel.name, c, pool.Workers(), len(got), len(want), firstDiff(got, want))
 					}
 				}
+			}
+		}
+		bl := QGram{Column: rel.col}
+		want := oracleQGramCandidates(rel.col, qgramCut{minShared: gramMinShared, max: gramMaxPer}, rel.a, rel.b)
+		if got := mustCands(t, bl, rel.a, rel.b); !slices.Equal(got, want) {
+			t.Fatalf("%s %s: %d pairs, oracle %d (first difference at %d)", rel.name, bl.Describe(), len(got), len(want), firstDiff(got, want))
+		}
+		for _, pool := range testPools {
+			if got := mustCandsOn(t, pool, bl, rel.a, rel.b); !slices.Equal(got, want) {
+				t.Fatalf("%s %s at %d workers: %d pairs, oracle %d (first difference at %d)", rel.name, bl.Describe(), pool.Workers(), len(got), len(want), firstDiff(got, want))
 			}
 		}
 	}
 }
 
 // TestUnionCandidatesOnMatchesSerial checks a pooled Union — q-gram
-// members on both gram paths, next to members without a pooled path —
+// members on two columns, next to members without a pooled path —
 // against the serial one, pair for pair and in order.
 func TestUnionCandidatesOnMatchesSerial(t *testing.T) {
 	g := fixture(t)
 	col := titleCol(t, g)
-	u := Union{QGram{Column: col}, Token{Column: col}, QGram{Column: col, Q: 4, MinShared: 3, MaxPerEntity: 5}, SortedNeighborhood{Column: col}, QGram{Column: 0, Q: 2}}
+	u := Union{QGram{Column: col}, Token{Column: col}, SortedNeighborhood{Column: col}, QGram{Column: 0}}
 	want := mustCands(t, u, g.ER.A, g.ER.B)
 	for _, pool := range testPools {
 		if got := mustCandsOn(t, pool, u, g.ER.A, g.ER.B); !slices.Equal(got, want) {
@@ -193,7 +208,7 @@ func TestUnionCandidatesOnMatchesSerial(t *testing.T) {
 func TestCandidatesOnReportsErrors(t *testing.T) {
 	g := fixture(t)
 	pool := parallel.New(2, nil)
-	for _, bl := range []Blocker{QGram{Column: 99}, QGram{Q: -1}, Union{Token{}, QGram{Column: 99}}, Token{Column: 99}} {
+	for _, bl := range []Blocker{QGram{Column: 99}, Union{Token{}, QGram{Column: 99}}, Token{Column: 99}} {
 		if _, err := CandidatesOn(pool, bl, g.ER.A, g.ER.B); err == nil {
 			t.Errorf("%s: no error", bl.Describe())
 		}
@@ -210,11 +225,9 @@ func firstDiff(a, b []dataset.Pair) int {
 }
 
 // FuzzQGramCandidates differentially checks the dense q-gram blocker,
-// serial and through CandidatesOn at every test pool width, against the
-// string-keyed oracle. Each input string is split on '|' into one
-// relation's key values; Q sweeps 1–5, so both the packed (q ≤ 3) and the
-// substring (q > 3) grams run, and MinShared and MaxPerEntity sweep small
-// ranges so the MaxPerEntity cut lands on ties.
+// serial and at every test pool width, against the string-keyed oracle.
+// Each input string is split on '|' into one relation's key values; the
+// cut's minShared and max sweep small ranges so that it lands on ties.
 func FuzzQGramCandidates(f *testing.F) {
 	seeds := []struct{ a, b string }{
 		{"Apple iPad|apple ipad 2|APPLE", "apple ipad|Apple iPad Air|ipad|pad"},
@@ -228,25 +241,18 @@ func FuzzQGramCandidates(f *testing.F) {
 		{"q|r|s|t|u|v", "q|r|s|t|u|v|qr|rs"},
 	}
 	for _, s := range seeds {
-		for q := uint8(0); q < 5; q++ {
-			f.Add(s.a, s.b, q, uint8(q%3), uint8(q))
+		for k := uint8(0); k < 5; k++ {
+			f.Add(s.a, s.b, k%3, k)
 		}
 	}
-	f.Fuzz(func(t *testing.T, as, bs string, q, minShared, maxPer uint8) {
+	f.Fuzz(func(t *testing.T, as, bs string, minShared, maxPer uint8) {
 		a := oneColumn(t, "A", strings.Split(as, "|"))
 		b := oneColumn(t, "B", strings.Split(bs, "|"))
-		bl := QGram{Q: 1 + int(q%5), MinShared: 1 + int(minShared%3), MaxPerEntity: 1 + int(maxPer%6)}
-		want := oracleQGramCandidates(bl, a, b)
-		got, err := bl.Candidates(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s on A=%q B=%q:\n got %v\nwant %v", bl.Describe(), as, bs, got, want)
-		}
+		c := qgramCut{minShared: 1 + int(minShared%3), max: 1 + int(maxPer%6)}
+		want := oracleQGramCandidates(0, c, a, b)
 		for _, pool := range testPools {
-			if got := mustCandsOn(t, pool, bl, a, b); !slices.Equal(got, want) {
-				t.Fatalf("%s at %d workers on A=%q B=%q:\n got %v\nwant %v", bl.Describe(), pool.Workers(), as, bs, got, want)
+			if got := mustCutOn(t, pool, 0, c, a, b); !slices.Equal(got, want) {
+				t.Fatalf("cut %+v at %d workers on A=%q B=%q:\n got %v\nwant %v", c, pool.Workers(), as, bs, got, want)
 			}
 		}
 	})

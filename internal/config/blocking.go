@@ -13,16 +13,11 @@ import (
 // canonical table at init. All three binaries bind it: serd restricts S3
 // labeling to the blocker's candidates, datagen evaluates the blocker
 // against the generated ground truth, and experiments uses it for the
-// blocked rows of the scale bench. Numeric defaults of 0 mean "use the
-// blocker's own default" so the blocking package stays the single source
-// of parameter defaults.
+// blocked rows of the scale bench. The blockers' parameters are fixed by
+// the blocking package; a flag chooses only the blocker and its key.
 var blockingSpecs = []Spec{
-	{Name: "s3-blocker", Def: "", Usage: "restrict S3 labeling to blocker candidates: qgram|token|sn|minhash|union (empty = score every pair, the paper's exact quadratic S3)"},
+	{Name: "s3-blocker", Def: "", Usage: "restrict S3 labeling to blocker candidates: qgram|token|sn|union (empty = score every pair, the paper's exact quadratic S3)"},
 	{Name: "block-key", Def: "", Usage: "blocking key column name (default: the schema's first textual column)"},
-	{Name: "block-qgram-q", Def: int(0), Usage: "qgram/minhash blocking: gram size (0 = blocker default 3)"},
-	{Name: "block-min-shared", Def: int(0), Usage: "qgram blocking: shared grams required (0 = blocker default 2)"},
-	{Name: "block-window", Def: int(0), Usage: "sn blocking: sorted-neighborhood half-width (0 = blocker default 5)"},
-	{Name: "block-max-per", Def: int(0), Usage: "qgram blocking: candidate cap per A-entity; token blocking: stop-word threshold (0 = blocker defaults 64/50)"},
 	{Name: "block-recall-floor", Def: float64(0), Usage: "journal a warning when the blocked S3's measured recall bound on the held-out sampled matches falls below this (0 = no check)"},
 }
 
@@ -33,10 +28,6 @@ func init() { sharedSpecs = append(sharedSpecs, blockingSpecs...) }
 type Blocking struct {
 	Blocker     string
 	Key         string
-	QGramQ      int
-	MinShared   int
-	Window      int
-	MaxPer      int
 	RecallFloor float64
 }
 
@@ -44,10 +35,6 @@ type Blocking struct {
 func (c *Blocking) register(b binder) {
 	b.str(&c.Blocker, "s3-blocker")
 	b.str(&c.Key, "block-key")
-	b.integer(&c.QGramQ, "block-qgram-q")
-	b.integer(&c.MinShared, "block-min-shared")
-	b.integer(&c.Window, "block-window")
-	b.integer(&c.MaxPer, "block-max-per")
 	b.float(&c.RecallFloor, "block-recall-floor")
 }
 
@@ -55,22 +42,19 @@ func (c *Blocking) register(b binder) {
 func (c *Blocking) Enabled() bool { return c.Blocker != "" }
 
 // Validate checks the blocking flags in isolation (no schema needed).
-// Strictness over silence: -block-* parameters without -s3-blocker are a
+// Strictness over silence: -block-* flags without -s3-blocker are a
 // mistake, not a no-op.
 func (c *Blocking) Validate() error {
 	switch c.Blocker {
-	case "", "qgram", "token", "sn", "minhash", "union":
+	case "", "qgram", "token", "sn", "union":
 	default:
-		return fmt.Errorf("-s3-blocker %q: want qgram, token, sn, minhash or union", c.Blocker)
+		return fmt.Errorf("-s3-blocker %q: want qgram, token, sn or union", c.Blocker)
 	}
 	if !c.Enabled() {
-		if c.Key != "" || c.QGramQ != 0 || c.MinShared != 0 || c.Window != 0 || c.MaxPer != 0 || c.RecallFloor != 0 {
+		if c.Key != "" || c.RecallFloor != 0 {
 			return errors.New("-block-* flags require -s3-blocker")
 		}
 		return nil
-	}
-	if c.QGramQ < 0 || c.MinShared < 0 || c.Window < 0 || c.MaxPer < 0 {
-		return errors.New("-block-* numeric parameters must be >= 0")
 	}
 	if c.RecallFloor < 0 || c.RecallFloor > 1 {
 		return fmt.Errorf("-block-recall-floor %g outside [0,1]", c.RecallFloor)
@@ -82,31 +66,20 @@ func (c *Blocking) Validate() error {
 // -block-key by column name (the first textual column when empty). A nil
 // blocker with nil error means blocking is off.
 func (c *Blocking) Build(schema *dataset.Schema) (blocking.Blocker, error) {
-	if err := c.Validate(); err != nil {
+	if err := c.Validate(); err != nil || !c.Enabled() {
 		return nil, err
 	}
-	if !c.Enabled() {
-		return nil, nil
-	}
-	col := -1
+	col := schema.FirstTextual()
 	if c.Key != "" {
 		if col = schema.ColumnIndex(c.Key); col < 0 {
 			return nil, fmt.Errorf("-block-key %q is not a schema column", c.Key)
 		}
-	} else {
-		for i, sc := range schema.Cols {
-			if sc.Kind == dataset.Textual {
-				col = i
-				break
-			}
-		}
-		if col < 0 {
-			return nil, errors.New("-s3-blocker needs -block-key: schema has no textual column")
-		}
+	} else if col < 0 {
+		return nil, errors.New("-s3-blocker needs -block-key: schema has no textual column")
 	}
-	qgram := blocking.QGram{Column: col, Q: c.QGramQ, MinShared: c.MinShared, MaxPerEntity: c.MaxPer}
-	token := blocking.Token{Column: col, MaxPerToken: c.MaxPer}
-	sn := blocking.SortedNeighborhood{Column: col, Window: c.Window}
+	qgram := blocking.QGram{Column: col}
+	token := blocking.Token{Column: col}
+	sn := blocking.SortedNeighborhood{Column: col}
 	switch c.Blocker {
 	case "qgram":
 		return qgram, nil
@@ -114,14 +87,10 @@ func (c *Blocking) Build(schema *dataset.Schema) (blocking.Blocker, error) {
 		return token, nil
 	case "sn":
 		return sn, nil
-	case "minhash":
-		return blocking.MinHash{Column: col, Q: c.QGramQ}, nil
-	case "union":
-		// The standard recall-recovery composition: matches a single key
-		// representation misses are usually caught by another.
-		return blocking.Union{qgram, token, sn}, nil
 	}
-	return nil, fmt.Errorf("-s3-blocker %q: want qgram, token, sn, minhash or union", c.Blocker)
+	// The standard recall-recovery composition: matches a single key
+	// representation misses are usually caught by another.
+	return blocking.Union{qgram, token, sn}, nil
 }
 
 // JournaledConfig adds the blocking keys to a RunStart config map. Off is
@@ -133,9 +102,5 @@ func (c *Blocking) JournaledConfig(cfg map[string]string) {
 	}
 	cfg["s3_blocker"] = c.Blocker
 	cfg["block_key"] = c.Key
-	cfg["block_qgram_q"] = strconv.Itoa(c.QGramQ)
-	cfg["block_min_shared"] = strconv.Itoa(c.MinShared)
-	cfg["block_window"] = strconv.Itoa(c.Window)
-	cfg["block_max_per"] = strconv.Itoa(c.MaxPer)
 	cfg["block_recall_floor"] = strconv.FormatFloat(c.RecallFloor, 'g', -1, 64)
 }

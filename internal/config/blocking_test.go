@@ -1,6 +1,8 @@
 package config
 
 import (
+	"flag"
+	"io"
 	"strings"
 	"testing"
 )
@@ -12,12 +14,11 @@ func TestBlockingValidate(t *testing.T) {
 		wantErr string
 	}{
 		{name: "off", c: Blocking{}},
-		{name: "qgram", c: Blocking{Blocker: "qgram", QGramQ: 4}},
+		{name: "qgram", c: Blocking{Blocker: "qgram", Key: "name"}},
 		{name: "union with floor", c: Blocking{Blocker: "union", RecallFloor: 0.9}},
 		{name: "unknown blocker", c: Blocking{Blocker: "lsh"}, wantErr: "-s3-blocker"},
-		{name: "params without blocker", c: Blocking{Window: 3}, wantErr: "require -s3-blocker"},
+		{name: "key without blocker", c: Blocking{Key: "name"}, wantErr: "require -s3-blocker"},
 		{name: "floor without blocker", c: Blocking{RecallFloor: 0.9}, wantErr: "require -s3-blocker"},
-		{name: "negative param", c: Blocking{Blocker: "qgram", MinShared: -1}, wantErr: ">= 0"},
 		{name: "floor above one", c: Blocking{Blocker: "sn", RecallFloor: 1.5}, wantErr: "[0,1]"},
 	}
 	for _, tc := range cases {
@@ -47,7 +48,7 @@ func TestBlockingBuild(t *testing.T) {
 	}
 
 	// Default key resolves to the first textual column, not column 0.
-	for _, name := range []string{"qgram", "token", "sn", "minhash", "union"} {
+	for _, name := range []string{"qgram", "token", "sn", "union"} {
 		c := Blocking{Blocker: name}
 		bl, err := c.Build(schema)
 		if err != nil {
@@ -58,17 +59,15 @@ func TestBlockingBuild(t *testing.T) {
 		}
 	}
 
-	// Explicit key by name, with parameters visible in the description.
-	c := Blocking{Blocker: "qgram", Key: "addr", QGramQ: 4, MinShared: 3}
+	// Explicit key by name, with the blocker's parameters in the
+	// description.
+	c := Blocking{Blocker: "union", Key: "addr"}
 	bl, err := c.Build(schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc := bl.Describe()
-	for _, want := range []string{"col=2", "q=4", "min_shared=3"} {
-		if !strings.Contains(desc, want) {
-			t.Errorf("Describe() = %q, want substring %q", desc, want)
-		}
+	if desc, want := bl.Describe(), "union(qgram(col=2,q=3,min_shared=2,max_per=64),token(col=2,max_per_token=50),sn(col=2,window=5))"; desc != want {
+		t.Errorf("Describe() = %q, want %q", desc, want)
 	}
 
 	// Unknown key column is a hard error naming the flag.
@@ -110,15 +109,54 @@ func TestBlockingJournaledConfigIsByteNoopWhenOff(t *testing.T) {
 	want := map[string]string{
 		"s3_blocker":         "union",
 		"block_key":          "x",
-		"block_qgram_q":      "0",
-		"block_min_shared":   "0",
-		"block_window":       "0",
-		"block_max_per":      "0",
 		"block_recall_floor": "0.95",
 	}
 	for k, v := range want {
 		if cfg[k] != v {
 			t.Errorf("config[%q] = %q, want %q", k, cfg[k], v)
+		}
+	}
+	for k := range cfg {
+		if _, ok := want[k]; !ok && (strings.HasPrefix(k, "block") || strings.HasPrefix(k, "s3_")) {
+			t.Errorf("blocking-on journaled config contains unexpected %q", k)
+		}
+	}
+}
+
+// TestRemovedBlockingFlagsRejected checks that serd, datagen and
+// experiments all refuse the blocker and tuning flags the blocking
+// package no longer offers: the minhash blocker is a validation error,
+// and the tuning flags are unknown.
+func TestRemovedBlockingFlagsRejected(t *testing.T) {
+	tools := map[string]struct {
+		register func(*flag.FlagSet) func() error
+		args     []string
+	}{
+		"serd": {func(fs *flag.FlagSet) func() error { return RegisterSerd(fs).Validate },
+			[]string{"-in", "in", "-out", "out", "-schema", "x:text"}},
+		"datagen":     {func(fs *flag.FlagSet) func() error { return RegisterDatagen(fs).Validate }, []string{"-out", "out"}},
+		"experiments": {func(fs *flag.FlagSet) func() error { return RegisterExperiments(fs).Validate }, nil},
+	}
+	for tool, tc := range tools {
+		run := func(extra ...string) (parseErr, validateErr error) {
+			fs := flag.NewFlagSet(tool, flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			validate := tc.register(fs)
+			if err := fs.Parse(append(append([]string{}, tc.args...), extra...)); err != nil {
+				return err, nil
+			}
+			return nil, validate()
+		}
+		if perr, verr := run("-s3-blocker", "union"); perr != nil || verr != nil {
+			t.Fatalf("%s: -s3-blocker union refused: %v, %v", tool, perr, verr)
+		}
+		if perr, verr := run("-s3-blocker", "minhash"); perr != nil || verr == nil || !strings.Contains(verr.Error(), "-s3-blocker") {
+			t.Errorf("%s: -s3-blocker minhash: parse %v, validate %v; want a -s3-blocker validation error", tool, perr, verr)
+		}
+		for _, name := range []string{"block-qgram-q", "block-min-shared", "block-window", "block-max-per"} {
+			if perr, _ := run("-s3-blocker", "union", "-"+name, "4"); perr == nil || !strings.Contains(perr.Error(), name) {
+				t.Errorf("%s: -%s 4 parsed (error %v); want an unknown-flag error", tool, name, perr)
+			}
 		}
 	}
 }

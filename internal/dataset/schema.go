@@ -86,6 +86,17 @@ func (s *Schema) ColumnIndex(name string) int {
 	return -1
 }
 
+// FirstTextual returns the index of the first textual column, or -1. It
+// is the default blocking key.
+func (s *Schema) FirstTextual() int {
+	for i, c := range s.Cols {
+		if c.Kind == Textual {
+			return i
+		}
+	}
+	return -1
+}
+
 // SimVector computes the similarity vector x_(a,b) of an entity pair
 // (paper §II-B): x[i] = f_i(a[C_i], b[C_i]).
 func (s *Schema) SimVector(a, b *Entity) []float64 {

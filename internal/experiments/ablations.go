@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"serd/internal/core"
-	"serd/internal/dataset"
 	"serd/internal/textsynth"
 )
 
@@ -31,9 +30,9 @@ func (s *Suite) AblationAlpha(name string, alphas []float64) ([]AlphaRow, error)
 	}
 	var rows []AlphaRow
 	for _, alpha := range alphas {
-		res, err := core.Synthesize(s.ctx(), g.ER, core.Options{
-			Synthesizers: synths, Alpha: alpha, Seed: s.cfg.Seed + 41,
-		})
+		opts := s.serdOptions(synths, 41)
+		opts.Alpha = alpha
+		res, err := core.Synthesize(s.ctx(), g.ER, opts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: alpha=%v: %w", alpha, err)
 		}
@@ -70,10 +69,9 @@ func (s *Suite) AblationBeta(name string, betas []float64) ([]BetaRow, error) {
 	}
 	var rows []BetaRow
 	for _, beta := range betas {
-		res, err := core.Synthesize(s.ctx(), g.ER, core.Options{
-			Synthesizers: synths, GAN: trained, GANDecode: decode,
-			Beta: beta, Seed: s.cfg.Seed + 43,
-		})
+		opts := s.serdOptions(synths, 43)
+		opts.GAN, opts.GANDecode, opts.Beta = trained, decode, beta
+		res, err := core.Synthesize(s.ctx(), g.ER, opts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: beta=%v: %w", beta, err)
 		}
@@ -100,17 +98,11 @@ func (s *Suite) AblationBuckets(name string, buckets []int, probes []float64) ([
 	if err != nil {
 		return nil, err
 	}
-	var col *dataset.Column
-	for i := range g.ER.Schema().Cols {
-		c := &g.ER.Schema().Cols[i]
-		if c.Kind == dataset.Textual {
-			col = c
-			break
-		}
-	}
-	if col == nil {
+	i := g.ER.Schema().FirstTextual()
+	if i < 0 {
 		return nil, fmt.Errorf("experiments: %s has no textual column", name)
 	}
+	col := &g.ER.Schema().Cols[i]
 	corpus := g.Background[col.Name]
 	if len(probes) == 0 {
 		probes = []float64{0.1, 0.5, 0.9}

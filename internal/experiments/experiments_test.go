@@ -2,8 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"serd/internal/dataset"
+	"serd/internal/generator"
+	"serd/internal/telemetry"
 )
 
 // quickCfg keeps suites small enough for unit tests.
@@ -283,5 +289,51 @@ func TestAblations(t *testing.T) {
 	PrintAblationBuckets(&buf, "Restaurant", bucketRows)
 	if !strings.Contains(buf.String(), "ALPHA") || !strings.Contains(buf.String(), "BETA") {
 		t.Error("ablation printers missing headers")
+	}
+}
+
+// fitCounter is an S1 backend that counts its fits.
+type fitCounter struct {
+	generator.Generator
+	fits *atomic.Int64
+}
+
+func (f fitCounter) Fit(ctx context.Context, real *dataset.ER, opts generator.FitOptions) (generator.Dist, error) {
+	f.fits.Add(1)
+	return f.Generator.Fit(ctx, real, opts)
+}
+
+// TestSERDSynthesesUseSuiteOptions checks that every SERD synthesis the
+// suite runs — Table IV's timed run, the scale-up and both ablations —
+// fits S1 on the suite's backend and records into the suite's metrics.
+func TestSERDSynthesesUseSuiteOptions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains models")
+	}
+	var fits atomic.Int64
+	reg := telemetry.NewRegistry()
+	s := NewSuite(Config{
+		Seed: 4, Datasets: []string{"Restaurant"}, SizeCap: 40, MatchCap: 15,
+		Generator: fitCounter{generator.GMM{}, &fits}, Workers: 1, Metrics: reg,
+	})
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"TableIV", func() error { _, err := s.TableIV(); return err }},
+		{"ScaleUp", func() error { _, err := s.ScaleUp(1); return err }},
+		{"AblationAlpha", func() error { _, err := s.AblationAlpha("Restaurant", []float64{1}); return err }},
+		{"AblationBeta", func() error { _, err := s.AblationBeta("Restaurant", []float64{0.5}); return err }},
+	} {
+		fitsBefore, attemptsBefore := fits.Load(), reg.Counter("core.s2.attempts")
+		if err := tc.run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if fits.Load() == fitsBefore {
+			t.Errorf("%s synthesized without the suite's S1 backend", tc.name)
+		}
+		if reg.Counter("core.s2.attempts") == attemptsBefore {
+			t.Errorf("%s synthesized without the suite's metrics", tc.name)
+		}
 	}
 }

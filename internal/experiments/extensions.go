@@ -39,12 +39,9 @@ func (s *Suite) ScaleUp(factor float64) ([]ScaleRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Synthesize(s.ctx(), g.ER, core.Options{
-			SizeA:        scale(g.ER.A.Len(), factor),
-			SizeB:        scale(g.ER.B.Len(), factor),
-			Synthesizers: synths,
-			Seed:         s.cfg.Seed + 31,
-		})
+		opts := s.serdOptions(synths, 31)
+		opts.SizeA, opts.SizeB = scale(g.ER.A.Len(), factor), scale(g.ER.B.Len(), factor)
+		res, err := core.Synthesize(s.ctx(), g.ER, opts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scale-up %s: %w", name, err)
 		}

@@ -26,9 +26,10 @@ type ScaleBenchOptions struct {
 	// that never goes down, so rows are meaningful only when sizes run in
 	// increasing order and, per size, unblocked before blocked).
 	Sizes []int
-	// Blocker is used for the blocked run at each size; nil defaults to
-	// QGram over the schema's first textual column.
-	Blocker blocking.Blocker
+	// Blocker builds the blocker of the blocked runs against the generated
+	// dataset's schema; nil means QGram over the schema's first textual
+	// column (column 0 when none is textual).
+	Blocker func(*dataset.Schema) (blocking.Blocker, error)
 	// RecallFloor is threaded into the blocked runs' journals.
 	RecallFloor float64
 	// UnblockedCap skips the unblocked (quadratic-S3) run at sizes above
@@ -74,16 +75,11 @@ func ScaleBench(ctx context.Context, opts ScaleBenchOptions) ([]runstore.Row, er
 		if err != nil {
 			return nil, err
 		}
-		blocker := opts.Blocker
-		if blocker == nil {
-			col := 0
-			for i, c := range g.ER.Schema().Cols {
-				if c.Kind == dataset.Textual {
-					col = i
-					break
-				}
+		var blocker blocking.Blocker = blocking.QGram{Column: max(0, g.ER.Schema().FirstTextual())}
+		if opts.Blocker != nil {
+			if blocker, err = opts.Blocker(g.ER.Schema()); err != nil {
+				return nil, err
 			}
-			blocker = blocking.QGram{Column: col}
 		}
 		if opts.UnblockedCap == 0 || n <= opts.UnblockedCap {
 			row, err := scaleRun(ctx, g, synths, n, opts, nil)

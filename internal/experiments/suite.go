@@ -256,19 +256,26 @@ func (s *Suite) SERDResult(name string) (*core.Result, error) {
 	return s.res[name], nil
 }
 
+// serdOptions are the options every SERD synthesis of the suite starts
+// from: synths, the suite's S1 backend, workers and metrics, and the suite
+// seed plus salt.
+func (s *Suite) serdOptions(synths map[string]textsynth.Synthesizer, salt int64) core.Options {
+	return core.Options{
+		Synthesizers: synths,
+		Seed:         s.cfg.Seed + salt,
+		Generator:    s.cfg.Generator,
+		Workers:      s.cfg.Workers,
+		Metrics:      s.cfg.Metrics,
+	}
+}
+
 func (s *Suite) runSERDLocked(g *datagen.Generated, minus bool) (*core.Result, error) {
 	synths, err := s.Synthesizers(g)
 	if err != nil {
 		return nil, err
 	}
-	opts := core.Options{
-		Synthesizers:     synths,
-		DisableRejection: minus,
-		Metrics:          s.cfg.Metrics,
-		Seed:             s.cfg.Seed + 5,
-		Workers:          s.cfg.Workers,
-		Generator:        s.cfg.Generator,
-	}
+	opts := s.serdOptions(synths, 5)
+	opts.DisableRejection = minus
 	if s.cfg.UseGAN {
 		opts.GAN, opts.GANDecode, err = s.trainGAN(g)
 		if err != nil {

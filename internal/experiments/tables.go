@@ -220,7 +220,7 @@ func (s *Suite) runSERDFresh(g *datagen.Generated) (*dataset.ER, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Synthesize(s.ctx(), g.ER, core.Options{Synthesizers: synths, Seed: s.cfg.Seed + 5})
+	res, err := core.Synthesize(s.ctx(), g.ER, s.serdOptions(synths, 5))
 	if err != nil {
 		return nil, err
 	}
