@@ -40,7 +40,10 @@ import (
 )
 
 // Version is the envelope format version; readers reject anything else.
-const Version = 1
+// Version 2 keys S2's randomness by entity and attempt: a version-1 S2
+// state carries a shared-stream position that no longer describes where
+// the run stood, so resuming one would silently diverge.
+const Version = 2
 
 // Meta identifies what a checkpoint file covers and where the journal stood
 // when it was written.
@@ -294,7 +297,7 @@ func ReadFile(path string) (*File, error) {
 		return nil, fmt.Errorf("checkpoint: %s: decoding envelope: %w", path, err)
 	}
 	if env.Version != Version {
-		return nil, fmt.Errorf("checkpoint: %s: format version %d, this build reads %d", path, env.Version, Version)
+		return nil, fmt.Errorf("checkpoint: %s: format version %d, this build reads %d (written by another build; restart fresh without -resume)", path, env.Version, Version)
 	}
 	sum := sha256.Sum256(env.Payload)
 	if got := hex.EncodeToString(sum[:]); got != env.SHA {

@@ -1,7 +1,11 @@
 package checkpoint
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/gob"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -221,5 +225,37 @@ func TestFaultHookAborts(t *testing.T) {
 	}
 	if err := c.SaveS2(&S2State{}); err == nil {
 		t.Fatal("hook error swallowed")
+	}
+}
+
+// TestOlderVersionRefused pins the format-version gate: a mid-S2
+// checkpoint in the version-1 envelope, whose S2 state describes a
+// shared-stream position this build's keyed streams cannot resume from,
+// is refused with an error that says what to do, not restored.
+func TestOlderVersionRefused(t *testing.T) {
+	dir := t.TempDir()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&S2State{Draws: 9}); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(payload.Bytes())
+	env := envelope{Version: 1, Meta: Meta{Tool: "serd", Seed: 7, Phase: "s2", Saved: 1},
+		Payload: payload.Bytes(), SHA: hex.EncodeToString(sum[:])}
+	var file bytes.Buffer
+	if err := gob.NewEncoder(&file).Encode(env); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "s2.ckpt")
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadDir(dir)
+	if err == nil {
+		t.Fatal("version-1 checkpoint accepted")
+	}
+	for _, want := range []string{"format version 1", "restart fresh without -resume"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
 	}
 }

@@ -74,7 +74,10 @@ type S2State struct {
 	// Rejections counts the rejected attempts so far.
 	Rejections int
 	Dist       *DistSnap
-	Draws      uint64
+	// Draws is the core main-stream position: past the bootstrap entity.
+	// Later entities draw from substreams keyed by their position, so the
+	// pools above say where S2 resumes.
+	Draws uint64
 }
 
 // TrainState is a transformer-bank training checkpoint for one textual

@@ -111,10 +111,10 @@ type Options struct {
 	// (journal.Instrument). Journaling, like Metrics, never touches the
 	// RNG stream.
 	Journal *journal.Journal
-	// Workers bounds the worker pool that fans out the S2/S3 hot path
-	// (delta similarity vectors, striped JSD estimates, GMM E-steps and
-	// S3 labeling). 0 means GOMAXPROCS. Workers is an execution parameter,
-	// not a semantic one: any value — including 1 — produces bit-identical
+	// Workers bounds the worker pool behind the hot path: S2's candidate
+	// synthesis ahead of its serial chain, GMM E-steps and S3 labeling.
+	// 0 means GOMAXPROCS. Workers is an execution parameter, not a
+	// semantic one: any value — including 1 — produces bit-identical
 	// datasets and journals for the same seed, which is why it is excluded
 	// from the journaled configuration.
 	Workers int
@@ -225,15 +225,16 @@ type Result struct {
 	RejectedByDistribution  int
 }
 
-// sampleEntity picks the S2-1 source entity: uniform for non-matching
-// vectors; for matching vectors, uniform over entities without a sampled
-// match partner (falling back to uniform when every entity is matched).
-func sampleEntity(rel *dataset.Relation, matching bool, matchedIdx map[int]bool, r *rand.Rand) int {
-	if !matching || len(matchedIdx) >= rel.Len() {
-		return r.Intn(rel.Len())
+// sampleEntity picks the S2-1 source entity among a table's n entities:
+// uniform for non-matching vectors; for matching vectors, uniform over
+// entities without a sampled match partner (falling back to uniform when
+// every entity is matched).
+func sampleEntity(n int, matching bool, matchedIdx map[int]bool, r *rand.Rand) int {
+	if !matching || len(matchedIdx) >= n {
+		return r.Intn(n)
 	}
 	for {
-		i := r.Intn(rel.Len())
+		i := r.Intn(n)
 		if !matchedIdx[i] {
 			return i
 		}

@@ -293,7 +293,10 @@ func (st *synthRun) runSetup(context.Context) error {
 	st.synA = dataset.NewRelation("A_syn", schema)
 	st.synB = dataset.NewRelation("B_syn", schema)
 	st.res = &Result{OReal: st.oReal}
-	st.dist = newDistState(st.oReal, st.opts, st.pool)
+	// The ΔX vectors and the Eq. 10 JSD stripes run on the chain, inline:
+	// the pool's other workers synthesize candidates meanwhile. The serial
+	// pool still records their phases and chunk spans.
+	st.dist = newDistState(st.oReal, st.opts, st.pool.Serial())
 	st.sampled = make(map[dataset.Pair]bool) // S2-sampled labels
 	// matched tracks entities that already have a sampled match partner.
 	// Real benchmark matches are essentially one-to-one; synthesizing a
@@ -304,8 +307,9 @@ func (st *synthRun) runSetup(context.Context) error {
 
 	if st.resS2 != nil {
 		// Mid-S2 resume: restore the entity pools, labels, rejection state
-		// and counters, then fast-forward the RNG stream to where the
-		// checkpoint was taken.
+		// and counters, then fast-forward the main RNG stream past the
+		// bootstrap entity. S2's own draws are keyed by entity and attempt,
+		// so the restored pools say where they resume.
 		st.rejections, err = restoreS2(st.resS2, st.synA, st.synB, st.sampled, st.matched, st.res, st.dist)
 		if err != nil {
 			return fmt.Errorf("core: resume: %w", err)
@@ -381,16 +385,20 @@ func (st *synthRun) saveS2() error {
 	return st.cp.SaveS2(s2)
 }
 
-// runS2 is the S2 synthesis loop: one new entity per iteration, with the
-// context's cancel check at the top of every iteration, so cancellation
-// returns within one entity's work and always behind a final checkpoint.
+// runS2 is the S2 synthesis loop, the chain: one new entity per
+// iteration, with the context's cancel check at the top of every
+// iteration, so cancellation returns within one entity's work and always
+// behind a final checkpoint. Each entity's plan and each attempt's draws
+// come from their own substreams (see ahead.go). The pool's other workers
+// synthesize candidates ahead; the chain alone runs the discriminator,
+// the ΔX vectors, Eq. 10 and the commit, in (entity, attempt) order, so
+// the output is the same at any worker count. At one worker there are no
+// other workers, and the chain computes each candidate it adopts inline.
 func (st *synthRun) runS2(ctx context.Context) error {
 	opts := st.opts
 	rec := st.rec
-	r := st.r
 	synA, synB := st.synA, st.synB
 	res := st.res
-	oReal := st.oReal
 	dist := st.dist
 
 	s2Start := time.Now()
@@ -418,6 +426,9 @@ func (st *synthRun) runS2(ctx context.Context) error {
 	}
 	lastSaved := synA.Len() + synB.Len()
 
+	ah := st.startAhead(st.pool.Workers())
+	defer ah.stop()
+
 	// S2 loop: one new entity per iteration.
 	for synA.Len() < opts.SizeA || synB.Len() < opts.SizeB {
 		done := synA.Len() + synB.Len()
@@ -437,64 +448,30 @@ func (st *synthRun) runS2(ctx context.Context) error {
 			}
 			lastSaved = done
 		}
-		// Decide the pair label first (the draw is independent of the
-		// entity choice), so S2-1 can respect one-to-one matching.
-		matching := r.Float64() < st.matchFraction
-
-		// S2-1: sample a synthesized entity (respecting §III remark 1).
-		var src *dataset.Relation
-		switch {
-		case synB.Len() >= opts.SizeB:
-			src = synB // B full: e from B, e' goes to A
-		case synA.Len() >= opts.SizeA:
-			src = synA // A full: e from A, e' goes to B
-		default:
-			if r.Intn(synA.Len()+synB.Len()) < synA.Len() {
-				src = synA
-			} else {
-				src = synB
-			}
+		p := ah.plan()
+		src, dst := synB, synA
+		if p.srcIsA {
+			src, dst = synA, synB
 		}
-		eIdx := sampleEntity(src, matching, st.matched[src], r)
-		e := src.Entities[eIdx]
-		dstIsA := src == synB
-		dst := synB
-		if dstIsA {
-			dst = synA
-		}
+		dstIsA := p.dstIsA()
 
 		for attempt := 0; ; attempt++ {
 			rec.Add("core.s2.attempts", 1)
-			// S2-2: sample a similarity vector from O_real.
-			var x []float64
-			if matching {
-				x = oReal.SampleMatching(r)
-			} else {
-				x = oReal.SampleNonMatching(r)
-			}
-			// S2-3: synthesize e' from e and x.
-			id := fmt.Sprintf("sb%d", dst.Len()+1)
-			if dstIsA {
-				id = fmt.Sprintf("sa%d", dst.Len()+1)
-			}
-			cand := st.vs.synthesizeEntity(id, e, x, dstIsA, r)
+			c := ah.get(attempt)
 
 			// §V entity rejection, unless disabled (SERD-) or out of
 			// attempts. Without the check the accepted entity's pairs
 			// still fold into O_syn so the estimate tracks reality (SERD-
 			// skips the check, not the bookkeeping).
 			check := !opts.DisableRejection && attempt < opts.MaxRejections
-			if check && opts.GAN != nil && opts.GAN.Discriminate(cand.Values) < opts.Beta {
+			if check && opts.GAN != nil && opts.GAN.Discriminate(c.e.Values) < opts.Beta {
 				res.RejectedByDiscriminator++
 				rec.Add("core.s2.rejected.discriminator", 1)
 				st.rejections++
 				continue
 			}
-			// e' is prepped once: its delta vectors read the preps, and
-			// on accept they join its side's preps.
-			candPreps := dataset.NewPreps(dst.Schema, []*dataset.Entity{cand}, nil, "")
-			delta := dist.deltaVectors(candPreps, st.preps[src], r)
-			if check && dist.reject(delta, r) {
+			delta := dist.deltaVectors(c.preps, st.preps[src], c.r)
+			if check && dist.reject(delta, c.r) {
 				res.RejectedByDistribution++
 				rec.Add("core.s2.rejected.distribution", 1)
 				st.rejections++
@@ -504,24 +481,24 @@ func (st *synthRun) runS2(ctx context.Context) error {
 
 			// S2-4: add e' and the sampled label, streaming the accepted
 			// row out immediately when a stream writer is armed.
-			if err := dst.Append(cand); err != nil {
+			if err := ah.commit(attempt, dst, c.e); err != nil {
 				return err
 			}
-			st.preps[dst].Append(candPreps)
-			if err := st.streamEntity(dstIsA, cand); err != nil {
+			st.preps[dst].Append(c.preps)
+			if err := st.streamEntity(dstIsA, c.e); err != nil {
 				return err
 			}
-			var p dataset.Pair
+			var pair dataset.Pair
 			if dstIsA {
-				p = dataset.Pair{A: dst.Len() - 1, B: eIdx}
+				pair = dataset.Pair{A: dst.Len() - 1, B: p.eIdx}
 			} else {
-				p = dataset.Pair{A: eIdx, B: dst.Len() - 1}
+				pair = dataset.Pair{A: p.eIdx, B: dst.Len() - 1}
 			}
-			st.sampled[p] = matching
-			if matching {
+			st.sampled[pair] = p.matching
+			if p.matching {
 				res.SampledMatches++
-				res.SampledMatchPairs = append(res.SampledMatchPairs, p)
-				st.matched[src][eIdx] = true
+				res.SampledMatchPairs = append(res.SampledMatchPairs, pair)
+				st.matched[src][p.eIdx] = true
 				st.matched[dst][dst.Len()-1] = true
 				rec.Add("core.s2.sampled_matches", 1)
 			}

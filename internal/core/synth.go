@@ -11,7 +11,9 @@ import (
 )
 
 // valueSynth synthesizes one column value e'[C_i] from e[C_i] and the
-// target similarity x[i] (paper §IV-B1).
+// target similarity x[i] (paper §IV-B1). It is read-only after
+// construction, so S2's pool workers share one: every call draws only
+// from its own r and keeps its scratch per call.
 type valueSynth struct {
 	schema *dataset.Schema
 	// catValuesA/catValuesB hold the observed value set per categorical
@@ -30,9 +32,6 @@ type valueSynth struct {
 	catPP    []simfn.Preprocessor
 	catPrepA [][]any
 	catPrepB [][]any
-	// simScratch holds one similarity per pool candidate during
-	// closestCategorical (reused across calls; synthesis is single-threaded).
-	simScratch []float64
 	// text maps textual column index to its string synthesizer.
 	text map[int]textsynth.Synthesizer
 }
@@ -112,11 +111,14 @@ func (vs *valueSynth) closestCategorical(ci int, v string, target float64, dstIs
 		pool, prepped = vs.catValuesA[ci], vs.catPrepA[ci]
 	}
 	// Each pool similarity is needed by both the best-distance pass and the
-	// tie pass; compute it once per candidate into a reusable scratch slice.
-	if cap(vs.simScratch) < len(pool) {
-		vs.simScratch = make([]float64, len(pool))
+	// tie pass; compute it once per candidate into per-call scratch, on the
+	// stack for the usual small value sets.
+	var buf [64]float64
+	sims := buf[:0]
+	if len(pool) > len(buf) {
+		sims = make([]float64, 0, len(pool))
 	}
-	sims := vs.simScratch[:len(pool)]
+	sims = sims[:len(pool)]
 	if pp := vs.catPP[ci]; pp != nil {
 		pv := pp.Prep(v)
 		for i := range pool {

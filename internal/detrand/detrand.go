@@ -10,6 +10,11 @@
 // and fast-forwarding the counted number of steps (SkipTo), regardless of
 // which mix of Int63/Uint64/Float64/NormFloat64/Perm calls consumed them.
 // The package's tests pin this one-advance-per-call property.
+//
+// SplitMix and Derive serve the other kind of stream: many short
+// substreams keyed by position, such as one per Monte-Carlo stripe or per
+// S2 entity and attempt, each cheap to seed and independent of the order
+// in which the keys are visited.
 package detrand
 
 import (
@@ -68,4 +73,51 @@ func (s *Source) SkipTo(n uint64) error {
 		s.draws++
 	}
 	return nil
+}
+
+// golden is SplitMix64's increment, 2^64 divided by the golden ratio.
+const golden = 0x9e3779b97f4a7c15
+
+// SplitMix is the SplitMix64 generator (Steele, Lea and Flood 2014) as a
+// rand.Source64: 8 bytes of state, one add and one 64-bit mix per draw,
+// and a free Seed. math/rand's own source carries 4.9 KB of state and
+// seeding it runs hundreds of steps, which dominates a short substream —
+// a Monte-Carlo stripe, or one S2 attempt. The zero value is the stream
+// of seed 0.
+type SplitMix struct{ x uint64 }
+
+// NewSplitMix returns the SplitMix64 stream of seed.
+func NewSplitMix(seed int64) *SplitMix { return &SplitMix{x: uint64(seed)} }
+
+// Seed restarts the stream at seed.
+func (s *SplitMix) Seed(seed int64) { s.x = uint64(seed) }
+
+// Uint64 draws the next 64 bits.
+func (s *SplitMix) Uint64() uint64 {
+	s.x += golden
+	return mix64(s.x)
+}
+
+// Int63 draws the low 63 bits of the next Uint64.
+func (s *SplitMix) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
+
+// mix64 is SplitMix64's output function (Stafford's variant 13), a
+// bijection on 64-bit words.
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// Derive returns the seed of the substream keyed by keys under seed: a
+// pure function of its arguments, so a computation that draws entity j's
+// randomness from Derive(seed, j) gets the same draws whatever order, or
+// on whichever goroutine, the entities are computed. Distinct key lists,
+// including lists of different lengths, name unrelated substreams.
+func Derive(seed int64, keys ...uint64) int64 {
+	h := mix64(uint64(seed))
+	for _, k := range keys {
+		h = mix64(h ^ mix64(k+golden))
+	}
+	return int64(h)
 }

@@ -1,6 +1,7 @@
 package detrand
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -110,5 +111,64 @@ func TestSeedResetsCounter(t *testing.T) {
 	}
 	if src.SeedValue() != 9 {
 		t.Fatalf("SeedValue = %d, want 9", src.SeedValue())
+	}
+}
+
+// TestSplitMixPinsReferenceOutputs pins SplitMix's first draws to the
+// published SplitMix64 reference outputs for seeds 0 and 1234567: every
+// S2 substream and JSD stripe is this generator, so a change here moves
+// every synthesized byte.
+func TestSplitMixPinsReferenceOutputs(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		want []uint64
+	}{
+		{0, []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f, 0xf88bb8a8724c81ec}},
+		{1234567, []uint64{0x599ed017fb08fc85, 0x2c73f08458540fa5, 0x883ebce5a3f27c77}},
+	} {
+		s := NewSplitMix(tc.seed)
+		for i, want := range tc.want {
+			if got := s.Uint64(); got != want {
+				t.Fatalf("seed %d draw %d: %#x, want %#x", tc.seed, i, got, want)
+			}
+		}
+		// Int63 is the low 63 bits of the same draw, and Seed restarts.
+		s.Seed(tc.seed)
+		if got, want := s.Int63(), int64(tc.want[0]&(1<<63-1)); got != want {
+			t.Fatalf("seed %d: Int63 after Seed = %d, want %d", tc.seed, got, want)
+		}
+	}
+}
+
+// TestDerivePinsSubstreamSeeds pins Derive's values, and that it keys
+// by every argument: the seed, each key and the key list's length.
+func TestDerivePinsSubstreamSeeds(t *testing.T) {
+	for _, tc := range []struct {
+		keys []uint64
+		want int64
+	}{
+		{nil, 6238072747940578789},
+		{[]uint64{0}, 5199774590669546748},
+		{[]uint64{0, 0}, -4377400271981874747},
+		{[]uint64{1}, 4158004636484536377},
+	} {
+		if got := Derive(1, tc.keys...); got != tc.want {
+			t.Errorf("Derive(1, %v) = %d, want %d", tc.keys, got, tc.want)
+		}
+	}
+	seen := make(map[int64]string)
+	add := func(v int64, name string) {
+		if prev, ok := seen[v]; ok {
+			t.Fatalf("%s and %s derive the same seed", prev, name)
+		}
+		seen[v] = name
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		for j := uint64(0); j < 64; j++ {
+			add(Derive(seed, j), fmt.Sprintf("(%d, %d)", seed, j))
+			for k := uint64(0); k < 8; k++ {
+				add(Derive(seed, j, k), fmt.Sprintf("(%d, %d, %d)", seed, j, k))
+			}
+		}
 	}
 }

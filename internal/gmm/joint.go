@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"serd/internal/detrand"
 	"serd/internal/parallel"
 )
 
@@ -163,9 +164,10 @@ const jsdStripe = 32
 // JSDPair returns the two estimates Eq. 10 compares, JSD(before, q) and
 // JSD(after, q), from one striped pass on common random numbers. The
 // sample stream of n samples per side is split into fixed-size stripes,
-// each drawn from its own SplitSeeds(seed, ·) substream and reduced in
-// stripe order, so both values depend only on (before, after, q, n, seed)
-// and are bit-identical at any worker count, including a nil pool. Each
+// each drawn from its own SplitMix64 substream seeded by
+// parallel.SplitSeeds(seed, ·) and reduced in stripe order, so both
+// values depend only on (before, after, q, n, seed) and are bit-identical
+// at any worker count, including a nil pool. Each
 // value is the one a stripe-wise JSD of that joint alone would give:
 // stripe s draws its before/after samples and then its q samples from one
 // substream, and the noise cancels between the two estimates.
@@ -188,12 +190,17 @@ func JSDPair(before, after *Joint, q Dist, n int, seed int64, pool *parallel.Poo
 	stripes := (n + jsdStripe - 1) / jsdStripe
 	seeds := parallel.SplitSeeds(seed, stripes)
 	sums := make([]pairSums, stripes)
+	// One allocation each for every stripe's source and sample scratch.
+	srcs := make([]detrand.SplitMix, stripes)
+	dim := before.Dim()
+	scratch := make([]float64, 3*dim*stripes)
 	pool.Run("gmm.jsd", stripes, func(s int) {
 		count := jsdStripe
 		if s == stripes-1 {
 			count = n - s*jsdStripe
 		}
-		sums[s] = pairStripe(before, after, q, count, rand.New(rand.NewSource(seeds[s])))
+		srcs[s].Seed(seeds[s])
+		sums[s] = pairStripe(before, after, q, count, rand.New(&srcs[s]), scratch[3*dim*s:3*dim*(s+1)])
 	})
 	var tot pairSums
 	for _, s := range sums {
@@ -211,11 +218,10 @@ type pairSums struct{ pb, qb, pa, qa float64 }
 
 // pairStripe draws one stripe of count samples per side and accumulates
 // both estimates' sums in sample order, as halfSum does for each alone.
-func pairStripe(before, after *Joint, q Dist, count int, r *rand.Rand) pairSums {
-	// One scratch buffer per stripe: the samples reach q.LogPDF, an
-	// interface call, so a stack array would escape to the heap anyway.
+// buf is the stripe's 3·Dim scratch: the samples reach q.LogPDF, an
+// interface call, so a stack array would escape to the heap anyway.
+func pairStripe(before, after *Joint, q Dist, count int, r *rand.Rand, buf []float64) pairSums {
 	dim := before.Dim()
-	buf := make([]float64, 3*dim)
 	z, xb, xa := buf[:dim], buf[dim:2*dim], buf[2*dim:]
 	var s pairSums
 	for i := 0; i < count; i++ {

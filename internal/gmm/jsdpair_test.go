@@ -6,11 +6,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"serd/internal/detrand"
 	"serd/internal/parallel"
 )
 
 // JSDStriped is the single-estimate striped estimator JSDPair replaced:
-// stripe s seeds its own rand.Rand from SplitSeeds(seed, ·)[s], draws
+// stripe s draws from the SplitMix64 stream of SplitSeeds(seed, ·)[s],
 // count samples from p and then count from q, and the stripes reduce in
 // order. It is the oracle JSDPair's two values are pinned to.
 func JSDStriped(p, q Dist, n int, seed int64, pool *parallel.Pool) float64 {
@@ -22,7 +23,7 @@ func JSDStriped(p, q Dist, n int, seed int64, pool *parallel.Pool) float64 {
 	sumsP := make([]float64, stripes)
 	sumsQ := make([]float64, stripes)
 	pool.Run("gmm.jsd", stripes, func(s int) {
-		r := rand.New(rand.NewSource(seeds[s]))
+		r := rand.New(detrand.NewSplitMix(seeds[s]))
 		count := jsdStripe
 		if s == stripes-1 {
 			count = n - s*jsdStripe

@@ -59,15 +59,15 @@ func TestDensityKernelsAllocFree(t *testing.T) {
 			}
 		}
 		// JSDPair allocates a fixed overhead per call (seeds, sums, the
-		// stripe closure and what it captures) and per stripe its
-		// rand.Rand, the source and the sample scratch buffer, never per
+		// stripes' sources and sample scratch, the stripe closure and what
+		// it captures) and per stripe only its rand.Rand, never per
 		// sample.
 		after, err := NewJoint(m, randomModel(t, r, shape.g, shape.k), 0.35)
 		if err != nil {
 			t.Fatal(err)
 		}
 		q := fixedDist{x: make([]float64, shape.k)}
-		const perCall, perStripe = 4, 3
+		const perCall, perStripe = 6, 1
 		for _, n := range []int{1, 32, 256, 1024} {
 			stripes := (n + jsdStripe - 1) / jsdStripe
 			allocs := testing.AllocsPerRun(5, func() { JSDPair(j, after, q, n, 7, nil) })

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"serd/internal/detrand"
 	"serd/internal/telemetry"
 	"serd/internal/trace"
 )
@@ -52,6 +53,16 @@ func (p *Pool) Workers() int {
 		return 1
 	}
 	return p.workers
+}
+
+// Serial returns a one-worker pool that records to p's recorder and
+// tracer: its Run calls emit the same phase gauges and chunk spans, inline
+// on the caller. A nil pool stays nil.
+func (p *Pool) Serial() *Pool {
+	if p == nil {
+		return nil
+	}
+	return &Pool{workers: 1, rec: p.rec, tr: p.tr}
 }
 
 // ForEach is Run without telemetry.
@@ -168,20 +179,17 @@ func (p *Pool) record(phase string, busy, wall time.Duration) {
 	telemetry.RecordParallel(p.rec, phase, busy.Seconds(), wall.Seconds(), p.workers)
 }
 
-// SplitSeeds derives k statistically independent RNG seeds from one via
-// the SplitMix64 output function. Substream i depends only on (seed, i),
-// so a Monte-Carlo estimate striped over SplitSeeds substreams and reduced
-// in stripe order is bit-identical at any worker count.
+// SplitSeeds derives k statistically independent RNG seeds from one: the
+// first k draws of the SplitMix64 stream of seed, as Int63s. Substream i
+// depends only on (seed, i), so a Monte-Carlo estimate striped over
+// SplitSeeds substreams and reduced in stripe order is bit-identical at
+// any worker count.
 func SplitSeeds(seed int64, k int) []int64 {
 	out := make([]int64, k)
-	x := uint64(seed)
+	src := detrand.SplitMix{}
+	src.Seed(seed)
 	for i := range out {
-		x += 0x9e3779b97f4a7c15
-		z := x
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		out[i] = int64(z & 0x7fffffffffffffff)
+		out[i] = src.Int63()
 	}
 	return out
 }

@@ -27,6 +27,11 @@ import (
 
 // Synthesizer produces a string s' whose similarity with s approximates
 // target under the synthesizer's similarity function.
+//
+// Implementations must be safe for concurrent calls: S2 synthesizes
+// candidate entities on several pool workers at once, each call with its
+// own r. A call may draw only from r and must keep any scratch it needs
+// per call; both backends here do.
 type Synthesizer interface {
 	// Synthesize returns the synthesized string and its achieved
 	// similarity with s.

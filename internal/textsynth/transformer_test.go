@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"serd/internal/checkpoint"
@@ -268,5 +269,49 @@ func TestNewFromStateRebuildsDoneBank(t *testing.T) {
 
 	if _, err := NewFromState(&checkpoint.TrainState{Done: false}, sim, resumeOptions()); err == nil {
 		t.Error("NewFromState accepted a non-Done checkpoint")
+	}
+}
+
+// TestSynthesizersSafeForConcurrentCalls pins the Synthesizer contract S2
+// relies on: calls from several goroutines at once, each with its own r,
+// return what the same calls return one at a time (and, under -race,
+// share no unsynchronized state).
+func TestSynthesizersSafeForConcurrentCalls(t *testing.T) {
+	sim := simfn.QGramJaccard{Q: 3, Fold: true}
+	rule, err := NewRuleSynthesizer(sim, smallCorpus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	synths := map[string]Synthesizer{"rule": rule}
+	if !testing.Short() {
+		ts, err := TrainTransformer(context.Background(), smallCorpus(), sim, microOptions(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		synths["transformer"] = ts
+	}
+	inputs := smallCorpus()
+	for name, s := range synths {
+		call := func(i int) string {
+			out, _ := s.Synthesize(inputs[i], float64(i%5)/4, rand.New(rand.NewSource(int64(i))))
+			return out
+		}
+		want := make([]string, len(inputs))
+		for i := range inputs {
+			want[i] = call(i)
+		}
+		got := make([]string, len(inputs))
+		var wg sync.WaitGroup
+		for i := range inputs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i] = call(i)
+			}(i)
+		}
+		wg.Wait()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: concurrent calls returned %q, one at a time %q", name, got, want)
+		}
 	}
 }

@@ -257,8 +257,9 @@ func sinusoidal(maxLen, d int) *nn.Tensor {
 	return t
 }
 
-// embedSeq looks up token embeddings scaled by sqrt(d) and adds positions.
-func (m *Model) embedSeq(ids []int) *nn.Tensor {
+// embedSeq looks up token embeddings scaled by sqrt(d) and adds positions,
+// with dropout when train is set.
+func (m *Model) embedSeq(ids []int, train bool) *nn.Tensor {
 	x := nn.Scale(nn.Embed(m.embed, ids), math.Sqrt(float64(m.cfg.DModel)))
 	posRows := make([][]float64, len(ids))
 	for i := range ids {
@@ -269,12 +270,12 @@ func (m *Model) embedSeq(ids []int) *nn.Tensor {
 		posRows[i] = m.pos.Data[p*m.cfg.DModel : (p+1)*m.cfg.DModel]
 	}
 	x = nn.Add(x, nn.FromRows(posRows))
-	return nn.Dropout(x, m.cfg.Dropout, m.train, m.rand)
+	return nn.Dropout(x, m.cfg.Dropout, train, m.rand)
 }
 
 // encode runs the encoder stack over source token ids.
-func (m *Model) encode(src []int) *nn.Tensor {
-	x := m.embedSeq(src)
+func (m *Model) encode(src []int, train bool) *nn.Tensor {
+	x := m.embedSeq(src, train)
 	for _, l := range m.enc {
 		x = l.ln1.forward(nn.Add(x, l.attn.forward(x, x, nil)))
 		x = l.ln2.forward(nn.Add(x, l.ff.forward(x)))
@@ -284,8 +285,8 @@ func (m *Model) encode(src []int) *nn.Tensor {
 
 // decode runs the decoder stack over target-side ids attending to memory,
 // returning logits (len(tgt) × vocab).
-func (m *Model) decode(tgt []int, memory *nn.Tensor) *nn.Tensor {
-	y := m.embedSeq(tgt)
+func (m *Model) decode(tgt []int, memory *nn.Tensor, train bool) *nn.Tensor {
+	y := m.embedSeq(tgt, train)
 	mask := causalMask(len(tgt))
 	for _, l := range m.dec {
 		y = l.ln1.forward(nn.Add(y, l.self.forward(y, y, mask)))
@@ -312,25 +313,27 @@ func causalMask(n int) *nn.Tensor {
 func (m *Model) Loss(src, tgt string) *nn.Tensor {
 	s := m.truncate(m.cfg.Vocab.Encode(src, true))
 	t := m.truncate(m.cfg.Vocab.Encode(tgt, true))
-	memory := m.encode(s)
+	memory := m.encode(s, m.train)
 	// Decoder sees BOS..last-char, predicts char..EOS.
-	logits := m.decode(t[:len(t)-1], memory)
+	logits := m.decode(t[:len(t)-1], memory, m.train)
 	return nn.CrossEntropyLogits(logits, t[1:])
 }
 
 // Generate decodes an output string for src by temperature sampling
 // (temperature <= 0 means greedy). The sampling in the decoder is what
 // yields multiple candidate strings per input (paper §VI, inference).
+//
+// Generate always decodes in inference mode, whatever SetTrain says, and
+// writes nothing to the model: its forward passes only read the
+// parameters, draw from r alone and allocate their own tensors. So
+// concurrent calls with distinct r are safe, as long as no training step
+// runs at the same time.
 func (m *Model) Generate(src string, temperature float64, r *rand.Rand) string {
-	wasTrain := m.train
-	m.train = false
-	defer func() { m.train = wasTrain }()
-
 	s := m.truncate(m.cfg.Vocab.Encode(src, true))
-	memory := m.encode(s)
+	memory := m.encode(s, false)
 	out := []int{BOS}
 	for len(out) < m.cfg.MaxLen {
-		logits := m.decode(out, memory)
+		logits := m.decode(out, memory, false)
 		row := logits.Data[(logits.Rows-1)*logits.Cols:]
 		next := sampleLogits(row, temperature, r)
 		if next == EOS {

@@ -3,6 +3,7 @@ package transformer
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"serd/internal/nn"
@@ -202,5 +203,42 @@ func TestParamCount(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("no parameters")
+	}
+}
+
+// TestGenerateConcurrentInTrainMode pins that Generate writes nothing to
+// the model: with the model left in training mode, concurrent calls with
+// their own r decode in inference mode, draw nothing from the model's own
+// stream and match the same calls made one at a time.
+func TestGenerateConcurrentInTrainMode(t *testing.T) {
+	m := tinyModel(t, []string{"hello world", "gopher tracks"})
+	m.SetTrain(true)
+	draws := m.RandDraws()
+	inputs := []string{"hello", "world", "gopher", "tracks", "hell", "go"}
+	call := func(i int) string { return m.Generate(inputs[i], 1.0, rand.New(rand.NewSource(int64(i)))) }
+	want := make([]string, len(inputs))
+	for i := range inputs {
+		want[i] = call(i)
+	}
+	got := make([]string, len(inputs))
+	var wg sync.WaitGroup
+	for i := range inputs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = call(i)
+		}(i)
+	}
+	wg.Wait()
+	for i := range inputs {
+		if got[i] != want[i] {
+			t.Errorf("input %q: concurrent %q, one at a time %q", inputs[i], got[i], want[i])
+		}
+	}
+	if m.RandDraws() != draws {
+		t.Error("Generate drew from the model's own dropout stream")
+	}
+	if !m.train {
+		t.Error("Generate changed the model's mode")
 	}
 }
