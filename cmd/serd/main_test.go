@@ -146,7 +146,14 @@ func TestRunSaveDistRejectsNonGMMBackend(t *testing.T) {
 // background corpora in the cmd/serd on-disk layout.
 func writeSampleInput(t *testing.T, dir string) {
 	t.Helper()
-	g, err := serd.Sample("Restaurant", serd.SampleConfig{Seed: 1, SizeA: 30, SizeB: 30, Matches: 10})
+	writeSampleInputSized(t, dir, 30, 10)
+}
+
+// writeSampleInputSized writes a Restaurant sample of size entities per
+// table with the given number of matches, plus its background corpora.
+func writeSampleInputSized(t *testing.T, dir string, size, matches int) {
+	t.Helper()
+	g, err := serd.Sample("Restaurant", serd.SampleConfig{Seed: 1, SizeA: size, SizeB: size, Matches: matches})
 	if err != nil {
 		t.Fatal(err)
 	}

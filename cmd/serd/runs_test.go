@@ -74,13 +74,17 @@ func TestRunsEndToEnd(t *testing.T) {
 		t.Fatalf("run A did not announce registration:\n%s", out.String())
 	}
 
-	// A slower twin: ten times the entities from the same input, so S2
-	// and S3 do real extra work that lands in the journaled phase
-	// durations the registry distills (the CI runs-smoke job does the
-	// same). At this seed and size its jsd is no better than run A's, so
-	// the reverse compare below stays an improvement on every axis.
+	// A slower twin: twenty times the input and ten times the entities,
+	// so every stage — S1's fit included — does real extra work that
+	// lands in the journaled phase durations the registry distills, far
+	// beyond the timing noise of a race-instrumented run. At this seed
+	// and size its jsd is no better than run A's (which synthesizes too
+	// few entities to estimate O_syn and reports 0), so the reverse
+	// compare below stays an improvement on every axis.
 	out.Reset()
-	bArgs := append(synthArgs(inDir, filepath.Join(dir, "outB"), storeDir, 8), "-size-a", "300", "-size-b", "300")
+	inB := filepath.Join(dir, "inB")
+	writeSampleInputSized(t, inB, 600, 200)
+	bArgs := append(synthArgs(inB, filepath.Join(dir, "outB"), storeDir, 8), "-size-a", "300", "-size-b", "300")
 	if err := run(bArgs, &out); err != nil {
 		t.Fatalf("run B: %v\n%s", err, out.String())
 	}

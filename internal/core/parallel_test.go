@@ -8,7 +8,6 @@ import (
 	"serd/internal/datagen"
 	"serd/internal/dataset"
 	"serd/internal/generator"
-	"serd/internal/parallel"
 )
 
 // benchFixture mirrors fixture for benchmarks (which get no *testing.T).
@@ -62,45 +61,6 @@ func TestPartialPermDeterministicAndUniform(t *testing.T) {
 	}
 }
 
-// TestDeltaVectorsWorkerInvariant pins the S2 hot path's determinism: the
-// same candidate and RNG state must produce the same delta at any worker
-// count, including the nil pool.
-func TestDeltaVectorsWorkerInvariant(t *testing.T) {
-	gen, _ := fixture(t, 30, 30, 12)
-	j, err := generator.FitGMM(context.Background(), gen.ER, generator.FitOptions{Rand: rand.New(rand.NewSource(6))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{}.withDefaults(gen.ER)
-	te := dataset.NewPreps(gen.ER.Schema(), gen.ER.A.Entities, nil, "")
-	cand := prepOne(gen.ER.Schema(), gen.ER.B.Entities[0])
-	run := func(pool *parallel.Pool) delta {
-		d := newDistState(j, opts, pool)
-		return d.deltaVectors(cand, te, rand.New(rand.NewSource(8)))
-	}
-	want := run(nil)
-	for _, workers := range []int{1, 4} {
-		got := run(parallel.New(workers, nil))
-		if len(got.pos) != len(want.pos) || len(got.neg) != len(want.neg) {
-			t.Fatalf("workers=%d: %d/%d pos/neg vs %d/%d serial", workers, len(got.pos), len(got.neg), len(want.pos), len(want.neg))
-		}
-		for i := range want.pos {
-			for c := range want.pos[i] {
-				if got.pos[i][c] != want.pos[i][c] {
-					t.Fatalf("workers=%d pos[%d][%d]: %v != %v", workers, i, c, got.pos[i][c], want.pos[i][c])
-				}
-			}
-		}
-		for i := range want.neg {
-			for c := range want.neg[i] {
-				if got.neg[i][c] != want.neg[i][c] {
-					t.Fatalf("workers=%d neg[%d][%d]: %v != %v", workers, i, c, got.neg[i][c], want.neg[i][c])
-				}
-			}
-		}
-	}
-}
-
 // prepOne preps e alone, as S2 preps each candidate e'.
 func prepOne(s *dataset.Schema, e *dataset.Entity) *dataset.Preps {
 	return dataset.NewPreps(s, []*dataset.Entity{e}, nil, "")
@@ -108,7 +68,7 @@ func prepOne(s *dataset.Schema, e *dataset.Entity) *dataset.Preps {
 
 // benchDistState builds a learned distState over a scholar fixture for the
 // hot-loop benchmarks, with A prepped as T_e.
-func benchDistState(b *testing.B, pool *parallel.Pool) (*distState, *dataset.ER, *dataset.Preps, *rand.Rand) {
+func benchDistState(b *testing.B) (*distState, *dataset.ER, *dataset.Preps, *rand.Rand) {
 	b.Helper()
 	gen, err := benchFixture()
 	if err != nil {
@@ -119,12 +79,12 @@ func benchDistState(b *testing.B, pool *parallel.Pool) (*distState, *dataset.ER,
 		b.Fatal(err)
 	}
 	opts := Options{}.withDefaults(gen.ER)
-	d := newDistState(j, opts, pool)
+	d := newDistState(j, opts, nil)
 	return d, gen.ER, dataset.NewPreps(gen.ER.Schema(), gen.ER.A.Entities, nil, ""), rand.New(rand.NewSource(8))
 }
 
 func BenchmarkDeltaVectors(b *testing.B) {
-	d, er, te, r := benchDistState(b, nil)
+	d, er, te, r := benchDistState(b)
 	cand := prepOne(er.Schema(), er.B.Entities[0])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -133,7 +93,7 @@ func BenchmarkDeltaVectors(b *testing.B) {
 }
 
 func BenchmarkReject(b *testing.B) {
-	d, er, te, r := benchDistState(b, nil)
+	d, er, te, r := benchDistState(b)
 	// Activate O_syn by committing deltas until both accumulators fit.
 	for i := 0; i < er.B.Len() && !d.active(); i++ {
 		d.commit(d.deltaVectors(prepOne(er.Schema(), er.B.Entities[i]), te, r))

@@ -8,6 +8,7 @@ import (
 	"serd/internal/generator"
 	"serd/internal/gmm"
 	"serd/internal/parallel"
+	"serd/internal/trace"
 )
 
 // distState maintains the synthesized-side distribution O_syn and performs
@@ -20,7 +21,8 @@ import (
 type distState struct {
 	oReal      generator.Dist
 	opts       Options
-	pool       *parallel.Pool
+	pool       *parallel.Pool // the O_syn refit's EM
+	tr         *trace.Tracer  // nil when disarmed
 	pendingPos [][]float64
 	pendingNeg [][]float64
 	accM, accN *gmm.Accumulator
@@ -37,15 +39,14 @@ type delta struct {
 }
 
 func newDistState(oReal generator.Dist, opts Options, pool *parallel.Pool) *distState {
-	return &distState{oReal: oReal, opts: opts, pool: pool}
+	return &distState{oReal: oReal, opts: opts, pool: pool, tr: trace.FromRecorder(opts.Metrics)}
 }
 
 // deltaVectors computes ΔX_syn for a candidate e' against (a sample of)
 // the entities of T_e — the table on the other side of the pair space from
 // e' (§V: "the potential generated pairs (e”, e'), ∀e” ∈ T_e"). cand holds
-// e' alone and te holds T_e, both prepped under one schema. The
-// per-index similarity vectors and posterior labels are computed on the
-// pool (both are pure given the preps) and folded in index order.
+// e' alone and te holds T_e, both prepped under one schema. Each vector
+// goes to pos or neg by its O_real posterior label, in index order.
 func (d *distState) deltaVectors(cand, te *dataset.Preps, r *rand.Rand) delta {
 	n := te.Len()
 	var idx []int
@@ -57,22 +58,28 @@ func (d *distState) deltaVectors(cand, te *dataset.Preps, r *rand.Rand) delta {
 	} else {
 		idx = partialPerm(r, n, rejectionSample)
 	}
-	xs := make([][]float64, len(idx))
-	match := make([]bool, len(idx))
-	d.pool.Run("core.s2.delta", len(idx), func(j int) {
-		x := te.SimVector(idx[j], cand, 0)
-		xs[j] = x
-		match[j] = d.oReal.IsMatch(x)
-	})
+	span := d.step("core.s2.delta.chunk", len(idx))
 	var out delta
-	for j, x := range xs {
-		if match[j] {
+	for _, i := range idx {
+		x := te.SimVector(i, cand, 0)
+		if d.oReal.IsMatch(x) {
 			out.pos = append(out.pos, x)
 		} else {
 			out.neg = append(out.neg, x)
 		}
 	}
+	span.End()
 	return out
+}
+
+// step opens the trace span of one of the chain's in-attempt steps over n
+// items, tagged as a one-worker Pool.Run chunk is so trace readers keep
+// one shape; nil, and free, when the tracer is disarmed.
+func (d *distState) step(name string, n int) *trace.Child {
+	if d.tr == nil {
+		return nil
+	}
+	return d.tr.Child(name, trace.Int("worker", 0), trace.Int("lo", 0), trace.Int("hi", n))
 }
 
 // partialPerm draws k distinct indices uniformly from [0, n) — the first k
@@ -134,9 +141,10 @@ func (d *distState) reject(dl delta, r *rand.Rand) bool {
 	// Common random numbers: one seed stripes one sample stream over both
 	// estimates, so Monte-Carlo noise cancels between them. A side the
 	// delta left unchanged is the same *Model in both joints, which
-	// JSDPair evaluates once. The striped estimator is bit-identical at
-	// any worker count.
-	jsdBefore, jsdAfter := gmm.JSDPair(before, after, d.oReal, jsdSamples, r.Int63(), d.pool)
+	// JSDPair evaluates once.
+	span := d.step("gmm.jsd.chunk", jsdSamples)
+	jsdBefore, jsdAfter := gmm.JSDPair(before, after, d.oReal, jsdSamples, r.Int63())
+	span.End()
 	// The running JSD(O_syn, O_real) is the pipeline's convergence signal;
 	// expose it as a gauge so the live inspector shows the trajectory.
 	d.opts.Metrics.Set("core.s2.jsd", jsdBefore)

@@ -293,10 +293,10 @@ func (st *synthRun) runSetup(context.Context) error {
 	st.synA = dataset.NewRelation("A_syn", schema)
 	st.synB = dataset.NewRelation("B_syn", schema)
 	st.res = &Result{OReal: st.oReal}
-	// The ΔX vectors and the Eq. 10 JSD stripes run on the chain, inline:
-	// the pool's other workers synthesize candidates meanwhile. The serial
-	// pool still records their phases and chunk spans.
-	st.dist = newDistState(st.oReal, st.opts, st.pool.Serial())
+	// The ΔX vectors and the Eq. 10 JSD run on the chain as plain loops
+	// while the pool's other workers synthesize candidates; only the
+	// O_syn refit's EM fans out on the pool.
+	st.dist = newDistState(st.oReal, st.opts, st.pool)
 	st.sampled = make(map[dataset.Pair]bool) // S2-sampled labels
 	// matched tracks entities that already have a sampled match partner.
 	// Real benchmark matches are essentially one-to-one; synthesizing a

@@ -187,3 +187,49 @@ func TestFailedStageLeavesSpanOpen(t *testing.T) {
 		t.Errorf("spans = %v; the canceled core.s2 span must stay open", rec.events)
 	}
 }
+
+// TestChainStepSpansCountAttempts pins the spans S2's chain names its
+// in-attempt steps by, which trace summaries and per-layer benchmarks
+// read: one core.s2.delta.chunk per attempt past the discriminator, one
+// gmm.jsd.chunk per Eq. 10 estimate (at least one per rejection by
+// distribution), each over the whole range from lo = 0, at any worker
+// count.
+func TestChainStepSpansCountAttempts(t *testing.T) {
+	gen, synths := fixture(t, 30, 30, 12)
+	for _, workers := range []int{1, 2} {
+		bus := telemetry.NewBus(1 << 16)
+		reg := telemetry.NewRegistry()
+		opts := Options{Synthesizers: synths, SizeA: 24, SizeB: 24, Seed: 41, Workers: workers,
+			Metrics: trace.Wrap(trace.New(bus), reg)}
+		if _, err := Synthesize(context.Background(), gen.ER, opts); err != nil {
+			t.Fatal(err)
+		}
+		evs, _, dropped := bus.Poll(0, bus.Cap())
+		if dropped != 0 {
+			t.Fatalf("bus dropped %d events; raise its capacity", dropped)
+		}
+		spans := map[string]int{}
+		for _, ev := range evs {
+			if ev.Kind != "span" || (ev.Name != "core.s2.delta.chunk" && ev.Name != "gmm.jsd.chunk") {
+				continue
+			}
+			spans[ev.Name]++
+			for _, a := range ev.Attrs {
+				if a.Key == "lo" && a.Val != "0" {
+					t.Errorf("workers=%d: %s span has lo=%s, want 0", workers, ev.Name, a.Val)
+				}
+			}
+		}
+		c := reg.Snapshot().Counters
+		if want := int(c["core.s2.attempts"] - c["core.s2.rejected.discriminator"]); spans["core.s2.delta.chunk"] != want {
+			t.Errorf("workers=%d: %d core.s2.delta.chunk spans, want %d", workers, spans["core.s2.delta.chunk"], want)
+		}
+		rejected := int(c["core.s2.rejected.distribution"])
+		if rejected == 0 {
+			t.Fatalf("workers=%d: no rejection by distribution; the fixture does not exercise Eq. 10", workers)
+		}
+		if got := spans["gmm.jsd.chunk"]; got < rejected {
+			t.Errorf("workers=%d: %d gmm.jsd.chunk spans, want ≥ %d rejections by distribution", workers, got, rejected)
+		}
+	}
+}

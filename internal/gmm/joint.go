@@ -166,8 +166,7 @@ const jsdStripe = 32
 // sample stream of n samples per side is split into fixed-size stripes,
 // each drawn from its own SplitMix64 substream seeded by
 // parallel.SplitSeeds(seed, ·) and reduced in stripe order, so both
-// values depend only on (before, after, q, n, seed) and are bit-identical
-// at any worker count, including a nil pool. Each
+// values depend only on (before, after, q, n, seed). Each
 // value is the one a stripe-wise JSD of that joint alone would give:
 // stripe s draws its before/after samples and then its q samples from one
 // substream, and the noise cancels between the two estimates.
@@ -180,7 +179,7 @@ const jsdStripe = 32
 // joints hold by the same pointer is evaluated once per x, and when both
 // pick the same component the sample, and its q density, are shared too.
 // before and after must have the same dimension.
-func JSDPair(before, after *Joint, q Dist, n int, seed int64, pool *parallel.Pool) (jb, ja float64) {
+func JSDPair(before, after *Joint, q Dist, n int, seed int64) (jb, ja float64) {
 	if before.Dim() != after.Dim() {
 		panic("gmm: JSDPair joints differ in dimension")
 	}
@@ -188,26 +187,20 @@ func JSDPair(before, after *Joint, q Dist, n int, seed int64, pool *parallel.Poo
 		n = 256
 	}
 	stripes := (n + jsdStripe - 1) / jsdStripe
-	seeds := parallel.SplitSeeds(seed, stripes)
-	sums := make([]pairSums, stripes)
-	// One allocation each for every stripe's source and sample scratch.
-	srcs := make([]detrand.SplitMix, stripes)
-	dim := before.Dim()
-	scratch := make([]float64, 3*dim*stripes)
-	pool.Run("gmm.jsd", stripes, func(s int) {
-		count := jsdStripe
-		if s == stripes-1 {
-			count = n - s*jsdStripe
-		}
-		srcs[s].Seed(seeds[s])
-		sums[s] = pairStripe(before, after, q, count, rand.New(&srcs[s]), scratch[3*dim*s:3*dim*(s+1)])
-	})
+	// One source re-seeded per stripe: rand.Rand keeps no state of its own
+	// for the draws used here, so each stripe sees a fresh substream.
+	var src detrand.SplitMix
+	r := rand.New(&src)
+	buf := make([]float64, 3*before.Dim())
 	var tot pairSums
-	for _, s := range sums {
-		tot.pb += s.pb
-		tot.qb += s.qb
-		tot.pa += s.pa
-		tot.qa += s.qa
+	for s, sub := range parallel.SplitSeeds(seed, stripes) {
+		count := min(jsdStripe, n-s*jsdStripe)
+		src.Seed(sub)
+		sums := pairStripe(before, after, q, count, r, buf)
+		tot.pb += sums.pb
+		tot.qb += sums.qb
+		tot.pa += sums.pa
+		tot.qa += sums.qa
 	}
 	return jsdMean(tot.pb, tot.qb, n), jsdMean(tot.pa, tot.qa, n)
 }
@@ -218,8 +211,8 @@ type pairSums struct{ pb, qb, pa, qa float64 }
 
 // pairStripe draws one stripe of count samples per side and accumulates
 // both estimates' sums in sample order, as halfSum does for each alone.
-// buf is the stripe's 3·Dim scratch: the samples reach q.LogPDF, an
-// interface call, so a stack array would escape to the heap anyway.
+// buf is 3·Dim scratch: the samples reach q.LogPDF, an interface call,
+// so a stack array would escape to the heap anyway.
 func pairStripe(before, after *Joint, q Dist, count int, r *rand.Rand, buf []float64) pairSums {
 	dim := before.Dim()
 	z, xb, xa := buf[:dim], buf[dim:2*dim], buf[2*dim:]

@@ -14,27 +14,20 @@ import (
 // stripe s draws from the SplitMix64 stream of SplitSeeds(seed, ·)[s],
 // count samples from p and then count from q, and the stripes reduce in
 // order. It is the oracle JSDPair's two values are pinned to.
-func JSDStriped(p, q Dist, n int, seed int64, pool *parallel.Pool) float64 {
+func JSDStriped(p, q Dist, n int, seed int64) float64 {
 	if n <= 0 {
 		n = 256
 	}
 	stripes := (n + jsdStripe - 1) / jsdStripe
-	seeds := parallel.SplitSeeds(seed, stripes)
-	sumsP := make([]float64, stripes)
-	sumsQ := make([]float64, stripes)
-	pool.Run("gmm.jsd", stripes, func(s int) {
-		r := rand.New(detrand.NewSplitMix(seeds[s]))
+	var sp, sq float64
+	for s, sub := range parallel.SplitSeeds(seed, stripes) {
+		r := rand.New(detrand.NewSplitMix(sub))
 		count := jsdStripe
 		if s == stripes-1 {
 			count = n - s*jsdStripe
 		}
-		sumsP[s] = halfSum(p, q, count, r)
-		sumsQ[s] = halfSum(q, p, count, r)
-	})
-	var sp, sq float64
-	for s := 0; s < stripes; s++ {
-		sp += sumsP[s]
-		sq += sumsQ[s]
+		sp += halfSum(p, q, count, r)
+		sq += halfSum(q, p, count, r)
 	}
 	jsd := 0.5*(sp/float64(n)) + 0.5*(sq/float64(n))
 	if jsd < 0 {
@@ -54,12 +47,11 @@ func (w wrapDist) LogPDF(x []float64) float64            { return w.d.LogPDF(x) 
 // two JSDStriped calls with one seed, across mixture weights (degenerate,
 // interior and differing between the joints), every sharing of the side
 // models, dimensions on both sides of the 16-coordinate stack limit of
-// the density kernels, stripe-boundary sample counts, pools, and a q
+// the density kernels, stripe-boundary sample counts, and a q
 // that is not a *Joint. Each dimension, and within it each sharing, is a
 // parallel subtest; the models are drawn from one stream in dimension
 // order before any subtest runs.
 func TestJSDPairMatchesStripedOracle(t *testing.T) {
-	pools := []*parallel.Pool{nil, parallel.New(1, nil), parallel.New(2, nil), parallel.New(4, nil)}
 	pis := [][2]float64{{0, 0}, {1, 1}, {0.3, 0.3}, {0.3, 0.45}, {0, 0.2}, {1, 0.6}}
 	shares := []struct {
 		name   string
@@ -98,14 +90,12 @@ func TestJSDPairMatchesStripedOracle(t *testing.T) {
 						for qi, q := range []Dist{qj, wrapDist{qj}} {
 							for _, ns := range []int{1, 31, 32, 33, 128, 200} {
 								seed := int64(dim*1000 + ns)
-								wantB := JSDStriped(before, q, ns, seed, nil)
-								wantA := JSDStriped(after, q, ns, seed, nil)
-								for pi2, pool := range pools {
-									gotB, gotA := JSDPair(before, after, q, ns, seed, pool)
-									if math.Float64bits(gotB) != math.Float64bits(wantB) || math.Float64bits(gotA) != math.Float64bits(wantA) {
-										t.Fatalf("pi=%v q#%d n=%d pool#%d: JSDPair = (%v, %v), oracle (%v, %v)",
-											pi, qi, ns, pi2, gotB, gotA, wantB, wantA)
-									}
+								wantB := JSDStriped(before, q, ns, seed)
+								wantA := JSDStriped(after, q, ns, seed)
+								gotB, gotA := JSDPair(before, after, q, ns, seed)
+								if math.Float64bits(gotB) != math.Float64bits(wantB) || math.Float64bits(gotA) != math.Float64bits(wantA) {
+									t.Fatalf("pi=%v q#%d n=%d: JSDPair = (%v, %v), oracle (%v, %v)",
+										pi, qi, ns, gotB, gotA, wantB, wantA)
 								}
 							}
 						}

@@ -37,7 +37,7 @@ func randomModel(t testing.TB, r *rand.Rand, g, k int) *Model {
 // TestDensityKernelsAllocFree pins the per-sample density kernels — the
 // Eq. 10 JSD estimator's and the EM E-step's inner calls — allocation-free
 // for mixtures of up to 8 components in up to 16 dimensions, and the
-// JSDPair estimator to allocations that do not grow with the samples.
+// JSDPair estimator to a fixed number of allocations per call.
 func TestDensityKernelsAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for _, shape := range []struct{ g, k int }{{1, 1}, {4, 6}, {8, 16}} {
@@ -58,21 +58,19 @@ func TestDensityKernelsAllocFree(t *testing.T) {
 				t.Errorf("g=%d k=%d: %s allocates %v times per call", shape.g, shape.k, name, allocs)
 			}
 		}
-		// JSDPair allocates a fixed overhead per call (seeds, sums, the
-		// stripes' sources and sample scratch, the stripe closure and what
-		// it captures) and per stripe only its rand.Rand, never per
-		// sample.
+		// JSDPair allocates a fixed overhead per call, whatever the
+		// number of stripes: the stripe seeds, the one source and rand.Rand
+		// over it, the sample scratch, and q boxed as a Dist — never per
+		// stripe or per sample.
 		after, err := NewJoint(m, randomModel(t, r, shape.g, shape.k), 0.35)
 		if err != nil {
 			t.Fatal(err)
 		}
 		q := fixedDist{x: make([]float64, shape.k)}
-		const perCall, perStripe = 6, 1
+		const perCall = 5
 		for _, n := range []int{1, 32, 256, 1024} {
-			stripes := (n + jsdStripe - 1) / jsdStripe
-			allocs := testing.AllocsPerRun(5, func() { JSDPair(j, after, q, n, 7, nil) })
-			if limit := float64(perCall + perStripe*stripes); allocs > limit {
-				t.Errorf("g=%d k=%d n=%d: JSDPair allocates %v times per call, want ≤ %v", shape.g, shape.k, n, allocs, limit)
+			if allocs := testing.AllocsPerRun(5, func() { JSDPair(j, after, q, n, 7) }); allocs > perCall {
+				t.Errorf("g=%d k=%d n=%d: JSDPair allocates %v times per call, want ≤ %v", shape.g, shape.k, n, allocs, perCall)
 			}
 		}
 	}
@@ -122,11 +120,10 @@ func BenchmarkJSDPair(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var pool *parallel.Pool
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkFloat, _ = JSDPair(before, after, q, 128, int64(i), pool)
+		sinkFloat, _ = JSDPair(before, after, q, 128, int64(i))
 	}
 }
 

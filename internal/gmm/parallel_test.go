@@ -36,33 +36,13 @@ func testJoints(t *testing.T) (*Joint, *Joint) {
 	return p, q
 }
 
-// TestJSDPairWorkerInvariant is the determinism contract of the striped
-// estimator: the same seed must give the bit-identical pair on a nil pool
-// and on pools of any worker count.
-func TestJSDPairWorkerInvariant(t *testing.T) {
-	p, q := testJoints(t)
-	after, err := NewJoint(p.M, q.M, 0.35)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{1, 31, 32, 33, 200, 1000} {
-		wantB, wantA := JSDPair(p, after, q, n, 12345, nil)
-		for _, workers := range []int{1, 2, 4, 13} {
-			pool := parallel.New(workers, nil)
-			if gotB, gotA := JSDPair(p, after, q, n, 12345, pool); gotB != wantB || gotA != wantA {
-				t.Errorf("n=%d workers=%d: JSDPair = (%v, %v), serial = (%v, %v)", n, workers, gotB, gotA, wantB, wantA)
-			}
-		}
-	}
-}
-
 func TestJSDPairTracksSerialJSD(t *testing.T) {
 	p, q := testJoints(t)
 	after, err := NewJoint(p.M, q.M, 0.35)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb, ja := JSDPair(p, after, q, 4000, 99, nil)
+	jb, ja := JSDPair(p, after, q, 4000, 99)
 	for name, pair := range map[string]struct {
 		striped float64
 		j       *Joint
@@ -78,7 +58,7 @@ func TestJSDPairTracksSerialJSD(t *testing.T) {
 	}
 	// log-sum-exp of two identical densities rounds, so JSD(p, p) is only
 	// zero to machine precision, not exactly.
-	sameB, sameA := JSDPair(p, p, p, 2000, 5, nil)
+	sameB, sameA := JSDPair(p, p, p, 2000, 5)
 	if sameB < 0 || sameB > 1e-12 || sameA != sameB {
 		t.Errorf("JSD(p, p) = (%v, %v), want equal and ~0", sameB, sameA)
 	}

@@ -1,7 +1,9 @@
 // Package parallel provides the bounded, deterministic worker pool behind
-// the S2/S3 hot path. The pool's contract is that parallelism is an
-// execution parameter, never a semantic one: a computation fanned out
-// through Pool.Run must produce bit-identical results at any worker count,
+// the similarity-vector preps, blocking, the EM fits of S1 and of the
+// O_syn refit, and S3's pair labeling; S2's in-attempt steps run inline
+// on the chain. The pool's contract is that parallelism is an execution
+// parameter, never a semantic one: a computation fanned out through
+// Pool.Run must produce bit-identical results at any worker count,
 // including 1. The package enforces the half of that contract it can —
 // fixed contiguous index chunking, per-index result slots, completion
 // barriers — and SplitSeeds supplies the other half for Monte-Carlo
@@ -54,19 +56,6 @@ func (p *Pool) Workers() int {
 	}
 	return p.workers
 }
-
-// Serial returns a one-worker pool that records to p's recorder and
-// tracer: its Run calls emit the same phase gauges and chunk spans, inline
-// on the caller. A nil pool stays nil.
-func (p *Pool) Serial() *Pool {
-	if p == nil {
-		return nil
-	}
-	return &Pool{workers: 1, rec: p.rec, tr: p.tr}
-}
-
-// ForEach is Run without telemetry.
-func (p *Pool) ForEach(n int, fn func(i int)) { p.Run("", n, fn) }
 
 // Run invokes fn(i) for every i in [0, n), fanning the index range out
 // over the pool's workers in fixed contiguous chunks (worker c gets

@@ -31,9 +31,9 @@ func TestNilPoolRunsSerially(t *testing.T) {
 		t.Errorf("nil pool Workers() = %d, want 1", got)
 	}
 	sum := 0
-	p.ForEach(5, func(i int) { sum += i })
+	p.Run("", 5, func(i int) { sum += i })
 	if sum != 10 {
-		t.Errorf("nil pool ForEach sum = %d, want 10", sum)
+		t.Errorf("nil pool Run sum = %d, want 10", sum)
 	}
 }
 
@@ -154,34 +154,5 @@ func TestRunChunkSpans(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSerialKeepsRecordingInline pins Pool.Serial: one worker, the
-// caller's goroutine, and the parent's tracer still receiving the
-// phase's one chunk span over the whole range; a nil pool stays nil.
-func TestSerialKeepsRecordingInline(t *testing.T) {
-	if (*Pool)(nil).Serial() != nil {
-		t.Fatal("nil pool's Serial is not nil")
-	}
-	bus := telemetry.NewBus(64)
-	p := New(4, trace.Wrap(trace.New(bus), nil)).Serial()
-	if w := p.Workers(); w != 1 {
-		t.Fatalf("Serial().Workers() = %d, want 1", w)
-	}
-	order := []int{}
-	p.Run("test.serial", 5, func(i int) { order = append(order, i) }) // no lock: inline
-	if fmt.Sprint(order) != "[0 1 2 3 4]" {
-		t.Fatalf("indices ran in order %v", order)
-	}
-	events, _, _ := bus.Poll(0, 64)
-	spans := 0
-	for _, ev := range events {
-		if ev.Kind == "span" && ev.Name == "test.serial.chunk" {
-			spans++
-		}
-	}
-	if spans != 1 {
-		t.Fatalf("%d chunk spans, want 1", spans)
 	}
 }
