@@ -48,9 +48,11 @@ func (w wrapDist) LogPDF(x []float64) float64            { return w.d.LogPDF(x) 
 // interior and differing between the joints), every sharing of the side
 // models, dimensions on both sides of the 16-coordinate stack limit of
 // the density kernels, stripe-boundary sample counts, and a q
-// that is not a *Joint. Each dimension, and within it each sharing, is a
+// that is not a *Joint. Each q also comes shaped like O_real, with more
+// components per side (S1's four) than either joint's, which sizes
+// JSDPair's scratch by q. Each dimension, and within it each sharing, is a
 // parallel subtest; the models are drawn from one stream in dimension
-// order before any subtest runs.
+// order before any subtest runs, the O_real-shaped q's from another.
 func TestJSDPairMatchesStripedOracle(t *testing.T) {
 	pis := [][2]float64{{0, 0}, {1, 1}, {0.3, 0.3}, {0.3, 0.45}, {0, 0.2}, {1, 0.6}}
 	shares := []struct {
@@ -58,11 +60,15 @@ func TestJSDPairMatchesStripedOracle(t *testing.T) {
 		shareM bool
 		shareN bool
 	}{{"M shared", true, false}, {"N shared", false, true}, {"both changed", false, false}, {"both shared", true, true}}
-	r := rand.New(rand.NewSource(41))
+	r, rq := rand.New(rand.NewSource(41)), rand.New(rand.NewSource(42))
 	for _, dim := range []int{1, 4, 17} {
 		m, n := randomModel(t, r, 3, dim), randomModel(t, r, 2, dim)
 		m2, n2 := randomModel(t, r, 3, dim), randomModel(t, r, 1, dim)
 		qj, err := NewJoint(randomModel(t, r, 2, dim), randomModel(t, r, 2, dim), 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qReal, err := NewJoint(randomModel(t, rq, 4, dim), randomModel(t, rq, 4, dim), 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +93,7 @@ func TestJSDPairMatchesStripedOracle(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						for qi, q := range []Dist{qj, wrapDist{qj}} {
+						for qi, q := range []Dist{qj, wrapDist{qj}, qReal, wrapDist{qReal}} {
 							for _, ns := range []int{1, 31, 32, 33, 128, 200} {
 								seed := int64(dim*1000 + ns)
 								wantB := JSDStriped(before, q, ns, seed)

@@ -67,12 +67,76 @@ func TestDensityKernelsAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := fixedDist{x: make([]float64, shape.k)}
+		// A *Joint q, as O_real is, draws its samples straight into the
+		// scratch: Joint.Sample would allocate each one.
+		qj, err := NewJoint(randomModel(t, r, shape.g, shape.k), randomModel(t, r, shape.g, shape.k), 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
 		const perCall = 5
 		for _, n := range []int{1, 32, 256, 1024} {
 			if allocs := testing.AllocsPerRun(5, func() { JSDPair(j, after, q, n, 7) }); allocs > perCall {
 				t.Errorf("g=%d k=%d n=%d: JSDPair allocates %v times per call, want ≤ %v", shape.g, shape.k, n, allocs, perCall)
 			}
+			if allocs := testing.AllocsPerRun(5, func() { JSDPair(j, after, qj, n, 7) }); allocs > perCall {
+				t.Errorf("g=%d k=%d n=%d: JSDPair with a *Joint q allocates %v times per call, want ≤ %v", shape.g, shape.k, n, allocs, perCall)
+			}
 		}
+	}
+}
+
+// TestLogPDFRowsMatchesLogPDF pins the batched mixture and joint
+// densities JSDPair evaluates bit for bit to Model.LogPDF and Joint.LogPDF
+// on each row: 0–9 and 41 rows (the four-row body and its tail), rows
+// holding NaN and ±Inf, rows where every component's log-density is −Inf,
+// mixtures past maxStackComps and dims past 16, joint weights 0, ½ and 1,
+// and scratch left dirty by earlier calls and seeded with NaN.
+func TestLogPDFRowsMatchesLogPDF(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	var deadRows int
+	for _, shape := range []struct{ g, dim int }{
+		{1, 1}, {3, 4}, {4, 5}, {maxStackComps, 16}, {maxStackComps + 2, 3}, {2, 17}, {maxStackComps + 1, 18},
+	} {
+		m, n := randomModel(t, r, shape.g, shape.dim), randomModel(t, r, 2, shape.dim)
+		logs, y := make([]float64, max(shape.g, 2)*41), make([]float64, 4*shape.dim)
+		for _, s := range [][]float64{logs, y} {
+			for i := range s {
+				s[i] = math.NaN()
+			}
+		}
+		for _, rows := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 41} {
+			var xs []float64
+			for _, x := range estepRows(r, rows, shape.dim) {
+				xs = append(xs, x...)
+			}
+			out, mOut := make([]float64, rows), make([]float64, rows)
+			m.logPDFRows(xs, out, logs, y)
+			for i, got := range out {
+				x := xs[i*shape.dim : (i+1)*shape.dim]
+				if want := m.LogPDF(x); !sameFloat(got, want) {
+					t.Fatalf("g=%d dim=%d rows=%d row %d x=%v: logPDFRows = %v, LogPDF %v", shape.g, shape.dim, rows, i, x, got, want)
+				}
+				if math.IsInf(got, -1) {
+					deadRows++
+				}
+			}
+			for _, pi := range []float64{0, 0.5, 1} {
+				j, err := NewJoint(m, n, pi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				j.logPDFRows(xs, out, mOut, logs, y)
+				for i, got := range out {
+					x := xs[i*shape.dim : (i+1)*shape.dim]
+					if want := j.LogPDF(x); !sameFloat(got, want) {
+						t.Fatalf("g=%d dim=%d rows=%d pi=%v row %d x=%v: Joint.logPDFRows = %v, LogPDF %v", shape.g, shape.dim, rows, pi, i, x, got, want)
+					}
+				}
+			}
+		}
+	}
+	if deadRows == 0 {
+		t.Fatal("no row had every component at −Inf")
 	}
 }
 
@@ -117,6 +181,31 @@ func BenchmarkJSDPair(b *testing.B) {
 		b.Fatal(err)
 	}
 	q, err := NewJoint(randomModel(b, r, 2, 4), randomModel(b, r, 3, 4), 0.25)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkFloat, _ = JSDPair(before, after, q, 128, int64(i))
+	}
+}
+
+// BenchmarkJSDPairORealShape measures JSDPair with q shaped like a
+// fitted O_real (S1's four components per side, π 0.05) against 2+2
+// joints whose candidate delta changed N.
+func BenchmarkJSDPairORealShape(b *testing.B) {
+	r := rand.New(rand.NewSource(37))
+	m := randomModel(b, r, 2, 4)
+	before, err := NewJoint(m, randomModel(b, r, 2, 4), 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	after, err := NewJoint(m, randomModel(b, r, 2, 4), 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := NewJoint(randomModel(b, r, 4, 4), randomModel(b, r, 4, 4), 0.05)
 	if err != nil {
 		b.Fatal(err)
 	}

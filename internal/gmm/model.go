@@ -28,7 +28,9 @@ type Component struct {
 	logW   float64 // math.Log(Weight), hoisted out of every density call
 }
 
-// Model is a Gaussian mixture over similarity vectors.
+// Model is a Gaussian mixture over similarity vectors. A built model is
+// never mutated: an update builds a new one, so models may be shared by
+// pointer.
 type Model struct {
 	Comps []Component
 	dim   int
@@ -107,6 +109,42 @@ func (m *Model) LogPDF(x []float64) float64 {
 		sum += expShift(l - maxLog)
 	}
 	return addLog(maxLog, sum)
+}
+
+// logPDFRows writes to out[r] the log density at row r of xs, which holds
+// len(out) rows of Dim values each; every value is bit-identical to
+// LogPDF's. Each component is evaluated over every row, through
+// MVN.LogPDFRows, before the next; then each row's log-sum-exp runs over
+// its components in order. logs is scratch for len(Comps)·len(out) values
+// and y the 4·Dim forward-solve scratch LogPDFRows takes.
+func (m *Model) logPDFRows(xs, out, logs, y []float64) {
+	n := len(out)
+	logs = logs[:len(m.Comps)*n]
+	for i := range m.Comps {
+		c := &m.Comps[i]
+		li := logs[i*n : (i+1)*n]
+		c.dist.LogPDFRows(xs, li, y)
+		for r, l := range li {
+			li[r] = c.logW + l
+		}
+	}
+	for r := range out {
+		maxLog := math.Inf(-1)
+		for i := r; i < len(logs); i += n {
+			if logs[i] > maxLog {
+				maxLog = logs[i]
+			}
+		}
+		if math.IsInf(maxLog, -1) {
+			out[r] = maxLog
+			continue
+		}
+		sum := 0.0
+		for i := r; i < len(logs); i += n {
+			sum += expShift(logs[i] - maxLog)
+		}
+		out[r] = addLog(maxLog, sum)
+	}
 }
 
 // expShift returns math.Exp(d) for a log-sum-exp term d = l − max. The

@@ -74,11 +74,13 @@ func (a *Accumulator) Add(xs [][]float64) error {
 	return a.fold(xs)
 }
 
-// Snapshot returns a deep copy of the accumulator so callers can trial an
-// update (e.g. the rejection check of Eq. 10) and discard it.
+// Snapshot returns a copy of the accumulator so callers can trial an
+// update (e.g. the rejection check of Eq. 10) and discard it. The
+// sufficient statistics are copied; the model is shared, since a built
+// Model is never mutated and Add replaces it rather than changing it.
 func (a *Accumulator) Snapshot() *Accumulator {
 	cp := &Accumulator{
-		model: a.model.Clone(),
+		model: a.model,
 		ridge: a.ridge,
 		n:     a.n,
 		s0:    append([]float64(nil), a.s0...),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -92,6 +93,8 @@ func TestAccumulatorSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	orig := acc.Model()
+	bits := modelBits(orig)
 	snap := acc.Snapshot()
 	if err := snap.Add([][]float64{{0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}}); err != nil {
 		t.Fatal(err)
@@ -101,6 +104,17 @@ func TestAccumulatorSnapshotIsolation(t *testing.T) {
 	}
 	if acc.N() != len(xs) {
 		t.Error("Add on snapshot leaked into the original accumulator")
+	}
+	// The snapshot shares the model until its Add replaces it, which
+	// leaves the original's model, and every bit of it, in place.
+	if acc.Model() != orig {
+		t.Error("Add on snapshot replaced the original accumulator's model")
+	}
+	if snap.Model() == orig {
+		t.Error("snapshot Add kept the shared model")
+	}
+	if !slices.Equal(modelBits(acc.Model()), bits) {
+		t.Error("Add on snapshot changed a bit of the original model's parameters")
 	}
 	// Parameters of original unchanged.
 	a := acc.Model().Comps[0].Mean
@@ -114,6 +128,21 @@ func TestAccumulatorSnapshotIsolation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// modelBits lists the bits of every weight, mean and covariance entry of m.
+func modelBits(m *Model) []uint64 {
+	var bits []uint64
+	for _, c := range m.Comps {
+		bits = append(bits, math.Float64bits(c.Weight))
+		for _, v := range c.Mean {
+			bits = append(bits, math.Float64bits(v))
+		}
+		for _, v := range c.Cov.Data {
+			bits = append(bits, math.Float64bits(v))
+		}
+	}
+	return bits
 }
 
 func TestAccumulatorRejectsDimMismatch(t *testing.T) {

@@ -109,6 +109,54 @@ func (d *MVN) LogPDF2(x0, x1, y []float64) (float64, float64) {
 	return -0.5 * (d.norm + q0), -0.5 * (d.norm + q1)
 }
 
+// LogPDFRows writes to out[r] the log density at row r of xs, which holds
+// len(out) rows of Dim values each; every value is bit-identical to
+// LogPDF's. Four rows' forward solves run in one loop, each row's
+// operations in LogPDF's order, so their division chains overlap. They
+// run in y, the caller's scratch, as in LogPDF2. The rows past the last
+// group of four, and every row when len(y) < 4·Dim, go through LogPDF.
+// It allocates nothing.
+func (d *MVN) LogPDFRows(xs, out, y []float64) {
+	k := len(d.mean)
+	if len(xs) != len(out)*k {
+		panic(fmt.Sprintf("stats: LogPDFRows got %d values for %d rows of dim %d", len(xs), len(out), k))
+	}
+	r := 0
+	if len(y) >= 4*k {
+		// y holds the four solves interleaved: y[4j+c] is row c's j-th.
+		l, mean, norm := d.chol.Data, d.mean, d.norm
+		for ; r+4 <= len(out); r += 4 {
+			x := xs[r*k : (r+4)*k]
+			q0, q1, q2, q3 := 0.0, 0.0, 0.0, 0.0
+			for i, mi := range mean {
+				s0, s1, s2, s3 := x[i]-mi, x[k+i]-mi, x[2*k+i]-mi, x[3*k+i]-mi
+				w := y[:4*i]
+				for _, lij := range l[i*k : i*k+i] {
+					_ = w[3]
+					s0 -= lij * w[0]
+					s1 -= lij * w[1]
+					s2 -= lij * w[2]
+					s3 -= lij * w[3]
+					w = w[4:]
+				}
+				lii := l[i*k+i]
+				v0, v1, v2, v3 := s0/lii, s1/lii, s2/lii, s3/lii
+				yi := y[4*i : 4*i+4]
+				yi[0], yi[1], yi[2], yi[3] = v0, v1, v2, v3
+				q0 += v0 * v0
+				q1 += v1 * v1
+				q2 += v2 * v2
+				q3 += v3 * v3
+			}
+			o := out[r : r+4]
+			o[0], o[1], o[2], o[3] = -0.5*(norm+q0), -0.5*(norm+q1), -0.5*(norm+q2), -0.5*(norm+q3)
+		}
+	}
+	for ; r < len(out); r++ {
+		out[r] = d.LogPDF(xs[r*k : (r+1)*k])
+	}
+}
+
 // PDF returns the density at x.
 func (d *MVN) PDF(x []float64) float64 { return math.Exp(d.LogPDF(x)) }
 
