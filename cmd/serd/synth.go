@@ -203,7 +203,7 @@ func synth(ctx context.Context, cfg synthConfig, rec telemetry.Recorder, real *s
 	}
 	fmt.Fprintf(stdout, "synthesized %+v -> %s\n", res.Syn.Stats(), flags.Out)
 	fmt.Fprintf(stdout, "JSD(O_syn, O_real)=%.4f  sampled matches=%d  rejected: %d by distribution, %d by discriminator\n",
-		res.JSD, res.SampledMatches, res.RejectedByDistribution, res.RejectedByDiscriminator)
+		res.JSD, len(res.SampledMatchPairs), res.RejectedByDistribution, res.RejectedByDiscriminator)
 
 	if flags.Audit {
 		if err := privacyAudit(cfg, real, res.Syn, stdout); err != nil {
@@ -221,7 +221,7 @@ func synth(ctx context.Context, cfg synthConfig, rec telemetry.Recorder, real *s
 		"jsd":                       res.JSD,
 		"entities":                  float64(res.Syn.A.Len() + res.Syn.B.Len()),
 		"matches":                   float64(len(res.Syn.Matches)),
-		"sampled_matches":           float64(res.SampledMatches),
+		"sampled_matches":           float64(len(res.SampledMatchPairs)),
 		"rejected_by_distribution":  float64(res.RejectedByDistribution),
 		"rejected_by_discriminator": float64(res.RejectedByDiscriminator),
 	}

@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -27,9 +28,9 @@ func TestSaveReadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	c := newTestCheckpointer(t, dir, nil)
 	st := &S2State{
-		A:       []EntityState{{ID: "sa1", Values: []string{"x", "y"}}},
-		Sampled: []PairLabelState{{A: 0, B: 0, Matching: true}},
-		Draws:   42,
+		A:                      []EntityState{{ID: "sa1", Values: []string{"x", "y"}}},
+		RejectedByDistribution: 3,
+		Draws:                  42,
 	}
 	if err := c.SaveS2(st); err != nil {
 		t.Fatal(err)
@@ -42,7 +43,7 @@ func TestSaveReadRoundTrip(t *testing.T) {
 		t.Fatal("no s2 checkpoint read back")
 	}
 	got := snap.S2.S2
-	if got.Draws != 42 || len(got.A) != 1 || got.A[0].ID != "sa1" || !got.Sampled[0].Matching {
+	if got.Draws != 42 || len(got.A) != 1 || got.A[0].ID != "sa1" || got.RejectedByDistribution != 3 {
 		t.Fatalf("round trip lost state: %+v", got)
 	}
 	if m := snap.S2.Meta; m.Tool != "serd" || m.Seed != 7 || m.Phase != "s2" || m.Saved != 1 {
@@ -234,21 +235,7 @@ func TestFaultHookAborts(t *testing.T) {
 // is refused with an error that says what to do, not restored.
 func TestOlderVersionRefused(t *testing.T) {
 	dir := t.TempDir()
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&S2State{Draws: 9}); err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(payload.Bytes())
-	env := envelope{Version: 1, Meta: Meta{Tool: "serd", Seed: 7, Phase: "s2", Saved: 1},
-		Payload: payload.Bytes(), SHA: hex.EncodeToString(sum[:])}
-	var file bytes.Buffer
-	if err := gob.NewEncoder(&file).Encode(env); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "s2.ckpt")
-	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeS2(t, filepath.Join(dir, "s2.ckpt"), 1, &S2State{Draws: 9})
 	_, err := ReadDir(dir)
 	if err == nil {
 		t.Fatal("version-1 checkpoint accepted")
@@ -257,5 +244,94 @@ func TestOlderVersionRefused(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not say %q", err, want)
 		}
+	}
+}
+
+// writeS2 writes state as an s2 checkpoint in an envelope of the given
+// version, the way Checkpointer.save does.
+func writeS2(t *testing.T, path string, version int, state any) {
+	t.Helper()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(state); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(payload.Bytes())
+	env := envelope{Version: version, Meta: Meta{Tool: "serd", Seed: 7, Phase: "s2", Saved: 1},
+		Payload: payload.Bytes(), SHA: hex.EncodeToString(sum[:])}
+	var file bytes.Buffer
+	if err := gob.NewEncoder(&file).Encode(env); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// legacyS2State is S2State as earlier version-2 builds wrote it: it also
+// carried the sampled labels, the matched index sets and the counters a
+// resume now rebuilds by replaying S2's plans.
+type legacyS2State struct {
+	Backend                 string
+	Gen                     []byte
+	A, B                    []EntityState
+	Sampled                 []legacyPairLabel
+	MatchedA, MatchedB      []int
+	SampledMatches          int
+	SampledMatchPairs       []legacyPair
+	RejectedByDiscriminator int
+	RejectedByDistribution  int
+	Rejections              int
+	Dist                    *DistSnap
+	Draws                   uint64
+}
+
+type legacyPairLabel struct {
+	A, B     int
+	Matching bool
+}
+
+type legacyPair struct{ A, B int }
+
+// TestLegacyS2StateDecodes pins that dropping the derivable fields needed
+// no Version bump: an s2 checkpoint in the earlier version-2 shape reads
+// back with every field S2State still has intact.
+func TestLegacyS2StateDecodes(t *testing.T) {
+	want := S2State{
+		Backend:                 "gmm",
+		Gen:                     []byte{1, 2, 3},
+		A:                       []EntityState{{ID: "sa1", Values: []string{"x", "y"}}, {ID: "sa2", Values: []string{"z", ""}}},
+		B:                       []EntityState{{ID: "sb1", Values: []string{"x", "w"}}},
+		RejectedByDiscriminator: 2,
+		RejectedByDistribution:  5,
+		Dist: &DistSnap{
+			PendingPos:   [][]float64{{0.5, 1}},
+			PendingNeg:   [][]float64{{0, 0.25}, {0.75, 0}},
+			NPos:         1,
+			NNeg:         2,
+			LastFitTotal: 3,
+		},
+		Draws: 42,
+	}
+	legacy := legacyS2State{
+		Backend: want.Backend, Gen: want.Gen, A: want.A, B: want.B,
+		Sampled:                 []legacyPairLabel{{A: 0, B: 0, Matching: true}, {A: 1, B: 0}},
+		MatchedA:                []int{0},
+		MatchedB:                []int{0},
+		SampledMatches:          1,
+		SampledMatchPairs:       []legacyPair{{A: 0, B: 0}},
+		RejectedByDiscriminator: want.RejectedByDiscriminator,
+		RejectedByDistribution:  want.RejectedByDistribution,
+		Rejections:              7,
+		Dist:                    want.Dist,
+		Draws:                   want.Draws,
+	}
+	path := filepath.Join(t.TempDir(), "s2.ckpt")
+	writeS2(t, path, Version, &legacy)
+	f, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*f.S2, want) {
+		t.Fatalf("decoded %+v, want %+v", *f.S2, want)
 	}
 }

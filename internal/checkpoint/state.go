@@ -32,17 +32,6 @@ type EntityState struct {
 	Values []string
 }
 
-// PairLabelState is one S2-sampled pair label.
-type PairLabelState struct {
-	A, B     int
-	Matching bool
-}
-
-// PairState is an (A-index, B-index) pair.
-type PairState struct {
-	A, B int
-}
-
 // DistSnap is the S2 rejection state (core's distState): the pending
 // vector pools before O_syn activates, or the live accumulators after.
 type DistSnap struct {
@@ -54,26 +43,20 @@ type DistSnap struct {
 }
 
 // S2State is a mid-S2 synthesis checkpoint: O_real, both entity pools, the
-// sampled labels and match bookkeeping, the rejection state and the RNG
-// position. Sampled and the matched index sets are stored sorted so the
-// payload (and its SHA) is deterministic.
+// rejection state and the RNG position. It holds nothing a resume can
+// derive: the sampled pair labels and the matched index sets are a
+// function of the seed and the pool sizes, and the resume rebuilds them
+// by replaying S2's plans over the restored pools. (A payload that still
+// carries them, as earlier builds wrote, decodes unchanged: gob skips the
+// fields this type no longer has.)
 type S2State struct {
 	// Backend / Gen carry O_real exactly as in S1State.
-	Backend string
-	Gen     []byte
-	A, B    []EntityState
-	// Sampled lists the S2-sampled pair labels in (A, B) order.
-	Sampled []PairLabelState
-	// MatchedA and MatchedB are the sorted indices with a sampled match
-	// partner (one-to-one matching bookkeeping).
-	MatchedA, MatchedB      []int
-	SampledMatches          int
-	SampledMatchPairs       []PairState
+	Backend                 string
+	Gen                     []byte
+	A, B                    []EntityState
 	RejectedByDiscriminator int
 	RejectedByDistribution  int
-	// Rejections counts the rejected attempts so far.
-	Rejections int
-	Dist       *DistSnap
+	Dist                    *DistSnap
 	// Draws is the core main-stream position: past the bootstrap entity.
 	// Later entities draw from substreams keyed by their position, so the
 	// pools above say where S2 resumes.

@@ -39,39 +39,45 @@ func (p s2Plan) id() string {
 	return fmt.Sprintf("sb%d", p.lenB+1)
 }
 
+// pair is the (A, B) pair e' forms with e once e' is committed.
+func (p s2Plan) pair() dataset.Pair {
+	if p.dstIsA() {
+		return dataset.Pair{A: p.lenA, B: p.eIdx}
+	}
+	return dataset.Pair{A: p.eIdx, B: p.lenB}
+}
+
 // planner draws S2-1's plans in entity order. A plan needs only the pool
 // lengths and the matched index sets, and every entity is accepted
 // eventually, so the planner replays their growth without waiting for
-// any synthesis: it runs ahead of the committed pools on its own copy of
-// the matched sets.
+// any synthesis. It is the only owner of the match bookkeeping: the chain
+// records each committed entity's label from its plan, and a resume
+// replays the plans up to the restored pools.
 type planner struct {
 	seed          int64
 	sizeA, sizeB  int
 	matchFraction float64
 	lenA, lenB    int
-	matchedA      map[int]bool
-	matchedB      map[int]bool
+	// matchedA and matchedB hold the entities with a sampled match
+	// partner. Real benchmark matches are essentially one-to-one; a second
+	// match against an already-matched entity creates transitive match
+	// clusters that inflate |M_syn| well beyond |M_real|, so matching
+	// vectors prefer unmatched source entities.
+	matchedA map[int]bool
+	matchedB map[int]bool
 }
 
-// newPlanner starts the plans at the committed state: the pools' lengths
-// and a copy of their matched sets.
+// newPlanner starts the plans just past the bootstrap entity: one A-entity
+// and no matches.
 func newPlanner(st *synthRun) *planner {
-	clone := func(m map[int]bool) map[int]bool {
-		out := make(map[int]bool, len(m))
-		for i := range m {
-			out[i] = true
-		}
-		return out
-	}
 	return &planner{
 		seed:          st.opts.Seed,
 		sizeA:         st.opts.SizeA,
 		sizeB:         st.opts.SizeB,
 		matchFraction: st.matchFraction,
-		lenA:          st.synA.Len(),
-		lenB:          st.synB.Len(),
-		matchedA:      clone(st.matched[st.synA]),
-		matchedB:      clone(st.matched[st.synB]),
+		lenA:          1,
+		matchedA:      make(map[int]bool),
+		matchedB:      make(map[int]bool),
 	}
 }
 
@@ -94,20 +100,15 @@ func (pl *planner) next() s2Plan {
 	default:
 		p.srcIsA = r.Intn(pl.lenA+pl.lenB) < pl.lenA
 	}
-	src, dst := pl.matchedB, pl.matchedA
-	n := pl.lenB
 	if p.srcIsA {
-		src, dst = pl.matchedA, pl.matchedB
-		n = pl.lenA
-	}
-	p.eIdx = sampleEntity(n, p.matching, src, r)
-	dstIdx := pl.lenB
-	if p.dstIsA() {
-		dstIdx = pl.lenA
+		p.eIdx = sampleEntity(pl.lenA, p.matching, pl.matchedA, r)
+	} else {
+		p.eIdx = sampleEntity(pl.lenB, p.matching, pl.matchedB, r)
 	}
 	if p.matching {
-		src[p.eIdx] = true
-		dst[dstIdx] = true
+		pair := p.pair()
+		pl.matchedA[pair.A] = true
+		pl.matchedB[pair.B] = true
 	}
 	if p.dstIsA() {
 		pl.lenA++
@@ -188,7 +189,7 @@ type ahead struct {
 func (st *synthRun) startAhead(workers int) *ahead {
 	a := &ahead{
 		st:     st,
-		pl:     newPlanner(st),
+		pl:     st.pl,
 		tr:     trace.FromRecorder(st.rec),
 		rec:    st.rec,
 		window: 4 * workers,

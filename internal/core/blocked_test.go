@@ -192,8 +192,8 @@ func TestBlockedRunJournalsBlockingEvent(t *testing.T) {
 	if bl.RecallBound < 0 || bl.RecallBound > 1 {
 		t.Errorf("recall bound = %v", bl.RecallBound)
 	}
-	if bl.HeldOutMatches != res.SampledMatches {
-		t.Errorf("held-out matches = %d, sampled matches = %d", bl.HeldOutMatches, res.SampledMatches)
+	if bl.HeldOutMatches != len(res.SampledMatchPairs) {
+		t.Errorf("held-out matches = %d, sampled matches = %d", bl.HeldOutMatches, len(res.SampledMatchPairs))
 	}
 	if bl.PairSpace != float64(res.Syn.A.Len())*float64(res.Syn.B.Len()) {
 		t.Errorf("pair space = %v", bl.PairSpace)

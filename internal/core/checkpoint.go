@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"serd/internal/checkpoint"
 	"serd/internal/dataset"
@@ -16,69 +15,31 @@ import (
 
 // captureS2 snapshots the mid-S2 pipeline position, except the
 // O-distribution payload — the caller fills Backend/Gen from
-// synthRun.distSnapshot, which knows which backend produced it.
-// Map-derived fields (sampled labels, matched index sets) are sorted so
-// the serialized payload — and therefore the checkpoint's SHA — is
-// deterministic.
-func captureS2(synA, synB *dataset.Relation, sampled map[dataset.Pair]bool,
-	matched map[*dataset.Relation]map[int]bool, res *Result, rejections int, dist *distState, draws uint64) *checkpoint.S2State {
-	st := &checkpoint.S2State{
+// synthRun.distSnapshot, which knows which backend produced it. The
+// sampled labels are not captured: the resume replays them from the plans.
+func captureS2(synA, synB *dataset.Relation, res *Result, dist *distState, draws uint64) *checkpoint.S2State {
+	return &checkpoint.S2State{
 		A:                       captureEntities(synA),
 		B:                       captureEntities(synB),
-		MatchedA:                sortedKeys(matched[synA]),
-		MatchedB:                sortedKeys(matched[synB]),
-		SampledMatches:          res.SampledMatches,
 		RejectedByDiscriminator: res.RejectedByDiscriminator,
 		RejectedByDistribution:  res.RejectedByDistribution,
-		Rejections:              rejections,
 		Dist:                    dist.snap(),
 		Draws:                   draws,
 	}
-	for p, m := range sampled {
-		st.Sampled = append(st.Sampled, checkpoint.PairLabelState{A: p.A, B: p.B, Matching: m})
-	}
-	sort.Slice(st.Sampled, func(i, j int) bool {
-		if st.Sampled[i].A != st.Sampled[j].A {
-			return st.Sampled[i].A < st.Sampled[j].A
-		}
-		return st.Sampled[i].B < st.Sampled[j].B
-	})
-	for _, p := range res.SampledMatchPairs {
-		st.SampledMatchPairs = append(st.SampledMatchPairs, checkpoint.PairState{A: p.A, B: p.B})
-	}
-	return st
 }
 
 // restoreS2 rebuilds the live S2 state from a checkpoint, filling the
-// caller's (empty) relations, maps and result. It returns the restored
-// count of rejected attempts.
-func restoreS2(st *checkpoint.S2State, synA, synB *dataset.Relation, sampled map[dataset.Pair]bool,
-	matched map[*dataset.Relation]map[int]bool, res *Result, dist *distState) (int, error) {
+// caller's (empty) relations and result.
+func restoreS2(st *checkpoint.S2State, synA, synB *dataset.Relation, res *Result, dist *distState) error {
 	if err := restoreEntities(synA, st.A); err != nil {
-		return 0, err
+		return err
 	}
 	if err := restoreEntities(synB, st.B); err != nil {
-		return 0, err
-	}
-	for _, pl := range st.Sampled {
-		sampled[dataset.Pair{A: pl.A, B: pl.B}] = pl.Matching
-	}
-	for _, i := range st.MatchedA {
-		matched[synA][i] = true
-	}
-	for _, i := range st.MatchedB {
-		matched[synB][i] = true
-	}
-	res.SampledMatches = st.SampledMatches
-	for _, p := range st.SampledMatchPairs {
-		res.SampledMatchPairs = append(res.SampledMatchPairs, dataset.Pair{A: p.A, B: p.B})
+		return err
 	}
 	res.RejectedByDiscriminator = st.RejectedByDiscriminator
 	res.RejectedByDistribution = st.RejectedByDistribution
-	if err := dist.restore(st.Dist); err != nil {
-		return 0, err
-	}
-	return st.Rejections, nil
+	return dist.restore(st.Dist)
 }
 
 func captureEntities(rel *dataset.Relation) []checkpoint.EntityState {
@@ -97,15 +58,6 @@ func restoreEntities(rel *dataset.Relation, states []checkpoint.EntityState) err
 		}
 	}
 	return nil
-}
-
-func sortedKeys(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for i := range set {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // snap captures the rejection state: the pending vector pools before O_syn

@@ -125,10 +125,10 @@ type Options struct {
 	// produce identical datasets.
 	Checkpoint *checkpoint.Checkpointer
 	// Resume continues a checkpointed run: with an S2 state the whole
-	// pipeline position (entity pools, sampled labels, rejection state, RNG
-	// stream) is restored; with only an S1 state the learned O_real is
-	// restored and S2 starts fresh. The result is bit-identical to the
-	// uninterrupted run.
+	// pipeline position (entity pools, rejection state, RNG stream) is
+	// restored and the sampled labels are replayed from S2's plans; with
+	// only an S1 state the learned O_real is restored and S2 starts fresh.
+	// The result is bit-identical to the uninterrupted run.
 	Resume *checkpoint.CoreState
 	// Seed drives all randomness.
 	Seed int64
@@ -212,12 +212,11 @@ type Result struct {
 	// JSD is the final Monte-Carlo JSD between O_syn and O_real (0 when
 	// too few vectors accumulated to estimate O_syn).
 	JSD float64
-	// SampledMatches counts pairs labeled matching during S2 (the rest of
-	// M_syn comes from S3 posterior labeling).
-	SampledMatches int
-	// SampledMatchPairs lists the S2-sampled matching pairs — the pairs
-	// SERD explicitly synthesized as matches, as opposed to the additional
-	// pairs S3's posterior labeling marks matching.
+	// SampledMatchPairs lists the S2-sampled matching pairs in commit
+	// order — the pairs SERD explicitly synthesized as matches, as opposed
+	// to the additional pairs S3's posterior labeling marks matching. Its
+	// length is the journaled sampled_matches count. A resumed run rebuilds
+	// it by replaying S2's plans, not from the checkpoint.
 	SampledMatchPairs []dataset.Pair
 	// RejectedByDiscriminator and RejectedByDistribution count rejected
 	// candidate entities per §V case 1 and case 2.

@@ -129,7 +129,7 @@ func TestSynthesizeMatchCountNearReal(t *testing.T) {
 	if m < 10 || m > 120 {
 		t.Errorf("synthesized matches = %d, want near the real 30", m)
 	}
-	if res.SampledMatches == 0 {
+	if len(res.SampledMatchPairs) == 0 {
 		t.Error("no matching pairs were sampled during S2")
 	}
 }

@@ -23,12 +23,15 @@ func sameSynthesis(t *testing.T, label string, got, want *Result) {
 	if !reflect.DeepEqual(got.Syn, want.Syn) {
 		t.Fatalf("%s: synthesized dataset differs", label)
 	}
-	if got.JSD != want.JSD || got.SampledMatches != want.SampledMatches {
-		t.Fatalf("%s: JSD/match summary differs: %v/%d vs %v/%d",
-			label, got.JSD, got.SampledMatches, want.JSD, want.SampledMatches)
+	if got.JSD != want.JSD {
+		t.Fatalf("%s: JSD %v, want %v", label, got.JSD, want.JSD)
 	}
 	if !reflect.DeepEqual(got.SampledMatchPairs, want.SampledMatchPairs) {
 		t.Fatalf("%s: sampled match pairs differ", label)
+	}
+	if got.RejectedByDistribution != want.RejectedByDistribution || got.RejectedByDiscriminator != want.RejectedByDiscriminator {
+		t.Fatalf("%s: rejected %d by distribution and %d by discriminator, want %d and %d", label,
+			got.RejectedByDistribution, got.RejectedByDiscriminator, want.RejectedByDistribution, want.RejectedByDiscriminator)
 	}
 }
 
@@ -63,13 +66,34 @@ func TestSynthesizeCheckpointingIsTransparent(t *testing.T) {
 // TestSynthesizeKillAndResumeBitIdentical is the core fault-injection
 // harness: the run is killed right after every checkpoint it writes (the
 // post-S1 save and each periodic S2 save in turn), resumed from disk, and
-// the resumed output must be bit-identical to the uninterrupted run.
+// the resumed output must be bit-identical to the uninterrupted run. Each
+// row's run rejects by its check before a killed save, so at least one
+// resume has that rejection count to restore.
 func TestSynthesizeKillAndResumeBitIdentical(t *testing.T) {
 	opts, er := resumeFixtureOptions(t)
+	t.Run("distribution", func(t *testing.T) {
+		o := opts
+		o.Seed = 37 // rejects by distribution before the save at 40 entities
+		killResumeSweep(t, er, o, func(s *checkpoint.S2State) bool { return s.RejectedByDistribution > 0 })
+	})
+	t.Run("discriminator", func(t *testing.T) {
+		o := opts
+		o.GAN, o.Beta = fixtureGAN(t, er), 0.5
+		killResumeSweep(t, er, o, func(s *checkpoint.S2State) bool { return s.RejectedByDiscriminator > 0 })
+	})
+}
+
+// killResumeSweep kills a run of opts after each of its checkpoints in
+// turn and checks every resume against the uninterrupted run. rejected
+// says whether a checkpoint holds a rejection of the kind the caller
+// wants restored; the sweep fails unless some killed run's does.
+func killResumeSweep(t *testing.T, er *dataset.ER, opts Options, rejected func(*checkpoint.S2State) bool) {
+	t.Helper()
 	want, err := Synthesize(context.Background(), er, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	restoredRejections := false
 	for k := uint64(1); k <= 16; k++ {
 		dir := t.TempDir()
 		cp, err := checkpoint.New(checkpoint.Config{Dir: dir, Every: 10, Tool: "serd", Seed: opts.Seed})
@@ -94,6 +118,9 @@ func TestSynthesizeKillAndResumeBitIdentical(t *testing.T) {
 			}
 			if k == 1 {
 				t.Fatal("no checkpoints were written at all")
+			}
+			if !restoredRejections {
+				t.Fatal("no killed run's checkpoint held a rejection, so no resume had rejection counts to restore")
 			}
 			return
 		}
@@ -121,6 +148,9 @@ func TestSynthesizeKillAndResumeBitIdentical(t *testing.T) {
 			t.Fatalf("kill %d (phase %s): resume: %v", k, latest.Meta.Phase, err)
 		}
 		sameSynthesis(t, latest.Meta.Phase, got, want)
+		if latest.S2 != nil && rejected(latest.S2) {
+			restoredRejections = true
+		}
 	}
 	t.Fatal("fault sweep never ran to completion; raise the kill cap")
 }
@@ -141,6 +171,46 @@ func TestResumeRefusesUntaggedCheckpoint(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "restart fresh") {
 			t.Errorf("%s: untagged checkpoint: err = %v, want a restart-fresh refusal", name, err)
 		}
+	}
+}
+
+// TestResumeRefusesPoolsThePlansMiss pins the replay check: S2's plans
+// rebuild the sampled labels on resume, so a checkpoint whose pools split
+// differently from what the seed's plans produce is refused rather than
+// resumed with labels for pairs it does not hold.
+func TestResumeRefusesPoolsThePlansMiss(t *testing.T) {
+	opts, er := resumeFixtureOptions(t)
+	dir := t.TempDir()
+	cp, err := checkpoint.New(checkpoint.Config{Dir: dir, Every: 10, Tool: "serd", Seed: opts.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.FaultHook = func(m checkpoint.Meta) error {
+		if m.Phase == "s2" {
+			return context.Canceled
+		}
+		return nil
+	}
+	kopts := opts
+	kopts.Checkpoint = cp
+	if _, err := Synthesize(context.Background(), er, kopts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("kill: err = %v, want context.Canceled", err)
+	}
+	snap, err := checkpoint.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := *snap.S2.S2
+	// Move B_syn's last entity to A_syn: the same entity count, split
+	// one off from the plans'.
+	last := s2.B[len(s2.B)-1]
+	s2.B = s2.B[:len(s2.B)-1]
+	s2.A = append(append([]checkpoint.EntityState(nil), s2.A...), checkpoint.EntityState{ID: "moved", Values: last.Values})
+	ropts := opts
+	ropts.Resume = &checkpoint.CoreState{S2: &s2}
+	_, err = Synthesize(context.Background(), er, ropts)
+	if err == nil || !strings.Contains(err.Error(), "do not match the replayed plans") {
+		t.Fatalf("resume from re-split pools: err = %v, want a replay mismatch", err)
 	}
 }
 

@@ -48,13 +48,14 @@ type synthRun struct {
 	synA, synB *dataset.Relation
 	// preps holds each entity pool prepped by position, for S2's delta
 	// vectors and S3's labeling; S2 appends every accepted entity.
-	preps      map[*dataset.Relation]*dataset.Preps
-	res        *Result
-	dist       *distState
-	sampled    map[dataset.Pair]bool
-	matched    map[*dataset.Relation]map[int]bool
-	rejections int // rejected S2 attempts, for the checkpoint and S2's block spans
-	matches    []dataset.Pair
+	preps map[*dataset.Relation]*dataset.Preps
+	res   *Result
+	dist  *distState
+	// pl plans S2's entities; sampled holds the labels of the pairs the
+	// committed entities formed (see record).
+	pl      *planner
+	sampled map[dataset.Pair]bool
+	matches []dataset.Pair
 }
 
 // Synthesize runs the full SERD pipeline (Figure 3) on the real dataset.
@@ -277,9 +278,10 @@ func (st *synthRun) runS1(ctx context.Context) error {
 }
 
 // runSetup validates O_real against the schema and prepares the S2 state:
-// value synthesizers and the entity pools — restored from a mid-S2
-// checkpoint (with the RNG stream fast-forwarded) or bootstrapped with
-// the first fake A-entity — and their preps.
+// value synthesizers, the planner and the entity pools — restored from a
+// mid-S2 checkpoint (with the RNG stream fast-forwarded and the sampled
+// labels replayed from the plans) or bootstrapped with the first fake
+// A-entity — and their preps.
 func (st *synthRun) runSetup(context.Context) error {
 	if st.oReal.Dim() != st.real.Schema().Len() {
 		return fmt.Errorf("core: O_real dim %d does not match schema arity %d", st.oReal.Dim(), st.real.Schema().Len())
@@ -297,25 +299,29 @@ func (st *synthRun) runSetup(context.Context) error {
 	// while the pool's other workers synthesize candidates; only the
 	// O_syn refit's EM fans out on the pool.
 	st.dist = newDistState(st.oReal, st.opts, st.pool)
-	st.sampled = make(map[dataset.Pair]bool) // S2-sampled labels
-	// matched tracks entities that already have a sampled match partner.
-	// Real benchmark matches are essentially one-to-one; synthesizing a
-	// second match against an already-matched entity creates transitive
-	// match clusters that inflate |M_syn| well beyond |M_real|, so matching
-	// vectors prefer unmatched source entities.
-	st.matched = map[*dataset.Relation]map[int]bool{st.synA: {}, st.synB: {}}
+	st.pl = newPlanner(st)
+	st.sampled = make(map[dataset.Pair]bool)
 
 	if st.resS2 != nil {
-		// Mid-S2 resume: restore the entity pools, labels, rejection state
-		// and counters, then fast-forward the main RNG stream past the
+		// Mid-S2 resume: restore the entity pools, rejection state and
+		// counters, then fast-forward the main RNG stream past the
 		// bootstrap entity. S2's own draws are keyed by entity and attempt,
 		// so the restored pools say where they resume.
-		st.rejections, err = restoreS2(st.resS2, st.synA, st.synB, st.sampled, st.matched, st.res, st.dist)
-		if err != nil {
+		if err := restoreS2(st.resS2, st.synA, st.synB, st.res, st.dist); err != nil {
 			return fmt.Errorf("core: resume: %w", err)
 		}
 		if err := st.src.SkipTo(st.resS2.Draws); err != nil {
 			return fmt.Errorf("core: resume: %w", err)
+		}
+		// The plans are a function of the seed and the earlier plans, so
+		// replaying them over the restored pools rebuilds the sampled
+		// labels. It runs here, not in S2, which a mid-S3 resume skips.
+		for st.pl.lenA+st.pl.lenB < st.synA.Len()+st.synB.Len() {
+			st.record(st.pl.next())
+		}
+		if st.pl.lenA != st.synA.Len() || st.pl.lenB != st.synB.Len() {
+			return fmt.Errorf("core: resume: checkpointed pools %d/%d do not match the replayed plans %d/%d",
+				st.synA.Len(), st.synB.Len(), st.pl.lenA, st.pl.lenB)
 		}
 		// Replay the restored pools into the stream: the resumed process
 		// starts a fresh output, so the rows accepted before the
@@ -352,6 +358,17 @@ func (st *synthRun) runSetup(context.Context) error {
 	return nil
 }
 
+// record notes the label of the pair the entity committed under plan p
+// formed: S3 skips the pair, and a sampled match joins
+// Result.SampledMatchPairs.
+func (st *synthRun) record(p s2Plan) {
+	pair := p.pair()
+	st.sampled[pair] = p.matching
+	if p.matching {
+		st.res.SampledMatchPairs = append(st.res.SampledMatchPairs, pair)
+	}
+}
+
 // streamEntity forwards one accepted entity to the stream writer, if any.
 func (st *synthRun) streamEntity(toA bool, e *dataset.Entity) error {
 	if st.opts.Stream == nil {
@@ -377,7 +394,7 @@ func (st *synthRun) saveS2() error {
 	if st.cp == nil {
 		return nil
 	}
-	s2 := captureS2(st.synA, st.synB, st.sampled, st.matched, st.res, st.rejections, st.dist, st.src.Draws())
+	s2 := captureS2(st.synA, st.synB, st.res, st.dist, st.src.Draws())
 	var err error
 	if s2.Backend, s2.Gen, err = st.distSnapshot(); err != nil {
 		return err
@@ -414,9 +431,10 @@ func (st *synthRun) runS2(ctx context.Context) error {
 	tr := trace.FromRecorder(rec)
 	var block *trace.Child
 	var blockFrom, blockRejFrom int
+	rejected := func() int { return res.RejectedByDiscriminator + res.RejectedByDistribution }
 	closeBlock := func(done int) {
 		if block != nil {
-			block.End(trace.Int("accepted", done-blockFrom), trace.Int("rejected", st.rejections-blockRejFrom))
+			block.End(trace.Int("accepted", done-blockFrom), trace.Int("rejected", rejected()-blockRejFrom))
 			block = nil
 		}
 	}
@@ -433,7 +451,7 @@ func (st *synthRun) runS2(ctx context.Context) error {
 	for synA.Len() < opts.SizeA || synB.Len() < opts.SizeB {
 		done := synA.Len() + synB.Len()
 		if tr != nil && block == nil {
-			blockFrom, blockRejFrom = done, st.rejections
+			blockFrom, blockRejFrom = done, rejected()
 			block = tr.Child("core.s2.block", trace.Int("from", done))
 		}
 		if stopErr := ctx.Err(); stopErr != nil {
@@ -453,7 +471,6 @@ func (st *synthRun) runS2(ctx context.Context) error {
 		if p.srcIsA {
 			src, dst = synA, synB
 		}
-		dstIsA := p.dstIsA()
 
 		for attempt := 0; ; attempt++ {
 			rec.Add("core.s2.attempts", 1)
@@ -467,14 +484,12 @@ func (st *synthRun) runS2(ctx context.Context) error {
 			if check && opts.GAN != nil && opts.GAN.Discriminate(c.e.Values) < opts.Beta {
 				res.RejectedByDiscriminator++
 				rec.Add("core.s2.rejected.discriminator", 1)
-				st.rejections++
 				continue
 			}
 			delta := dist.deltaVectors(c.preps, st.preps[src], c.r)
 			if check && dist.reject(delta, c.r) {
 				res.RejectedByDistribution++
 				rec.Add("core.s2.rejected.distribution", 1)
-				st.rejections++
 				continue
 			}
 			dist.commit(delta)
@@ -485,21 +500,11 @@ func (st *synthRun) runS2(ctx context.Context) error {
 				return err
 			}
 			st.preps[dst].Append(c.preps)
-			if err := st.streamEntity(dstIsA, c.e); err != nil {
+			if err := st.streamEntity(p.dstIsA(), c.e); err != nil {
 				return err
 			}
-			var pair dataset.Pair
-			if dstIsA {
-				pair = dataset.Pair{A: dst.Len() - 1, B: p.eIdx}
-			} else {
-				pair = dataset.Pair{A: p.eIdx, B: dst.Len() - 1}
-			}
-			st.sampled[pair] = p.matching
+			st.record(p)
 			if p.matching {
-				res.SampledMatches++
-				res.SampledMatchPairs = append(res.SampledMatchPairs, pair)
-				st.matched[src][p.eIdx] = true
-				st.matched[dst][dst.Len()-1] = true
 				rec.Add("core.s2.sampled_matches", 1)
 			}
 			rec.Add("core.s2.accepted", 1)
@@ -616,7 +621,7 @@ func (st *synthRun) runFinalize(context.Context) error {
 	st.opts.Journal.Synthesis(journal.SynthesisData{
 		Entities:                st.synA.Len() + st.synB.Len(),
 		Matches:                 len(st.matches),
-		SampledMatches:          st.res.SampledMatches,
+		SampledMatches:          len(st.res.SampledMatchPairs),
 		RejectedByDistribution:  st.res.RejectedByDistribution,
 		RejectedByDiscriminator: st.res.RejectedByDiscriminator,
 		JSD:                     st.res.JSD,

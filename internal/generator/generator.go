@@ -60,20 +60,14 @@ type FitOptions struct {
 	// learning the N-distribution (default 20·|M|, at least 2000). The
 	// quadratic non-matching space is always down-sampled in practice.
 	MaxNonMatching int
-	// Blocker supplies the candidate generator whose hardest non-matching
-	// pairs are mixed into X− (count = HardNonMatching). Real benchmark
-	// label sets are built from blocking survivors, so their N-distribution
-	// gives the near-miss clusters real weight; a uniform X− sample would
-	// miss them entirely and the synthesized dataset would teach matchers
-	// nothing about the decision boundary. Nil selects a q-gram union
-	// blocker over the textual columns; set NoHardNegatives to disable.
+	// Blocker supplies the candidate generator whose 2·|M| hardest
+	// non-matching pairs are mixed into X−. Real benchmark label sets are
+	// built from blocking survivors, so their N-distribution gives the
+	// near-miss clusters real weight; a uniform X− sample would miss them
+	// entirely and the synthesized dataset would teach matchers nothing
+	// about the decision boundary. Nil selects a q-gram union blocker over
+	// the textual columns.
 	Blocker blocking.Blocker
-	// HardNonMatching is the number of hardest candidates mixed into X−
-	// (default 2·|M|).
-	HardNonMatching int
-	// NoHardNegatives restricts X− to the uniform sample (the literal
-	// reading of the paper's "all non-matching pairs", down-sampled).
-	NoHardNegatives bool
 	// Metrics receives S1 telemetry (EM iteration counts and log-likelihood
 	// trajectories, threaded into gmm.FitOptions). Nil disables recording.
 	Metrics telemetry.Recorder

@@ -88,10 +88,10 @@ func (o FitOptions) WithDefaults(matches int) FitOptions {
 }
 
 // LearningVectors computes the S1 training sets: X+ (all matching pairs)
-// and X− (a down-sampled uniform non-matching sample, plus the blocker's
-// hardest non-matching candidates unless NoHardNegatives). Every backend
-// learns from the same vectors, so backend comparisons differ only in the
-// density model, never the data. Both relations are prepped once on
+// and X− (a down-sampled uniform non-matching sample, then the blocker's
+// 2·|M| hardest non-matching candidates). Every backend learns from the
+// same vectors, so backend comparisons differ only in the density model,
+// never the data. Both relations are prepped once on
 // opts.Pool, and all three sets score positionally against those preps;
 // the uniform sample is drawn serially, so the random stream is the same
 // at any worker count. The blocker runs through blocking.CandidatesOn on
@@ -109,24 +109,18 @@ func LearningVectors(real *dataset.ER, opts FitOptions) (xp, xn [][]float64, err
 	if len(xn) < 2 {
 		return nil, nil, fmt.Errorf("core: need at least 2 non-matching pairs, have %d", len(xn))
 	}
-	if !opts.NoHardNegatives {
-		blocker := opts.Blocker
-		if blocker == nil {
-			blocker = DefaultBlocker(real.Schema())
-		}
-		hardN := opts.HardNonMatching
-		if hardN == 0 {
-			hardN = 2 * len(real.Matches)
-		}
-		span := trace.FromRecorder(opts.Metrics).Child("generator.candidates")
-		cands, err := blocking.CandidatesOn(opts.Pool, blocker, real.A, real.B)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: hard-negative mining: %w", err)
-		}
-		span.End(trace.Int("candidates", len(cands)))
-		for _, lp := range dataset.HardestNonMatches(real, cands, hardN, a, b, opts.Pool) {
-			xn = append(xn, lp.Vector)
-		}
+	blocker := opts.Blocker
+	if blocker == nil {
+		blocker = DefaultBlocker(real.Schema())
+	}
+	span := trace.FromRecorder(opts.Metrics).Child("generator.candidates")
+	cands, err := blocking.CandidatesOn(opts.Pool, blocker, real.A, real.B)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: hard-negative mining: %w", err)
+	}
+	span.End(trace.Int("candidates", len(cands)))
+	for _, lp := range dataset.HardestNonMatches(real, cands, 2*len(real.Matches), a, b, opts.Pool) {
+		xn = append(xn, lp.Vector)
 	}
 	return xp, xn, nil
 }

@@ -30,54 +30,53 @@ func sameVectors(a, b [][]float64) error {
 }
 
 // TestLearningVectorsPoolInvariant pins S1's learning vectors to the
-// serial pass at any worker count, with and without hard negatives: X+,
-// X− and the random stream left behind are bit-identical. The serial X+
-// and uniform X− are themselves checked against Schema.SimVector.
+// serial pass at any worker count: X+, X− and the random stream left
+// behind are bit-identical. The serial X+ and X−'s uniform prefix are
+// themselves checked against Schema.SimVector, and the hard negatives
+// follow that prefix.
 func TestLearningVectorsPoolInvariant(t *testing.T) {
 	real := fixture(t)
-	for _, noHard := range []bool{false, true} {
-		opts := func(pool *parallel.Pool) FitOptions {
-			o := FitOptions{Rand: rand.New(rand.NewSource(9)), NoHardNegatives: noHard, Pool: pool}
-			return o.WithDefaults(len(real.Matches))
+	opts := func(pool *parallel.Pool) FitOptions {
+		o := FitOptions{Rand: rand.New(rand.NewSource(9)), Pool: pool}
+		return o.WithDefaults(len(real.Matches))
+	}
+	serialOpts := opts(nil)
+	xp, xn, err := LearningVectors(real, serialOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := serialOpts.Rand.Int63()
+
+	schema := real.Schema()
+	for i, p := range real.Matches {
+		if err := sameVectors(xp[i:i+1], [][]float64{schema.SimVector(real.A.Entities[p.A], real.B.Entities[p.B])}); err != nil {
+			t.Fatalf("X+ %d: %v", i, err)
 		}
-		serialOpts := opts(nil)
-		xp, xn, err := LearningVectors(real, serialOpts)
+	}
+	uniform := real.NonMatchingPairs(serialOpts.MaxNonMatching, rand.New(rand.NewSource(9)))
+	for i, p := range uniform {
+		if err := sameVectors(xn[i:i+1], [][]float64{schema.SimVector(real.A.Entities[p.A], real.B.Entities[p.B])}); err != nil {
+			t.Fatalf("X− %d: %v", i, err)
+		}
+	}
+	if len(xn) <= len(uniform) {
+		t.Fatalf("%d X− vectors from %d uniform pairs: no hard negatives", len(xn), len(uniform))
+	}
+
+	for _, workers := range []int{1, 2, 4} {
+		o := opts(parallel.New(workers, nil))
+		gotP, gotN, err := LearningVectors(real, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		next := serialOpts.Rand.Int63()
-
-		schema := real.Schema()
-		for i, p := range real.Matches {
-			if err := sameVectors(xp[i:i+1], [][]float64{schema.SimVector(real.A.Entities[p.A], real.B.Entities[p.B])}); err != nil {
-				t.Fatalf("noHard=%t X+ %d: %v", noHard, i, err)
-			}
+		if err := sameVectors(gotP, xp); err != nil {
+			t.Errorf("workers=%d X+: %v", workers, err)
 		}
-		uniform := real.NonMatchingPairs(serialOpts.MaxNonMatching, rand.New(rand.NewSource(9)))
-		for i, p := range uniform {
-			if err := sameVectors(xn[i:i+1], [][]float64{schema.SimVector(real.A.Entities[p.A], real.B.Entities[p.B])}); err != nil {
-				t.Fatalf("noHard=%t X− %d: %v", noHard, i, err)
-			}
+		if err := sameVectors(gotN, xn); err != nil {
+			t.Errorf("workers=%d X−: %v", workers, err)
 		}
-		if hard := len(xn) > len(uniform); hard == noHard {
-			t.Fatalf("noHard=%t: %d X− vectors from %d uniform pairs", noHard, len(xn), len(uniform))
-		}
-
-		for _, workers := range []int{1, 2, 4} {
-			o := opts(parallel.New(workers, nil))
-			gotP, gotN, err := LearningVectors(real, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sameVectors(gotP, xp); err != nil {
-				t.Errorf("noHard=%t workers=%d X+: %v", noHard, workers, err)
-			}
-			if err := sameVectors(gotN, xn); err != nil {
-				t.Errorf("noHard=%t workers=%d X−: %v", noHard, workers, err)
-			}
-			if got := o.Rand.Int63(); got != next {
-				t.Errorf("noHard=%t workers=%d: random stream moved (next draw %d, serial %d)", noHard, workers, got, next)
-			}
+		if got := o.Rand.Int63(); got != next {
+			t.Errorf("workers=%d: random stream moved (next draw %d, serial %d)", workers, got, next)
 		}
 	}
 }

@@ -11,19 +11,17 @@ import (
 	"serd/internal/parallel"
 )
 
-// sameBits reports whether a and b are the same float64, bit for bit.
-func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-
 // checkRow fails t unless the E-step's log-density ll and
 // responsibilities gamma for x equal the single-row forms, LogPDF and
-// Responsibilities, bit for bit.
+// Responsibilities, bit for bit; a NaN equals any NaN, whatever its
+// payload.
 func checkRow(t testing.TB, label string, m *Model, x, gamma []float64, ll float64) {
 	t.Helper()
-	if want := m.LogPDF(x); !sameBits(ll, want) {
+	if want := m.LogPDF(x); !sameFloat(ll, want) {
 		t.Fatalf("%s x=%v: log-density %v, single row %v", label, x, ll, want)
 	}
 	for k, want := range m.Responsibilities(x) {
-		if !sameBits(gamma[k], want) {
+		if !sameFloat(gamma[k], want) {
 			t.Fatalf("%s x=%v: γ[%d] = %v, single row %v", label, x, k, gamma[k], want)
 		}
 	}
